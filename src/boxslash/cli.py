@@ -284,16 +284,8 @@ def _hex_sweep_case(bits: int) -> str | None:
     return None
 
 
-def _suite_hex_sweep(jobs: int) -> tuple[bool, str]:
-    cases = range(512)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(_hex_sweep_case, cases)
-    else:
-        results = [_hex_sweep_case(bits) for bits in cases]
-    failures = [r for r in results if r]
+def _suite_hex_sweep() -> tuple[bool, str]:
+    failures = [r for r in map(_hex_sweep_case, range(512)) if r]
     if failures:
         return False, f"{len(failures)}/512 colorings failed, first: {failures[0]}"
     return True, "512/512 3x3 colorings: lines verified, spanning path found"
@@ -368,7 +360,7 @@ def _suite_corrupted_table() -> tuple[bool, str]:
 def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     suites = [
-        ("hex-sweep-3x3", lambda: _suite_hex_sweep(args.jobs)),
+        ("hex-sweep-3x3", _suite_hex_sweep),
         ("small-layouts", lambda: _suite_tiny_layouts(rng)),
         ("monotone-five", _suite_monotone),
         ("corrupted-table", _suite_corrupted_table),
@@ -442,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="built-in verification suites")
     p_self.add_argument("--seed", type=int, default=0, help="seed for the randomized spot checks")
-    p_self.add_argument("--jobs", type=int, default=1, help="worker processes for the grid sweep")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -135,19 +135,6 @@ def classify_pair(e1: EdgePair, e2: EdgePair, order: LinearOrder) -> PairRelatio
     return PairRelation.CROSS
 
 
-def point_inside(p: Vertex, edge: EdgePair, order: LinearOrder) -> bool:
-    """True when p lies strictly between the edge endpoints."""
-    if p in edge:
-        raise ValueError("point coincides with an edge endpoint")
-    a, b = order.sorted_edge(edge)
-    return a < order.rank(p) < b
-
-
-def same_side(p: Vertex, q: Vertex, edge: EdgePair, order: LinearOrder) -> bool:
-    """True when p and q are both inside, or both outside, the edge."""
-    return point_inside(p, edge, order) == point_inside(q, edge, order)
-
-
 @dataclass
 class Violation:
     edge_a: EdgePair
@@ -162,14 +149,41 @@ class LayoutReport:
     violations: list[Violation]
 
 
-def _edge_list(graph_or_edges) -> list[EdgePair]:
-    if isinstance(graph_or_edges, ProductGraph):
-        return list(graph_or_edges.edge_pairs())
-    return [(u, v) for u, v in graph_or_edges]
+def _as_vertices_edges(pair):
+    """A 2-tuple read as (vertices, edges), or None when it is an edge list.
+
+    It is (vertices, edges) only when every item of its second entry is
+    a pair whose endpoints both lie in its first entry; two edges such
+    as ((1, 2), (3, 4)) or (("ab", "cd"), ("ef", "gh")) are not.
+    """
+    try:
+        vertices, edges = list(pair[0]), list(pair[1])
+        members = set(vertices)
+        if all(len(e) == 2 and members.issuperset(e) for e in edges):
+            return vertices, [(u, v) for u, v in edges]
+    except TypeError:
+        pass
+    return None
+
+
+def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
+    """Vertices and edge pairs of any graph input the package accepts.
+
+    A graph is a ProductGraph, a (vertices, edges) pair, or an iterable
+    of edge pairs, whose vertices are listed in order of first mention.
+    """
+    if isinstance(graph, ProductGraph):
+        return list(graph.vertices), list(graph.edge_pairs())
+    if isinstance(graph, tuple) and len(graph) == 2:
+        split = _as_vertices_edges(graph)
+        if split is not None:
+            return split
+    edges = [(u, v) for u, v in graph]
+    return list(dict.fromkeys(w for e in edges for w in e)), edges
 
 
 def _validate(edges, order, coloring, forbidden: PairRelation) -> LayoutReport:
-    pairs = _edge_list(edges)
+    pairs = graph_vertices_edges(edges)[1]
     by_color: dict[int, list[EdgePair]] = {}
     for e in pairs:
         c = coloring.get(*e)
@@ -202,16 +216,6 @@ def validate_queue_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> 
 def canonical_key(v: PVertex):
     """Sort key ordering product vertices by position, depth, then address."""
     return (v.pos, v.node.depth, v.node.path)
-
-
-def compare_product_vertices(u: PVertex, v: PVertex) -> int:
-    """Three-way comparison under the canonical product order."""
-    ku, kv = canonical_key(u), canonical_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def canonical_order(graph: ProductGraph) -> LinearOrder:
@@ -370,7 +374,7 @@ def stack_pages_for_order(
     has at most ``exact_limit`` edges; beyond that a greedy bound is
     returned with ``exact`` set to False.
     """
-    pairs = _edge_list(edges)
+    pairs = graph_vertices_edges(edges)[1]
     if not pairs:
         return ColoringResult(0, EdgeColoring({}), True)
     masks = _conflict_masks(pairs, order)
@@ -406,7 +410,7 @@ def stack_pages_for_order(
 
 def max_rainbow(edges, order: LinearOrder) -> int:
     """Size of the largest set of pairwise nesting edges."""
-    pairs = _edge_list(edges)
+    pairs = graph_vertices_edges(edges)[1]
     return _nesting_depths(pairs, order)[0]
 
 
@@ -429,7 +433,7 @@ def queues_for_order(edges, order: LinearOrder) -> ColoringResult:
     The witness colours each edge by its nesting depth, which uses
     exactly that many colours and never nests two equal colours.
     """
-    pairs = _edge_list(edges)
+    pairs = graph_vertices_edges(edges)[1]
     if not pairs:
         return ColoringResult(0, EdgeColoring({}), True)
     count, depth = _nesting_depths(pairs, order)
@@ -443,7 +447,7 @@ def queues_for_order(edges, order: LinearOrder) -> ColoringResult:
 def layout_to_json(order: LinearOrder, coloring: EdgeColoring, edges) -> dict:
     """Serialize a layout; ``edges`` fixes the key direction u--v."""
     colors = {}
-    for u, v in _edge_list(edges):
+    for u, v in graph_vertices_edges(edges)[1]:
         colors[f"{u}--{v}"] = coloring.color(u, v)
     return {
         "order": [str(v) for v in order],

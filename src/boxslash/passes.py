@@ -11,12 +11,22 @@ smaller product of the same shape:
 * pass_lex makes each (level, position) rank array lex-monotone, which
   pins down a per-level direction recorded in a DirectionTable.
 
-Each pass buckets the children of every node by a positional profile of
-the child's whole cone, keeps the largest bucket (ties broken by the
-lexicographically smallest child set), and truncates to the requested
-target.  Passes run bottom-up so a profile always describes an already
-thinned cone.  Quantitative survival guarantees are out of scope; a
-level that cannot meet its target raises PassStarvation instead.
+The pipeline's values travel together in one PassState: the current
+graph, its vertex order and edge colouring, and the map from original
+to current tree nodes.  A pass only decides which children to keep;
+restrict() applies that choice to the whole state at once.
+
+The colour and order passes bucket the children of every node by a
+positional profile of the child's whole cone, keep the largest bucket
+(ties broken by the lexicographically smallest child set), and truncate
+to the requested target.  They run bottom-up so a profile always
+describes an already thinned cone.  The lex pass instead cuts each
+level to the index sets of lex-monotone witnesses.  Quantitative
+survival guarantees are out of scope; a level that cannot meet its
+target raises PassStarvation instead.
+
+The passes do not verify their own output.  run_passes checks every
+property once, on the final state it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     InconsistencyError,
@@ -362,50 +372,63 @@ def _cone_nodes(root: NodeIndex, keep: Mapping, height: int):
     return out
 
 
-def transport_order(
-    order: LinearOrder, node_map: Mapping[NodeIndex, NodeIndex], new_graph: ProductGraph
-) -> LinearOrder:
-    """Carry a vertex order onto the restricted, renumbered product."""
-    inverse = {new: old for old, new in node_map.items()}
-    rank = {
-        v: order.rank(PVertex(inverse[v.node], v.pos)) for v in new_graph.vertices
+@dataclass(frozen=True)
+class PassState:
+    """Where the thinning pipeline stands.
+
+    ``graph`` is the current product, ``order`` and ``coloring`` its
+    layout, and ``node_map`` sends every surviving node of the original
+    tree to its current address (pruned nodes are absent).
+    """
+
+    graph: ProductGraph
+    order: LinearOrder
+    coloring: EdgeColoring
+    node_map: dict[NodeIndex, NodeIndex]
+
+    @classmethod
+    def initial(
+        cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring
+    ) -> "PassState":
+        return cls(graph, order, coloring, {n: n for n in graph.tree.nodes})
+
+
+def restrict(state: PassState, keep: Mapping[NodeIndex, Iterable[int]]) -> PassState:
+    """Keep the given children (see restrict_subtree) and carry the layout over.
+
+    The order and the colouring are read back through the inverse of the
+    renumbering, and the node map is composed with it.
+    """
+    graph, step = restrict_subtree(state.graph, keep)
+    previous = {new: old for old, new in step.items()}
+
+    def old(v: PVertex) -> PVertex:
+        return PVertex(previous[v.node], v.pos)
+
+    rank = state.order.rank
+    order = LinearOrder(sorted(graph.vertices, key=lambda v: rank(old(v))))
+    color = state.coloring.color
+    coloring = EdgeColoring(
+        {(u, v): color(old(u), old(v)) for u, v in graph.edge_pairs()},
+        k=state.coloring.k,
+    )
+    node_map = {
+        orig: step[cur] for orig, cur in state.node_map.items() if cur in step
     }
-    return LinearOrder(sorted(new_graph.vertices, key=rank.__getitem__))
-
-
-def transport_coloring(
-    coloring: EdgeColoring,
-    node_map: Mapping[NodeIndex, NodeIndex],
-    new_graph: ProductGraph,
-) -> EdgeColoring:
-    inverse = {new: old for old, new in node_map.items()}
-    colors = {}
-    for u, v in new_graph.edge_pairs():
-        old_u = PVertex(inverse[u.node], u.pos)
-        old_v = PVertex(inverse[v.node], v.pos)
-        colors[(u, v)] = coloring.color(old_u, old_v)
-    return EdgeColoring(colors, k=coloring.k)
+    return PassState(graph, order, coloring, node_map)
 
 
 # ---------------------------------------------------------------------------
 # The colour pass.
 
-@dataclass
-class ColourPassResult:
-    graph: ProductGraph
-    node_map: dict
-    kept: dict
-    coloring: EdgeColoring
-    table: ColorTable
-
-
-def pass_colour(graph: ProductGraph, coloring: EdgeColoring, targets=None) -> ColourPassResult:
+def pass_colour(state: PassState, targets=None) -> PassState:
     """Thin the tree until edge colour is a function of (depth, pos, kind).
 
     A child's profile is the colour of every edge in its kept cone plus
     the edges joining the child to its parent, keyed by positional
     address, so equal profiles mean positionally identical colourings.
     """
+    graph, coloring = state.graph, state.coloring
     m = graph.path_len
     height = graph.tree.height
 
@@ -428,24 +451,11 @@ def pass_colour(graph: ProductGraph, coloring: EdgeColoring, targets=None) -> Co
                 )
         return tuple(sorted(entries))
 
-    keep = _prune_by_profiles(graph, profile, targets, "colour")
-    new_graph, node_map = restrict_subtree(graph, keep)
-    new_coloring = transport_coloring(coloring, node_map, new_graph)
-    table = ColorTable.from_layout(new_graph, new_coloring)
-    return ColourPassResult(new_graph, node_map, keep, new_coloring, table)
+    return restrict(state, _prune_by_profiles(graph, profile, targets, "colour"))
 
 
 # ---------------------------------------------------------------------------
 # The order pass.
-
-@dataclass
-class OrderPassResult:
-    graph: ProductGraph
-    node_map: dict
-    kept: dict
-    order: LinearOrder
-    report: CheckReport
-
 
 def _rank_pattern(ranks: list[int]) -> tuple[int, ...]:
     by_rank = {r: i for i, r in enumerate(sorted(ranks))}
@@ -489,13 +499,13 @@ def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport
     return CheckReport(violations, checked)
 
 
-def pass_order(graph: ProductGraph, order: LinearOrder, targets=None) -> OrderPassResult:
+def pass_order(state: PassState, targets=None) -> PassState:
     """Thin the tree until sibling cones are order-isomorphic.
 
     A child's profile is the relative rank pattern of its cone's
-    vertices in canonical positional enumeration.  The surviving graph
-    is re-verified exhaustively and the report returned alongside it.
+    vertices in canonical positional enumeration.
     """
+    graph, order = state.graph, state.order
     m = graph.path_len
     height = graph.tree.height
 
@@ -506,26 +516,13 @@ def pass_order(graph: ProductGraph, order: LinearOrder, targets=None) -> OrderPa
         ]
         return _rank_pattern(ranks)
 
-    keep = _prune_by_profiles(graph, profile, targets, "order")
-    new_graph, node_map = restrict_subtree(graph, keep)
-    new_order = transport_order(order, node_map, new_graph)
-    report = check_child_symmetry(new_graph, new_order)
-    return OrderPassResult(new_graph, node_map, keep, new_order, report)
+    return restrict(state, _prune_by_profiles(graph, profile, targets, "order"))
 
 
 # ---------------------------------------------------------------------------
 # The lex pass.
 
-@dataclass
-class LexPassResult:
-    graph: ProductGraph
-    node_map: dict
-    kept: dict
-    order: LinearOrder
-    witnesses: dict
-
-
-def pass_lex(graph: ProductGraph, order: LinearOrder, targets=None) -> LexPassResult:
+def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
     """Thin the tree until every (level, position) rank array is lex-monotone.
 
     The array for (level L, position p) is indexed by the child choices
@@ -534,8 +531,10 @@ def pass_lex(graph: ProductGraph, order: LinearOrder, targets=None) -> LexPassRe
     position; each witness's kept index sets cut the corresponding tree
     levels for all later arrays (lex-monotonicity survives taking
     subarrays, so earlier witnesses stay valid).  With targets omitted
-    the pass only verifies, keeping every child.
+    every child is kept, or PassStarvation raised.  Returns the thinned
+    state and the witness of each (level, position).
     """
+    graph, order = state.graph, state.order
     tree = graph.tree
     m = graph.path_len
     levels = _resolve_targets(targets, tree.height)
@@ -567,9 +566,7 @@ def pass_lex(graph: ProductGraph, order: LinearOrder, targets=None) -> LexPassRe
     for depth in range(tree.height):
         for node in tree.nodes_at_depth(depth):
             keep[node] = kept_choices[depth]
-    new_graph, node_map = restrict_subtree(graph, keep)
-    new_order = transport_order(order, node_map, new_graph)
-    return LexPassResult(new_graph, node_map, keep, new_order, witnesses)
+    return restrict(state, keep), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +788,6 @@ class PipelineResult:
     related_report: CheckReport
 
 
-def _compose(first: Mapping, second: Mapping) -> dict:
-    return {old: second[mid] for old, mid in first.items() if mid in second}
-
-
 def run_passes(
     graph: ProductGraph,
     order: LinearOrder,
@@ -803,43 +796,39 @@ def run_passes(
     order_targets=None,
     lex_targets=None,
 ) -> PipelineResult:
-    """Colour, order, and lex passes in sequence, with final re-verification.
+    """Colour, order and lex passes in sequence, then one verification.
 
-    The earlier passes' properties are re-established on the final
-    graph: the colour table is rebuilt (raising on any clash), child
-    symmetry is re-checked exhaustively, and the related-sequence check
-    ties both to the table.  The direction table is extracted when
-    every surviving level keeps at least two children, else left None.
+    The passes thread a single PassState and do not check their own
+    work.  Every property is verified once, on the final state, which
+    is what is returned: the colour table is built (raising on any
+    clash), child symmetry is checked exhaustively, and the
+    related-sequence check ties both to the table.  The direction table
+    is extracted when every surviving level keeps at least two
+    children, else left None.
     """
-    stage1 = pass_colour(graph, coloring, colour_targets)
-    order1 = transport_order(order, stage1.node_map, stage1.graph)
+    state = PassState.initial(graph, order, coloring)
+    state = pass_colour(state, colour_targets)
+    state = pass_order(state, order_targets)
+    state, witnesses = pass_lex(state, lex_targets)
 
-    stage2 = pass_order(stage1.graph, order1, order_targets)
-    coloring2 = transport_coloring(stage1.coloring, stage2.node_map, stage2.graph)
-
-    stage3 = pass_lex(stage2.graph, stage2.order, lex_targets)
-    coloring3 = transport_coloring(coloring2, stage3.node_map, stage3.graph)
-
-    final_graph = stage3.graph
-    final_order = stage3.order
-    color_table = ColorTable.from_layout(final_graph, coloring3)
+    final_graph, final_order, final_coloring = state.graph, state.order, state.coloring
+    color_table = ColorTable.from_layout(final_graph, final_coloring)
     order_report = check_child_symmetry(final_graph, final_order)
     related_report = check_related_sequence_families(
-        final_graph, final_order, coloring3, color_table
+        final_graph, final_order, final_coloring, color_table
     )
     if all(d >= 2 for d in final_graph.tree.spec.degrees):
         direction_table = extract_direction_table(final_graph, final_order)
     else:
         direction_table = None
-    node_map = _compose(_compose(stage1.node_map, stage2.node_map), stage3.node_map)
     return PipelineResult(
         final_graph,
-        node_map,
+        state.node_map,
         final_order,
-        coloring3,
+        final_coloring,
         color_table,
         direction_table,
         order_report,
-        stage3.witnesses,
+        witnesses,
         related_report,
     )

@@ -20,14 +20,13 @@ from .layout import (
     EdgeColoring,
     LinearOrder,
     _conflict_masks,
-    _edge_list,
     _nesting_depths,
+    graph_vertices_edges,
     layout_to_json,
     queues_for_order,
     stack_pages_for_order,
     try_color,
 )
-from .product import ProductGraph
 
 #: Exhaustive search refuses graphs with more vertices than this.
 EXHAUSTIVE_VERTEX_LIMIT = 10
@@ -46,23 +45,6 @@ class SolveResult:
         doc = layout_to_json(self.order, self.coloring, self.edges)
         doc.update(value=self.value, exact=self.exact, nodes_explored=self.nodes_explored)
         return doc
-
-
-def _as_vertices_edges(graph):
-    if isinstance(graph, ProductGraph):
-        return list(graph.vertices), list(graph.edge_pairs())
-    if isinstance(graph, tuple) and len(graph) == 2:
-        vertices, edges = graph
-        return list(vertices), [(u, v) for u, v in edges]
-    edges = [(u, v) for u, v in graph]
-    vertices: list = []
-    seen = set()
-    for u, v in edges:
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
-    return vertices, edges
 
 
 def _check_size(vertices) -> None:
@@ -107,7 +89,7 @@ class _Budget:
 
 
 def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
-    vertices, edges = _as_vertices_edges(graph)
+    vertices, edges = graph_vertices_edges(graph)
     _check_size(vertices)
     explored = 0
     if not edges:

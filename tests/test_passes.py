@@ -15,6 +15,7 @@ from boxslash import (
     LinearOrder,
     NodeIndex,
     PassStarvation,
+    PassState,
     PreconditionError,
     PVertex,
     SizeLimitError,
@@ -30,13 +31,12 @@ from boxslash import (
     pass_colour,
     pass_lex,
     pass_order,
-    restrict_subtree,
     run_passes,
     three_queue_layout,
-    transport_coloring,
-    transport_order,
     verify_lex_monotone,
 )
+from boxslash import passes
+from boxslash.passes import restrict
 from helpers_naive import brute_longest_monotone
 
 
@@ -51,6 +51,12 @@ def pv(text):
 
 def order_of(names):
     return LinearOrder(pv(s) for s in names)
+
+
+def state_of(g, order=None, coloring=None):
+    """Initial pass state; the three-queue layout fills what is not given."""
+    canonical, queues = three_queue_layout(g)
+    return PassState.initial(g, order or canonical, coloring or queues)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +241,15 @@ def test_pass_colour_keeps_the_larger_matching_bucket():
             (pv("4@1"), pv("r@1")): 1,
         }
     )
-    result = pass_colour(g, coloring)
+    result = pass_colour(state_of(g, coloring=coloring))
     assert result.graph.tree.spec.degrees == (2,)
     assert result.node_map[NodeIndex((1,))] == NodeIndex((1,))
     assert result.node_map[NodeIndex((3,))] == NodeIndex((2,))
     assert NodeIndex((2,)) not in result.node_map
     for u, v, kind in result.graph.edges:
         assert result.coloring.color(u, v) == 0
-    assert result.table.color_of(1, 1, EdgeKind.VERTICAL) == 0
+    table = ColorTable.from_layout(result.graph, result.coloring)
+    assert table.color_of(1, 1, EdgeKind.VERTICAL) == 0
 
 
 def test_pass_colour_starvation():
@@ -256,15 +263,14 @@ def test_pass_colour_starvation():
         }
     )
     with pytest.raises(PassStarvation) as err:
-        pass_colour(g, coloring, targets=3)
+        pass_colour(state_of(g, coloring=coloring), targets=3)
     assert err.value.stage == "colour"
     assert err.value.available == 2 and err.value.wanted == 3
 
 
 def test_pass_colour_full_survival_on_uniform_layout():
     g = boxslash_product((2, 2), 2)
-    _, coloring = three_queue_layout(g)
-    result = pass_colour(g, coloring)
+    result = pass_colour(state_of(g))
     assert result.graph.tree.spec.degrees == (2, 2)
     assert len(result.graph) == len(g)
 
@@ -276,21 +282,21 @@ def test_pass_order_prunes_order_anomalies():
     g = boxslash_product((2,), 2)
     # Child 2 has its two path positions swapped relative to child 1.
     order = order_of(["r@1", "1@1", "2@2", "r@2", "1@2", "2@1"])
-    result = pass_order(g, order)
+    result = pass_order(state_of(g, order))
     assert result.graph.tree.spec.degrees == (1,)
     assert result.node_map == {
         NodeIndex(()): NodeIndex(()),
         NodeIndex((1,)): NodeIndex((1,)),
     }
-    assert result.report.ok
+    assert check_child_symmetry(result.graph, result.order).ok
 
 
 def test_pass_order_full_survival_on_canonical():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
-    result = pass_order(g, order)
+    result = pass_order(state_of(g, order))
     assert result.graph.tree.spec.degrees == (2, 2)
-    assert result.report.ok
+    assert check_child_symmetry(result.graph, result.order).ok
     assert list(result.order) == list(order)
 
 
@@ -308,10 +314,10 @@ def test_check_child_symmetry_detects_asymmetry():
 def test_pass_lex_identity_on_canonical():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
-    result = pass_lex(g, order)
+    result, witnesses = pass_lex(state_of(g, order))
     assert result.graph.tree.spec.degrees == (2, 2)
-    assert set(result.witnesses) == {(level, p) for level in (1, 2) for p in (1, 2)}
-    for witness in result.witnesses.values():
+    assert set(witnesses) == {(level, p) for level in (1, 2) for p in (1, 2)}
+    for witness in witnesses.values():
         assert witness.signs == tuple([Direction.INC] * len(witness.signs))
         assert all(list(s) == list(range(len(s))) for s in witness.index_sets)
 
@@ -320,7 +326,7 @@ def test_pass_lex_starves_on_scrambled_order():
     g = boxslash_product((3,), 1)
     scrambled = order_of(["r@1", "1@1", "3@1", "2@1"])
     with pytest.raises(PassStarvation) as err:
-        pass_lex(g, scrambled)
+        pass_lex(state_of(g, scrambled))
     assert err.value.stage == "lex"
     assert err.value.level == (1, 1)
 
@@ -328,11 +334,11 @@ def test_pass_lex_starves_on_scrambled_order():
 def test_pass_lex_truncates_to_target():
     g = boxslash_product((3,), 1)
     scrambled = order_of(["r@1", "1@1", "3@1", "2@1"])
-    result = pass_lex(g, scrambled, targets=2)
+    result, _ = pass_lex(state_of(g, scrambled), targets=2)
     assert result.graph.tree.spec.degrees == (2,)
-    kept = result.kept[NodeIndex(())]
+    kept = tuple(sorted(n.path[0] for n in result.node_map if n.depth == 1))
     assert kept == (1, 2)  # first combination scanned: ranks 1 < 3 already increase
-    assert transport_order(scrambled, result.node_map, result.graph)
+    assert [str(v) for v in result.order] == ["r@1", "1@1", "2@1"]
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +408,59 @@ def test_check_related_sequence_families():
 
 
 # ---------------------------------------------------------------------------
-# Transports and the full pipeline.
+# Restriction and the full pipeline.
 
-def test_transports_follow_the_node_map():
+def test_restrict_follows_the_node_map():
     g = boxslash_product((2,), 2)
-    order = canonical_order(g)
-    _, coloring = three_queue_layout(g)
-    kept, node_map = restrict_subtree(g, {NodeIndex(()): (2,)})
-    new_order = transport_order(order, node_map, kept)
-    new_coloring = transport_coloring(coloring, node_map, kept)
-    assert [str(v) for v in new_order] == ["r@1", "1@1", "r@2", "1@2"]
+    state = state_of(g)
+    kept = restrict(state, {NodeIndex(()): (2,)})
+    assert [str(v) for v in kept.order] == ["r@1", "1@1", "r@2", "1@2"]
     old_edge = (pv("2@1"), pv("r@1"))
     new_edge = (pv("1@1"), pv("r@1"))
-    assert new_coloring.color(*new_edge) == coloring.color(*old_edge)
+    assert kept.coloring.color(*new_edge) == state.coloring.color(*old_edge)
+
+    # Two restrictions in a row compose their node maps.
+    g = boxslash_product((3, 2), 2)
+    start = state_of(g)
+    once = restrict(start, {NodeIndex(()): (1, 3)})
+    # Child 2 of the root is now what was child 3.
+    twice = restrict(once, {NodeIndex((1,)): (2,), NodeIndex((2,)): (2,)})
+    assert twice.graph.tree.spec.degrees == (2, 1)
+    assert twice.node_map == {
+        NodeIndex(()): NodeIndex(()),
+        NodeIndex((1,)): NodeIndex((1,)),
+        NodeIndex((3,)): NodeIndex((2,)),
+        NodeIndex((1, 2)): NodeIndex((1, 1)),
+        NodeIndex((3, 2)): NodeIndex((2, 1)),
+    }
+    # The order is the input order restricted to the survivors, renamed,
+    # and every surviving edge keeps the colour of the edge it came from.
+    inverse = {new: old for old, new in twice.node_map.items()}
+
+    def original(v):
+        return PVertex(inverse[v.node], v.pos)
+
+    assert [original(v) for v in twice.order] == [
+        v for v in start.order if v.node in twice.node_map
+    ]
+    for u, v in twice.graph.edge_pairs():
+        assert twice.coloring.color(u, v) == start.coloring.color(original(u), original(v))
+    assert twice.coloring.k == start.coloring.k
+
+
+def test_run_passes_checks_child_symmetry_once(monkeypatch):
+    calls = []
+    real = passes.check_child_symmetry
+
+    def counting(graph, order):
+        calls.append(len(graph))
+        return real(graph, order)
+
+    monkeypatch.setattr(passes, "check_child_symmetry", counting)
+    g = boxslash_product((2, 2), 2)
+    order, coloring = three_queue_layout(g)
+    result = run_passes(g, order, coloring)
+    assert calls == [len(result.graph)]
 
 
 def test_run_passes_canonical_identity():

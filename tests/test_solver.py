@@ -65,6 +65,19 @@ def test_graph_inputs_are_interchangeable():
     assert from_graph.value == from_edges.value == from_pair.value
 
 
+def test_two_edge_lists_are_not_read_as_vertices_and_edges():
+    # A 2-tuple is (vertices, edges) only when its second item is a list
+    # of pairs drawn from its first; otherwise it is a list of two edges.
+    for edges in [((1, 2), (3, 4)), (("ab", "cd"), ("ef", "gh"))]:
+        for solve, check in ((stack_number, validate_stack_layout),
+                             (queue_number, validate_queue_layout)):
+            result = solve(edges)
+            assert (result.value, result.exact) == (1, True)
+            assert len(result.order) == 4
+            assert list(result.edges) == list(edges)
+            assert check(edges, result.order, result.coloring).valid
+
+
 def test_edgeless_graph():
     result = stack_number(([1, 2, 3], []))
     assert result.value == 0 and result.exact
