@@ -323,6 +323,16 @@ def try_color(masks: list[int], k: int, counter: list[int] | None = None):
     return None
 
 
+def fewest_colours(masks: list[int], below: int, counter: list[int] | None = None):
+    """try_color's assignment for the first k = 1, 2, ... below ``below``
+    that succeeds, which uses exactly k colours; None when none does."""
+    for k in range(1, below):
+        assignment = try_color(masks, k, counter)
+        if assignment is not None:
+            return assignment
+    return None
+
+
 def _components(masks: list[int]) -> list[list[int]]:
     n = len(masks)
     seen = [False] * n
@@ -393,11 +403,7 @@ def stack_pages_for_order(
                 lm |= 1 << local_index[w]
             local_masks.append(lm)
         if len(comp) <= exact_limit:
-            local = None
-            for k in range(1, len(comp) + 1):
-                local = try_color(local_masks, k)
-                if local is not None:
-                    break
+            local = fewest_colours(local_masks, len(comp) + 1)
         else:
             local = _greedy_color(local_masks)
             exact = False

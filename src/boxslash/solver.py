@@ -1,7 +1,9 @@
 """Exact stack and queue numbers of small graphs by exhaustive order search.
 
-Both solvers iterate a colour budget k = 1, 2, ... and scan vertex
-orders until one fits, so the witness at the minimum comes for free.
+Both solvers scan the vertex orders once and keep the best layout found
+so far (the incumbent): an order is scored only against page counts
+below the incumbent's, and the scan stops early when one page suffices.
+The first order in scan order that reaches the minimum is the witness.
 Crossing structure is invariant under rotating and reversing the order,
 hence the stack search fixes the first vertex and skips reversals.
 Nesting survives reversal but not rotation, so the queue search prunes
@@ -21,11 +23,11 @@ from .layout import (
     LinearOrder,
     _conflict_masks,
     _nesting_depths,
+    fewest_colours,
     graph_vertices_edges,
     layout_to_json,
     queues_for_order,
     stack_pages_for_order,
-    try_color,
 )
 
 #: Exhaustive search refuses graphs with more vertices than this.
@@ -34,6 +36,12 @@ EXHAUSTIVE_VERTEX_LIMIT = 10
 
 @dataclass
 class SolveResult:
+    """Page count with its witness layout.
+
+    ``nodes_explored`` counts the vertex orders scanned plus the nodes
+    of the colouring search (stack only).
+    """
+
     value: int
     order: LinearOrder
     coloring: EdgeColoring
@@ -55,78 +63,59 @@ def _check_size(vertices) -> None:
         )
 
 
-def _stack_orders(vertices: list) -> Iterator[tuple]:
-    """All orders up to rotation and reversal: first vertex pinned."""
-    first, rest = vertices[0], vertices[1:]
+def _orders(vertices: list, pin_first: bool) -> Iterator[tuple]:
+    """All orders up to reversal, and up to rotation when ``pin_first``.
+
+    A reversal is skipped by keeping only permutations whose first
+    vertex precedes their last in the input; rotations by pinning it.
+    """
+    head, rest = (tuple(vertices[:1]), vertices[1:]) if pin_first else ((), vertices)
     if len(rest) < 2:
         yield tuple(vertices)
         return
     pos = {v: i for i, v in enumerate(rest)}
     for perm in itertools.permutations(rest):
-        if pos[perm[0]] > pos[perm[-1]]:
-            continue
-        yield (first,) + perm
-
-
-def _queue_orders(vertices: list) -> Iterator[tuple]:
-    """All orders up to reversal."""
-    if len(vertices) < 2:
-        yield tuple(vertices)
-        return
-    pos = {v: i for i, v in enumerate(vertices)}
-    for perm in itertools.permutations(vertices):
-        if pos[perm[0]] > pos[perm[-1]]:
-            continue
-        yield perm
-
-
-class _Budget:
-    def __init__(self, budget_ms: float | None):
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+        if pos[perm[0]] < pos[perm[-1]]:
+            yield head + perm
 
 
 def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
+    if upper_limit is not None and upper_limit < 1:
+        raise ValueError(f"upper_limit must be at least 1, got {upper_limit}")
     vertices, edges = graph_vertices_edges(graph)
     _check_size(vertices)
-    explored = 0
     if not edges:
-        order = LinearOrder(vertices)
-        return SolveResult(0, order, EdgeColoring({}), True, explored, tuple(edges))
+        return SolveResult(0, LinearOrder(vertices), EdgeColoring({}), True, 0, ())
 
-    budget = _Budget(budget_ms)
-    enumerate_orders = _stack_orders if kind == "stack" else _queue_orders
-    top = len(edges) if upper_limit is None else min(upper_limit, len(edges))
+    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    # The incumbent: page counts at or above it are not worth finding.
+    best = (len(edges) if upper_limit is None else min(upper_limit, len(edges))) + 1
+    winner = assignment = None
+    explored = 0
     counter = [0]
-
-    for k in range(1, top + 1):
-        for perm in enumerate_orders(vertices):
-            explored += 1
-            if explored % 64 == 0 and budget.expired():
-                return _fallback(vertices, edges, kind, explored)
-            order = LinearOrder(perm)
-            if kind == "stack":
-                masks = _conflict_masks(edges, order)
-                assignment = try_color(masks, k, counter)
-                if assignment is not None:
-                    colors = EdgeColoring(
-                        {e: c for e, c in zip(edges, assignment)}, k=k
-                    )
-                    return SolveResult(
-                        k, order, colors, True, explored + counter[0], tuple(edges)
-                    )
-            else:
-                depth_max, _ = _nesting_depths(edges, order)
-                if depth_max <= k:
-                    result = queues_for_order(edges, order)
-                    return SolveResult(
-                        result.count, order, result.colors, True,
-                        explored + counter[0], tuple(edges),
-                    )
-    # Deepening was capped before any order fit: report an upper bound.
-    return _fallback(vertices, edges, kind, explored + counter[0])
+    for perm in _orders(vertices, pin_first=kind == "stack"):
+        explored += 1
+        if explored % 64 == 0 and deadline is not None and time.monotonic() > deadline:
+            return _fallback(vertices, edges, kind, explored + counter[0])
+        order = LinearOrder(perm)
+        if kind == "stack":
+            found = fewest_colours(_conflict_masks(edges, order), best, counter)
+            pages = best if found is None else max(found) + 1
+        else:
+            found, pages = None, _nesting_depths(edges, order)[0]
+        if pages < best:
+            best, winner, assignment = pages, order, found
+        if best == 1:
+            break
+    explored += counter[0]
+    if winner is None:
+        # The cap was below every order's page count: report an upper bound.
+        return _fallback(vertices, edges, kind, explored)
+    if kind == "stack":
+        colors = EdgeColoring(dict(zip(edges, assignment)), k=best)
+    else:
+        colors = queues_for_order(edges, winner).colors
+    return SolveResult(best, winner, colors, True, explored, tuple(edges))
 
 
 def _fallback(vertices, edges, kind: str, explored: int) -> SolveResult:
@@ -142,8 +131,9 @@ def stack_number(graph, upper_limit: int | None = None, budget_ms: float | None 
     """Minimum stack pages over all vertex orders.
 
     Exhaustive for graphs with at most EXHAUSTIVE_VERTEX_LIMIT vertices.
-    When the budget expires or the deepening cap cuts the search short,
-    the result is an upper bound from the input order with exact=False.
+    ``upper_limit`` (at least 1) caps the page counts searched for.  When
+    the budget expires, or no order fits within the cap, the result is
+    an upper bound from the input order with exact=False.
     """
     return _solve(graph, upper_limit, budget_ms, "stack")
 

@@ -1,6 +1,7 @@
 """Exhaustive small-instance solvers against the factorial reference."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -103,6 +104,21 @@ def test_upper_limit_cap_degrades_to_a_bound():
     assert not result.exact
     assert result.value >= 3
     assert validate_stack_layout(result.edges, result.order, result.coloring).valid
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_upper_limit_below_one_is_rejected(limit):
+    for solve in (stack_number, queue_number):
+        with pytest.raises(ValueError, match="upper_limit must be at least 1"):
+            solve(complete_graph(7), upper_limit=limit)
+
+
+def test_one_scan_visits_each_order_once():
+    # K_n needs more than one queue, so every order up to reversal is
+    # scanned, each once; the queue search runs no colouring search.
+    for n in (4, 5, 6):
+        result = queue_number(complete_graph(n))
+        assert result.nodes_explored == math.factorial(n) // 2
 
 
 def test_result_serialization():
