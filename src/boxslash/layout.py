@@ -3,10 +3,18 @@
 A stack page forbids same-colour crossings, a queue forbids same-colour
 nestings.  Everything here works over an explicit LinearOrder, so all
 positional notions (crossing, nesting, sidedness) are relative to it.
+
+For a fixed order the kernels run in O(E log E) plus their output: the
+validators and the crossing masks list each edge's partners with one
+sweep over rank spans (``_sweep``), and the nesting depths, whose
+maximum is the queue count (the largest rainbow, Heath & Rosenberg
+1992), come from patience sorting.  ``classify_pair`` is the per-pair
+reference for callers that hold just two edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -182,7 +190,43 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     return list(dict.fromkeys(w for e in edges for w in e)), edges
 
 
+def _sweep(spans: list[tuple[int, int]], relation: PairRelation) -> Iterator[tuple[int, list[int]]]:
+    """Each span index with the indices of earlier-swept spans in
+    ``relation`` (CROSS or NEST) with it; every such pair occurs once.
+
+    Spans are (left, right) ranks, left < right.  The sweep takes spans
+    by left rank and keeps the open ones sorted by right rank, so a
+    span's crossing partners (right end strictly inside it) and nesting
+    partners (right end beyond it) are one slice each: O(E log E)
+    comparisons plus the pairs listed (inserting into the open list
+    shifts it by a memmove).  Equal left ranks are taken widest first for
+    crossings and narrowest first for nestings, so that spans sharing an
+    endpoint, which share a rank, are never listed.
+    """
+    crossing = relation is PairRelation.CROSS
+    sign = -1 if crossing else 1
+    rights: list[int] = []
+    ids: list[int] = []
+    for i in sorted(range(len(spans)), key=lambda i: (spans[i][0], sign * spans[i][1])):
+        a, b = spans[i]
+        closed = bisect_right(rights, a)
+        if closed:
+            del rights[:closed], ids[:closed]
+        end = bisect_right(rights, b)
+        hits = ids[:bisect_left(rights, b)] if crossing else ids[end:]
+        if hits:
+            yield i, hits
+        rights.insert(end, b)
+        ids.insert(end, i)
+
+
 def _validate(edges, order, coloring, forbidden: PairRelation) -> LayoutReport:
+    """Every same-colour pair in the ``forbidden`` relation, by colour,
+    then by input position of the pair's first and second edge.
+
+    Every edge is ranked, so an edge with an endpoint outside the order
+    raises ValueError.  O(E log E) plus the violations listed.
+    """
     pairs = graph_vertices_edges(edges)[1]
     by_color: dict[int, list[EdgePair]] = {}
     for e in pairs:
@@ -192,21 +236,21 @@ def _validate(edges, order, coloring, forbidden: PairRelation) -> LayoutReport:
         by_color.setdefault(c, []).append(e)
     violations: list[Violation] = []
     for c, bucket in sorted(by_color.items()):
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                rel = classify_pair(bucket[i], bucket[j], order)
-                if rel is forbidden:
-                    violations.append(Violation(bucket[i], bucket[j], rel, c))
+        spans = [order.sorted_edge(e) for e in bucket]
+        found = sorted(
+            (j, i) if j < i else (i, j) for i, hits in _sweep(spans, forbidden) for j in hits
+        )
+        violations.extend(Violation(bucket[i], bucket[j], forbidden, c) for i, j in found)
     return LayoutReport(valid=not violations, violations=violations)
 
 
 def validate_stack_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> LayoutReport:
-    """Check that no two same-colour edges cross."""
+    """Check that no two same-colour edges cross; list every pair that does."""
     return _validate(edges, order, coloring, PairRelation.CROSS)
 
 
 def validate_queue_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> LayoutReport:
-    """Check that no two same-colour edges nest."""
+    """Check that no two same-colour edges nest; list every pair that does."""
     return _validate(edges, order, coloring, PairRelation.NEST)
 
 
@@ -253,20 +297,13 @@ EXACT_PAGE_LIMIT = 24
 
 
 def _conflict_masks(pairs: list[EdgePair], order: LinearOrder) -> list[int]:
-    n = len(pairs)
-    spans = [order.sorted_edge(e) for e in pairs]
-    ends = [set(e) for e in pairs]
-    masks = [0] * n
-    for i in range(n):
-        a, b = spans[i]
-        for j in range(i + 1, n):
-            if ends[i] & ends[j]:
-                continue
-            c, d = spans[j]
-            # crossing test on canonical spans
-            if (a < c < b < d) or (c < a < d < b):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    """Crossing-conflict adjacency as bitmasks, bit j of masks[i] set
+    when edges i and j cross.  O(E log E) plus the crossings."""
+    masks = [0] * len(pairs)
+    for i, hits in _sweep([order.sorted_edge(e) for e in pairs], PairRelation.CROSS):
+        for j in hits:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
     return masks
 
 
@@ -421,16 +458,25 @@ def max_rainbow(edges, order: LinearOrder) -> int:
 
 
 def _nesting_depths(pairs: list[EdgePair], order: LinearOrder) -> tuple[int, list[int]]:
+    """Each edge's depth, the most edges in a chain nesting around it
+    (itself included), and the largest depth, the biggest rainbow.
+
+    Patience sorting in O(E log E): taken by (left, right) rank, a chain
+    is a strictly decreasing run of right ranks, and ``tails[k]`` is
+    minus the largest right rank that ends a chain of k + 1 edges so far.
+    """
     spans = [order.sorted_edge(e) for e in pairs]
-    idx = sorted(range(len(pairs)), key=lambda i: (spans[i][0], -spans[i][1]))
-    depth = [1] * len(pairs)
-    for pos, i in enumerate(idx):
-        a, b = spans[i]
-        for j in idx[:pos]:
-            c, d = spans[j]
-            if c < a and b < d:
-                depth[i] = max(depth[i], depth[j] + 1)
-    return (max(depth, default=0), depth)
+    depth = [0] * len(pairs)
+    tails: list[int] = []
+    for i in sorted(range(len(pairs)), key=spans.__getitem__):
+        x = -spans[i][1]
+        k = bisect_left(tails, x)
+        if k == len(tails):
+            tails.append(x)
+        else:
+            tails[k] = x
+        depth[i] = k + 1
+    return len(tails), depth
 
 
 def queues_for_order(edges, order: LinearOrder) -> ColoringResult:

@@ -91,12 +91,14 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
     # The incumbent: page counts at or above it are not worth finding.
     best = (len(edges) if upper_limit is None else min(upper_limit, len(edges))) + 1
     winner = assignment = None
+    expired = False
     explored = 0
     counter = [0]
     for perm in _orders(vertices, pin_first=kind == "stack"):
         explored += 1
         if explored % 64 == 0 and deadline is not None and time.monotonic() > deadline:
-            return _fallback(vertices, edges, kind, explored + counter[0])
+            expired = True
+            break
         order = LinearOrder(perm)
         if kind == "stack":
             found = fewest_colours(_conflict_masks(edges, order), best, counter)
@@ -108,14 +110,17 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
         if best == 1:
             break
     explored += counter[0]
-    if winner is None:
-        # The cap was below every order's page count: report an upper bound.
-        return _fallback(vertices, edges, kind, explored)
+    if winner is None or expired:
+        # Not a proven minimum: the input order's count bounds it too,
+        # and whichever bound is lower is returned.
+        fallback = _fallback(vertices, edges, kind, explored)
+        if winner is None or fallback.value < best:
+            return fallback
     if kind == "stack":
         colors = EdgeColoring(dict(zip(edges, assignment)), k=best)
     else:
         colors = queues_for_order(edges, winner).colors
-    return SolveResult(best, winner, colors, True, explored, tuple(edges))
+    return SolveResult(best, winner, colors, not expired, explored, tuple(edges))
 
 
 def _fallback(vertices, edges, kind: str, explored: int) -> SolveResult:
@@ -132,8 +137,10 @@ def stack_number(graph, upper_limit: int | None = None, budget_ms: float | None 
 
     Exhaustive for graphs with at most EXHAUSTIVE_VERTEX_LIMIT vertices.
     ``upper_limit`` (at least 1) caps the page counts searched for.  When
-    the budget expires, or no order fits within the cap, the result is
-    an upper bound from the input order with exact=False.
+    no order fits within the cap, the result is an upper bound from the
+    input order with exact=False.  When the budget expires, it is the
+    lower of that bound and the best layout found before the deadline,
+    again with exact=False.
     """
     return _solve(graph, upper_limit, budget_ms, "stack")
 

@@ -44,6 +44,46 @@ def relation(e, f, position):
     return "separate"
 
 
+def naive_violations(edges, colours, position, conflict):
+    """(edge_a, edge_b, colour) for every same-coloured pair that
+    ``conflict`` flags, by colour, then by input position within it.
+
+    ``colours[i]`` is the colour of ``edges[i]``.
+    """
+    buckets = {}
+    for e, c in zip(edges, colours):
+        buckets.setdefault(c, []).append(e)
+    found = []
+    for c in sorted(buckets):
+        bucket = buckets[c]
+        for i in range(len(bucket)):
+            for j in range(i + 1, len(bucket)):
+                if conflict(bucket[i], bucket[j], position):
+                    found.append((bucket[i], bucket[j], c))
+    return found
+
+
+def naive_nesting_depths(edges, position):
+    """Per edge, the most edges in a chain nesting around it, itself
+    included, by recursion over every enclosing edge."""
+    depth = {}
+
+    def chain(i):
+        if i not in depth:
+            inner = span(edges[i], position)
+            depth[i] = 1 + max(
+                (
+                    chain(j)
+                    for j, f in enumerate(edges)
+                    if edges_nest(edges[i], f, position) and span(f, position)[0] < inner[0]
+                ),
+                default=0,
+            )
+        return depth[i]
+
+    return [chain(i) for i in range(len(edges))]
+
+
 # ---------------------------------------------------------------------------
 # Chromatic number of a conflict graph, by plain backtracking.
 

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxslash import (
     EdgeColoring,
@@ -23,9 +23,15 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
+from boxslash.layout import _conflict_masks, _nesting_depths
 from helpers_naive import (
+    conflict_adjacency,
+    edges_cross,
+    edges_nest,
     min_pages_for_position,
     min_queues_for_position,
+    naive_nesting_depths,
+    naive_violations,
     relation,
 )
 
@@ -129,6 +135,61 @@ def test_validator_requires_all_edges_colored():
         validate_stack_layout([(0, 1), (1, 2)], order, EdgeColoring({(0, 1): 0}))
 
 
+def test_validators_reject_an_endpoint_outside_the_order():
+    # Every edge is ranked, alone in its colour or beside an edge it
+    # shares an endpoint with.
+    order = int_order(3)
+    for check in (validate_stack_layout, validate_queue_layout):
+        with pytest.raises(ValueError, match="not in order"):
+            check([(0, 9)], order, EdgeColoring({(0, 9): 0}))
+        with pytest.raises(ValueError, match="not in order"):
+            check([(0, 9), (0, 1)], order, EdgeColoring({(0, 9): 0, (0, 1): 0}))
+
+
+@st.composite
+def coloured_edge_lists(draw):
+    """Edges over a shuffled order, with shared endpoints, repeated and
+    reversed edges, and a colouring with up to three colours."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    order = LinearOrder(draw(st.permutations(list(range(n)))))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=24,
+        )
+    )
+    k = draw(st.integers(min_value=1, max_value=3))
+    coloring = EdgeColoring({frozenset(e): draw(st.integers(0, k - 1)) for e in edges}, k=k)
+    return edges, order, coloring
+
+
+# Shared left and right ranks, reversed tuples, a repeated edge, and
+# every relation, in one colour.
+FROZEN_EDGES = [(0, 5), (0, 3), (5, 1), (2, 5), (1, 4), (4, 1), (2, 3), (3, 6), (6, 0), (1, 2)]
+
+
+@given(case=coloured_edge_lists())
+@example(case=(FROZEN_EDGES, int_order(7), EdgeColoring({e: 0 for e in FROZEN_EDGES})))
+@example(case=(FROZEN_EDGES, int_order(7), EdgeColoring({e: i % 2 for i, e in enumerate(FROZEN_EDGES)})))
+def test_kernels_match_reference(case):
+    edges, order, coloring = case
+    position = {v: order.rank(v) for v in order}
+    colours = [coloring.color(*e) for e in edges]
+    for check, conflict, rel in (
+        (validate_stack_layout, edges_cross, PairRelation.CROSS),
+        (validate_queue_layout, edges_nest, PairRelation.NEST),
+    ):
+        report = check(edges, order, coloring)
+        expected = naive_violations(edges, colours, position, conflict)
+        assert [(v.edge_a, v.edge_b, v.color) for v in report.violations] == expected
+        assert all(v.relation is rel for v in report.violations)
+        assert report.valid == (not expected)
+    depths = naive_nesting_depths(edges, position)
+    assert _nesting_depths(edges, order) == (max(depths, default=0), depths)
+    adjacency = conflict_adjacency(edges, position, edges_cross)
+    assert _conflict_masks(edges, order) == [sum(1 << j for j in adj) for adj in adjacency]
+
+
 def test_canonical_order_is_position_major_then_depth():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
@@ -157,6 +218,16 @@ def test_three_queue_layout_is_a_valid_3_queue_layout(degrees, m):
     for e, f in itertools.combinations(edges, 2):
         if coloring.color(*e) == coloring.color(*f):
             assert relation(e, f, position) != "nest"
+
+
+def test_three_queue_layout_of_a_large_product():
+    # A guard against a quadratic kernel: a pairwise check of these
+    # 19,639 edges takes minutes, the rank sweep well under a second.
+    g = boxslash_product((10, 10), 60)
+    assert len(g.edges) == 19639
+    order, coloring = three_queue_layout(g)
+    assert validate_queue_layout(g, order, coloring).valid
+    assert queues_for_order(g, order).count == 3
 
 
 def test_three_queue_layout_colors_follow_edge_kind():

@@ -15,8 +15,11 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
+from boxslash.solver import _orders
 from helpers_naive import (
     complete_graph,
+    min_pages_for_position,
+    min_queues_for_position,
     naive_queue_number,
     naive_stack_number,
     star_graph,
@@ -97,6 +100,28 @@ def test_expired_budget_degrades_to_a_bound():
     assert not result.exact
     assert result.value >= 3  # any bound must sit at or above the optimum
     assert validate_stack_layout(result.edges, result.order, result.coloring).valid
+
+
+def test_expired_budget_keeps_the_incumbent():
+    # With no budget the deadline check after 63 orders ends the scan;
+    # the result is no worse than the best of those orders.
+    rng = random.Random(5)
+    pool = list(itertools.combinations(range(7), 2))
+    for _ in range(6):
+        edges = rng.sample(pool, 12)
+        vertices = list(dict.fromkeys(w for e in edges for w in e))
+        assert len(vertices) == 7  # more than 63 orders of either kind
+        for solve, per_order, check, pin_first in (
+            (stack_number, min_pages_for_position, validate_stack_layout, True),
+            (queue_number, min_queues_for_position, validate_queue_layout, False),
+        ):
+            result = solve(edges, budget_ms=0.0)
+            scanned = itertools.islice(_orders(vertices, pin_first), 63)
+            best = min(per_order(edges, {v: i for i, v in enumerate(p)}) for p in scanned)
+            assert result.value <= best
+            assert result.exact == (result.value == 1)
+            assert result.coloring.k == result.value
+            assert check(edges, result.order, result.coloring).valid
 
 
 def test_upper_limit_cap_degrades_to_a_bound():
