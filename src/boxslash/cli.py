@@ -221,7 +221,7 @@ def cmd_hex_analyze(args) -> int:
         )
     path = monochromatic_spanning_path(coloring)
     try:
-        tops = maximal_boundaries(coloring)
+        tops = maximal_boundaries(coloring, lines)
         tops_doc = {
             "all": [[tb.left, tb.right, tb.line.length] for tb in tops.all],
             "maximal": [[tb.left, tb.right] for tb in tops.maximal],
@@ -232,7 +232,7 @@ def cmd_hex_analyze(args) -> int:
         tops_doc = {"error": str(exc)}
     long_length = args.long_length if args.long_length is not None else grid.rows
     try:
-        witness = top_or_long(coloring, args.s, long_length)
+        witness = top_or_long(coloring, args.s, long_length, lines)
         if isinstance(witness, TopCellsWitness):
             dichotomy = {
                 "witness": "top_cells",

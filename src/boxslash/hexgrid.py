@@ -7,6 +7,12 @@ graph that separate unequal colors.  This module traces those lines,
 verifies their structural invariants, finds their critical and good
 points, classifies the boundaries hanging off the top row, and decides
 the top-cells-or-long-line dichotomy that the thinning pipeline needs.
+
+`trace_boundary` costs O(rows * cols) color comparisons, one per grid
+edge; it builds tuples only for the edges whose cells differ and
+DualVertex objects only for the corners of the lines.  The analyses
+that need the lines (`maximal_boundaries`, `top_or_long`) take them as
+an argument, so `hex analyze` traces each coloring once.
 """
 
 from __future__ import annotations
@@ -51,13 +57,14 @@ class HexGrid:
                 yield (i, j)
 
     def neighbors(self, cell: Cell) -> list[Cell]:
+        """The grid neighbours of a cell, in NEIGHBOR_OFFSETS order."""
         i, j = cell
-        out = []
-        for di, dj in NEIGHBOR_OFFSETS:
-            other = (i + di, j + dj)
-            if self.valid(other):
-                out.append(other)
-        return out
+        rows, cols = self.rows, self.cols
+        return [
+            (i + di, j + dj)
+            for di, dj in NEIGHBOR_OFFSETS
+            if 1 <= i + di <= rows and 1 <= j + dj <= cols
+        ]
 
     def edge_kind(self, a: Cell, b: Cell) -> Optional[EdgeKind]:
         """Kind of the grid edge between two cells, or None if not adjacent."""
@@ -107,6 +114,10 @@ class HexColoring:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence]) -> "HexColoring":
+        """A coloring from a list of rows whose cells are 0 (INC), 1 (DEC) or Directions."""
+        lists = (list, tuple)
+        if not isinstance(matrix, lists) or not all(isinstance(row, lists) for row in matrix):
+            raise ShapeError("coloring matrix must be a list of lists")
         rows = len(matrix)
         if rows == 0:
             raise ShapeError("empty coloring matrix")
@@ -118,8 +129,10 @@ class HexColoring:
             for j, value in enumerate(row, start=1):
                 if isinstance(value, Direction):
                     chi[(i, j)] = value
+                elif type(value) is int and value in (0, 1):
+                    chi[(i, j)] = Direction.DEC if value else Direction.INC
                 else:
-                    chi[(i, j)] = Direction.DEC if int(value) else Direction.INC
+                    raise ShapeError(f"cell {(i, j)} color {value!r} is not 0, 1 or a Direction")
         return cls(HexGrid(rows, cols), chi)
 
     def to_json(self) -> dict:
@@ -151,7 +164,12 @@ def random_coloring(rows: int, cols: int, rng) -> HexColoring:
 
 @dataclass(frozen=True)
 class DualVertex:
-    """Corner of the dual graph; sign -1 or +1 picks one of two triangles."""
+    """Corner of the dual graph; sign -1 or +1 picks one of two triangles.
+
+    Corner (d, c, -1) is the triangle of cells (d, c), (d-1, c) and
+    (d-1, c+1); corner (d, c, +1) that of (d, c), (d, c+1) and
+    (d-1, c+1).  Corners whose triangle leaves the grid lie on its border.
+    """
 
     depth: int
     col: int
@@ -162,62 +180,6 @@ class DualVertex:
 
     def __str__(self) -> str:
         return f"({self.depth},{self.col},{'-' if self.sign < 0 else '+'})"
-
-
-@dataclass(frozen=True)
-class DualEdge:
-    """Dual edge crossing exactly one grid edge; cells deeper-first."""
-
-    minus: DualVertex
-    plus: DualVertex
-    kind: EdgeKind
-    cells: tuple[Cell, Cell]
-
-
-def dual_edges(grid: HexGrid) -> list[DualEdge]:
-    """Every dual edge, one per grid edge it crosses."""
-    n, m = grid.rows, grid.cols
-    out = []
-    for i in range(2, n + 1):
-        for j in range(1, m + 1):
-            out.append(
-                DualEdge(
-                    DualVertex(i, j, -1),
-                    DualVertex(i, j - 1, +1),
-                    EdgeKind.VERTICAL,
-                    ((i, j), (i - 1, j)),
-                )
-            )
-        for j in range(1, m):
-            out.append(
-                DualEdge(
-                    DualVertex(i, j, -1),
-                    DualVertex(i, j, +1),
-                    EdgeKind.DIAGONAL,
-                    ((i, j), (i - 1, j + 1)),
-                )
-            )
-    for i in range(2, n + 2):
-        for j in range(1, m):
-            out.append(
-                DualEdge(
-                    DualVertex(i, j, -1),
-                    DualVertex(i - 1, j, +1),
-                    EdgeKind.HORIZONTAL,
-                    ((i - 1, j), (i - 1, j + 1)),
-                )
-            )
-    return out
-
-
-def boundary_subgraph(coloring: HexColoring) -> list[DualEdge]:
-    """Dual edges whose crossed cells carry different colors."""
-    out = []
-    for edge in dual_edges(coloring.grid):
-        a, b = edge.cells
-        if coloring.color(a) != coloring.color(b):
-            out.append(edge)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,69 +273,98 @@ class BoundaryLine:
         return out
 
 
-def _walks(edges: list[DualEdge]) -> list[tuple[list[DualVertex], list[int], bool]]:
-    adjacency: dict[DualVertex, list[int]] = defaultdict(list)
-    for idx, edge in enumerate(edges):
-        adjacency[edge.minus].append(idx)
-        adjacency[edge.plus].append(idx)
-    for vertex, incident in adjacency.items():
-        if len(incident) > 2:
-            raise InconsistencyError(f"dual vertex {vertex} has boundary degree {len(incident)}")
-    used = [False] * len(edges)
-
-    def follow(start: DualVertex) -> tuple[list[DualVertex], list[int]]:
-        vertices = [start]
-        walk_edges = []
-        current = start
-        while True:
-            free = [i for i in adjacency[current] if not used[i]]
-            if not free:
-                return vertices, walk_edges
-            i = free[0]
-            used[i] = True
-            edge = edges[i]
-            current = edge.plus if edge.minus == current else edge.minus
-            walk_edges.append(i)
-            vertices.append(current)
-
-    walks = []
-    endpoints = sorted(
-        (v for v, incident in adjacency.items() if len(incident) == 1),
-        key=DualVertex.key,
-    )
-    for v in endpoints:
-        if all(used[i] for i in adjacency[v]):
-            continue
-        vertices, walk_edges = follow(v)
-        walks.append((vertices, walk_edges, False))
-    for idx in range(len(edges)):
-        if used[idx]:
-            continue
-        vertices, walk_edges = follow(edges[idx].minus)
-        walks.append((vertices[:-1], walk_edges, True))
-    return walks
+def _dual_vertex(corner: int, width: int) -> DualVertex:
+    """The corner numbered ((depth * width) + col) * 2 + (sign > 0)."""
+    place = corner >> 1
+    return DualVertex(place // width, place % width, 1 if corner & 1 else -1)
 
 
 def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
-    """Decompose the boundary subgraph into its separating lines."""
-    edges = boundary_subgraph(coloring)
-    lines = []
-    for vertices, edge_indices, closed in _walks(edges):
-        crossed = [edges[i].cells for i in edge_indices]
-        first = crossed[0]
-        if first[0][0] != first[1][0]:
-            lead = max(first, key=lambda c: c[0])
-        else:
-            lead = min(first, key=lambda c: c[1])
-        color_a = coloring.color(lead)
-        pairs = []
-        for x, y in crossed:
-            if coloring.color(x) == color_a:
-                pairs.append((x, y))
+    """Decompose the boundary subgraph into its separating lines.
+
+    Every grid edge is crossed by one dual edge.  Going down the color
+    rows, the pass compares the two cells of each grid edge and keeps
+    the edge only when they differ, as a tuple (minus corner, plus
+    corner, deeper-or-left cell, other cell, that cell's color), with
+    corners numbered by `_dual_vertex`'s formula.  Edges are numbered
+    per row, vertical crossings then diagonal ones, and then every
+    horizontal crossing.  Walks start at the degree-one corners in
+    (depth, sign, col) order, then at the lowest unused edge of each
+    closed line, and always leave a corner by its lowest unused edge.
+    """
+    grid = coloring.grid
+    chi = coloring.chi
+    width = grid.cols + 1
+    rows = [[chi[(i, j)] for j in range(1, width)] for i in range(1, grid.rows + 1)]
+    edges = []
+    horizontal = []
+    above = None
+    for i, row in enumerate(rows, start=1):
+        base = 2 * width * i
+        if above is not None:
+            for j, (low, high) in enumerate(zip(row, above), start=1):
+                if low is not high:
+                    edges.append((base + 2 * j, base + 2 * j - 1, (i, j), (i - 1, j), low))
+            for j, (low, high) in enumerate(zip(row, above[1:]), start=1):
+                if low is not high:
+                    edges.append((base + 2 * j, base + 2 * j + 1, (i, j), (i - 1, j + 1), low))
+        below = base + 2 * width
+        for j, (left, right) in enumerate(zip(row, row[1:]), start=1):
+            if left is not right:
+                horizontal.append((below + 2 * j, base + 2 * j + 1, (i, j), (i, j + 1), left))
+        above = row
+    edges += horizontal
+
+    incident: dict[int, list[int]] = defaultdict(list)
+    for idx, edge in enumerate(edges):
+        incident[edge[0]].append(idx)
+        incident[edge[1]].append(idx)
+    for corner, ids in incident.items():
+        if len(ids) > 2:
+            raise InconsistencyError(
+                f"dual vertex {_dual_vertex(corner, width)} has boundary degree {len(ids)}"
+            )
+    used = bytearray(len(edges))
+
+    def follow(start: int) -> tuple[list[int], list[int]]:
+        corners = [start]
+        taken = []
+        current = start
+        while True:
+            for idx in incident[current]:
+                if not used[idx]:
+                    break
             else:
-                pairs.append((y, x))
-        color_b = coloring.color(pairs[0][1])
-        lines.append(BoundaryLine(coloring.grid, pairs, vertices, closed, color_a, color_b))
+                return corners, taken
+            used[idx] = 1
+            edge = edges[idx]
+            current = edge[1] if edge[0] == current else edge[0]
+            taken.append(idx)
+            corners.append(current)
+
+    walks = []
+    ends = sorted(
+        (corner for corner, ids in incident.items() if len(ids) == 1),
+        key=lambda corner: (corner // (2 * width), corner & 1, corner),
+    )
+    for corner in ends:
+        if not used[incident[corner][0]]:
+            walks.append((*follow(corner), False))
+    for idx in range(len(edges)):
+        if not used[idx]:
+            corners, taken = follow(edges[idx][0])
+            walks.append((corners[:-1], taken, True))
+
+    lines = []
+    for corners, taken, closed in walks:
+        color_a = edges[taken[0]][4]
+        pairs = []
+        for idx in taken:
+            _, _, x, y, color_x = edges[idx]
+            pairs.append((x, y) if color_x is color_a else (y, x))
+        walk = [_dual_vertex(corner, width) for corner in corners]
+        color_b = chi[pairs[0][1]]
+        lines.append(BoundaryLine(grid, pairs, walk, closed, color_a, color_b))
     return lines
 
 
@@ -576,16 +567,16 @@ class TopBoundaries:
     flagged: tuple[BoundaryLine, ...]
 
 
-def maximal_boundaries(coloring: HexColoring) -> TopBoundaries:
+def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> TopBoundaries:
     """Boundary lines with both ends at top cuts, and the maximal ones.
 
-    Every top cut is an endpoint of exactly one line.  Lines joining
-    two cuts x < y form intervals that must nest or stay disjoint, and
-    the top colors just outside a boundary must agree; either failing
-    raises InconsistencyError.  Lines leaving a cut but ending at some
-    other border are reported in `flagged` and take no further part.
+    `lines` is `trace_boundary(coloring)`.  Every top cut is an endpoint
+    of exactly one line.  Lines joining two cuts x < y form intervals
+    that must nest or stay disjoint, and the top colors just outside a
+    boundary must agree; either failing raises InconsistencyError.
+    Lines leaving a cut but ending at some other border are reported in
+    `flagged` and take no further part.
     """
-    lines = trace_boundary(coloring)
     cuts = cut_points(coloring)
     tops: list[TopBoundary] = []
     flagged: list[BoundaryLine] = []
@@ -732,13 +723,19 @@ def required_grid_size(s: int, long_length: int) -> tuple[int, int]:
     return (long_length, 2 * (s + 2) * long_length + 2 * long_length)
 
 
-def top_or_long(coloring: HexColoring, s: int, long_length: int):
+def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence[BoundaryLine]):
     """Either a component holding s+1 top cells, or a boundary of length >= long_length.
 
-    Wide enough grids always provide one of the two.  The returned
-    witness is re-verified before being handed back; a wide grid where
-    both searches and the recheck come up empty is inconsistent data.
+    `lines` is `trace_boundary(coloring)`; the first long one in that
+    order is the witness.  Wide enough grids always provide one of the
+    two.  The returned witness is re-verified before being handed back;
+    a wide grid where both searches and the recheck come up empty is
+    inconsistent data.  Needs s >= 0 and long_length >= 1.
     """
+    if s < 0:
+        raise ValueError(f"s must be nonnegative, got {s}")
+    if long_length < 1:
+        raise ValueError(f"long_length must be at least 1, got {long_length}")
     grid = coloring.grid
     rows_needed, cols_needed = required_grid_size(s, long_length)
     if grid.rows < rows_needed or grid.cols < cols_needed:
@@ -762,7 +759,7 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int):
             if not all(c in again for c in chosen):
                 raise InconsistencyError("top cells witness failed its connectivity recheck")
             return TopCellsWitness(color, chosen, len(comp))
-    for line in trace_boundary(coloring):
+    for line in lines:
         if line.length >= long_length:
             problems = line.verify(coloring)
             if problems:

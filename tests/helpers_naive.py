@@ -6,6 +6,7 @@ conflict graphs, exhaustive subsequence search.  They exist so the fast
 implementations have something independent to disagree with.
 """
 
+import functools
 import itertools
 
 
@@ -274,3 +275,97 @@ def brute_longest_monotone(values):
         else:
             break
     return best
+
+
+# ---------------------------------------------------------------------------
+# Hex grids (used against hexgrid).  A colouring is a list of rows of
+# 0/1; cell (i, j) is 1-based, row 1 on top, and touches the cells at the
+# six offsets below.
+
+HEX_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
+
+
+def hex_colour(chi, cell):
+    return chi[cell[0] - 1][cell[1] - 1]
+
+
+def hex_neighbours(chi, cell):
+    n, m = len(chi), len(chi[0])
+    i, j = cell
+    return [(i + di, j + dj) for di, dj in HEX_OFFSETS if 1 <= i + di <= n and 1 <= j + dj <= m]
+
+
+def hex_cells(chi):
+    return [(i, j) for i in range(1, len(chi) + 1) for j in range(1, len(chi[0]) + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def hex_triangles(n, m):
+    """Every grid triangle (three mutually adjacent cells) of an n-by-m
+    grid, found by brute force over the neighbour offsets."""
+    chi = [[0] * m for _ in range(n)]
+    near = {a: set(hex_neighbours(chi, a)) for a in hex_cells(chi)}
+    return [
+        (a, b, c)
+        for a in near
+        for b in near[a]
+        for c in near[a] & near[b]
+        if a < b < c
+    ]
+
+
+def naive_boundary_lines(chi):
+    """Boundary lines as (frozenset of cell pairs, closed), in no order.
+
+    Every adjacent pair of unequally coloured cells is crossed by one
+    line.  Two such pairs are linked when they are sides of one grid
+    triangle; a line is a component of the links, closed when every
+    pair on it has two links.
+    """
+    pairs = {
+        frozenset((a, b))
+        for a in hex_cells(chi)
+        for b in hex_neighbours(chi, a)
+        if hex_colour(chi, a) != hex_colour(chi, b)
+    }
+    links = {p: set() for p in pairs}
+    for triangle in hex_triangles(len(chi), len(chi[0])):
+        sides = [frozenset(side) for side in itertools.combinations(triangle, 2)]
+        sides = [side for side in sides if side in pairs]
+        for p, q in itertools.combinations(sides, 2):
+            links[p].add(q)
+            links[q].add(p)
+    lines = []
+    seen = set()
+    for start in pairs:
+        if start in seen:
+            continue
+        seen.add(start)
+        line = {start}
+        stack = [start]
+        while stack:
+            for q in links[stack.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    line.add(q)
+                    stack.append(q)
+        lines.append((frozenset(line), all(len(links[p]) == 2 for p in line)))
+    return lines
+
+
+def hex_spans(chi, colour, axis):
+    """Whether cells of `colour` join column 1 to the last column
+    (axis "columns") or row 1 to the last row (axis "rows"), by BFS."""
+    k = 1 if axis == "columns" else 0
+    far = len(chi[0]) if axis == "columns" else len(chi)
+    frontier = [c for c in hex_cells(chi) if c[k] == 1 and hex_colour(chi, c) == colour]
+    reached = set(frontier)
+    while frontier:
+        cell = frontier.pop()
+        if cell[k] == far:
+            return True
+        for nb in hex_neighbours(chi, cell):
+            if nb not in reached and hex_colour(chi, nb) == colour:
+                reached.add(nb)
+                frontier.append(nb)
+    return False

@@ -120,3 +120,29 @@ def test_hex_analyze_rejects_a_wrong_size(tmp_path, capsys):
     path = _write(tmp_path, "hex.json", {"n": 4, "m": 3, "chi": CHI_3X3})
     assert cli.main(["hex", "analyze", "--coloring", path]) == cli.EXIT_USAGE
     assert "declared grid size disagrees" in capsys.readouterr().err
+
+
+MONO_3X12 = {"n": 3, "m": 12, "chi": [[0] * 12] * 3}
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--s", "-1"], "s must be nonnegative, got -1"),
+        (["--s", "12", "--long-length", "0"], "long_length must be at least 1, got 0"),
+        (["--long-length", "-1"], "long_length must be at least 1, got -1"),
+    ],
+)
+def test_hex_analyze_rejects_bad_dichotomy_parameters(tmp_path, capsys, options, message):
+    path = _write(tmp_path, "hex.json", MONO_3X12)
+    assert cli.main(["hex", "analyze", "--coloring", path, *options]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("chi", [[[0, 2], [1, 0]], 5])
+def test_hex_analyze_rejects_cells_other_than_zero_or_one(tmp_path, capsys, chi):
+    path = _write(tmp_path, "hex.json", {"n": 2, "m": 2, "chi": chi})
+    assert cli.main(["hex", "analyze", "--coloring", path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
