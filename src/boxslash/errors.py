@@ -42,17 +42,29 @@ class CrossingContradiction(BoxslashError, RuntimeError):
 
 
 class PassStarvation(BoxslashError, RuntimeError):
-    """A thinning pass could not keep the requested number of children."""
+    """A thinning pass could not keep the requested number of children.
+
+    The colour and order passes give a tree level and child counts.  The
+    lex pass gives (level, position) and, as available and wanted, the
+    shape of that rank array and of the lex-monotone subarray it lacks.
+    """
 
     def __init__(self, stage: str, level, available, wanted):
         self.stage = stage
         self.level = level
         self.available = available
         self.wanted = wanted
-        super().__init__(
-            f"{stage}: level {level} can keep {available} children, "
-            f"target is {wanted}"
-        )
+        if stage == "lex":
+            depth, pos = level
+            shape = "x".join(map(str, available))
+            sub = "x".join(map(str, wanted))
+            text = (
+                f"lex: level {depth}, position {pos}: the rank array has shape "
+                f"{shape} and no lex-monotone subarray of shape {sub}"
+            )
+        else:
+            text = f"{stage}: level {level} can keep {available} children, target is {wanted}"
+        super().__init__(text)
 
 
 class GoodPointsUnavailable(BoxslashError, RuntimeError):

@@ -147,9 +147,11 @@ class HexColoring:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "HexColoring":
-        matrix = doc["chi"]
-        out = cls.from_matrix(matrix)
-        if out.grid.rows != int(doc["n"]) or out.grid.cols != int(doc["m"]):
+        for key in ("n", "m"):
+            if type(doc.get(key)) is not int:
+                raise ShapeError(f"grid size {key!r} must be an integer, got {doc.get(key)!r}")
+        out = cls.from_matrix(doc["chi"])
+        if out.grid.rows != doc["n"] or out.grid.cols != doc["m"]:
             raise ShapeError("declared grid size disagrees with the color matrix")
         return out
 
@@ -696,28 +698,6 @@ class LongBoundaryWitness:
     line: BoundaryLine
 
 
-def _components(coloring: HexColoring) -> list[set[Cell]]:
-    grid = coloring.grid
-    seen: set[Cell] = set()
-    out = []
-    for start in grid.cells():
-        if start in seen:
-            continue
-        color = coloring.color(start)
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for nb in grid.neighbors(cur):
-                if nb not in seen and coloring.color(nb) == color:
-                    seen.add(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        out.append(comp)
-    return out
-
-
 def required_grid_size(s: int, long_length: int) -> tuple[int, int]:
     """Minimum (rows, cols) for the top-or-long dichotomy."""
     return (long_length, 2 * (s + 2) * long_length + 2 * long_length)
@@ -743,7 +723,24 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence
             f"grid is {grid.rows}x{grid.cols} but the dichotomy needs at least "
             f"{rows_needed}x{cols_needed}"
         )
-    for comp in _components(coloring):
+    # Only a component that holds a row-1 cell can be the witness; each
+    # is flooded from its leftmost row-1 cell, left to right.
+    seen: set[Cell] = set()
+    for j in range(1, grid.cols + 1):
+        start = (1, j)
+        if start in seen:
+            continue
+        color = coloring.color(start)
+        comp = {start}
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            cur = queue.popleft()
+            for nb in grid.neighbors(cur):
+                if nb not in seen and coloring.color(nb) == color:
+                    seen.add(nb)
+                    comp.add(nb)
+                    queue.append(nb)
         top = sorted(c for c in comp if c[0] == 1)
         if len(top) >= s + 1:
             chosen = tuple(top[: s + 1])

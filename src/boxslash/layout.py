@@ -509,6 +509,10 @@ def layout_to_json(order: LinearOrder, coloring: EdgeColoring, edges) -> dict:
 
 
 def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOrder, EdgeColoring]:
+    if not isinstance(doc.get("order"), list):
+        raise ValueError("layout 'order' must be a list of vertices")
+    if not isinstance(doc.get("colors"), dict):
+        raise ValueError("layout 'colors' must be an object of edge colours")
     order = LinearOrder(parse_vertex(s) for s in doc["order"])
     colors = {}
     for key, c in doc["colors"].items():

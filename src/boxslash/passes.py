@@ -32,6 +32,7 @@ property once, on the final state it returns.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -462,40 +463,51 @@ def _rank_pattern(ranks: list[int]) -> tuple[int, ...]:
     return tuple(by_rank[r] for r in ranks)
 
 
+def _cone_pattern(cone: list, order: LinearOrder, m: int) -> tuple[int, ...]:
+    """Rank pattern of a cone's vertices, nodes in cone order, positions 1..m."""
+    return _rank_pattern(
+        [order.rank(PVertex(cur, i)) for _, cur in cone for i in range(1, m + 1)]
+    )
+
+
 def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport:
     """Exhaustively verify that comparisons transfer between same-depth nodes.
 
-    For every pair of same-depth nodes and every two positional
-    descendants at any two path positions, the order must compare them
-    the same way under both roots.
+    A spot (x, i) is a descendant suffix x (child choices, possibly
+    empty) at path position i.  For every two same-depth nodes a, b and
+    every two spots, the order must compare a.x@i with a.y@j the way it
+    compares b.x@i with b.y@j.  Ranks within a cone are distinct, so all
+    these comparisons agree exactly when a and b have the same rank
+    pattern over their full cones (the profile pass_order buckets by);
+    equality being transitive, each node's pattern is compared with the
+    first node's of its depth.
+
+    ``checked`` counts the pairwise conditions this decides: per depth,
+    C(nodes, 2) * C(spots, 2).  Each node b whose pattern differs from
+    the first node a's is reported once, as (a, b, x, i, y, j) for the
+    spots (x, i) before (y, j) of a pair the two order differently.
     """
     tree = graph.tree
     m = graph.path_len
+    keep = _full_keep(graph)
     violations = []
     checked = 0
     for depth in range(1, tree.height + 1):
-        suffixes = [
-            tuple(s)
-            for length in range(tree.height - depth + 1)
-            for s in itertools.product(
-                *[
-                    range(1, tree.spec.degrees[lvl] + 1)
-                    for lvl in range(depth, depth + length)
-                ]
+        first, *rest = tree.nodes_at_depth(depth)
+        cone = _cone_nodes(first, keep, tree.height)
+        checked += math.comb(len(rest) + 1, 2) * math.comb(len(cone) * m, 2)
+        want = _cone_pattern(cone, order, m)
+        for node in rest:
+            got = _cone_pattern(_cone_nodes(node, keep, tree.height), order, m)
+            if got == want:
+                continue
+            spots = range(len(want))
+            k = next(s for s in spots if want[s] != got[s])
+            other = next(s for s in spots if (want[s] < want[k]) != (got[s] < got[k]))
+            (x, i), (y, j) = (
+                (cone[s // m][1].path[depth:], s % m + 1) for s in sorted((k, other))
             )
-        ]
-        spots = [(s, i) for s in suffixes for i in range(1, m + 1)]
-        for a, b in itertools.combinations(tree.nodes_at_depth(depth), 2):
-            for (x, i), (y, j) in itertools.combinations(spots, 2):
-                under_a = order.before(
-                    PVertex(NodeIndex(a.path + x), i), PVertex(NodeIndex(a.path + y), j)
-                )
-                under_b = order.before(
-                    PVertex(NodeIndex(b.path + x), i), PVertex(NodeIndex(b.path + y), j)
-                )
-                checked += 1
-                if under_a != under_b:
-                    violations.append((str(a), str(b), x, i, y, j))
+            violations.append((str(first), str(node), x, i, y, j))
     return CheckReport(violations, checked)
 
 
@@ -510,11 +522,7 @@ def pass_order(state: PassState, targets=None) -> PassState:
     height = graph.tree.height
 
     def profile(node: NodeIndex, c: int, keep) -> tuple:
-        cone = _cone_nodes(node.child(c), keep, height)
-        ranks = [
-            order.rank(PVertex(cur, i)) for _, cur in cone for i in range(1, m + 1)
-        ]
-        return _rank_pattern(ranks)
+        return _cone_pattern(_cone_nodes(node.child(c), keep, height), order, m)
 
     return restrict(state, _prune_by_profiles(graph, profile, targets, "order"))
 

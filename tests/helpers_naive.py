@@ -278,6 +278,41 @@ def brute_longest_monotone(values):
 
 
 # ---------------------------------------------------------------------------
+# Child symmetry (used against passes.check_child_symmetry).  A vertex of
+# the product is (path tuple, position); rank maps each vertex to its place
+# in the order.
+
+def naive_child_symmetry(degrees, m, rank):
+    """Pairwise child-symmetry check: (violations, comparisons made).
+
+    At every depth, for every two nodes a, b of that depth and every two
+    spots (x, i), (y, j) -- a descendant suffix at a path position --
+    a.x@i and a.y@j must compare the way b.x@i and b.y@j do.  A
+    violation is (a, b, x, i, y, j) with a and b as dotted addresses.
+    """
+    h = len(degrees)
+
+    def choices(levels):
+        return list(itertools.product(*[range(1, degrees[k] + 1) for k in levels]))
+
+    violations = []
+    checked = 0
+    for depth in range(1, h + 1):
+        nodes = choices(range(depth))
+        suffixes = [s for n in range(h - depth + 1) for s in choices(range(depth, depth + n))]
+        spots = [(s, i) for s in suffixes for i in range(1, m + 1)]
+        for a, b in itertools.combinations(nodes, 2):
+            for (x, i), (y, j) in itertools.combinations(spots, 2):
+                checked += 1
+                under_a = rank[(a + x, i)] < rank[(a + y, j)]
+                under_b = rank[(b + x, i)] < rank[(b + y, j)]
+                if under_a != under_b:
+                    dotted = [".".join(map(str, node)) for node in (a, b)]
+                    violations.append((*dotted, x, i, y, j))
+    return violations, checked
+
+
+# ---------------------------------------------------------------------------
 # Hex grids (used against hexgrid).  A colouring is a list of rows of
 # 0/1; cell (i, j) is 1-based, row 1 on top, and touches the cells at the
 # six offsets below.

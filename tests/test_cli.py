@@ -12,10 +12,12 @@ def test_selftest_passes():
 
 
 def test_selftest_has_no_jobs_option(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["selftest", "--jobs", "2"])
-    assert err.value.code == cli.EXIT_USAGE
-    assert "--jobs" in capsys.readouterr().err
+    # Nor a --seed: no suite left in selftest is randomized.
+    for option in ("--jobs", "--seed"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["selftest", option, "2"])
+        assert err.value.code == cli.EXIT_USAGE
+        assert option in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -146,3 +148,35 @@ def test_hex_analyze_rejects_cells_other_than_zero_or_one(tmp_path, capsys, chi)
     path = _write(tmp_path, "hex.json", {"n": 2, "m": 2, "chi": chi})
     assert cli.main(["hex", "analyze", "--coloring", path]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+DOC = "<document>"
+VALIDATE = ["validate", "--stack", "--layout", DOC]
+HEX = ["hex", "analyze", "--coloring", DOC]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (VALIDATE, [1], "expected a JSON object, got list"),
+        (["passes", "run", "--graph", DOC, "--layout", DOC], [1],
+         "expected a JSON object, got list"),
+        (VALIDATE, {"order": None, "colors": {}}, "layout 'order' must be a list"),
+        (VALIDATE, {"order": ["a"], "colors": [1]}, "layout 'colors' must be an object"),
+        (HEX, [[0, 1]], "expected a JSON object, got list"),
+        (HEX, {"n": None, "m": 2, "chi": [[0, 1]]},
+         "grid size 'n' must be an integer, got None"),
+        (HEX, {"n": 2.5, "m": 2, "chi": [[0, 1], [1, 0]]},
+         "grid size 'n' must be an integer, got 2.5"),
+        (HEX, {"n": 1, "m": True, "chi": [[0]]}, "grid size 'm' must be an integer, got True"),
+    ],
+    ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
+         "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool"],
+)
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
+    path = _write(tmp_path, "doc.json", doc)
+    assert cli.main([path if arg == DOC else arg for arg in command]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err

@@ -37,7 +37,7 @@ from boxslash import (
 )
 from boxslash import passes
 from boxslash.passes import restrict
-from helpers_naive import brute_longest_monotone
+from helpers_naive import brute_longest_monotone, naive_child_symmetry
 
 
 def is_subsequence(sub, full):
@@ -308,6 +308,67 @@ def test_check_child_symmetry_detects_asymmetry():
     assert not bad.ok
 
 
+def small_shapes(limit, max_height):
+    """Every (degrees, m) of at most `limit` vertices and height 1..max_height."""
+    out = []
+
+    def grow(degrees, nodes, width):
+        if degrees:
+            out.extend((degrees, m) for m in range(1, limit // nodes + 1))
+        if len(degrees) < max_height:
+            d = 1
+            while nodes + width * d <= limit:
+                grow(degrees + (d,), nodes + width * d, width * d)
+                d += 1
+
+    grow((), 1, 1)
+    return out
+
+
+def swapped(order, rng):
+    """The order with one to three random pairs of vertices exchanged."""
+    seq = list(order)
+    for _ in range(rng.randrange(1, 4)):
+        a, b = rng.randrange(len(seq)), rng.randrange(len(seq))
+        seq[a], seq[b] = seq[b], seq[a]
+    return LinearOrder(seq)
+
+
+def assert_child_symmetry_matches_oracle(graph, order):
+    report = check_child_symmetry(graph, order)
+    rank = {(v.node.path, v.pos): order.rank(v) for v in order}
+    naive, checked = naive_child_symmetry(graph.tree.spec.degrees, graph.path_len, rank)
+    assert report.ok == (not naive)
+    assert report.checked == checked
+    assert set(report.violations) <= set(naive)
+    # One entry per node that disagrees with the first node of its depth.
+    firsts = {".".join("1" * depth) for depth in range(1, graph.tree.height + 1)}
+    from_first = dict.fromkeys((a, b) for a, b, *_ in naive if a in firsts)
+    assert [(a, b) for a, b, *_ in report.violations] == list(from_first)
+
+
+def test_check_child_symmetry_matches_the_pairwise_oracle():
+    # Every product of at most 60 vertices whose levels all branch (none
+    # is higher than 4), and every one of at most 24 vertices with a
+    # one-child level, up to height 4.
+    shapes = [s for s in small_shapes(60, 4) if min(s[0]) >= 2]
+    shapes += [s for s in small_shapes(24, 4) if min(s[0]) < 2]
+    rng = random.Random(61)
+    for degrees, m in shapes:
+        g = boxslash_product(degrees, m)
+        canonical = canonical_order(g)
+        for order in (canonical, canonical.reversed(), swapped(canonical, rng)):
+            assert_child_symmetry_matches_oracle(g, order)
+
+
+def test_check_child_symmetry_matches_the_oracle_after_pass_order():
+    rng = random.Random(67)
+    for degrees, m in small_shapes(40, 3)[::7]:
+        g = boxslash_product(degrees, m)
+        state = pass_order(state_of(g, swapped(canonical_order(g), rng)))
+        assert_child_symmetry_matches_oracle(state.graph, state.order)
+
+
 # ---------------------------------------------------------------------------
 # The lex pass.
 
@@ -329,6 +390,11 @@ def test_pass_lex_starves_on_scrambled_order():
         pass_lex(state_of(g, scrambled))
     assert err.value.stage == "lex"
     assert err.value.level == (1, 1)
+    assert (err.value.available, err.value.wanted) == ((3,), (3,))
+    assert str(err.value) == (
+        "lex: level 1, position 1: the rank array has shape 3 "
+        "and no lex-monotone subarray of shape 3"
+    )
 
 
 def test_pass_lex_truncates_to_target():
