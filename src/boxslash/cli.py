@@ -84,7 +84,12 @@ def _graph_from_doc(doc):
     if isinstance(doc, dict) and "tree_degrees" in doc:
         return ProductGraph.from_descriptor(doc)
     if isinstance(doc, dict) and "edges" in doc:
-        return [(str(u), str(v)) for u, v in doc["edges"]]
+        edges = doc["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise ValueError("graph 'edges' must be a list of vertex pairs")
+        return [(str(u), str(v)) for u, v in edges]
     raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
 
 

@@ -519,5 +519,7 @@ def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOr
         u_text, sep, v_text = key.partition("--")
         if not sep:
             raise ValueError(f"bad edge key {key!r}")
-        colors[(parse_vertex(u_text), parse_vertex(v_text))] = int(c)
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"colour of edge {key!r} must be an integer, got {c!r}")
+        colors[(parse_vertex(u_text), parse_vertex(v_text))] = c
     return order, EdgeColoring(colors, k=doc.get("k"))

@@ -21,9 +21,12 @@ positional profile of the child's whole cone, keep the largest bucket
 (ties broken by the lexicographically smallest child set), and truncate
 to the requested target.  They run bottom-up so a profile always
 describes an already thinned cone.  The lex pass instead cuts each
-level to the index sets of lex-monotone witnesses.  Quantitative
-survival guarantees are out of scope; a level that cannot meet its
-target raises PassStarvation instead.
+level to the index sets of lex-monotone witnesses: it reads each
+(level, position) rank array once and tests a candidate subarray of C
+cells with one sort, in O(C log C), though it still tries every axis
+order, sign vector and index set in turn.  Quantitative survival
+guarantees are out of scope; a level that cannot meet its target raises
+PassStarvation instead.
 
 The passes do not verify their own output.  run_passes checks every
 property once, on the final state it returns.
@@ -31,8 +34,10 @@ property once, on the final state it returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -235,11 +240,9 @@ def _array_dims(array) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _array_value(array, cell: tuple[int, ...]):
-    out = array
-    for c in cell:
-        out = out[c]
-    return out
+def _array_values(array, cells: Iterable[tuple[int, ...]]) -> dict:
+    """The nested array read once into a dict from index cell to value."""
+    return {cell: functools.reduce(operator.getitem, cell, array) for cell in cells}
 
 
 def _lex_key(cell, sigma, signs) -> tuple:
@@ -249,27 +252,23 @@ def _lex_key(cell, sigma, signs) -> tuple:
     )
 
 
-def _is_lex_monotone(value: Callable, cells: list, sigma, signs) -> bool:
-    for x, y in itertools.combinations(cells, 2):
-        if (value(x) < value(y)) != (_lex_key(x, sigma, signs) < _lex_key(y, sigma, signs)):
-            return False
-    return True
+def _is_lex_monotone(values: Mapping, cells: list, sigma, signs) -> bool:
+    """Value order equals lex-key order: sorted by value, both strictly rise."""
+    ranked = sorted((values[c], _lex_key(c, sigma, signs)) for c in cells)
+    return all(x < y and kx < ky for (x, kx), (y, ky) in zip(ranked, ranked[1:]))
 
 
 def _search_lex(
-    dims: tuple[int, ...], value: Callable, targets: tuple[int, ...]
+    dims: tuple[int, ...], values: Mapping, targets: tuple[int, ...]
 ) -> Optional[LexMonotoneWitness]:
     axes = range(len(dims))
-    for k in axes:
-        if targets[k] > dims[k]:
-            return None
     for sigma in itertools.permutations(axes):
         for signs in itertools.product((Direction.INC, Direction.DEC), repeat=len(dims)):
             for index_sets in itertools.product(
                 *[itertools.combinations(range(dims[k]), targets[k]) for k in axes]
             ):
                 cells = list(itertools.product(*index_sets))
-                if _is_lex_monotone(value, cells, sigma, signs):
+                if _is_lex_monotone(values, cells, sigma, signs):
                     return LexMonotoneWitness(tuple(sigma), tuple(signs), tuple(index_sets))
     return None
 
@@ -278,9 +277,9 @@ def lex_monotone_subarray(array, target: int) -> Optional[LexMonotoneWitness]:
     """Find an all-axes target-sized lex-monotone subarray.
 
     The search runs over every axis permutation (identity first), sign
-    vector (all increasing first) and index combination, and each
-    candidate is accepted only after a full pairwise comparison check.
-    Returns None when no subarray of that size qualifies.
+    vector (all increasing first) and index combination, and accepts
+    the first candidate whose cells, sorted by value, also sort by lex
+    key.  Returns None when no subarray of that size qualifies.
     """
     dims = _array_dims(array)
     if len(dims) > MAX_ARRAY_DIMS or any(s > MAX_ARRAY_SIDE for s in dims):
@@ -288,19 +287,17 @@ def lex_monotone_subarray(array, target: int) -> Optional[LexMonotoneWitness]:
             f"array of shape {dims} exceeds the {MAX_ARRAY_DIMS}-dimensional, "
             f"side-{MAX_ARRAY_SIDE} search limit"
         )
-    cells = list(itertools.product(*[range(s) for s in dims]))
-    seen = [_array_value(array, c) for c in cells]
-    if len(set(seen)) != len(seen):
+    values = _array_values(array, itertools.product(*[range(s) for s in dims]))
+    if len(set(values.values())) != len(values):
         raise ValueError("array values must be distinct")
-    return _search_lex(dims, lambda c: _array_value(array, c), (target,) * len(dims))
+    return _search_lex(dims, values, (target,) * len(dims))
 
 
 def verify_lex_monotone(array, witness: LexMonotoneWitness) -> bool:
-    """Recheck a witness against the array by full pairwise comparison."""
+    """Recheck a witness against the array: its values must be distinct
+    and sort its cells exactly as the witness's lex key does."""
     cells = list(itertools.product(*witness.index_sets))
-    return _is_lex_monotone(
-        lambda c: _array_value(array, c), cells, witness.sigma, witness.signs
-    )
+    return _is_lex_monotone(_array_values(array, cells), cells, witness.sigma, witness.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +555,11 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
                 dims[k] if levels[k] is None else min(levels[k], dims[k])
                 for k in range(level)
             )
-
-            def value(cell: tuple[int, ...]) -> int:
-                path = tuple(axes[k][cell[k]] for k in range(level))
-                return order.rank(PVertex(NodeIndex(path), p))
-
-            witness = _search_lex(dims, value, goal)
+            ranks = {
+                cell: order.rank(PVertex(NodeIndex(tuple(a[c] for a, c in zip(axes, cell))), p))
+                for cell in itertools.product(*[range(d) for d in dims])
+            }
+            witness = _search_lex(dims, ranks, goal)
             if witness is None:
                 raise PassStarvation("lex", (level, p), dims, goal)
             witnesses[(level, p)] = witness

@@ -136,7 +136,6 @@ class Tree:
         self.nodes: tuple[NodeIndex, ...] = tuple(
             n for level in by_depth for n in level
         )
-        self._node_set = frozenset(self.nodes)
 
     @property
     def height(self) -> int:
@@ -146,7 +145,9 @@ class Tree:
         return len(self.nodes)
 
     def __contains__(self, node: NodeIndex) -> bool:
-        return node in self._node_set
+        return isinstance(node, NodeIndex) and node.depth <= self.height and all(
+            c <= d for c, d in zip(node.path, self.spec.degrees)
+        )
 
     def __iter__(self) -> Iterator[NodeIndex]:
         return iter(self.nodes)
@@ -163,12 +164,8 @@ class Tree:
         d = self.spec.degrees[node.depth]
         return tuple(node.child(v) for v in range(1, d + 1))
 
-    def parent(self, node: NodeIndex) -> NodeIndex | None:
-        self._require(node)
-        return node.parent
-
     def _require(self, node: NodeIndex) -> None:
-        if node not in self._node_set:
+        if node not in self:
             raise ValueError(f"node {node} is not in tree {self.spec.degrees}")
 
 
@@ -191,6 +188,8 @@ class PVertex:
 
     @classmethod
     def parse(cls, text: str) -> "PVertex":
+        if not isinstance(text, str):
+            raise ValueError(f"vertex id must be a string, got {text!r}")
         node_part, sep, pos_part = text.rpartition("@")
         if not sep:
             raise ValueError(f"bad vertex id {text!r}")
@@ -229,29 +228,20 @@ class ProductGraph:
         self.vertices: tuple[PVertex, ...] = tuple(
             PVertex(node, i) for i in range(1, m + 1) for node in tree.nodes
         )
-        edges: list[Edge] = []
-        non_root = tree.nodes[1:]
-        for node in non_root:
-            par = node.parent
-            for i in range(1, m + 1):
-                edges.append((PVertex(node, i), PVertex(par, i), EdgeKind.VERTICAL))
-        for node in tree.nodes:
-            for i in range(1, m):
-                edges.append(
-                    (PVertex(node, i), PVertex(node, i + 1), EdgeKind.HORIZONTAL)
-                )
-        for node in non_root:
-            par = node.parent
-            for i in range(1, m):
-                edges.append(
-                    (PVertex(node, i), PVertex(par, i + 1), EdgeKind.DIAGONAL)
-                )
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self._kind = {frozenset((u, v)): k for u, v, k in edges}
-        self._vertex_set = frozenset(self.vertices)
+        non_root = [(node, node.parent) for node in tree.nodes[1:]]
+        self.edges: tuple[Edge, ...] = (
+            *((PVertex(c, i), PVertex(par, i), EdgeKind.VERTICAL)
+              for c, par in non_root for i in range(1, m + 1)),
+            *((PVertex(c, i), PVertex(c, i + 1), EdgeKind.HORIZONTAL)
+              for c in tree.nodes for i in range(1, m)),
+            *((PVertex(c, i), PVertex(par, i + 1), EdgeKind.DIAGONAL)
+              for c, par in non_root for i in range(1, m)),
+        )
 
     def __contains__(self, vertex: PVertex) -> bool:
-        return vertex in self._vertex_set
+        return isinstance(vertex, PVertex) and vertex.node in self.tree and (
+            vertex.pos in range(1, self.path_len + 1)
+        )
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -259,14 +249,25 @@ class ProductGraph:
     def edge_pairs(self) -> Iterator[tuple[PVertex, PVertex]]:
         return ((u, v) for u, v, _ in self.edges)
 
+    def _kind(self, u: PVertex, v: PVertex) -> EdgeKind | None:
+        """Kind of the edge u -- v by the address rules, or None."""
+        if u not in self or v not in self:
+            return None
+        if u.node.depth < v.node.depth:
+            u, v = v, u
+        if u.node == v.node and abs(u.pos - v.pos) == 1:
+            return EdgeKind.HORIZONTAL
+        if u.node.parent == v.node:
+            return {0: EdgeKind.VERTICAL, 1: EdgeKind.DIAGONAL}.get(v.pos - u.pos)
+        return None
+
     def has_edge(self, u: PVertex, v: PVertex) -> bool:
-        return frozenset((u, v)) in self._kind
+        return self._kind(u, v) is not None
 
     def kind_of(self, u: PVertex, v: PVertex) -> EdgeKind:
-        try:
-            return self._kind[frozenset((u, v))]
-        except KeyError:
-            raise ValueError(f"no edge {u} -- {v}") from None
+        if (kind := self._kind(u, v)) is None:
+            raise ValueError(f"no edge {u} -- {v}")
+        return kind
 
     def edge_counts(self) -> dict[EdgeKind, int]:
         counts = {kind: 0 for kind in EdgeKind}
@@ -282,6 +283,8 @@ class ProductGraph:
 
     @classmethod
     def from_descriptor(cls, doc: Mapping) -> "ProductGraph":
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"graph descriptor must be an object, got {type(doc).__name__}")
         degrees = doc.get("tree_degrees")
         path_len = doc.get("path_len")
         if degrees is None or path_len is None:

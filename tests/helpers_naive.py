@@ -278,6 +278,41 @@ def brute_longest_monotone(values):
 
 
 # ---------------------------------------------------------------------------
+# Lex-monotone subarrays (used against passes._search_lex).  An array is a
+# dict from index cell (a tuple) to value; a sign is "inc" or "dec".
+
+def naive_lex_monotone(value, cells, sigma, signs):
+    """Every two cells differ in value and compare by value as they do by
+    lex key: coordinates read in axis order sigma, each negated on a
+    "dec" axis."""
+
+    def key(cell):
+        return tuple(cell[a] if signs[a] == "inc" else -cell[a] for a in sigma)
+
+    return all(
+        value[x] != value[y] and (value[x] < value[y]) == (key(x) < key(y))
+        for x, y in itertools.combinations(cells, 2)
+    )
+
+
+def naive_lex_search(dims, value, targets):
+    """First (sigma, signs, index_sets) with a lex-monotone subarray of
+    targets[k] indices on each axis k, or None, trying every axis
+    permutation, then every sign vector ("inc" first), then every
+    product of index combinations, each in itertools order."""
+    axes = range(len(dims))
+    for sigma in itertools.permutations(axes):
+        for signs in itertools.product(("inc", "dec"), repeat=len(dims)):
+            for index_sets in itertools.product(
+                *[itertools.combinations(range(dims[k]), targets[k]) for k in axes]
+            ):
+                cells = list(itertools.product(*index_sets))
+                if naive_lex_monotone(value, cells, sigma, signs):
+                    return sigma, signs, index_sets
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Child symmetry (used against passes.check_child_symmetry).  A vertex of
 # the product is (path tuple, position); rank maps each vertex to its place
 # in the order.

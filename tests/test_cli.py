@@ -153,6 +153,8 @@ def test_hex_analyze_rejects_cells_other_than_zero_or_one(tmp_path, capsys, chi)
 DOC = "<document>"
 VALIDATE = ["validate", "--stack", "--layout", DOC]
 HEX = ["hex", "analyze", "--coloring", DOC]
+SOLVE = ["solve", "--stack", "--graph", DOC]
+ONE_NODE = {"tree_degrees": [1], "path_len": 1}
 
 
 @pytest.mark.parametrize(
@@ -169,9 +171,18 @@ HEX = ["hex", "analyze", "--coloring", DOC]
         (HEX, {"n": 2.5, "m": 2, "chi": [[0, 1], [1, 0]]},
          "grid size 'n' must be an integer, got 2.5"),
         (HEX, {"n": 1, "m": True, "chi": [[0]]}, "grid size 'm' must be an integer, got True"),
+        (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": None}},
+         "colour of edge 'a--b' must be an integer, got None"),
+        (VALIDATE, {"graph": ONE_NODE, "order": [1], "colors": {}},
+         "vertex id must be a string, got 1"),
+        (VALIDATE, {"graph": [1], "order": [], "colors": {}},
+         "graph descriptor must be an object, got list"),
+        (SOLVE, {"edges": None}, "graph 'edges' must be a list of vertex pairs"),
+        (SOLVE, {"edges": [1]}, "graph 'edges' must be a list of vertex pairs"),
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
-         "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool"],
+         "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "colour-null",
+         "vertex-int", "graph-list", "edges-null", "edge-int"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
     path = _write(tmp_path, "doc.json", doc)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxslash import (
     ColorTable,
@@ -36,8 +37,8 @@ from boxslash import (
     verify_lex_monotone,
 )
 from boxslash import passes
-from boxslash.passes import restrict
-from helpers_naive import brute_longest_monotone, naive_child_symmetry
+from boxslash.passes import LexMonotoneWitness, restrict
+from helpers_naive import brute_longest_monotone, naive_child_symmetry, naive_lex_search
 
 
 def is_subsequence(sub, full):
@@ -163,6 +164,49 @@ def test_lex_subarray_limits():
         lex_monotone_subarray(list(range(13)), 2)
     with pytest.raises(ValueError):
         lex_monotone_subarray([1, 1], 1)
+
+
+@pytest.mark.parametrize("sign", [Direction.INC, Direction.DEC])
+def test_verify_lex_monotone_rejects_repeated_values(sign):
+    # Equal values order neither way, so no lex key can match them.
+    witness = LexMonotoneWitness((0,), (sign,), ((0, 1),))
+    assert not verify_lex_monotone([1, 1], witness)
+
+
+def as_triple(witness):
+    """A package witness in the oracle's (sigma, signs, index_sets) form."""
+    if witness is None:
+        return None
+    return witness.sigma, tuple(s.value for s in witness.signs), witness.index_sets
+
+
+@st.composite
+def lex_arrays(draw):
+    """(dims, values by cell, per-axis targets) of a distinct-valued array
+    of 1-3 dimensions and sides <= 4.  Half are planted lex-monotone under
+    a random axis order and signs, then perturbed by up to two swaps."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    targets = tuple(draw(st.integers(1, d)) for d in dims)
+    cells = list(itertools.product(*[range(d) for d in dims]))
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(len(dims))))
+        flip = draw(st.lists(st.sampled_from((1, -1)), min_size=len(dims), max_size=len(dims)))
+        cells.sort(key=lambda c: tuple(flip[a] * c[a] for a in sigma))
+        values = list(range(len(cells)))
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
+            values[i], values[j] = values[j], values[i]
+    else:
+        values = draw(st.permutations(range(len(cells))))
+    return dims, dict(zip(cells, values)), targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lex_arrays())
+def test_search_lex_matches_the_brute_force_oracle(case):
+    dims, values, targets = case
+    got = passes._search_lex(dims, values, targets)
+    assert as_triple(got) == naive_lex_search(dims, values, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +449,46 @@ def test_pass_lex_truncates_to_target():
     kept = tuple(sorted(n.path[0] for n in result.node_map if n.depth == 1))
     assert kept == (1, 2)  # first combination scanned: ranks 1 < 3 already increase
     assert [str(v) for v in result.order] == ["r@1", "1@1", "2@1"]
+
+
+def oracle_pass_lex(g, order, target):
+    """pass_lex's witnesses per (level, position), found by the oracle,
+    and the first (level, position) it finds none for, or None."""
+    kept = [tuple(range(1, d + 1)) for d in g.tree.spec.degrees]
+    witnesses = {}
+    for level in range(1, g.tree.height + 1):
+        for p in range(1, g.path_len + 1):
+            axes = kept[:level]
+            dims = tuple(len(a) for a in axes)
+            values = {
+                cell: order.rank(PVertex(NodeIndex(tuple(a[c] for a, c in zip(axes, cell))), p))
+                for cell in itertools.product(*[range(d) for d in dims])
+            }
+            found = naive_lex_search(dims, values, tuple(min(target, d) for d in dims))
+            if found is None:
+                return witnesses, (level, p)
+            witnesses[(level, p)] = found
+            kept[:level] = [tuple(a[t] for t in s) for a, s in zip(axes, found[2])]
+    return witnesses, None
+
+
+def test_pass_lex_finds_the_oracle_witnesses_on_scrambled_products():
+    rng = random.Random(71)
+    finished = 0
+    for degrees, m in [((3,), 3), ((3, 3), 2), ((4, 3), 2), ((2, 3, 2), 2), ((4, 4), 1)] * 4:
+        g = boxslash_product(degrees, m)
+        scrambled = LinearOrder(rng.sample(list(g.vertices), len(g.vertices)))
+        target = rng.choice((2, 3))
+        want, starved = oracle_pass_lex(g, scrambled, target)
+        if starved is None:
+            _, witnesses = pass_lex(state_of(g, scrambled), targets=target)
+            assert {key: as_triple(w) for key, w in witnesses.items()} == want
+            finished += 1
+        else:
+            with pytest.raises(PassStarvation) as err:
+                pass_lex(state_of(g, scrambled), targets=target)
+            assert err.value.level == starved
+    assert finished >= 5
 
 
 # ---------------------------------------------------------------------------
