@@ -129,6 +129,12 @@ def cmd_validate(args) -> int:
     if "graph" in doc:
         graph = ProductGraph.from_descriptor(doc["graph"])
         order, coloring = layout_from_json(doc, parse_vertex=PVertex.parse)
+        stray = next((v for v in order if v not in graph), None)
+        if stray is not None:
+            raise ValueError(f"order has vertex {stray}, which is not in the graph")
+        if len(order) < len(graph):
+            missing = next(v for v in graph.vertices if v not in order)
+            raise ValueError(f"order misses vertex {missing} of the graph")
         edges = list(graph.edge_pairs())
     else:
         order, coloring = layout_from_json(doc, parse_vertex=str)

@@ -5,11 +5,13 @@ nestings.  Everything here works over an explicit LinearOrder, so all
 positional notions (crossing, nesting, sidedness) are relative to it.
 
 For a fixed order the kernels run in O(E log E) plus their output: the
-validators and the crossing masks list each edge's partners with one
+validators and the stack page count find each edge's partners with one
 sweep over rank spans (``_sweep``), and the nesting depths, whose
 maximum is the queue count (the largest rainbow, Heath & Rosenberg
-1992), come from patience sorting.  ``classify_pair`` is the per-pair
-reference for callers that hold just two edges.
+1992), come from patience sorting.  ``stack_pages_for_order`` costs
+O(E log E + crossings) plus an exact search on each crossing-conflict
+component of at most ``exact_limit`` edges.  ``classify_pair`` is the
+per-pair reference for callers that hold just two edges.
 """
 
 from __future__ import annotations
@@ -91,7 +93,10 @@ class EdgeColoring:
             key = e if isinstance(e, frozenset) else _edge_key(e)
             if len(key) != 2:
                 raise ValueError(f"self-loop edge key {key!r}")
-            self._colors[key] = int(c)
+            c = int(c)
+            if c < 0:
+                raise ValueError(f"edge {e!r} has a negative colour {c}")
+            self._colors[key] = c
         used = max(self._colors.values(), default=-1) + 1
         self.k = used if k is None else int(k)
         if self.k < used:
@@ -296,17 +301,6 @@ class ColoringResult:
 EXACT_PAGE_LIMIT = 24
 
 
-def _conflict_masks(pairs: list[EdgePair], order: LinearOrder) -> list[int]:
-    """Crossing-conflict adjacency as bitmasks, bit j of masks[i] set
-    when edges i and j cross.  O(E log E) plus the crossings."""
-    masks = [0] * len(pairs)
-    for i, hits in _sweep([order.sorted_edge(e) for e in pairs], PairRelation.CROSS):
-        for j in hits:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return masks
-
-
 def try_color(masks: list[int], k: int, counter: list[int] | None = None):
     """Backtracking k-colouring of a conflict graph given as adjacency masks.
 
@@ -370,11 +364,23 @@ def fewest_colours(masks: list[int], below: int, counter: list[int] | None = Non
     return None
 
 
-def _components(masks: list[int]) -> list[list[int]]:
-    n = len(masks)
-    seen = [False] * n
+def _crossing_lists(pairs: list[EdgePair], order: LinearOrder) -> list[list[int]]:
+    """Crossing-conflict adjacency lists: j in adj[i] when edges i and j
+    cross, each partner once.  O(E log E) plus the crossings."""
+    adj: list[list[int]] = [[] for _ in pairs]
+    for i, hits in _sweep([order.sorted_edge(e) for e in pairs], PairRelation.CROSS):
+        adj[i].extend(hits)
+        for j in hits:
+            adj[j].append(i)
+    return adj
+
+
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    """Connected components of an adjacency-list graph, each sorted,
+    listed by smallest member."""
+    seen = [False] * len(adj)
     comps = []
-    for s in range(n):
+    for s in range(len(adj)):
         if seen[s]:
             continue
         comp, stack = [], [s]
@@ -382,10 +388,7 @@ def _components(masks: list[int]) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            mask = masks[v]
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -393,23 +396,16 @@ def _components(masks: list[int]) -> list[list[int]]:
     return comps
 
 
-def _greedy_color(masks: list[int]) -> list[int]:
-    n = len(masks)
-    order_by_degree = sorted(range(n), key=lambda v: -masks[v].bit_count())
-    colors = [-1] * n
-    for v in order_by_degree:
-        used = set()
-        mask = masks[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if colors[w] != -1:
-                used.add(colors[w])
+def _greedy_color(adj: list[list[int]], comp: list[int], colors: list[int]) -> None:
+    """Colour the sorted component ``comp`` into ``colors`` (-1 where
+    uncoloured), most conflicts first, ties by index, each edge taking
+    the least colour its coloured neighbours leave free."""
+    for v in sorted(comp, key=lambda v: -len(adj[v])):
+        used = {colors[w] for w in adj[v]}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return colors
 
 
 def stack_pages_for_order(
@@ -419,34 +415,27 @@ def stack_pages_for_order(
 
     Exact when every connected component of the crossing-conflict graph
     has at most ``exact_limit`` edges; beyond that a greedy bound is
-    returned with ``exact`` set to False.
+    returned with ``exact`` set to False.  The conflict graph is held as
+    adjacency lists from one rank sweep, so everything but the exact
+    search costs O(E log E + crossings); only the components searched
+    exactly become bitmasks, of at most ``exact_limit`` bits.
     """
     pairs = graph_vertices_edges(edges)[1]
     if not pairs:
         return ColoringResult(0, EdgeColoring({}), True)
-    masks = _conflict_masks(pairs, order)
-    assignment = [0] * len(pairs)
+    adj = _crossing_lists(pairs, order)
+    assignment = [-1] * len(pairs)
     exact = True
-    best = 0
-    for comp in _components(masks):
-        local_index = {v: i for i, v in enumerate(comp)}
-        local_masks = []
-        for v in comp:
-            lm = 0
-            mask = masks[v]
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                lm |= 1 << local_index[w]
-            local_masks.append(lm)
+    for comp in _components(adj):
         if len(comp) <= exact_limit:
-            local = fewest_colours(local_masks, len(comp) + 1)
+            local_index = {v: i for i, v in enumerate(comp)}
+            masks = [sum(1 << local_index[w] for w in adj[v]) for v in comp]
+            for v, c in zip(comp, fewest_colours(masks, len(comp) + 1)):
+                assignment[v] = c
         else:
-            local = _greedy_color(local_masks)
+            _greedy_color(adj, comp, assignment)
             exact = False
-        for v, c in zip(comp, local):
-            assignment[v] = c
-        best = max(best, max(local) + 1)
+    best = max(assignment) + 1
     colors = EdgeColoring({e: c for e, c in zip(pairs, assignment)}, k=best)
     return ColoringResult(best, colors, exact)
 

@@ -228,14 +228,18 @@ class ProductGraph:
         self.vertices: tuple[PVertex, ...] = tuple(
             PVertex(node, i) for i in range(1, m + 1) for node in tree.nodes
         )
-        non_root = [(node, node.parent) for node in tree.nodes[1:]]
+        # Edges share the vertex objects: node k at position i is
+        # vertices[(i - 1) * n + k], and t runs over the offsets (i - 1) * n.
+        n, vs = len(tree), self.vertices
+        index = {node: k for k, node in enumerate(tree.nodes)}
+        non_root = [(k, index[node.parent]) for k, node in enumerate(tree.nodes) if k]
         self.edges: tuple[Edge, ...] = (
-            *((PVertex(c, i), PVertex(par, i), EdgeKind.VERTICAL)
-              for c, par in non_root for i in range(1, m + 1)),
-            *((PVertex(c, i), PVertex(c, i + 1), EdgeKind.HORIZONTAL)
-              for c in tree.nodes for i in range(1, m)),
-            *((PVertex(c, i), PVertex(par, i + 1), EdgeKind.DIAGONAL)
-              for c, par in non_root for i in range(1, m)),
+            *((vs[c + t], vs[par + t], EdgeKind.VERTICAL)
+              for c, par in non_root for t in range(0, m * n, n)),
+            *((vs[c + t], vs[c + t + n], EdgeKind.HORIZONTAL)
+              for c in range(n) for t in range(0, (m - 1) * n, n)),
+            *((vs[c + t], vs[par + t + n], EdgeKind.DIAGONAL)
+              for c, par in non_root for t in range(0, (m - 1) * n, n)),
         )
 
     def __contains__(self, vertex: PVertex) -> bool:

@@ -202,9 +202,9 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, d
                 raise _Stop
 
     def stack_extend(v, d, state):
-        # masks: closed-closed crossings, as in layout._conflict_masks;
-        # cover[r]: the closed edges (c, e) with c < r < e.  A new closed
-        # edge (c, d) crosses exactly cover[c].
+        # masks: closed-closed crossings, bit j of masks[i] set when
+        # edges i and j cross; cover[r]: the closed edges (c, e) with
+        # c < r < e.  A new closed edge (c, d) crosses exactly cover[c].
         masks, cover, crossings = state
         new_masks, new_cover = masks, cover
         for i, u in incident[v]:

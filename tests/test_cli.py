@@ -71,6 +71,26 @@ def test_gen_rejects_a_zero_degree(capsys):
     assert "degrees must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda order: order.append("1.1@9"), "order has vertex 1.1@9, which is not in the graph"),
+        (lambda order: order.append("1@3"), "order has vertex 1@3, which is not in the graph"),
+        (lambda order: order.remove("1@1"), "order misses vertex 1@1 of the graph"),
+    ],
+    ids=["deeper-node", "past-the-path", "missing"],
+)
+def test_validate_needs_exactly_the_product_vertices(tmp_path, capsys, edit, message):
+    assert cli.main(["layout", "--three-queue", "--degrees", "1", "--path", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    edit(doc["order"])
+    path = _write(tmp_path, "layout.json", doc)
+    assert cli.main(["validate", "--queue", "--layout", path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_validate_the_three_queue_layout(product_files, capsys):
     layout = product_files[product_files.index("--layout") + 1]
     assert cli.main(["validate", "--queue", "--layout", layout]) == cli.EXIT_OK
@@ -192,11 +212,13 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
          "tree_degrees must be a list of integers, got 5"),
         (VALIDATE, {"graph": {"tree_degrees": [1], "path_len": [1]}, "order": [], "colors": {}},
          "path_len must be an integer, got [1]"),
+        (VALIDATE, {"order": ["a", "b", "c", "d"], "colors": {"a--c": -1, "b--d": 0}, "k": 1},
+         "edge ('a', 'c') has a negative colour -1"),
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
          "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "colour-null",
          "vertex-int", "graph-list", "edges-null", "edge-int", "degrees-int",
-         "path-len-list"],
+         "path-len-list", "colour-negative"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
     path = _write(tmp_path, "doc.json", doc)

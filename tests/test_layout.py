@@ -23,8 +23,9 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
-from boxslash.layout import _conflict_masks, _nesting_depths
+from boxslash.layout import _crossing_lists, _nesting_depths
 from helpers_naive import (
+    chromatic_number,
     conflict_adjacency,
     edges_cross,
     edges_nest,
@@ -73,6 +74,10 @@ def test_edge_coloring_basics():
         EdgeColoring({(1, 1): 0})
     with pytest.raises(ValueError):
         EdgeColoring({(1, 2): 4}, k=2)
+    # Colours lie in 0..k-1: with -1 allowed, two crossing edges would
+    # sit on two pages under a declared k of 1.
+    with pytest.raises(ValueError, match="negative colour -1"):
+        EdgeColoring({("a", "c"): -1, ("b", "d"): 0}, k=1)
 
 
 def test_classify_pair_frozen_cases():
@@ -187,7 +192,7 @@ def test_kernels_match_reference(case):
     depths = naive_nesting_depths(edges, position)
     assert _nesting_depths(edges, order) == (max(depths, default=0), depths)
     adjacency = conflict_adjacency(edges, position, edges_cross)
-    assert _conflict_masks(edges, order) == [sum(1 << j for j in adj) for adj in adjacency]
+    assert [sorted(adj) for adj in _crossing_lists(edges, order)] == [sorted(adj) for adj in adjacency]
 
 
 def test_canonical_order_is_position_major_then_depth():
@@ -223,11 +228,16 @@ def test_three_queue_layout_is_a_valid_3_queue_layout(degrees, m):
 def test_three_queue_layout_of_a_large_product():
     # A guard against a quadratic kernel: a pairwise check of these
     # 19,639 edges takes minutes, the rank sweep well under a second.
+    # The stack page count, over one large conflict component, takes
+    # about a second.
     g = boxslash_product((10, 10), 60)
     assert len(g.edges) == 19639
     order, coloring = three_queue_layout(g)
     assert validate_queue_layout(g, order, coloring).valid
     assert queues_for_order(g, order).count == 3
+    pages = stack_pages_for_order(g, order)
+    assert pages.colors.k == pages.count
+    assert validate_stack_layout(g, order, pages.colors).valid
 
 
 def test_three_queue_layout_colors_follow_edge_kind():
@@ -252,6 +262,67 @@ def test_stack_pages_for_order_matches_reference():
         assert result.exact
         assert result.count == min_pages_for_position(edges, position)
         assert validate_stack_layout(edges, order, result.colors).valid
+
+
+def _reference_stack_pages(edges, position, exact_limit):
+    """Each crossing-conflict component with what it should get: its
+    chromatic number when at most ``exact_limit`` edges, else the colours
+    of a greedy pass, most conflicts first, ties by index."""
+    adj = conflict_adjacency(edges, position, edges_cross)
+    seen, out = set(), []
+    for s in range(len(edges)):
+        if s in seen:
+            continue
+        comp, frontier = {s}, [s]
+        while frontier:
+            frontier = [w for v in frontier for w in adj[v] if w not in comp]
+            comp.update(frontier)
+        seen |= comp
+        comp = sorted(comp)
+        if len(comp) <= exact_limit:
+            out.append((comp, chromatic_number([{comp.index(w) for w in adj[v]} for v in comp])))
+            continue
+        greedy = {}
+        for v in sorted(comp, key=lambda v: (-len(adj[v]), v)):
+            used = {greedy.get(w) for w in adj[v]}
+            greedy[v] = min(c for c in range(len(comp)) if c not in used)
+        out.append((comp, [greedy[v] for v in comp]))
+    return out
+
+
+def test_stack_pages_for_order_matches_reference_per_component():
+    # Blocks of vertices in disjoint stretches of the order: edges of
+    # different blocks never cross, so each block adds its own conflict
+    # components, some at most exact_limit edges and some beyond.
+    rng = random.Random(17)
+    seen_exact = seen_greedy = 0
+    for _ in range(60):
+        edges, start = [], 0
+        for _ in range(rng.randrange(1, 5)):
+            width = rng.randrange(4, 11)
+            pool = list(itertools.combinations(range(start, start + width), 2))
+            picked = rng.sample(pool, rng.randrange(1, min(len(pool), 2 * width) + 1))
+            edges += [e if rng.random() < 0.5 else e[::-1] for e in picked]
+            start += width
+        rng.shuffle(edges)
+        order = int_order(start)
+        limit = rng.choice([0, 2, 4, 6])
+        result = stack_pages_for_order(edges, order, exact_limit=limit)
+        colours = [result.colors.color(*e) for e in edges]
+        count, exact = 0, True
+        for comp, expected in _reference_stack_pages(edges, {v: v for v in range(start)}, limit):
+            got = [colours[v] for v in comp]
+            if isinstance(expected, list):
+                seen_greedy += len(comp) > 1
+                exact = False
+                assert got == expected
+            else:
+                seen_exact += len(comp) > 1
+                assert set(got) == set(range(expected))
+            count = max(count, max(got) + 1)
+        assert (result.count, result.exact, result.colors.k) == (count, exact, count)
+        assert validate_stack_layout(edges, order, result.colors).valid
+    assert seen_exact > 20 and seen_greedy > 20
 
 
 def test_queues_for_order_matches_reference():

@@ -109,6 +109,13 @@ def test_vertex_enumeration_is_position_major_bfs():
     assert names == ["r@1", "1@1", "2@1", "r@2", "1@2", "2@2"]
 
 
+def test_edge_endpoints_are_the_graph_vertices():
+    # One object per vertex: an edge holds the vertex, not an equal copy.
+    g = boxslash_product((1, 2, 3), 3)
+    members = {id(v) for v in g.vertices}
+    assert all(id(u) in members and id(v) in members for u, v, _ in g.edges)
+
+
 def test_node_index_algebra():
     a = NodeIndex((1, 2))
     assert a.depth == 2
