@@ -135,6 +135,10 @@ def cmd_validate(args) -> int:
         if len(order) < len(graph):
             missing = next(v for v in graph.vertices if v not in order)
             raise ValueError(f"order misses vertex {missing} of the graph")
+        for key in doc["colors"]:
+            u, _, v = key.partition("--")
+            if not graph.has_edge(PVertex.parse(u), PVertex.parse(v)):
+                raise ValueError(f"colour key {key!r} is not an edge of the graph")
         edges = list(graph.edge_pairs())
     else:
         order, coloring = layout_from_json(doc, parse_vertex=str)

@@ -8,19 +8,27 @@ verifies their structural invariants, finds their critical and good
 points, classifies the boundaries hanging off the top row, and decides
 the top-cells-or-long-line dichotomy that the thinning pipeline needs.
 
-`trace_boundary` costs O(rows * cols) color comparisons, one per grid
-edge; it builds tuples only for the edges whose cells differ and
-DualVertex objects only for the corners of the lines.  The analyses
-that need the lines (`maximal_boundaries`, `top_or_long`) take them as
-an argument, so `hex analyze` traces each coloring once.
+A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read
+by integer index; a line keeps its dual walk as corner numbers and
+builds DualVertex objects only when `walk` is read.  For N cells and P
+boundary pairs: `trace_boundary` makes N-order code comparisons, one
+per grid edge, and builds tuples only for the P edges whose cells
+differ; `BoundaryLine.verify` is linear in the line's length;
+`monochromatic_spanning_path` and `top_or_long` flood O(N) cells of the
+table framed by a border; `maximal_boundaries` reads two corners per
+line, then compares the T top boundaries pairwise, O(T^2).  The
+analyses that need the lines take them as an argument, so `hex analyze`
+traces each coloring once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     GoodPointsUnavailable,
@@ -33,6 +41,9 @@ from .product import EdgeKind
 from .sequences import Direction
 
 Cell = tuple[int, int]
+
+# Color of each table code.
+_COLORS = (Direction.INC, Direction.DEC)
 
 # Neighbour offsets: axis plus the two anti-diagonal directions.
 NEIGHBOR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
@@ -50,21 +61,6 @@ class HexGrid:
     def valid(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= self.rows and 1 <= j <= self.cols
-
-    def cells(self) -> Iterable[Cell]:
-        for i in range(1, self.rows + 1):
-            for j in range(1, self.cols + 1):
-                yield (i, j)
-
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        """The grid neighbours of a cell, in NEIGHBOR_OFFSETS order."""
-        i, j = cell
-        rows, cols = self.rows, self.cols
-        return [
-            (i + di, j + dj)
-            for di, dj in NEIGHBOR_OFFSETS
-            if 1 <= i + di <= rows and 1 <= j + dj <= cols
-        ]
 
     def edge_kind(self, a: Cell, b: Cell) -> Optional[EdgeKind]:
         """Kind of the grid edge between two cells, or None if not adjacent."""
@@ -95,22 +91,25 @@ class HexGrid:
 
 
 class HexColoring:
-    """Assignment of a Direction to every cell of a HexGrid."""
+    """Two-coloring of a HexGrid as one row-major table of cell codes.
 
-    def __init__(self, grid: HexGrid, chi: Mapping[Cell, Direction]):
+    `table[(i - 1) * cols + (j - 1)]` is 0 when cell (i, j) is INC and 1
+    when it is DEC.
+    """
+
+    def __init__(self, grid: HexGrid, table: bytes):
         self.grid = grid
-        self.chi = dict(chi)
-        for cell in grid.cells():
-            if cell not in self.chi:
-                raise ShapeError(f"cell {cell} has no color")
-            if not isinstance(self.chi[cell], Direction):
-                raise ValueError(f"cell {cell} color is not a Direction")
-        if len(self.chi) != grid.rows * grid.cols:
-            extra = set(self.chi) - set(grid.cells())
-            raise ShapeError(f"colors given for cells outside the grid: {sorted(extra)[:4]}")
+        self.table = bytes(table)
+        if len(self.table) != grid.rows * grid.cols:
+            raise ShapeError(f"{len(self.table)} colors for a {grid.rows}x{grid.cols} grid")
+        if self.table.translate(None, b"\x00\x01"):
+            raise ShapeError("color table holds a code other than 0 or 1")
 
     def color(self, cell: Cell) -> Direction:
-        return self.chi[cell]
+        i, j = cell
+        if not self.grid.valid(cell):
+            raise KeyError(f"cell {(i, j)} is outside the {self.grid.rows}x{self.grid.cols} grid")
+        return _COLORS[self.table[(i - 1) * self.grid.cols + j - 1]]
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence]) -> "HexColoring":
@@ -124,25 +123,23 @@ class HexColoring:
         cols = len(matrix[0])
         if any(len(row) != cols for row in matrix):
             raise ShapeError("ragged coloring matrix")
-        chi = {}
+        table = bytearray()
         for i, row in enumerate(matrix, start=1):
+            if set(map(type, row)) == {int} and min(row) >= 0 and max(row) <= 1:
+                table.extend(row)
+                continue
             for j, value in enumerate(row, start=1):
-                if isinstance(value, Direction):
-                    chi[(i, j)] = value
-                elif type(value) is int and value in (0, 1):
-                    chi[(i, j)] = Direction.DEC if value else Direction.INC
-                else:
+                if type(value) not in (int, Direction) or value not in (0, 1, *_COLORS):
                     raise ShapeError(f"cell {(i, j)} color {value!r} is not 0, 1 or a Direction")
-        return cls(HexGrid(rows, cols), chi)
+                table.append(value in (1, Direction.DEC))
+        return cls(HexGrid(rows, cols), table)
 
     def to_json(self) -> dict:
+        rows, cols = self.grid.rows, self.grid.cols
         return {
-            "n": self.grid.rows,
-            "m": self.grid.cols,
-            "chi": [
-                [0 if self.chi[(i, j)] is Direction.INC else 1 for j in range(1, self.grid.cols + 1)]
-                for i in range(1, self.grid.rows + 1)
-            ],
+            "n": rows,
+            "m": cols,
+            "chi": [list(self.table[k : k + cols]) for k in range(0, rows * cols, cols)],
         }
 
     @classmethod
@@ -184,6 +181,12 @@ class DualVertex:
         return f"({self.depth},{self.col},{'-' if self.sign < 0 else '+'})"
 
 
+def _dual_vertex(corner: int, width: int) -> DualVertex:
+    """The corner numbered ((depth * width) + col) * 2 + (sign > 0)."""
+    place = corner >> 1
+    return DualVertex(place // width, place % width, 1 if corner & 1 else -1)
+
+
 # ---------------------------------------------------------------------------
 # Boundary lines.
 
@@ -192,24 +195,19 @@ class BoundaryLine:
 
     Pair t is (a_t, b_t): the cells on the two sides of the t-th crossed
     grid edge, the a side holding color_a everywhere along the line.
-    The walk has one more vertex than there are pairs (equal counts for
-    a closed line, where the last vertex joins back to the first).
+    The walk is kept as corner numbers (see `_dual_vertex`, with width
+    cols + 1) and built as DualVertex objects on first read.  It has one
+    more vertex than there are pairs (equal counts for a closed line,
+    where the last vertex joins back to the first).
     """
 
-    def __init__(
-        self,
-        grid: HexGrid,
-        pairs: Sequence[tuple[Cell, Cell]],
-        walk: Sequence[DualVertex],
-        closed: bool,
-        color_a: Direction,
-        color_b: Direction,
-    ):
+    def __init__(self, grid: HexGrid, pairs: Sequence[tuple[Cell, Cell]], corners: Sequence[int],
+                 closed: bool, color_a: Direction, color_b: Direction):
         if not pairs:
             raise ValueError("a boundary line needs at least one pair")
         self.grid = grid
         self.pairs = tuple(pairs)
-        self.walk = tuple(walk)
+        self.corners = tuple(corners)
         self.closed = closed
         self.color_a = color_a
         self.color_b = color_b
@@ -217,6 +215,11 @@ class BoundaryLine:
     @property
     def length(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def walk(self) -> tuple[DualVertex, ...]:
+        width = self.grid.cols + 1
+        return tuple(_dual_vertex(corner, width) for corner in self.corners)
 
     def side(self, color: Direction) -> str:
         if color == self.color_a:
@@ -229,144 +232,139 @@ class BoundaryLine:
         """The same line with the a side carrying the given color."""
         if self.side(color) == "a":
             return self
-        return BoundaryLine(
-            self.grid,
-            [(b, a) for a, b in self.pairs],
-            self.walk,
-            self.closed,
-            self.color_b,
-            self.color_a,
-        )
+        pairs = [(b, a) for a, b in self.pairs]
+        return BoundaryLine(self.grid, pairs, self.corners, self.closed, self.color_b, self.color_a)
 
     def subline(self, start: int, stop: int) -> "BoundaryLine":
         if not (0 <= start < stop <= len(self.pairs)):
             raise ValueError("empty or out-of-range pair slice")
-        return BoundaryLine(
-            self.grid,
-            self.pairs[start:stop],
-            self.walk[start : stop + 1],
-            False,
-            self.color_a,
-            self.color_b,
-        )
+        pairs, corners = self.pairs[start:stop], self.corners[start : stop + 1]
+        return BoundaryLine(self.grid, pairs, corners, False, self.color_a, self.color_b)
 
     def verify(self, coloring: HexColoring) -> list[str]:
-        """All violations of the four line invariants, empty when sound."""
+        """All violations of the four line invariants, empty when sound.
+
+        A cell outside the grid is a pair-shape violation and, having no
+        color, a sides one.
+        """
         out = []
         if self.color_a == self.color_b:
             out.append("sides: the two side colors are equal")
-        for t, (a, b) in enumerate(self.pairs):
-            if coloring.color(a) != self.color_a or coloring.color(b) != self.color_b:
+        rows, cols = coloring.grid.rows, coloring.grid.cols
+        table = coloring.table
+        code_a, code_b = self.color_a is Direction.DEC, self.color_b is Direction.DEC
+        pairs = self.pairs
+        for t, ((i1, j1), (i2, j2)) in enumerate(pairs):
+            inside = 0 < i1 <= rows and 0 < j1 <= cols and 0 < i2 <= rows and 0 < j2 <= cols
+            if not (
+                inside
+                and table[(i1 - 1) * cols + j1 - 1] == code_a
+                and table[(i2 - 1) * cols + j2 - 1] == code_b
+            ):
                 out.append(f"sides: pair {t} colors are not (a={self.color_a.value}, b={self.color_b.value})")
-            if self.grid.edge_kind(a, b) is None:
-                out.append(f"pair-shape: pair {t} cells {a} and {b} are not grid-adjacent")
-        steps = list(zip(range(len(self.pairs) - 1), self.pairs, self.pairs[1:]))
-        if self.closed and len(self.pairs) > 1:
-            steps.append((len(self.pairs) - 1, self.pairs[-1], self.pairs[0]))
+            # The six neighbour offsets are the steps in {-1, 0, 1}^2 other
+            # than (0, 0), (1, 1) and (-1, -1).
+            di, dj = i1 - i2, j1 - j2
+            if not (inside and -1 <= di <= 1 and -1 <= dj <= 1 and di != dj):
+                out.append(f"pair-shape: pair {t} cells {(i1, j1)} and {(i2, j2)} are not grid-adjacent")
+        steps = list(zip(range(len(pairs) - 1), pairs, pairs[1:]))
+        if self.closed and len(pairs) > 1:
+            steps.append((len(pairs) - 1, pairs[-1], pairs[0]))
         for t, (a1, b1), (a2, b2) in steps:
             if (a1 == a2) == (b1 == b2):
                 out.append(f"step: pairs {t} and {t + 1} must share exactly one side")
         seen = set()
-        for t, pair in enumerate(self.pairs):
-            key = frozenset(pair)
+        for t, (a, b) in enumerate(pairs):
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 out.append(f"duplicate: pair {t} repeats an earlier pair")
             seen.add(key)
         return out
 
 
-def _dual_vertex(corner: int, width: int) -> DualVertex:
-    """The corner numbered ((depth * width) + col) * 2 + (sign > 0)."""
-    place = corner >> 1
-    return DualVertex(place // width, place % width, 1 if corner & 1 else -1)
-
-
 def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
     """Decompose the boundary subgraph into its separating lines.
 
-    Every grid edge is crossed by one dual edge.  Going down the color
+    Every grid edge is crossed by one dual edge.  Going down the table's
     rows, the pass compares the two cells of each grid edge and keeps
     the edge only when they differ, as a tuple (minus corner, plus
-    corner, deeper-or-left cell, other cell, that cell's color), with
-    corners numbered by `_dual_vertex`'s formula.  Edges are numbered
-    per row, vertical crossings then diagonal ones, and then every
-    horizontal crossing.  Walks start at the degree-one corners in
-    (depth, sign, col) order, then at the lowest unused edge of each
-    closed line, and always leave a corner by its lowest unused edge.
+    corner, deeper-or-left cell, other cell, that cell's code), with
+    cells as table indices and corners numbered by `_dual_vertex`'s
+    formula.  Edges are numbered per row, vertical crossings then
+    diagonal ones, and then every horizontal crossing.  Walks start at
+    the degree-one corners in (depth, sign, col) order, then at the
+    lowest unused edge of each closed line, and always leave a corner by
+    its lowest unused edge.
     """
     grid = coloring.grid
-    chi = coloring.chi
-    width = grid.cols + 1
-    rows = [[chi[(i, j)] for j in range(1, width)] for i in range(1, grid.rows + 1)]
+    table = coloring.table
+    cols = grid.cols
+    width = cols + 1
+    cells = list(itertools.product(range(1, grid.rows + 1), range(1, cols + 1)))
     edges = []
     horizontal = []
     above = None
-    for i, row in enumerate(rows, start=1):
+    for i in range(1, grid.rows + 1):
+        k = (i - 1) * cols - 1  # cell (i, j) is table[k + j]
+        row = table[k + 1 : k + 1 + cols]
         base = 2 * width * i
         if above is not None:
             for j, (low, high) in enumerate(zip(row, above), start=1):
-                if low is not high:
-                    edges.append((base + 2 * j, base + 2 * j - 1, (i, j), (i - 1, j), low))
+                if low != high:
+                    edges.append((base + 2 * j, base + 2 * j - 1, k + j, k + j - cols, low))
             for j, (low, high) in enumerate(zip(row, above[1:]), start=1):
-                if low is not high:
-                    edges.append((base + 2 * j, base + 2 * j + 1, (i, j), (i - 1, j + 1), low))
+                if low != high:
+                    edges.append((base + 2 * j, base + 2 * j + 1, k + j, k + j + 1 - cols, low))
         below = base + 2 * width
         for j, (left, right) in enumerate(zip(row, row[1:]), start=1):
-            if left is not right:
-                horizontal.append((below + 2 * j, base + 2 * j + 1, (i, j), (i, j + 1), left))
+            if left != right:
+                horizontal.append((below + 2 * j, base + 2 * j + 1, k + j, k + j + 1, left))
         above = row
     edges += horizontal
 
-    incident: dict[int, list[int]] = defaultdict(list)
+    # A grid triangle has zero or two unequal sides, so a corner has at
+    # most two edges, and its edge numbers' sum minus one is the other.
+    size = 2 * width * (grid.rows + 2)
+    link = [0] * size
+    degree = bytearray(size)
     for idx, edge in enumerate(edges):
-        incident[edge[0]].append(idx)
-        incident[edge[1]].append(idx)
-    for corner, ids in incident.items():
-        if len(ids) > 2:
-            raise InconsistencyError(
-                f"dual vertex {_dual_vertex(corner, width)} has boundary degree {len(ids)}"
-            )
+        link[edge[0]] += idx
+        degree[edge[0]] += 1
+        link[edge[1]] += idx
+        degree[edge[1]] += 1
+    if max(degree) > 2:
+        corner = degree.index(max(degree))
+        raise InconsistencyError(f"dual vertex {_dual_vertex(corner, width)} has boundary degree {degree[corner]}")
     used = bytearray(len(edges))
-
-    def follow(start: int) -> tuple[list[int], list[int]]:
-        corners = [start]
-        taken = []
-        current = start
-        while True:
-            for idx in incident[current]:
-                if not used[idx]:
-                    break
-            else:
-                return corners, taken
-            used[idx] = 1
-            edge = edges[idx]
-            current = edge[1] if edge[0] == current else edge[0]
-            taken.append(idx)
-            corners.append(current)
-
-    walks = []
-    ends = sorted(
-        (corner for corner, ids in incident.items() if len(ids) == 1),
-        key=lambda corner: (corner // (2 * width), corner & 1, corner),
-    )
-    for corner in ends:
-        if not used[incident[corner][0]]:
-            walks.append((*follow(corner), False))
-    for idx in range(len(edges)):
-        if not used[idx]:
-            corners, taken = follow(edges[idx][0])
-            walks.append((corners[:-1], taken, True))
-
     lines = []
-    for corners, taken, closed in walks:
-        color_a = edges[taken[0]][4]
+
+    def follow(current: int, idx: int, closed: bool) -> None:
+        code_a = edges[idx][4]
+        corners = [current]
         pairs = []
-        for idx in taken:
-            _, _, x, y, color_x = edges[idx]
-            pairs.append((x, y) if color_x is color_a else (y, x))
-        walk = [_dual_vertex(corner, width) for corner in corners]
-        color_b = chi[pairs[0][1]]
-        lines.append(BoundaryLine(grid, pairs, walk, closed, color_a, color_b))
+        while True:
+            used[idx] = 1
+            minus, plus, x, y, code_x = edges[idx]
+            current = plus if minus == current else minus
+            corners.append(current)
+            pairs.append((cells[x], cells[y]) if code_x == code_a else (cells[y], cells[x]))
+            if degree[current] != 2:
+                break
+            idx = link[current] - idx
+            if used[idx]:
+                break
+        if closed:
+            corners.pop()
+        lines.append(BoundaryLine(grid, pairs, corners, closed, _COLORS[code_a], _COLORS[1 - code_a]))
+
+    ends = [found.start() for found in re.finditer(b"\x01", degree)]
+    for corner in sorted(ends, key=lambda corner: (corner // (2 * width), corner & 1, corner)):
+        if not used[link[corner]]:
+            follow(corner, link[corner], False)
+    idx = used.find(0)
+    while idx >= 0:
+        follow(edges[idx][0], idx, True)
+        idx = used.find(0, idx + 1)
     return lines
 
 
@@ -395,10 +393,6 @@ def critical_points(line: BoundaryLine, coloring: HexColoring) -> list[CriticalP
     walk = line.walk
     keys = [v.key()[:2] for v in walk]
     count = len(walk)
-
-    def pair_kind(t: int) -> EdgeKind:
-        a, b = line.pairs[t]
-        return line.grid.edge_kind(a, b)
 
     candidates: list[int] = []
     if line.closed:
@@ -430,7 +424,7 @@ def critical_points(line: BoundaryLine, coloring: HexColoring) -> list[CriticalP
             incident = [((t - 1) % len(line.pairs)), t % len(line.pairs)]
         else:
             incident = [e for e in (t - 1, t) if 0 <= e < len(line.pairs)]
-        d3 = next((e for e in incident if pair_kind(e) is EdgeKind.VERTICAL), None)
+        d3 = next((e for e in incident if line.grid.edge_kind(*line.pairs[e]) is EdgeKind.VERTICAL), None)
         out.append(CriticalPoint(vertex, coloring.color(base_cell), t, d3))
     return out
 
@@ -538,7 +532,7 @@ def find_good_points(line: BoundaryLine, coloring: HexColoring, s: int) -> GoodP
     points = []
     for idx, c in enumerate(final):
         seg_lo = final[idx - 1].walk_index if idx > 0 else 0
-        seg_hi = final[idx + 1].walk_index if idx + 1 < len(final) else len(line.walk) - 1
+        seg_hi = final[idx + 1].walk_index if idx + 1 < len(final) else len(line.corners) - 1
         points.append(GoodPoint(c.vertex, c.base, (seg_lo, seg_hi), c.d3_pair_index))
     return GoodPointsResult(oriented, tuple(points), base)
 
@@ -548,11 +542,8 @@ def find_good_points(line: BoundaryLine, coloring: HexColoring, s: int) -> GoodP
 
 def cut_points(coloring: HexColoring) -> list[int]:
     """Columns x whose top cell differs in color from its right neighbour."""
-    out = []
-    for x in range(1, coloring.grid.cols):
-        if coloring.color((1, x)) != coloring.color((1, x + 1)):
-            out.append(x)
-    return out
+    top = coloring.table[: coloring.grid.cols]
+    return [x for x in range(1, len(top)) if top[x - 1] != top[x]]
 
 
 @dataclass(frozen=True)
@@ -583,11 +574,13 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
     tops: list[TopBoundary] = []
     flagged: list[BoundaryLine] = []
     claimed: list[int] = []
+    width = coloring.grid.cols + 1
     for line in lines:
         if line.closed:
             continue
-        ends = [line.walk[0], line.walk[-1]]
-        top_cols = sorted(v.col for v in ends if v.depth == 1 and v.sign > 0)
+        # The top corner (1, x, +) is numbered (width + x) * 2 + 1.
+        ends = (line.corners[0], line.corners[-1])
+        top_cols = sorted((end >> 1) - width for end in ends if end & 1 and width <= end >> 1 < 2 * width)
         if len(top_cols) == 2:
             tops.append(TopBoundary(top_cols[0], top_cols[1], line))
             claimed.extend(top_cols)
@@ -600,21 +593,13 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
         )
     tops.sort(key=lambda tb: (tb.left, tb.right))
     for one, two in itertools.combinations(tops, 2):
-        nested = (one.left < two.left and two.right < one.right) or (
-            two.left < one.left and one.right < two.right
-        )
-        disjoint = one.right < two.left or two.right < one.left
-        if not (nested or disjoint):
+        # Sorted, so one.left <= two.left: two nests in one or follows it.
+        if not (one.left < two.left and two.right < one.right or one.right < two.left):
             raise InconsistencyError(
                 f"boundaries ({one.left},{one.right}) and ({two.left},{two.right}) cross"
             )
     maximal = [
-        tb
-        for tb in tops
-        if not any(
-            other is not tb and other.left < tb.left and tb.right < other.right
-            for other in tops
-        )
+        tb for tb in tops if not any(out.left < tb.left and tb.right < out.right for out in tops)
     ]
     for prev, nxt in zip(maximal, maximal[1:]):
         if nxt.left <= prev.right:
@@ -640,8 +625,40 @@ class SpanningPath:
     extent: tuple[int, int]
 
 
-def _color_class(coloring: HexColoring, color: Direction) -> set[Cell]:
-    return {cell for cell in coloring.grid.cells() if coloring.color(cell) == color}
+def _padded(coloring: HexColoring) -> tuple[bytes, int]:
+    """The table framed by a border of 2s, and its width cols + 2.
+
+    Cell (i, j) sits at i * width + j, so a step to a neighbour adds
+    di * width + dj; border cells match no color, so the floods below
+    never test bounds.
+    """
+    cols = coloring.grid.cols
+    table = coloring.table
+    border = b"\x02" * (cols + 2)
+    inner = b"\x02\x02".join(table[k : k + cols] for k in range(0, len(table), cols))
+    return border + b"\x02" + inner + b"\x02" + border, cols + 2
+
+
+def _flood(padded: bytes, width: int, sources: Sequence[int], parent: list[int]):
+    """Breadth-first over the cells of the sources' color, in visiting order.
+
+    `parent[k]` is 0 until padded cell k is reached, then the cell it
+    was reached from (-1 for a source); neighbours are tried in
+    NEIGHBOR_OFFSETS order.  A caller may stop early.
+    """
+    steps = [di * width + dj for di, dj in NEIGHBOR_OFFSETS]
+    code = padded[sources[0]]
+    for k in sources:
+        parent[k] = -1
+    queue = deque(sources)
+    while queue:
+        cur = queue.popleft()
+        yield cur
+        for step in steps:
+            nb = cur + step
+            if padded[nb] == code and not parent[nb]:
+                parent[nb] = cur
+                queue.append(nb)
 
 
 def monochromatic_spanning_path(coloring: HexColoring) -> SpanningPath:
@@ -653,36 +670,32 @@ def monochromatic_spanning_path(coloring: HexColoring) -> SpanningPath:
     colors means the coloring data is corrupt.
     """
     grid = coloring.grid
+    padded, width = _padded(coloring)
     plans = (
-        (Direction.INC, "columns", lambda c: c[1] == 1, lambda c: c[1] == grid.cols, (1, grid.cols)),
-        (Direction.DEC, "rows", lambda c: c[0] == 1, lambda c: c[0] == grid.rows, (1, grid.rows)),
+        (0, "columns", [i * width + 1 for i in range(1, grid.rows + 1)], (1, grid.cols)),
+        (1, "rows", [width + j for j in range(1, grid.cols + 1)], (1, grid.rows)),
     )
-    for color, axis, is_source, is_target, extent in plans:
-        cells = _color_class(coloring, color)
-        frontier = deque(sorted(c for c in cells if is_source(c)))
-        parent: dict[Cell, Optional[Cell]] = {c: None for c in frontier}
+    for code, axis, side, extent in plans:
+        sources = [k for k in side if padded[k] == code]
+        if not sources:
+            continue
+        parent = [0] * len(padded)
         goal = None
-        while frontier:
-            cur = frontier.popleft()
-            if is_target(cur):
+        for cur in _flood(padded, width, sources, parent):
+            if (cur % width if axis == "columns" else cur // width) == extent[1]:
                 goal = cur
                 break
-            for nb in grid.neighbors(cur):
-                if nb in cells and nb not in parent:
-                    parent[nb] = cur
-                    frontier.append(nb)
         if goal is None:
             continue
         path = []
-        at: Optional[Cell] = goal
-        while at is not None:
-            path.append(at)
+        at = goal
+        while at != -1:
+            path.append(divmod(at, width))
             at = parent[at]
         path.reverse()
-        span = grid.cols if axis == "columns" else grid.rows
-        if len(path) < span:
+        if len(path) < extent[1]:
             raise InconsistencyError("spanning path shorter than the spanned side")
-        return SpanningPath(tuple(path), color, axis, extent)
+        return SpanningPath(tuple(path), _COLORS[code], axis, extent)
     raise InconsistencyError("neither color spans its axis")
 
 
@@ -725,37 +738,21 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence
         )
     # Only a component that holds a row-1 cell can be the witness; each
     # is flooded from its leftmost row-1 cell, left to right.
-    seen: set[Cell] = set()
-    for j in range(1, grid.cols + 1):
-        start = (1, j)
-        if start in seen:
+    padded, width = _padded(coloring)
+    seen = [0] * len(padded)
+    for start in range(width + 1, width + grid.cols + 1):
+        if seen[start]:
             continue
-        color = coloring.color(start)
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for nb in grid.neighbors(cur):
-                if nb not in seen and coloring.color(nb) == color:
-                    seen.add(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        top = sorted(c for c in comp if c[0] == 1)
+        comp = list(_flood(padded, width, [start], seen))
+        top = sorted(k for k in comp if k < 2 * width)
         if len(top) >= s + 1:
-            chosen = tuple(top[: s + 1])
-            color = coloring.color(chosen[0])
-            again = {chosen[0]}
-            queue = deque([chosen[0]])
-            while queue:
-                cur = queue.popleft()
-                for nb in grid.neighbors(cur):
-                    if nb not in again and coloring.color(nb) == color:
-                        again.add(nb)
-                        queue.append(nb)
-            if not all(c in again for c in chosen):
+            chosen = top[: s + 1]
+            again = [0] * len(padded)
+            deque(_flood(padded, width, chosen[:1], again), maxlen=0)
+            if not all(again[k] for k in chosen):
                 raise InconsistencyError("top cells witness failed its connectivity recheck")
-            return TopCellsWitness(color, chosen, len(comp))
+            cells = tuple(divmod(k, width) for k in chosen)
+            return TopCellsWitness(_COLORS[padded[start]], cells, len(comp))
     for line in lines:
         if line.length >= long_length:
             problems = line.verify(coloring)
@@ -778,12 +775,10 @@ def direction_layer(table: DirectionTable, layer: int) -> HexColoring:
     """
     if not (1 <= layer <= table.height):
         raise ValueError(f"layer {layer} outside 1..{table.height}")
-    rows = table.height - layer + 1
-    chi = {}
-    for r in range(1, rows + 1):
-        for p in range(1, table.path_len + 1):
-            chi[(r, p)] = table.direction(layer, layer + r - 1, p)
-    return HexColoring(HexGrid(rows, table.path_len), chi)
+    return HexColoring.from_matrix([
+        [table.direction(layer, row, p) for p in range(1, table.path_len + 1)]
+        for row in range(layer, table.height + 1)
+    ])
 
 
 def boundary_preservation_check(table: DirectionTable) -> CheckReport:
@@ -803,9 +798,8 @@ def boundary_preservation_check(table: DirectionTable) -> CheckReport:
         for a, b, kind in low.grid.h_edges():
             if a[0] < 2 or b[0] < 2:
                 continue
-            shifted_a = (a[0] - 1, a[1])
-            shifted_b = (b[0] - 1, b[1])
             checked += 1
+            shifted_a, shifted_b = (a[0] - 1, a[1]), (b[0] - 1, b[1])
             if low.color(a) != low.color(b) and high.color(shifted_a) == high.color(shifted_b):
                 violations.append((layer, a, b, kind.value))
     return CheckReport(violations, checked)

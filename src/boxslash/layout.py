@@ -511,4 +511,7 @@ def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOr
         if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError(f"colour of edge {key!r} must be an integer, got {c!r}")
         colors[(parse_vertex(u_text), parse_vertex(v_text))] = c
-    return order, EdgeColoring(colors, k=doc.get("k"))
+    k = doc.get("k")
+    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+        raise ValueError(f"layout 'k' must be an integer, got {k!r}")
+    return order, EdgeColoring(colors, k=k)

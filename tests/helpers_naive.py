@@ -455,3 +455,48 @@ def hex_spans(chi, colour, axis):
                 reached.add(nb)
                 frontier.append(nb)
     return False
+
+
+def naive_top_boundaries(chi):
+    """Top boundaries as (all, maximal, flagged), lines as pair sets.
+
+    A top cut x is the top-row pair ((1, x), (1, x + 1)).  A boundary
+    line (of naive_boundary_lines) holding two cut pairs x < y is the
+    top boundary (x, y); one holding a single cut pair is flagged.
+    `all` lists (x, y, line) by (x, y), `maximal` the (x, y) strictly
+    inside no other, and `flagged` the flagged lines.
+    """
+    m = len(chi[0])
+    tops, flagged = [], []
+    for line, _ in naive_boundary_lines(chi):
+        cuts = [x for x in range(1, m) if frozenset(((1, x), (1, x + 1))) in line]
+        if len(cuts) == 2:
+            tops.append((cuts[0], cuts[1], line))
+        elif len(cuts) == 1:
+            flagged.append(line)
+    tops.sort(key=lambda top: top[:2])
+    maximal = [(x, y) for x, y, _ in tops if not any(a < x and y < b for a, b, _ in tops)]
+    return tops, maximal, flagged
+
+
+def naive_dichotomy_branch(chi, s, long_length):
+    """Which witness the top-or-long dichotomy gives: "skipped" below
+    long_length rows or 2 (s + 3) long_length columns, else "top_cells"
+    when one colour component holds s + 1 top cells, else
+    "long_boundary" when a boundary line has long_length pairs."""
+    n, m = len(chi), len(chi[0])
+    if n < long_length or m < 2 * (s + 3) * long_length:
+        return "skipped"
+    unseen = set(hex_cells(chi))
+    while unseen:
+        component = [unseen.pop()]
+        for cell in component:
+            for nb in hex_neighbours(chi, cell):
+                if nb in unseen and hex_colour(chi, nb) == hex_colour(chi, cell):
+                    unseen.discard(nb)
+                    component.append(nb)
+        if sum(1 for cell in component if cell[0] == 1) >= s + 1:
+            return "top_cells"
+    if any(len(line) >= long_length for line, _ in naive_boundary_lines(chi)):
+        return "long_boundary"
+    return None

@@ -1,10 +1,21 @@
 """The command line front end, called in process through main(argv)."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from boxslash import cli
+
+from helpers_naive import (
+    hex_colour,
+    hex_neighbours,
+    hex_spans,
+    naive_boundary_lines,
+    naive_dichotomy_branch,
+    naive_top_boundaries,
+)
 
 
 def test_selftest_passes():
@@ -91,6 +102,17 @@ def test_validate_needs_exactly_the_product_vertices(tmp_path, capsys, edit, mes
     assert captured.err == f"error: {message}\n"
 
 
+def test_validate_rejects_colour_keys_outside_the_graph(tmp_path, capsys):
+    assert cli.main(["layout", "--three-queue", "--degrees", "1", "--path", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["colors"].update({"r@1--1@2": 0, "1.1@9--r@1": 2})
+    path = _write(tmp_path, "layout.json", doc)
+    assert cli.main(["validate", "--queue", "--layout", path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: colour key 'r@1--1@2' is not an edge of the graph\n"
+
+
 def test_validate_the_three_queue_layout(product_files, capsys):
     layout = product_files[product_files.index("--layout") + 1]
     assert cli.main(["validate", "--queue", "--layout", layout]) == cli.EXIT_OK
@@ -145,6 +167,50 @@ def test_hex_analyze_on_a_small_grid(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["grid"] == [3, 3]
     assert "skipped" in doc["dichotomy"]
+
+
+@pytest.mark.parametrize(
+    "branch, rows, cols, options",
+    [
+        ("skipped", 5, 7, []),
+        ("top_cells", 4, 16, ["--s", "1", "--long-length", "2"]),
+        ("long_boundary", 4, 40, ["--s", "6", "--long-length", "2"]),
+    ],
+)
+def test_hex_analyze_output_matches_the_oracles(tmp_path, capsys, branch, rows, cols, options):
+    flips = random.Random(1)
+    chi = [[flips.randrange(2) for _ in range(cols)] for _ in range(rows)]
+    path = _write(tmp_path, "hex.json", {"n": rows, "m": cols, "chi": chi})
+    assert cli.main(["hex", "analyze", "--coloring", path, *options]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+
+    lines = naive_boundary_lines(chi)
+    assert Counter((b["length"], b["closed"]) for b in doc["boundaries"]) == Counter(
+        (len(line), closed) for line, closed in lines
+    )
+    assert all(b["violations"] == [] for b in doc["boundaries"])
+    assert doc["cut_points"] == [x for x in range(1, cols) if chi[0][x - 1] != chi[0][x]]
+
+    spanning = doc["spanning_path"]
+    colour, axis, k, far = (0, "columns", 1, cols) if hex_spans(chi, 0, "columns") else (1, "rows", 0, rows)
+    assert (spanning["color"], spanning["axis"]) == (("inc", "dec")[colour], axis)
+    cells = [tuple(c) for c in spanning["cells"]]
+    assert all(hex_colour(chi, c) == colour for c in cells)
+    assert all(b in hex_neighbours(chi, a) for a, b in zip(cells, cells[1:]))
+    assert (cells[0][k], cells[-1][k]) == (1, far)
+
+    tops, maximal, flagged = naive_top_boundaries(chi)
+    assert doc["top_boundaries"] == {
+        "all": [[x, y, len(line)] for x, y, line in tops],
+        "maximal": [list(pair) for pair in maximal],
+        "flagged": len(flagged),
+    }
+
+    s = int(options[1]) if options else 1
+    long_length = int(options[3]) if options else rows
+    assert naive_dichotomy_branch(chi, s, long_length) == branch
+    dichotomy = doc["dichotomy"]
+    assert ("skipped" if "skipped" in dichotomy else dichotomy["witness"]) == branch
 
 
 def test_hex_analyze_rejects_a_wrong_size(tmp_path, capsys):
@@ -214,11 +280,15 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
          "path_len must be an integer, got [1]"),
         (VALIDATE, {"order": ["a", "b", "c", "d"], "colors": {"a--c": -1, "b--d": 0}, "k": 1},
          "edge ('a', 'c') has a negative colour -1"),
+        (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": 0}, "k": 3.9},
+         "layout 'k' must be an integer, got 3.9"),
+        (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": 0}, "k": True},
+         "layout 'k' must be an integer, got True"),
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
          "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "colour-null",
          "vertex-int", "graph-list", "edges-null", "edge-int", "degrees-int",
-         "path-len-list", "colour-negative"],
+         "path-len-list", "colour-negative", "k-float", "k-bool"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
     path = _write(tmp_path, "doc.json", doc)

@@ -1,16 +1,20 @@
-"""Hex grids: boundary tracing, cut points and spanning paths against the
-naive oracles, frozen tracer output, and the dichotomy's input checks."""
+"""Hex grids: boundary tracing, cut points, spanning paths, top boundaries
+and critical points against the naive oracles, frozen tracer output, and
+the checks on bad lines, cells and dichotomy parameters."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxslash import (
+    BoundaryLine,
     Direction,
     HexColoring,
     InconsistencyError,
     ShapeError,
+    critical_points,
     cut_points,
     maximal_boundaries,
     monochromatic_spanning_path,
@@ -18,7 +22,20 @@ from boxslash import (
     trace_boundary,
 )
 
-from helpers_naive import hex_colour, hex_neighbours, hex_spans, naive_boundary_lines
+from helpers_naive import (
+    hex_colour,
+    hex_neighbours,
+    hex_spans,
+    naive_boundary_lines,
+    naive_top_boundaries,
+)
+
+COLOURS = (Direction.INC, Direction.DEC)
+
+
+def line_key(line):
+    return frozenset(frozenset(p) for p in line.pairs)
+
 
 # Every grid of at most 10 cells, plus the two squarest of 12 cells
 # (15,498 colorings): all 36,278 colorings of every grid up to 12 cells
@@ -31,7 +48,7 @@ def check_against_oracles(chi):
     lines = trace_boundary(coloring)
     for line in lines:
         assert line.verify(coloring) == []
-    traced = {(frozenset(frozenset(p) for p in line.pairs), line.closed) for line in lines}
+    traced = {(line_key(line), line.closed) for line in lines}
     assert len(traced) == len(lines)
     assert traced == set(naive_boundary_lines(chi))
 
@@ -49,6 +66,42 @@ def check_against_oracles(chi):
     assert all(hex_colour(chi, c) == colour for c in cells)
     assert all(b in hex_neighbours(chi, a) for a, b in zip(cells, cells[1:]))
     assert (cells[0][k], cells[-1][k]) == (1, far)
+
+    tops = maximal_boundaries(coloring, lines)
+    want_all, want_maximal, want_flagged = naive_top_boundaries(chi)
+    assert [(tb.left, tb.right, line_key(tb.line)) for tb in tops.all] == want_all
+    assert [(tb.left, tb.right) for tb in tops.maximal] == want_maximal
+    assert Counter(map(line_key, tops.flagged)) == Counter(want_flagged)
+
+    for line in lines:
+        check_critical_points(chi, coloring, line)
+
+
+def check_critical_points(chi, coloring, line):
+    """Each critical point is a strict local minimum of (depth, sign) on
+    the walk, after an open line drops an end that is a plus corner below
+    its neighbour; its base is the colour of cell (depth, col); and its
+    d3 pair is a vertical pair on one of its two walk edges."""
+    walk = line.walk
+    count = len(walk)
+    keys = [(v.depth, v.sign) for v in walk]
+    lo, hi = 0, count - 1
+    if not line.closed and line.length >= 2:
+        lo = int(keys[0][1] > 0 and keys[0] < keys[1])
+        hi -= int(keys[-1][1] > 0 and keys[-1] < keys[-2])
+    for point in critical_points(line, coloring):
+        t = point.walk_index
+        assert lo <= t <= hi and point.vertex == walk[t]
+        if line.closed:
+            near, edges = [(t - 1) % count, (t + 1) % count], {(t - 1) % count, t}
+        else:
+            near, edges = [u for u in (t - 1, t + 1) if lo <= u <= hi], {t - 1, t}
+        assert all(keys[t] < keys[u] for u in near)
+        assert point.base == COLOURS[hex_colour(chi, (point.vertex.depth, point.vertex.col))]
+        if point.d3_pair_index is not None:
+            assert point.d3_pair_index in edges
+            (i1, j1), (i2, j2) = line.pairs[point.d3_pair_index]
+            assert j1 == j2 and abs(i1 - i2) == 1
 
 
 @pytest.mark.parametrize("rows, cols", SMALL_SHAPES)
@@ -154,3 +207,17 @@ def test_from_matrix_reads_zero_one_and_directions():
     assert [coloring.color(c) for c in itertools.product((1, 2), (1, 2))] == [
         Direction.INC, Direction.DEC, Direction.DEC, Direction.INC,
     ]
+
+
+def test_verify_reports_a_cell_outside_the_grid():
+    coloring = HexColoring.from_matrix([[0, 1], [1, 0]])
+    line = BoundaryLine(coloring.grid, [((0, 1), (1, 1))], [2, 7], False, Direction.INC, Direction.DEC)
+    problems = line.verify(coloring)
+    assert [problem.split(":")[0] for problem in problems] == ["sides", "pair-shape"]
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 4), (-1, 2), (2, -1)])
+def test_color_rejects_cells_outside_the_grid(cell):
+    coloring = HexColoring.from_matrix([[0, 1, 1], [1, 0, 0]])
+    with pytest.raises(KeyError, match="outside the 2x3 grid"):
+        coloring.color(cell)
