@@ -1,10 +1,8 @@
 """Tree-path product graphs, small-instance layout solvers, and the
-monotone-sequence, thinning, and grid-boundary machinery built on them."""
+thinning passes and grid-boundary analyses built on them."""
 
 from .errors import (
     BoxslashError,
-    CrossingContradiction,
-    GoodPointsUnavailable,
     InconsistencyError,
     PassStarvation,
     PreconditionError,
@@ -41,28 +39,15 @@ from .layout import (
 )
 from .solver import (
     SolveResult,
-    probe_queue_lower_bound,
     queue_number,
     stack_number,
 )
 from .sequences import (
-    ChainWitness,
     Direction,
     RelatedKind,
-    bundled_chain_length_cap,
-    chain_interleave,
-    check_bundled,
-    check_rainbow,
-    derive_fan_fan_crossing,
-    derive_fan_rainbow_crossing,
     direction_set,
-    fan_check,
     is_monotone,
     is_related,
-    max_interleave,
-    rainbow_interleave_transfer,
-    related_chain_interleave_cap,
-    strongly_interleave,
 )
 from .passes import (
     CheckReport,
@@ -86,10 +71,7 @@ from .passes import (
 )
 from .hexgrid import (
     BoundaryLine,
-    CriticalPoint,
     DualVertex,
-    GoodPoint,
-    GoodPointsResult,
     HexColoring,
     HexGrid,
     LongBoundaryWitness,
@@ -98,14 +80,10 @@ from .hexgrid import (
     TopBoundary,
     TopCellsWitness,
     boundary_preservation_check,
-    critical_points,
     cut_points,
     direction_layer,
-    find_good_points,
-    good_points_threshold,
     maximal_boundaries,
     monochromatic_spanning_path,
-    random_coloring,
     required_grid_size,
     top_or_long,
     trace_boundary,

@@ -17,6 +17,7 @@ violations, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -73,24 +74,7 @@ def _load_doc(path: str | None) -> dict:
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
-
-
-def _graph_from_doc(doc):
-    """Rebuild a product graph, or fall back to a plain edge list."""
-    if isinstance(doc, dict) and "graph" in doc:
-        return ProductGraph.from_descriptor(doc["graph"])
-    if isinstance(doc, dict) and "tree_degrees" in doc:
-        return ProductGraph.from_descriptor(doc)
-    if isinstance(doc, dict) and "edges" in doc:
-        edges = doc["edges"]
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges
-        ):
-            raise ValueError("graph 'edges' must be a list of vertex pairs")
-        return [(str(u), str(v)) for u, v in edges]
-    raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +146,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    graph = _graph_from_doc(_load_doc(args.graph))
     fn = queue_number if args.queue else stack_number
-    result = fn(graph, upper_limit=args.limit, budget_ms=args.budget_ms)
+    result = fn(_load_doc(args.graph), upper_limit=args.limit, budget_ms=args.budget_ms)
     doc = result.to_json()
     doc["kind"] = "queue" if args.queue else "stack"
     _emit(doc)
@@ -396,9 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as exc:

@@ -16,7 +16,7 @@ class ShapeError(BoxslashError, ValueError):
 
 
 class PreconditionError(BoxslashError, ValueError):
-    """A checked hypothesis of an executable derivation does not hold."""
+    """An input lacks a property the operation needs, such as two children per level."""
 
 
 class InconsistencyError(BoxslashError, RuntimeError):
@@ -25,20 +25,6 @@ class InconsistencyError(BoxslashError, RuntimeError):
     Raised when a verification that is guaranteed to pass on legal input
     fails anyway, pointing at a bug rather than bad data.
     """
-
-
-class CrossingContradiction(BoxslashError, RuntimeError):
-    """A same-colour crossing exists where the hypotheses forbid one.
-
-    Carries the two offending edges so callers can inspect the witness.
-    """
-
-    def __init__(self, edge_a, edge_b, color=None, message=""):
-        self.edge_a = edge_a
-        self.edge_b = edge_b
-        self.color = color
-        detail = message or "same-colour crossing"
-        super().__init__(f"{detail}: {edge_a} x {edge_b} (colour {color})")
 
 
 class PassStarvation(BoxslashError, RuntimeError):
@@ -65,16 +51,3 @@ class PassStarvation(BoxslashError, RuntimeError):
         else:
             text = f"{stage}: level {level} can keep {available} children, target is {wanted}"
         super().__init__(text)
-
-
-class GoodPointsUnavailable(BoxslashError, RuntimeError):
-    """Good critical points could not be extracted from a boundary."""
-
-    def __init__(self, wanted: int, length: int, threshold: int):
-        self.wanted = wanted
-        self.length = length
-        self.threshold = threshold
-        super().__init__(
-            f"could not extract {wanted} pairwise good critical points from a "
-            f"boundary of length {length}; guaranteed only above length {threshold}"
-        )

@@ -4,9 +4,9 @@ Cells live on an n-by-m grid, row 1 at the top, and each cell touches
 six neighbours: the four axis ones plus the two anti-diagonal ones.
 A two-coloring of the cells induces boundary lines: walks in the dual
 graph that separate unequal colors.  This module traces those lines,
-verifies their structural invariants, finds their critical and good
-points, classifies the boundaries hanging off the top row, and decides
-the top-cells-or-long-line dichotomy that the thinning pipeline needs.
+verifies their structural invariants, classifies the boundaries hanging
+off the top row, decides the top-cells-or-long-line dichotomy, and
+reads the layers of a direction table as colorings.
 
 A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read
 by integer index; a line keeps its dual walk as corner numbers and
@@ -19,6 +19,41 @@ table framed by a border; `maximal_boundaries` reads two corners per
 line, then compares the T top boundaries pairwise, O(T^2).  The
 analyses that need the lines take them as an argument, so `hex analyze`
 traces each coloring once.
+
+The dichotomy is the last stage of the paper's argument built here.
+Below is the smallest input each stage needs, for k stack pages and
+s + 1 top cells; a product may have at most VERTEX_LIMIT = 10^6 vertices.
+A tree of height h with two or more children per level has at least
+2^(h+1) - 1 nodes, so h <= 18 at every path length.
+
+  stage                  smallest input
+  passes -> directions   `run_passes` extracts a direction table once
+                         every surviving level keeps >= 2 children; the
+                         (2)x1 product (3 vertices) already has one.
+  `direction_layer`      layer l of a table is a grid of height + 1 - l
+                         rows by path_len columns; layer 1 has height
+                         rows, so at most 18 under the limit.
+  `top_or_long`          a grid of at least `required_grid_size(s, L)`
+                         = (L, 2(s+2)L + 2L); layer 1 of (2)^L x (2s+6)L
+                         is the smallest.  L = 12 is the largest in
+                         reach: 589,752 vertices for s = 0 and 786,336
+                         for s = 1.  L = 13 needs 1,277,874 and 1,703,832.
+  good points            2s + 1 pairwise-good critical points are
+                         guaranteed only on a boundary line of length
+                         T(2s + 1), T(1) = 1 and T(c + 1) =
+                         (c + 1)^2 (2 T(c) + 5) T(c): 28 for 2 points,
+                         15,372 for 3 (s = 1), 7,562,778,048 for 4.
+  bundled chain          a chain of related sequences longer than
+                         10 * 2^k (20, 40, 80 for k = 1, 2, 3).  For
+                         k = 1 that takes a layer grid of 21 rows, and
+                         `required_grid_size(1, 21)` = (21, 168): a tree
+                         of height >= 21, at least 2^22 - 1 = 4,194,303
+                         nodes even at path length 1.
+  rainbow chain          an interleave above 10 * 4^k (40, 160, 640
+                         for k = 1, 2, 3).
+
+No input under the limit reaches the last three stages, so the package
+stops at the dichotomy and holds no code for them.
 """
 
 from __future__ import annotations
@@ -28,14 +63,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .errors import (
-    GoodPointsUnavailable,
-    InconsistencyError,
-    ShapeError,
-    SizeLimitError,
-)
+from .errors import InconsistencyError, ShapeError, SizeLimitError
 from .passes import CheckReport, DirectionTable
 from .product import EdgeKind
 from .sequences import Direction
@@ -61,20 +91,6 @@ class HexGrid:
     def valid(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= self.rows and 1 <= j <= self.cols
-
-    def edge_kind(self, a: Cell, b: Cell) -> Optional[EdgeKind]:
-        """Kind of the grid edge between two cells, or None if not adjacent."""
-        (i1, j1), (i2, j2) = a, b
-        if not (self.valid(a) and self.valid(b)):
-            return None
-        d = (i1 - i2, j1 - j2)
-        if d in ((1, 0), (-1, 0)):
-            return EdgeKind.VERTICAL
-        if d in ((0, 1), (0, -1)):
-            return EdgeKind.HORIZONTAL
-        if d in ((1, -1), (-1, 1)):
-            return EdgeKind.DIAGONAL
-        return None
 
     def h_edges(self) -> list[tuple[Cell, Cell, EdgeKind]]:
         """All grid edges, deeper (or leftmost) cell first."""
@@ -153,11 +169,6 @@ class HexColoring:
         return out
 
 
-def random_coloring(rows: int, cols: int, rng) -> HexColoring:
-    matrix = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-    return HexColoring.from_matrix(matrix)
-
-
 # ---------------------------------------------------------------------------
 # The dual graph.
 
@@ -173,9 +184,6 @@ class DualVertex:
     depth: int
     col: int
     sign: int
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.depth, 0 if self.sign < 0 else 1, self.col)
 
     def __str__(self) -> str:
         return f"({self.depth},{self.col},{'-' if self.sign < 0 else '+'})"
@@ -220,26 +228,6 @@ class BoundaryLine:
     def walk(self) -> tuple[DualVertex, ...]:
         width = self.grid.cols + 1
         return tuple(_dual_vertex(corner, width) for corner in self.corners)
-
-    def side(self, color: Direction) -> str:
-        if color == self.color_a:
-            return "a"
-        if color == self.color_b:
-            return "b"
-        raise ValueError(f"{color} is on neither side of this line")
-
-    def oriented(self, color: Direction) -> "BoundaryLine":
-        """The same line with the a side carrying the given color."""
-        if self.side(color) == "a":
-            return self
-        pairs = [(b, a) for a, b in self.pairs]
-        return BoundaryLine(self.grid, pairs, self.corners, self.closed, self.color_b, self.color_a)
-
-    def subline(self, start: int, stop: int) -> "BoundaryLine":
-        if not (0 <= start < stop <= len(self.pairs)):
-            raise ValueError("empty or out-of-range pair slice")
-        pairs, corners = self.pairs[start:stop], self.corners[start : stop + 1]
-        return BoundaryLine(self.grid, pairs, corners, False, self.color_a, self.color_b)
 
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
@@ -366,175 +354,6 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
         follow(edges[idx][0], idx, True)
         idx = used.find(0, idx + 1)
     return lines
-
-
-# ---------------------------------------------------------------------------
-# Critical points and good points.
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Local depth minimum of a line's dual walk."""
-
-    vertex: DualVertex
-    base: Direction
-    walk_index: int
-    d3_pair_index: Optional[int]
-
-
-def critical_points(line: BoundaryLine, coloring: HexColoring) -> list[CriticalPoint]:
-    """Local minima of the walk under (depth, sign), minus-signed first.
-
-    On an open line each end is trimmed by one edge when it finishes in
-    a plus vertex shallower than its neighbour, so that what remains
-    bottoms out in minus vertices whose deepest bordered cell names the
-    base color.  Each critical point also records the index of its
-    vertical crossing when one of its walk edges is one.
-    """
-    walk = line.walk
-    keys = [v.key()[:2] for v in walk]
-    count = len(walk)
-
-    candidates: list[int] = []
-    if line.closed:
-        for t in range(count):
-            before = keys[(t - 1) % count]
-            after = keys[(t + 1) % count]
-            if keys[t] < before and keys[t] < after:
-                candidates.append(t)
-    else:
-        lo, hi = 0, count - 1
-        if len(line.pairs) >= 2:
-            if walk[0].sign > 0 and keys[0] < keys[1]:
-                lo = 1
-            if walk[-1].sign > 0 and keys[-1] < keys[-2]:
-                hi = count - 2
-        for t in range(lo, hi + 1):
-            left_ok = t == lo or keys[t] < keys[t - 1]
-            right_ok = t == hi or keys[t] < keys[t + 1]
-            if left_ok and right_ok:
-                candidates.append(t)
-
-    out = []
-    for t in candidates:
-        vertex = walk[t]
-        base_cell = (vertex.depth, vertex.col)
-        if not line.grid.valid(base_cell):
-            raise InconsistencyError(f"critical vertex {vertex} borders no deepest cell")
-        if line.closed:
-            incident = [((t - 1) % len(line.pairs)), t % len(line.pairs)]
-        else:
-            incident = [e for e in (t - 1, t) if 0 <= e < len(line.pairs)]
-        d3 = next((e for e in incident if line.grid.edge_kind(*line.pairs[e]) is EdgeKind.VERTICAL), None)
-        out.append(CriticalPoint(vertex, coloring.color(base_cell), t, d3))
-    return out
-
-
-def good_points_threshold(count: int) -> int:
-    """Line length guaranteeing `count` pairwise-good critical points."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    c = 1
-    for k in range(1, count):
-        u = (k + 1) * (2 * c + 5)
-        c = u * (k + 1) * c
-    return c
-
-
-@dataclass(frozen=True)
-class GoodPoint:
-    vertex: DualVertex
-    base: Direction
-    segment: tuple[int, int]
-    pair_index: int
-
-
-@dataclass(frozen=True)
-class GoodPointsResult:
-    line: BoundaryLine
-    points: tuple[GoodPoint, ...]
-    base: Direction
-
-
-def _pairwise_good(
-    line: BoundaryLine,
-    criticals: Sequence[CriticalPoint],
-    x: CriticalPoint,
-    y: CriticalPoint,
-    base: Direction,
-) -> bool:
-    lo, hi = sorted((x.walk_index, y.walk_index))
-    segment = line.walk[lo : hi + 1]
-    floor = min(v.depth for v in segment)
-    if floor < min(x.vertex.depth, y.vertex.depth):
-        return False
-    for z in criticals:
-        if lo < z.walk_index < hi and z.vertex.depth == floor and z.base != base:
-            return False
-    return True
-
-
-def find_good_points(line: BoundaryLine, coloring: HexColoring, s: int) -> GoodPointsResult:
-    """Pick s+1 same-base pairwise-good critical points with vertical crossings.
-
-    The search is opportunistic: it greedily grows a pairwise-good set
-    per base color and succeeds as soon as 2s+1 points are found, of
-    which the first s+1 are returned.  A line at least as long as the
-    guarantee threshold always has such a set; shorter lines may raise
-    GoodPointsUnavailable anyway.  The selection is re-verified from
-    scratch: pairwise goodness, vertical a-side-deeper crossings, and
-    no base-side cell between two points shallower than either of them.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    wanted = 2 * s + 1
-    criticals = critical_points(line, coloring)
-    selectable = [c for c in criticals if c.d3_pair_index is not None]
-    bases = sorted(
-        {c.base for c in selectable},
-        key=lambda b: (-sum(1 for c in selectable if c.base == b), b.value),
-    )
-    chosen = None
-    for base in bases:
-        picked: list[CriticalPoint] = []
-        for c in (c for c in selectable if c.base == base):
-            if all(_pairwise_good(line, criticals, p, c, base) for p in picked):
-                picked.append(c)
-                if len(picked) == wanted:
-                    break
-        if len(picked) == wanted:
-            chosen = (base, picked)
-            break
-    if chosen is None:
-        raise GoodPointsUnavailable(wanted, line.length, good_points_threshold(wanted))
-    base, picked = chosen
-    final = picked[: s + 1]
-    oriented = line.oriented(base)
-
-    for x, y in itertools.combinations(final, 2):
-        if not _pairwise_good(line, criticals, x, y, base):
-            raise InconsistencyError("selected points fail the pairwise goodness recheck")
-    for c in final:
-        a, b = oriented.pairs[c.d3_pair_index]
-        if not (a[1] == b[1] and a[0] == b[0] + 1):
-            raise InconsistencyError(
-                f"crossing {c.d3_pair_index} is not vertical with the base side deeper"
-            )
-    for x, y in itertools.combinations(final, 2):
-        lo, hi = sorted((x.d3_pair_index, y.d3_pair_index))
-        floor = min(x.vertex.depth, y.vertex.depth)
-        for t in range(lo + 1, hi):
-            a, _ = oriented.pairs[t]
-            if a[0] < floor:
-                raise InconsistencyError(
-                    f"base-side cell {a} between crossings {lo} and {hi} rises above depth {floor}"
-                )
-
-    points = []
-    for idx, c in enumerate(final):
-        seg_lo = final[idx - 1].walk_index if idx > 0 else 0
-        seg_hi = final[idx + 1].walk_index if idx + 1 < len(final) else len(line.corners) - 1
-        points.append(GoodPoint(c.vertex, c.base, (seg_lo, seg_hi), c.d3_pair_index))
-    return GoodPointsResult(oriented, tuple(points), base)
 
 
 # ---------------------------------------------------------------------------

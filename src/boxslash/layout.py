@@ -182,9 +182,21 @@ def _as_vertices_edges(pair):
 def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     """Vertices and edge pairs of any graph input the package accepts.
 
-    A graph is a ProductGraph, a (vertices, edges) pair, or an iterable
-    of edge pairs, whose vertices are listed in order of first mention.
+    A graph is a ProductGraph, a (vertices, edges) pair, an iterable of
+    edge pairs, whose vertices are listed in order of first mention, or
+    a graph document (a dict): a product descriptor, one under "graph",
+    or "edges", a list of vertex pairs whose ids are read as strings.
     """
+    if isinstance(graph, dict):
+        if "graph" in graph or "tree_degrees" in graph:
+            graph = ProductGraph.from_descriptor(graph.get("graph", graph))
+        elif "edges" in graph:
+            edges = graph["edges"]
+            if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+                raise ValueError("graph 'edges' must be a list of vertex pairs")
+            graph = [(str(u), str(v)) for u, v in edges]
+        else:
+            raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
     if isinstance(graph, ProductGraph):
         return list(graph.vertices), list(graph.edge_pairs())
     if isinstance(graph, tuple) and len(graph) == 2:

@@ -1,14 +1,14 @@
-"""Monotone vertex sequences and the crossing arguments built on them.
+"""Monotone vertex sequences and the related pairs the passes check.
 
 Sequences are plain tuples of vertices; every positional notion is
 taken relative to an explicit LinearOrder.  A pair of equal-length
 sequences is "related" when it is order consistent (pointwise on the
 same side), pointwise adjacent in a single colour, and both sequences
 are monotone.  Same direction makes the pair bundled, opposite
-directions make it rainbow-like, and the two cases force strong
-interleaving respectively total separation inside any valid stack
-page.  The derive_* functions constructively exhibit the same-colour
-crossing whenever those forced shapes are violated or combined.
+directions make it rainbow-like.  `passes.check_related_sequence_families`
+classifies pairs with `is_related`.  The chains of related pairs that
+the paper builds on top of these need inputs far beyond the package's
+size limit; the size table in the `hexgrid` docstring gives the figures.
 
 A single-element sequence is monotone in both directions at once;
 direction_set reports that as {INC, DEC} and is_monotone, which must
@@ -17,12 +17,10 @@ pick one, returns None for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import CrossingContradiction, InconsistencyError, PreconditionError
-from .layout import EdgeColoring, LinearOrder, PairRelation, classify_pair
+from .layout import EdgeColoring, LinearOrder
 
 
 class Direction(Enum):
@@ -117,304 +115,3 @@ def is_related(
     if any(d.opposite in dirs_b for d in dirs_a):
         return (RelatedKind.RAINBOW, color)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Interleaving.
-
-def strongly_interleave(a: Sequence, b: Sequence, order: LinearOrder) -> bool:
-    """True when the merged pair forms one of the four alternating chains.
-
-    Chains: a1 b1 a2 b2 ... strictly increasing or decreasing, or the
-    same starting from b.  A direction mismatch simply fails the test.
-    """
-    _check_pair_shape(a, b)
-    ra = [order.rank(v) for v in a]
-    rb = [order.rank(v) for v in b]
-
-    def merged(first, second):
-        out = []
-        for x, y in zip(first, second):
-            out.append(x)
-            out.append(y)
-        return out
-
-    for chain in (merged(ra, rb), merged(rb, ra)):
-        if all(x < y for x, y in zip(chain, chain[1:])):
-            return True
-        if all(x > y for x, y in zip(chain, chain[1:])):
-            return True
-    return False
-
-
-def max_interleave(a: Sequence, b: Sequence, order: LinearOrder) -> int:
-    """Largest k with strongly interleaving length-k subsequences.
-
-    For monotone same-direction inputs the answer is half the number of
-    source-label blocks in the rank-sorted merge: one element per block
-    is free, and alternation cannot use two elements of a block.  A
-    direction conflict (or a non-monotone input) yields 0.
-    """
-    _check_pair_shape(a, b)
-    dirs_a = direction_set(a, order)
-    dirs_b = direction_set(b, order)
-    if not (dirs_a & dirs_b):
-        return 0
-    labeled = sorted(
-        [(order.rank(v), 0) for v in a] + [(order.rank(v), 1) for v in b]
-    )
-    blocks = 1
-    for (_, s), (_, t) in zip(labeled, labeled[1:]):
-        if s != t:
-            blocks += 1
-    return blocks // 2
-
-
-@dataclass(frozen=True)
-class ChainWitness:
-    """A verified chain shape: which form holds, and the vertices in rank order."""
-
-    form: str
-    vertices: tuple
-
-
-def _pick_direction(dirs: frozenset) -> Direction:
-    return Direction.INC if Direction.INC in dirs else Direction.DEC
-
-
-def _require_related(a, b, order, coloring, graph, kind: RelatedKind) -> int:
-    _check_pair_shape(a, b)
-    dirs_a = direction_set(a, order)
-    dirs_b = direction_set(b, order)
-    if not dirs_a or not dirs_b:
-        raise PreconditionError("both sequences must be monotone")
-    if kind is RelatedKind.BUNDLED:
-        if not (dirs_a & dirs_b):
-            raise PreconditionError("bundled pair needs a common direction")
-    else:
-        if not any(d.opposite in dirs_b for d in dirs_a):
-            raise PreconditionError("rainbow pair needs opposite directions")
-    if not _order_consistent(a, b, order):
-        raise PreconditionError("pair is not order consistent")
-    color = _uniform_color(a, b, coloring, graph)
-    if color is None:
-        raise PreconditionError("pair is not uniformly adjacent in one colour")
-    return color
-
-
-def _find_crossing(edges_a, edges_b, order) -> Optional[tuple]:
-    for e in edges_a:
-        for f in edges_b:
-            if set(e) & set(f):
-                continue
-            if classify_pair(e, f, order) is PairRelation.CROSS:
-                return (e, f)
-    return None
-
-
-def check_bundled(
-    a: Sequence, b: Sequence, order: LinearOrder, coloring: EdgeColoring, graph=None
-) -> ChainWitness:
-    """Verify that a bundled pair strongly interleaves.
-
-    Returns the alternating chain.  If the pair fails to interleave,
-    two of its pairing edges must cross in their shared colour, and
-    that pair is raised as a CrossingContradiction.
-    """
-    color = _require_related(a, b, order, coloring, graph, RelatedKind.BUNDLED)
-    if strongly_interleave(a, b, order):
-        chain = sorted(list(a) + list(b), key=order.rank)
-        # A decreasing pair alternates from the top down.
-        dirs = direction_set(a, order) & direction_set(b, order)
-        if _pick_direction(dirs) is Direction.DEC:
-            chain.reverse()
-        form = "a_first" if chain[0] in set(a) else "b_first"
-        return ChainWitness(form, tuple(chain))
-    pairing = [(x, y) for x, y in zip(a, b)]
-    found = _find_crossing(pairing, pairing, order)
-    if found is None:
-        raise InconsistencyError(
-            "bundled pair neither interleaves nor yields a crossing"
-        )
-    raise CrossingContradiction(found[0], found[1], color=color)
-
-
-def check_rainbow(
-    a: Sequence, b: Sequence, order: LinearOrder, coloring: EdgeColoring, graph=None
-) -> ChainWitness:
-    """Verify that a rainbow pair is totally separated.
-
-    Separation follows from order consistency plus the opposite
-    directions alone, so this never produces a contradiction; it
-    reports which of the four separation chains holds.
-    """
-    _require_related(a, b, order, coloring, graph, RelatedKind.RAINBOW)
-    ra = [order.rank(v) for v in a]
-    rb = [order.rank(v) for v in b]
-    if max(ra) < min(rb):
-        side = "a_before_b"
-    elif max(rb) < min(ra):
-        side = "b_before_a"
-    else:
-        raise InconsistencyError("rainbow pair is not totally separated")
-    d = _pick_direction(direction_set(a, order))
-    chain = tuple(sorted(list(a) + list(b), key=order.rank))
-    return ChainWitness(f"{side}_{d.value}", chain)
-
-
-# ---------------------------------------------------------------------------
-# Fans.
-
-def fan_check(a: Sequence, apex, coloring: EdgeColoring, graph=None) -> Optional[int]:
-    """Colour of the fan from apex onto the sequence, if it is one."""
-    if apex in set(a):
-        raise ValueError("apex must be distinct from the sequence")
-    colors = set()
-    for v in a:
-        if graph is not None and not graph.has_edge(apex, v):
-            return None
-        c = coloring.get(apex, v)
-        if c is None:
-            return None
-        colors.add(c)
-    return colors.pop() if len(colors) == 1 else None
-
-
-def derive_fan_fan_crossing(
-    a: Sequence,
-    apex_a,
-    b: Sequence,
-    apex_b,
-    order: LinearOrder,
-    coloring: EdgeColoring,
-    graph=None,
-) -> tuple[tuple, tuple]:
-    """Two same-colour fans over 2-interleaving sequences must cross.
-
-    Returns one crossing pair (fan edge of a, fan edge of b).  The scan
-    is exhaustive over the fan edges; hypotheses are re-verified first.
-    """
-    if apex_a == apex_b or apex_a in set(b) or apex_b in set(a):
-        raise ValueError("apexes must be distinct from everything else")
-    ca = fan_check(a, apex_a, coloring, graph)
-    cb = fan_check(b, apex_b, coloring, graph)
-    if ca is None or cb is None or ca != cb:
-        raise PreconditionError("both fans must exist and share one colour")
-    if max_interleave(a, b, order) < 2:
-        raise PreconditionError("sequences must 2-interleave")
-    edges_a = [(v, apex_a) for v in a]
-    edges_b = [(v, apex_b) for v in b]
-    found = _find_crossing(edges_a, edges_b, order)
-    if found is None:
-        raise InconsistencyError("interleaving same-colour fans failed to cross")
-    return found
-
-
-def derive_fan_rainbow_crossing(
-    a: Sequence,
-    b: Sequence,
-    c: Sequence,
-    apex_c,
-    order: LinearOrder,
-    coloring: EdgeColoring,
-    graph=None,
-) -> tuple[tuple, tuple]:
-    """A rainbow pair plus a 3-interleaving fan of its colour must cross.
-
-    The fan sequence c interleaves a at least 3 deep, so consecutive
-    fan feet land on both sides of a middle rainbow edge and one fan
-    edge crosses it.  Returns (rainbow edge, fan edge).
-    """
-    if apex_c in set(a) | set(b) | set(c):
-        raise ValueError("apex must be distinct from all sequences")
-    color = _require_related(a, b, order, coloring, graph, RelatedKind.RAINBOW)
-    cc = fan_check(c, apex_c, coloring, graph)
-    if cc != color:
-        raise PreconditionError("fan colour must match the rainbow colour")
-    if max_interleave(a, c, order) < 3:
-        raise PreconditionError("fan sequence must 3-interleave the rainbow side")
-    rainbow_edges = [(x, y) for x, y in zip(a, b)]
-    fan_edges = [(v, apex_c) for v in c]
-    found = _find_crossing(rainbow_edges, fan_edges, order)
-    if found is None:
-        raise InconsistencyError("rainbow and fan edges failed to cross")
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Transfer and chains.
-
-def rainbow_interleave_transfer(
-    a: Sequence,
-    b: Sequence,
-    c: Sequence,
-    d: Sequence,
-    order: LinearOrder,
-    coloring: EdgeColoring,
-    graph=None,
-) -> int:
-    """Interleaving passes through equal-colour rainbows, losing at most 2.
-
-    With (a, c) and (b, d) rainbow in the same colour inside a valid
-    stack page and k = max_interleave(a, b), the far sides c and d must
-    interleave at least k - 2 deep.  Returns max_interleave(c, d); if
-    the bound fails, the responsible same-colour crossing among the
-    rainbow edges is raised instead.
-    """
-    color_ac = _require_related(a, c, order, coloring, graph, RelatedKind.RAINBOW)
-    color_bd = _require_related(b, d, order, coloring, graph, RelatedKind.RAINBOW)
-    if color_ac != color_bd:
-        raise PreconditionError("both rainbows must use the same colour")
-    k = max_interleave(a, b, order)
-    got = max_interleave(c, d, order)
-    if got >= k - 2:
-        return got
-    edges_ac = [(x, y) for x, y in zip(a, c)]
-    edges_bd = [(x, y) for x, y in zip(b, d)]
-    found = _find_crossing(edges_ac, edges_bd, order)
-    if found is None:
-        raise InconsistencyError(
-            f"transfer bound violated (k={k}, got={got}) with no crossing"
-        )
-    raise CrossingContradiction(found[0], found[1], color=color_ac)
-
-
-def chain_interleave(chain: Sequence[Sequence], order: LinearOrder) -> int:
-    """Guaranteed interleave between the ends of an interleaving chain.
-
-    For n links of common length L the ends (L/n rounded up, minus 1)
-    interleave; a single link keeps the full L.  The bound is verified
-    against max_interleave before being returned.
-    """
-    if len(chain) < 2:
-        raise ValueError("chain needs at least two sequences")
-    length = len(chain[0])
-    for seq in chain:
-        if len(seq) != length:
-            raise PreconditionError("chain sequences must share one length")
-    for left, right in zip(chain, chain[1:]):
-        if not strongly_interleave(left, right, order):
-            raise PreconditionError("consecutive chain members must interleave")
-    n = len(chain) - 1
-    bound = length if n == 1 else -(-length // n) - 1
-    bound = max(bound, 0)
-    actual = max_interleave(chain[0], chain[-1], order)
-    if actual < bound:
-        raise InconsistencyError(
-            f"chain ends interleave {actual} below the guaranteed {bound}"
-        )
-    return bound
-
-
-def related_chain_interleave_cap(k: int) -> int:
-    """Interleave ceiling for a chain of k related pairs in a valid page."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return 10 * 4**k
-
-
-def bundled_chain_length_cap(k: int) -> int:
-    """Length ceiling for a k-step bundled chain in a valid page."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return 10 * 2**k

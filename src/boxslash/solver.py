@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import SizeLimitError
 from .layout import (
@@ -371,29 +370,3 @@ def stack_number(graph, upper_limit: int | None = None, budget_ms: float | None 
 def queue_number(graph, upper_limit: int | None = None, budget_ms: float | None = None) -> SolveResult:
     """Minimum queues over all vertex orders.  Same caveats as stack_number."""
     return _solve(graph, upper_limit, budget_ms, "queue")
-
-
-@dataclass
-class ProbeReport:
-    exceeded: bool
-    index: int | None
-    instance: object
-    result: SolveResult | None
-    checked: int
-
-
-def probe_queue_lower_bound(
-    graph_family: Iterable, q: int, budget_ms: float | None = None
-) -> ProbeReport:
-    """Scan a family for the first member with queue number above q.
-
-    Returns a report naming that member, or an exhaustion report when
-    every member stays within q (checked counts how many were solved).
-    """
-    checked = 0
-    for index, instance in enumerate(graph_family):
-        result = queue_number(instance, budget_ms=budget_ms)
-        checked += 1
-        if result.value > q:
-            return ProbeReport(True, index, instance, result, checked)
-    return ProbeReport(False, None, None, None, checked)

@@ -34,6 +34,14 @@ def edges_nest(e, f, position):
     return (a < c and d < b) or (c < a and b < d)
 
 
+def labels_alternate(labeled):
+    """Whether consecutive (key, label) items always change label.
+
+    Two disjoint edges cross exactly when their endpoints, sorted by
+    position and labelled by edge, alternate."""
+    return all(s != t for (_, s), (_, t) in zip(labeled, labeled[1:]))
+
+
 def relation(e, f, position):
     """'shared', 'cross', 'nest', or 'separate'."""
     if set(e) & set(f):
@@ -196,77 +204,6 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return [("hub", i) for i in range(leaves)]
-
-
-# ---------------------------------------------------------------------------
-# Interleaving oracles on plain rank lists.
-
-def rank_direction(ranks):
-    """'inc', 'dec', 'both' (singleton), or None."""
-    if len(ranks) == 1:
-        return "both"
-    if all(a < b for a, b in zip(ranks, ranks[1:])):
-        return "inc"
-    if all(a > b for a, b in zip(ranks, ranks[1:])):
-        return "dec"
-    return None
-
-
-def _share_direction(ra, rb):
-    da, db = rank_direction(ra), rank_direction(rb)
-    if da is None or db is None:
-        return False
-    return da == "both" or db == "both" or da == db
-
-
-def labels_alternate(labeled):
-    return all(s != t for (_, s), (_, t) in zip(labeled, labeled[1:]))
-
-
-def oracle_strongly_interleave(ra, rb):
-    """Alternating rank-sorted merge plus a shared direction.
-
-    Equivalent to the four-chain formulation: for same-direction
-    monotone sequences the sorted merge lists each side in sequence
-    order (reversed for decreasing), so label alternation is exactly
-    the a1 b1 a2 b2 / b1 a1 b2 a2 chain condition.
-    """
-    if len(ra) != len(rb):
-        return False
-    if not _share_direction(ra, rb):
-        return False
-    merged = sorted([(r, 0) for r in ra] + [(r, 1) for r in rb])
-    return labels_alternate(merged)
-
-
-def oracle_max_interleave(ra, rb):
-    """Largest k over all index-subsequence pairs, tried exhaustively."""
-    if len(ra) != len(rb):
-        raise ValueError("rank lists must share a length")
-    for k in range(min(len(ra), len(rb)), 0, -1):
-        for ia in itertools.combinations(range(len(ra)), k):
-            sub_a = [ra[i] for i in ia]
-            for ib in itertools.combinations(range(len(rb)), k):
-                sub_b = [rb[i] for i in ib]
-                if oracle_strongly_interleave(sub_a, sub_b):
-                    return k
-    return 0
-
-
-def dp_max_interleave(ra, rb):
-    """Quadratic check: longest alternating merged subsequence, halved.
-
-    Only meaningful when the pair shares a direction; callers guard.
-    """
-    if not _share_direction(ra, rb):
-        return 0
-    labeled = sorted([(r, 0) for r in ra] + [(r, 1) for r in rb])
-    best = [1] * len(labeled)
-    for i, (_, label) in enumerate(labeled):
-        for j in range(i):
-            if labeled[j][1] != label:
-                best[i] = max(best[i], best[j] + 1)
-    return max(best, default=0) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +437,44 @@ def naive_dichotomy_branch(chi, s, long_length):
     if any(len(line) >= long_length for line, _ in naive_boundary_lines(chi)):
         return "long_boundary"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Direction-table layers (used against hexgrid.direction_layer and
+# boundary_preservation_check).  A table is a DirectionTable.to_json()
+# document: height, path_len and entries "i,j,p" -> "inc" or "dec".
+
+def naive_direction_layer(table, layer):
+    """Layer `layer` as a 0 (inc) / 1 (dec) matrix: row r, column p
+    holds entry (layer, layer + r - 1, p)."""
+    entries = table["entries"]
+    return [
+        [int(entries[f"{layer},{j},{p}"] == "dec") for p in range(1, table["path_len"] + 1)]
+        for j in range(layer, table["height"] + 1)
+    ]
+
+
+def naive_boundary_preservation(table):
+    """(violations, checked) of the one-layer-up boundary rule.
+
+    For each layer l below the top, every unordered pair of adjacent
+    cells of layer l's grid with both rows at least 2 is checked; it
+    violates the rule when its colours differ in layer l while the pair
+    shifted one row up has equal colours in layer l + 1.  A violation
+    is (l, frozenset of the two cells, "vertical", "horizontal" or
+    "diagonal"), the kind read off the rows and columns of the cells.
+    """
+    violations, checked = set(), 0
+    for layer in range(1, table["height"]):
+        low = naive_direction_layer(table, layer)
+        high = naive_direction_layer(table, layer + 1)
+        for a in hex_cells(low):
+            for b in hex_neighbours(low, a):
+                if a > b or a[0] < 2 or b[0] < 2:
+                    continue
+                checked += 1
+                up_a, up_b = (a[0] - 1, a[1]), (b[0] - 1, b[1])
+                if hex_colour(low, a) != hex_colour(low, b) and hex_colour(high, up_a) == hex_colour(high, up_b):
+                    kind = "vertical" if a[1] == b[1] else "horizontal" if a[0] == b[0] else "diagonal"
+                    violations.add((layer, frozenset((a, b)), kind))
+    return violations, checked

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from boxslash import cli
+from boxslash import cli, layout_from_json, validate_queue_layout, validate_stack_layout
 
 from helpers_naive import (
     hex_colour,
@@ -14,6 +14,8 @@ from helpers_naive import (
     hex_spans,
     naive_boundary_lines,
     naive_dichotomy_branch,
+    naive_queue_number,
+    naive_stack_number,
     naive_top_boundaries,
 )
 
@@ -138,6 +140,49 @@ def test_solve_below_the_stack_number_is_not_exact(k4_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["exact"] is False
     assert doc["value"] >= 2
+
+
+def _random_edges(n, seed):
+    rng = random.Random(seed)
+    return [[u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+
+
+SOLVE_GRAPHS = {
+    "k4": [[u, v] for u in range(4) for v in range(u + 1, 4)],
+    "cycle6": [[i, (i + 1) % 6] for i in range(6)],
+    "random7": _random_edges(7, 4),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_GRAPHS)
+@pytest.mark.parametrize("kind", ["stack", "queue"])
+def test_solve_document_matches_the_oracles(tmp_path, capsys, kind, name):
+    edges = [(str(u), str(v)) for u, v in SOLVE_GRAPHS[name]]
+    path = _write(tmp_path, "graph.json", {"edges": SOLVE_GRAPHS[name]})
+    assert cli.main(["solve", f"--{kind}", "--graph", path]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    naive = naive_stack_number if kind == "stack" else naive_queue_number
+    assert (doc["kind"], doc["value"], doc["exact"]) == (kind, naive(edges), True)
+    assert sorted(doc["order"]) == sorted({v for e in edges for v in e})
+    assert sorted(doc["colors"]) == sorted(f"{u}--{v}" for u, v in edges)
+    assert set(doc["colors"].values()) <= set(range(doc["value"]))
+    order, coloring = layout_from_json(doc, parse_vertex=str)
+    validate = validate_stack_layout if kind == "stack" else validate_queue_layout
+    assert validate(edges, order, coloring).valid
+
+
+def test_main_keeps_no_parsed_state_between_calls(k4_file, capsys):
+    assert cli.main(["solve", "--queue", "--limit", "1", "--graph", k4_file]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["exact"]) == ("queue", False)
+    assert cli.main(["gen", "--degrees", "2", "--path", "2", "--dot"]) == cli.EXIT_OK
+    capsys.readouterr()
+    # Neither --queue, --limit nor --dot carries over to the next call.
+    assert cli.main(["solve", "--stack", "--graph", k4_file]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["value"], doc["exact"]) == ("stack", 2, True)
+    assert cli.main(["gen", "--degrees", "2", "--path", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["vertex_count"] == 6
 
 
 @pytest.mark.parametrize("kind", ["--stack", "--queue"])

@@ -1,8 +1,10 @@
-"""Hex grids: boundary tracing, cut points, spanning paths, top boundaries
-and critical points against the naive oracles, frozen tracer output, and
-the checks on bad lines, cells and dichotomy parameters."""
+"""Hex grids: boundary tracing, cut points, spanning paths, top
+boundaries and direction-table layers against the naive oracles, frozen
+tracer output, and the checks on bad lines, cells and dichotomy
+parameters."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -11,13 +13,18 @@ from hypothesis import given, settings, strategies as st
 from boxslash import (
     BoundaryLine,
     Direction,
+    DirectionTable,
     HexColoring,
     InconsistencyError,
     ShapeError,
-    critical_points,
+    boundary_preservation_check,
+    boxslash_product,
     cut_points,
+    direction_layer,
     maximal_boundaries,
     monochromatic_spanning_path,
+    run_passes,
+    three_queue_layout,
     top_or_long,
     trace_boundary,
 )
@@ -27,10 +34,10 @@ from helpers_naive import (
     hex_neighbours,
     hex_spans,
     naive_boundary_lines,
+    naive_boundary_preservation,
+    naive_direction_layer,
     naive_top_boundaries,
 )
-
-COLOURS = (Direction.INC, Direction.DEC)
 
 
 def line_key(line):
@@ -72,36 +79,6 @@ def check_against_oracles(chi):
     assert [(tb.left, tb.right, line_key(tb.line)) for tb in tops.all] == want_all
     assert [(tb.left, tb.right) for tb in tops.maximal] == want_maximal
     assert Counter(map(line_key, tops.flagged)) == Counter(want_flagged)
-
-    for line in lines:
-        check_critical_points(chi, coloring, line)
-
-
-def check_critical_points(chi, coloring, line):
-    """Each critical point is a strict local minimum of (depth, sign) on
-    the walk, after an open line drops an end that is a plus corner below
-    its neighbour; its base is the colour of cell (depth, col); and its
-    d3 pair is a vertical pair on one of its two walk edges."""
-    walk = line.walk
-    count = len(walk)
-    keys = [(v.depth, v.sign) for v in walk]
-    lo, hi = 0, count - 1
-    if not line.closed and line.length >= 2:
-        lo = int(keys[0][1] > 0 and keys[0] < keys[1])
-        hi -= int(keys[-1][1] > 0 and keys[-1] < keys[-2])
-    for point in critical_points(line, coloring):
-        t = point.walk_index
-        assert lo <= t <= hi and point.vertex == walk[t]
-        if line.closed:
-            near, edges = [(t - 1) % count, (t + 1) % count], {(t - 1) % count, t}
-        else:
-            near, edges = [u for u in (t - 1, t + 1) if lo <= u <= hi], {t - 1, t}
-        assert all(keys[t] < keys[u] for u in near)
-        assert point.base == COLOURS[hex_colour(chi, (point.vertex.depth, point.vertex.col))]
-        if point.d3_pair_index is not None:
-            assert point.d3_pair_index in edges
-            (i1, j1), (i2, j2) = line.pairs[point.d3_pair_index]
-            assert j1 == j2 and abs(i1 - i2) == 1
 
 
 @pytest.mark.parametrize("rows, cols", SMALL_SHAPES)
@@ -221,3 +198,47 @@ def test_color_rejects_cells_outside_the_grid(cell):
     coloring = HexColoring.from_matrix([[0, 1, 1], [1, 0, 0]])
     with pytest.raises(KeyError, match="outside the 2x3 grid"):
         coloring.color(cell)
+
+
+def check_link_stage(table):
+    """direction_layer and boundary_preservation_check against the oracles."""
+    doc = table.to_json()
+    for layer in range(1, table.height + 1):
+        coloring = direction_layer(table, layer)
+        assert (coloring.grid.rows, coloring.grid.cols) == (table.height + 1 - layer, table.path_len)
+        assert coloring.to_json()["chi"] == naive_direction_layer(doc, layer)
+    report = boundary_preservation_check(table)
+    violations, checked = naive_boundary_preservation(doc)
+    assert report.checked == checked
+    assert len(report.violations) == len(violations)
+    assert {(layer, frozenset((a, b)), kind) for layer, a, b, kind in report.violations} == violations
+    return report
+
+
+def test_link_stage_matches_the_oracles_on_a_pipeline_table():
+    graph = boxslash_product((2, 2), 4)
+    table = run_passes(graph, *three_queue_layout(graph)).direction_table
+    assert (table.height, table.path_len) == (2, 4)
+    assert set(table.entries.values()) == {Direction.INC}
+    assert check_link_stage(table).ok
+    # One flipped entry in row 2 of layer 1 splits a horizontal pair whose
+    # shift in layer 2 stays equal.
+    entries = dict(table.entries)
+    entries[(1, 2, 1)] = Direction.DEC
+    report = check_link_stage(DirectionTable(2, 4, entries))
+    assert report.violations == [(1, (2, 1), (2, 2), "horizontal")]
+
+
+def test_link_stage_matches_the_oracles_on_random_tables():
+    rng = random.Random(11)
+    found = 0
+    for _ in range(60):
+        height, path_len = rng.randint(1, 5), rng.randint(1, 5)
+        entries = {
+            (i, j, p): rng.choice((Direction.INC, Direction.DEC))
+            for i in range(1, height + 1)
+            for j in range(i, height + 1)
+            for p in range(1, path_len + 1)
+        }
+        found += not check_link_stage(DirectionTable(height, path_len, entries)).ok
+    assert found > 0

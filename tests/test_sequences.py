@@ -1,46 +1,26 @@
-"""Monotone sequence machinery: classification, interleaving, crossings."""
-
-import random
+"""Monotone sequences and the bundled/rainbow classification of pairs."""
 
 import pytest
 
 from boxslash import (
-    CrossingContradiction,
     Direction,
     EdgeColoring,
     LinearOrder,
-    PreconditionError,
     RelatedKind,
-    bundled_chain_length_cap,
-    chain_interleave,
-    check_bundled,
-    check_rainbow,
-    derive_fan_fan_crossing,
-    derive_fan_rainbow_crossing,
+    boxslash_product,
     direction_set,
-    fan_check,
     is_monotone,
     is_related,
-    max_interleave,
-    rainbow_interleave_transfer,
-    related_chain_interleave_cap,
-    strongly_interleave,
+    three_queue_layout,
 )
-from boxslash import boxslash_product, three_queue_layout
-from helpers_naive import edges_cross, oracle_max_interleave, oracle_strongly_interleave
-from seq_instances import (
-    bundled_instance,
-    chain_instance,
-    crossing_transfer_instance,
-    int_order,
-    interleaving_instance,
-    pair_coloring,
-    rainbow_instance,
-    transfer_instance,
-    verify_bundled_outcome,
-    verify_rainbow_outcome,
-    verify_transfer_outcome,
-)
+
+
+def int_order(n):
+    return LinearOrder(range(n))
+
+
+def pair_coloring(a, b, color=0):
+    return EdgeColoring({(x, y): color for x, y in zip(a, b)})
 
 
 def test_direction_set_and_is_monotone():
@@ -102,240 +82,3 @@ def test_is_related_respects_graph_adjacency():
     assert graph.has_edge(u, v)
     if not graph.has_edge(u, w):
         assert is_related((w,), (u,), order, fake, graph) is None
-
-
-def test_strongly_interleave_matches_reference():
-    rng = random.Random(5)
-    order = int_order(40)
-    for _ in range(300):
-        k = rng.randrange(1, 5)
-        ranks = rng.sample(range(40), 2 * k)
-        a, b = ranks[:k], ranks[k:]
-        if rng.random() < 0.5:
-            a, b = sorted(a), sorted(b)
-        got = strongly_interleave(tuple(a), tuple(b), order)
-        assert got == oracle_strongly_interleave(list(a), list(b))
-
-
-def test_max_interleave_matches_reference():
-    rng = random.Random(6)
-    order = int_order(60)
-    for _ in range(200):
-        k = rng.randrange(1, 8)
-        ranks = rng.sample(range(60), 2 * k)
-        a = sorted(ranks[:k])
-        b = sorted(ranks[k:])
-        if rng.random() < 0.5:
-            a, b = a[::-1], b[::-1]
-        assert max_interleave(tuple(a), tuple(b), order) == oracle_max_interleave(a, b)
-
-
-def test_max_interleave_frozen_and_degenerate():
-    order = int_order(30)
-    assert max_interleave((2, 4, 6), (3, 5, 7), order) == 3
-    assert max_interleave((2, 4, 6), (10, 12, 14), order) == 1
-    # Opposite directions or non-monotone input: 0 by convention.
-    assert max_interleave((2, 4), (9, 7), order) == 0
-    assert max_interleave((2, 9, 5), (3, 8, 6), order) == 0
-    with pytest.raises(ValueError):
-        max_interleave((2, 4), (4, 6), order)
-
-
-def test_check_bundled_interleaving_witness():
-    order = int_order(10)
-    a, b = (1, 4), (2, 6)
-    witness = check_bundled(a, b, order, pair_coloring(a, b))
-    assert witness.form == "a_first"
-    assert witness.vertices == (1, 2, 4, 6)
-    # Decreasing pairs alternate from the top down.
-    witness = check_bundled((6, 2), (4, 1), order, pair_coloring((6, 2), (4, 1)))
-    assert witness.vertices == (6, 4, 2, 1)
-
-
-def test_check_bundled_crossing_contradiction():
-    order = int_order(10)
-    a, b = (0, 1), (2, 3)  # separated bundled pair: pairing edges cross
-    with pytest.raises(CrossingContradiction) as err:
-        check_bundled(a, b, order, pair_coloring(a, b))
-    assert {frozenset(err.value.edge_a), frozenset(err.value.edge_b)} == {
-        frozenset((0, 2)),
-        frozenset((1, 3)),
-    }
-    assert err.value.color == 0
-
-
-def test_check_bundled_requires_bundled_input():
-    order = int_order(10)
-    rainbow = ((1, 3), (8, 6))
-    with pytest.raises(PreconditionError):
-        check_bundled(*rainbow, order, pair_coloring(*rainbow))
-
-
-def test_check_rainbow_both_sides():
-    order = int_order(20)
-    low_a = ((2, 4, 6), (15, 13, 11))
-    witness = check_rainbow(*low_a, order, pair_coloring(*low_a))
-    assert witness.form == "a_before_b_inc"
-    high_a = ((15, 13, 11), (2, 4, 6))
-    witness = check_rainbow(*high_a, order, pair_coloring(*high_a))
-    assert witness.form == "b_before_a_dec"
-    bundled = ((2, 4), (6, 8))
-    with pytest.raises(PreconditionError):
-        check_rainbow(*bundled, order, pair_coloring(*bundled))
-
-
-def test_bundled_suite_randomized():
-    rng = random.Random(17)
-    outcomes = set()
-    for _ in range(120):
-        a, b, order, coloring = bundled_instance(rng, rng.randrange(1, 5))
-        outcomes.add(verify_bundled_outcome(a, b, order, coloring))
-    assert outcomes == {"chain", "crossing"}
-
-
-def test_rainbow_suite_randomized():
-    rng = random.Random(19)
-    for _ in range(120):
-        a, b, order, coloring = rainbow_instance(rng, rng.randrange(1, 5))
-        verify_rainbow_outcome(a, b, order, coloring)
-
-
-def test_subsequences_of_interleaving_pairs_interleave():
-    rng = random.Random(23)
-    import itertools
-
-    for _ in range(40):
-        k = rng.randrange(2, 6)
-        a, b, order = interleaving_instance(rng, k)
-        assert strongly_interleave(a, b, order)
-        for size in range(1, k + 1):
-            for idx in itertools.combinations(range(k), size):
-                sub_a = tuple(a[i] for i in idx)
-                sub_b = tuple(b[i] for i in idx)
-                assert strongly_interleave(sub_a, sub_b, order)
-
-
-def test_fan_check():
-    order = int_order(10)
-    coloring = EdgeColoring({(1, 9): 2, (4, 9): 2, (6, 9): 2, (2, 9): 1})
-    assert fan_check((1, 4, 6), 9, coloring) == 2
-    assert fan_check((1, 4, 2), 9, coloring) is None  # mixed colors
-    assert fan_check((1, 3), 9, coloring) is None  # missing edge
-    with pytest.raises(ValueError):
-        fan_check((1, 9), 9, coloring)
-    graph = boxslash_product((2,), 2)
-    layout_order, layout_coloring = three_queue_layout(graph)
-    root = graph.vertices[0]
-    kids = [v for v in graph.vertices if v.node.parent == root.node and v.pos == root.pos]
-    assert fan_check(tuple(kids), root, layout_coloring, graph) is not None
-
-
-def test_derive_fan_fan_crossing_frozen():
-    order = int_order(8)
-    a, apex_a = (1, 4), 7
-    b, apex_b = (2, 5), 0
-    coloring = EdgeColoring({(1, 7): 0, (4, 7): 0, (2, 0): 0, (5, 0): 0})
-    e, f = derive_fan_fan_crossing(a, apex_a, b, apex_b, order, coloring)
-    position = {v: v for v in range(8)}
-    assert edges_cross(e, f, position)
-    assert e[1] == apex_a and f[1] == apex_b
-
-
-def test_derive_fan_fan_crossing_preconditions():
-    order = int_order(8)
-    coloring = EdgeColoring({(1, 7): 0, (4, 7): 0, (2, 0): 1, (5, 0): 1})
-    with pytest.raises(PreconditionError):
-        derive_fan_fan_crossing((1, 4), 7, (2, 5), 0, order, coloring)
-    separated = EdgeColoring({(1, 7): 0, (2, 7): 0, (4, 0): 0, (5, 0): 0})
-    with pytest.raises(PreconditionError):
-        derive_fan_fan_crossing((1, 2), 7, (4, 5), 0, order, separated)
-    with pytest.raises(ValueError):
-        derive_fan_fan_crossing((1, 4), 7, (2, 5), 7, order, coloring)
-
-
-def test_derive_fan_rainbow_crossing_frozen():
-    order = int_order(10)
-    a, b = (1, 3, 5), (8, 7, 6)
-    c, apex = (0, 2, 4), 9
-    coloring = EdgeColoring(
-        {(1, 8): 0, (3, 7): 0, (5, 6): 0, (0, 9): 0, (2, 9): 0, (4, 9): 0}
-    )
-    rainbow_edge, fan_edge = derive_fan_rainbow_crossing(a, b, c, apex, order, coloring)
-    position = {v: v for v in range(10)}
-    assert edges_cross(rainbow_edge, fan_edge, position)
-    assert frozenset(rainbow_edge) in {frozenset(p) for p in zip(a, b)}
-    assert fan_edge[1] == apex
-
-
-def test_derive_fan_rainbow_crossing_preconditions():
-    order = int_order(10)
-    a, b = (1, 3, 5), (8, 7, 6)
-    coloring = EdgeColoring(
-        {(1, 8): 0, (3, 7): 0, (5, 6): 0, (0, 9): 1, (2, 9): 1, (4, 9): 1}
-    )
-    with pytest.raises(PreconditionError):
-        derive_fan_rainbow_crossing(a, b, (0, 2, 4), 9, order, coloring)
-    with pytest.raises(ValueError):
-        derive_fan_rainbow_crossing(a, b, (0, 2, 4), 5, order, coloring)
-
-
-def test_transfer_suite_randomized():
-    rng = random.Random(29)
-    for _ in range(60):
-        a, b, c, d, order, coloring, k = transfer_instance(rng)
-        assert max_interleave(a, b, order) == k
-        outcome = verify_transfer_outcome(a, b, c, d, order, coloring, expect_valid=True)
-        assert outcome == "transferred"
-    for _ in range(40):
-        a, b, c, d, order, coloring, k = crossing_transfer_instance(rng)
-        outcome = verify_transfer_outcome(a, b, c, d, order, coloring, expect_valid=False)
-        assert outcome == "crossing"
-
-
-def test_transfer_preconditions():
-    rng = random.Random(31)
-    a, b, c, d, order, _, _ = transfer_instance(rng)
-    mismatched = EdgeColoring(
-        {(x, y): 0 for x, y in zip(a, c)} | {(x, y): 1 for x, y in zip(b, d)}
-    )
-    with pytest.raises(PreconditionError):
-        rainbow_interleave_transfer(a, b, c, d, order, mismatched)
-
-
-def test_chain_interleave_bounds():
-    rng = random.Random(37)
-    for _ in range(60):
-        links = rng.randrange(1, 5)
-        length = rng.randrange(2, 8)
-        chain, order = chain_instance(rng, links, length)
-        bound = chain_interleave(chain, order)
-        if links == 1:
-            assert bound == length
-        else:
-            assert bound == max(-(-length // links) - 1, 0)
-        ra = [order.rank(v) for v in chain[0]]
-        rb = [order.rank(v) for v in chain[-1]]
-        assert oracle_max_interleave(ra, rb) >= bound
-
-
-def test_chain_interleave_rejections():
-    rng = random.Random(41)
-    chain, order = chain_instance(rng, 2, 4)
-    with pytest.raises(ValueError):
-        chain_interleave(chain[:1], order)
-    with pytest.raises(PreconditionError):
-        chain_interleave([chain[0], chain[1][:-1]], order)
-    broken = [chain[0], chain[1][::-1]]  # opposite directions cannot interleave
-    with pytest.raises(PreconditionError):
-        chain_interleave(broken, order)
-
-
-def test_caps_are_frozen():
-    assert related_chain_interleave_cap(1) == 40
-    assert related_chain_interleave_cap(3) == 640
-    assert bundled_chain_length_cap(1) == 20
-    assert bundled_chain_length_cap(5) == 320
-    with pytest.raises(ValueError):
-        related_chain_interleave_cap(0)
-    with pytest.raises(ValueError):
-        bundled_chain_length_cap(0)

@@ -9,7 +9,6 @@ import pytest
 from boxslash import (
     SizeLimitError,
     boxslash_product,
-    probe_queue_lower_bound,
     queue_number,
     stack_number,
     validate_queue_layout,
@@ -237,20 +236,3 @@ def test_result_serialization():
     assert doc["nodes_explored"] > 0
     assert len(doc["colors"]) == 6
     assert len(doc["order"]) == 4
-
-
-def test_probe_finds_first_offender():
-    family = [complete_graph(2), complete_graph(3), complete_graph(4)]
-    report = probe_queue_lower_bound(family, 1)
-    assert report.exceeded
-    assert report.index == 2
-    assert report.result.value == 2
-    assert report.checked == 3
-
-
-def test_probe_exhausts_quiet_family():
-    family = [complete_graph(2), complete_graph(3)]
-    report = probe_queue_lower_bound(family, 1)
-    assert not report.exceeded
-    assert report.index is None and report.result is None
-    assert report.checked == 2
