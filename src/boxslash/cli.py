@@ -154,54 +154,34 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _report_doc(report) -> dict:
+    violations = [str(v) for v in report.violations[:10]]
+    return {"checked": report.checked, "ok": report.ok, "violations": violations}
+
+
 def cmd_passes_run(args) -> int:
     graph = ProductGraph.from_descriptor(_load_doc(args.graph))
-    layout_doc = _load_doc(args.layout)
-    order, coloring = layout_from_json(layout_doc, parse_vertex=PVertex.parse)
+    order, coloring = layout_from_json(_load_doc(args.layout), parse_vertex=PVertex.parse)
     targets = args.target_degrees
     result = run_passes(
-        graph,
-        order,
-        coloring,
-        colour_targets=targets,
-        order_targets=targets,
-        lex_targets=targets,
+        graph, order, coloring, colour_targets=targets, order_targets=targets, lex_targets=targets
     )
-    table_doc = None
-    direction_report = None
-    if result.direction_table is not None:
-        table_doc = result.direction_table.to_json()
-        direction_report = check_direction_consistency(result.direction_table)
+    table = result.direction_table
+    reports = {
+        "child_symmetry": result.order_report,
+        "related_sequences": result.related_report,
+        "direction_consistency": None if table is None else check_direction_consistency(table),
+    }
     doc = {
         "graph": result.graph.descriptor(),
         "node_map": {str(old): str(new) for old, new in sorted(result.node_map.items(), key=lambda kv: str(kv[0]))},
         "layout": layout_to_json(result.order, result.coloring, result.graph),
         "color_table": result.color_table.to_json(),
-        "direction_table": table_doc,
-        "checks": {
-            "child_symmetry": {
-                "checked": result.order_report.checked,
-                "ok": result.order_report.ok,
-                "violations": [str(v) for v in result.order_report.violations[:10]],
-            },
-            "related_sequences": {
-                "checked": result.related_report.checked,
-                "ok": result.related_report.ok,
-                "violations": [str(v) for v in result.related_report.violations[:10]],
-            },
-            "direction_consistency": None
-            if direction_report is None
-            else {
-                "checked": direction_report.checked,
-                "ok": direction_report.ok,
-                "violations": [str(v) for v in direction_report.violations[:10]],
-            },
-        },
+        "direction_table": None if table is None else table.to_json(),
+        "checks": {name: None if r is None else _report_doc(r) for name, r in reports.items()},
     }
     _emit(doc)
-    ok = result.order_report.ok and result.related_report.ok
-    if direction_report is not None:
-        ok = ok and direction_report.ok
+    ok = all(r.ok for r in reports.values() if r is not None)
     return EXIT_OK if ok else EXIT_INVALID
 
 

@@ -62,6 +62,10 @@ class LinearOrder:
         except KeyError:
             raise ValueError(f"vertex {v!r} not in order") from None
 
+    def ranks_of(self, vertices: Iterable[Vertex]) -> list:
+        """The rank of each vertex, None for one outside the order."""
+        return list(map(self._rank.get, vertices))
+
     def before(self, u: Vertex, v: Vertex) -> bool:
         return self.rank(u) < self.rank(v)
 
@@ -79,13 +83,15 @@ class LinearOrder:
 
 def _edge_key(e) -> frozenset:
     u, v = e
-    if u == v:
+    key = frozenset((u, v))
+    if len(key) == 1:
         raise ValueError(f"self-loop at {u!r}")
-    return frozenset((u, v))
+    return key
 
 
 class EdgeColoring:
-    """Colour assignment on undirected edges, keyed independent of direction."""
+    """Colour assignment on undirected edges, keyed independent of
+    direction by two-member sets, so no self-loop is ever found."""
 
     def __init__(self, colors: Mapping, k: int | None = None):
         self._colors: dict[frozenset, int] = {}
@@ -107,8 +113,6 @@ class EdgeColoring:
 
     def __contains__(self, e) -> bool:
         u, v = e
-        if u == v:
-            return False
         return frozenset((u, v)) in self._colors
 
     def color(self, u: Vertex, v: Vertex) -> int:
@@ -118,8 +122,6 @@ class EdgeColoring:
             raise ValueError(f"edge {u!r} -- {v!r} has no colour") from None
 
     def get(self, u: Vertex, v: Vertex):
-        if u == v:
-            return None
         return self._colors.get(frozenset((u, v)))
 
     def edges(self) -> Iterator[tuple[frozenset, int]]:
@@ -274,13 +276,9 @@ def validate_queue_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> 
 # ---------------------------------------------------------------------------
 # The canonical product order and its three-queue layout.
 
-def canonical_key(v: PVertex):
-    """Sort key ordering product vertices by position, depth, then address."""
-    return (v.pos, v.node.depth, v.node.path)
-
-
 def canonical_order(graph: ProductGraph) -> LinearOrder:
-    return LinearOrder(sorted(graph.vertices, key=canonical_key))
+    """Vertices by position, depth, then address: their id order."""
+    return LinearOrder(graph.vertices)
 
 
 QUEUE_OF_KIND = {

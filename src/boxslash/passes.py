@@ -11,22 +11,27 @@ smaller product of the same shape:
 * pass_lex makes each (level, position) rank array lex-monotone, which
   pins down a per-level direction recorded in a DirectionTable.
 
-The pipeline's values travel together in one PassState: the current
-graph, its vertex order and edge colouring, and the map from original
-to current tree nodes.  A pass only decides which children to keep;
-restrict() applies that choice to the whole state at once.
+The pipeline runs on the integer ids of the `product` docstring.  A
+PassState holds a rank per vertex id, a colour per edge id and the
+current id of each input node; restrict() maps a pass's choice of
+children to the old ids of the new nodes and re-indexes both lists.
+Graph, order and colouring objects are built from the lists when first
+read, by run_passes once; each public check reads its objects back
+into lists once.  Costs, on n nodes, m positions, height h, E edges:
+restrict O(nm + E), a list copy when every child is kept; pass_colour
+O(E), as each node's profile is numbered once from its own colours and
+its kept children's numbers; pass_order O(h nm log nm), a cone rank
+pattern per child and level; pass_lex O(C log C) per candidate subarray
+of C cells, over every axis order, sign vector and index set in turn.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
 (ties broken by the lexicographically smallest child set), and truncate
 to the requested target.  They run bottom-up so a profile always
-describes an already thinned cone.  The lex pass instead cuts each
-level to the index sets of lex-monotone witnesses: it reads each
-(level, position) rank array once and tests a candidate subarray of C
-cells with one sort, in O(C log C), though it still tries every axis
-order, sign vector and index set in turn.  Quantitative survival
-guarantees are out of scope; a level that cannot meet its target raises
-PassStarvation instead.
+describes an already thinned cone.  The lex pass cuts each level to
+the index sets of lex-monotone witnesses.  Quantitative survival
+guarantees are out of scope; a level that cannot meet its target
+raises PassStarvation instead.
 
 The passes do not verify their own output.  run_passes checks every
 property once, on the final state it returns.
@@ -38,25 +43,14 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    InconsistencyError,
-    PassStarvation,
-    PreconditionError,
-    SizeLimitError,
-)
+from .errors import InconsistencyError, PassStarvation, PreconditionError, SizeLimitError
 from .layout import EdgeColoring, LinearOrder
-from .product import (
-    EdgeKind,
-    NodeIndex,
-    ProductGraph,
-    PVertex,
-    restrict_subtree,
-)
-from .sequences import Direction
+from .product import (EdgeKind, NodeIndex, ProductGraph, PVertex, Tree, boxslash_product,
+                      build_tree, edge_runs, keep_by_id, level_starts, restrict_ids)
+from .sequences import Direction, rank_directions, related_ranks
 
 
 @dataclass
@@ -69,6 +63,48 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+# ---------------------------------------------------------------------------
+# Integer ids.
+
+class _Gaps(list):
+    """A list with gaps (None) where the object form had no entry.
+    Reading a gap, alone or in a slice, raises ``error(index)``: the
+    object lookup's error, at the entry the object code failed at."""
+
+    def __init__(self, values: list, error: Callable[[int], Exception]):
+        super().__init__(values)
+        self.error = error
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        for j, value in zip(range(len(self))[i], got) if isinstance(i, slice) else ((i, got),):
+            if value is None:
+                raise self.error(j)
+        return got
+
+
+def _vertex_ranks(graph: ProductGraph, order: LinearOrder) -> list:
+    vs, ranks = graph.vertices, order.ranks_of(graph.vertices)
+    if None not in ranks:
+        return ranks
+    return _Gaps(ranks, lambda v: ValueError(f"vertex {vs[v]!r} not in order"))
+
+
+def _edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
+    """Colour per edge id, None where there is none."""
+    get = coloring.get
+    return [get(u, v) for u, v, _ in graph.edges]
+
+
+def _colour_gaps(graph: ProductGraph, colors: list) -> list:
+    """The colours, read as EdgeColoring.color reads them."""
+    if None not in colors:
+        return colors
+    edges = graph.edges
+    return _Gaps(colors, lambda e: ValueError(
+        f"edge {edges[e][0]!r} -- {edges[e][1]!r} has no colour"))
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +123,14 @@ class ColorTable:
     @classmethod
     def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
         """Build the table, insisting every edge agrees with it."""
+        colors = _colour_gaps(graph, _edge_colors(graph, coloring))
         entries: dict[tuple[int, int, EdgeKind], int] = {}
-        for u, v, kind in graph.edges:
-            sig = cls.signature(u, v, kind)
-            c = coloring.color(u, v)
-            if sig in entries and entries[sig] != c:
+        for e, (u, v, kind) in enumerate(graph.edges):
+            sig, c = cls.signature(u, v, kind), colors[e]
+            if entries.setdefault(sig, c) != c:
                 raise InconsistencyError(
-                    f"edges with signature {sig} use colours "
-                    f"{entries[sig]} and {c}"
+                    f"edges with signature {sig} use colours {entries[sig]} and {c}"
                 )
-            entries.setdefault(sig, c)
         return cls(entries)
 
     def color_of(self, depth: int, pos: int, kind: EdgeKind) -> int:
@@ -303,117 +337,132 @@ def verify_lex_monotone(array, witness: LexMonotoneWitness) -> bool:
 # ---------------------------------------------------------------------------
 # Pass scaffolding.
 
-def _resolve_targets(targets, height: int) -> list:
-    if targets is None:
-        return [None] * height
-    if isinstance(targets, int):
-        return [targets] * height
-    out = list(targets)
-    if len(out) != height:
-        raise ValueError(f"need {height} per-level targets, got {len(out)}")
-    return out
+def _resolve_targets(targets, height: int, stage: str) -> list:
+    """Per-level targets: None keeps as many children as possible, one
+    positive int serves every level, or a list gives one per level."""
+    if targets is None or isinstance(targets, str) or not isinstance(targets, Iterable):
+        levels = [targets] * height
+    else:
+        levels = list(targets)
+    if len(levels) != height:
+        raise ValueError(f"need {height} per-level targets, got {len(levels)}")
+    for depth, t in enumerate(levels):
+        if t is not None and (not isinstance(t, int) or isinstance(t, bool) or t < 1):
+            raise ValueError(f"{stage} pass: level {depth} target {t!r} is not a positive integer")
+    return levels
 
 
-def _full_keep(graph: ProductGraph) -> dict[NodeIndex, tuple[int, ...]]:
-    tree = graph.tree
-    keep = {}
-    for depth in range(tree.height):
-        d = tree.spec.degrees[depth]
-        for node in tree.nodes_at_depth(depth):
-            keep[node] = tuple(range(1, d + 1))
-    return keep
-
-
-def _prune_by_profiles(
-    graph: ProductGraph, profile_fn: Callable, targets, stage: str
-) -> dict[NodeIndex, tuple[int, ...]]:
-    """Bottom-up bucket-and-truncate shared by the colour and order passes.
-
-    profile_fn(node, child_number, keep) must describe the child's cone
-    positionally, so that equal profiles mean interchangeable children.
-    """
-    tree = graph.tree
-    levels = _resolve_targets(targets, tree.height)
-    keep = _full_keep(graph)
-    for depth in range(tree.height - 1, -1, -1):
-        chosen: dict[NodeIndex, list[int]] = {}
-        for node in tree.nodes_at_depth(depth):
+def _prune_by_profiles(degrees, profile: Callable, levels: list, stage: str) -> dict:
+    """Bottom-up bucket-and-truncate shared by the colour and order passes:
+    the kept child numbers per node id.  profile(x, depth, keep) must
+    describe the cone of node x positionally, so that equal profiles
+    mean interchangeable children."""
+    starts = level_starts(degrees)
+    keep: dict[int, tuple[int, ...]] = {}
+    for depth in range(len(degrees) - 1, -1, -1):
+        d = degrees[depth]
+        chosen = []
+        for first in range(starts[depth + 1], starts[depth + 2], d):
             buckets: dict = {}
-            for c in keep[node]:
-                buckets.setdefault(profile_fn(node, c, keep), []).append(c)
-            size = max(len(b) for b in buckets.values())
-            best = min(sorted(b) for b in buckets.values() if len(b) == size)
-            chosen[node] = best
-        available = min(len(b) for b in chosen.values())
-        wanted = levels[depth]
-        if wanted is None:
-            wanted = available
+            for c in range(1, d + 1):
+                buckets.setdefault(profile(first + c - 1, depth + 1, keep), []).append(c)
+            size = max(map(len, buckets.values()))
+            chosen.append(min(b for b in buckets.values() if len(b) == size))
+        available = min(map(len, chosen))
+        wanted = available if levels[depth] is None else levels[depth]
         if wanted > available:
             raise PassStarvation(stage, depth, available, wanted)
-        for node, best in chosen.items():
-            keep[node] = tuple(best[:wanted])
+        for x, best in enumerate(chosen, start=starts[depth]):
+            keep[x] = tuple(best[:wanted])
     return keep
 
 
-def _cone_nodes(root: NodeIndex, keep: Mapping, height: int):
-    """Kept cone of a node, breadth first, with positional addresses."""
-    out = [((), root)]
-    queue = deque(out)
-    while queue:
-        addr, node = queue.popleft()
-        if node.depth >= height:
-            continue
-        for rank, c in enumerate(keep[node]):
-            entry = (addr + (rank,), node.child(c))
-            out.append(entry)
-            queue.append(entry)
-    return out
+def _cone(x: int, depth: int, keep: Mapping, degrees, starts: list) -> list[int]:
+    """Kept cone of node x at that depth, breadth first (unlisted: all)."""
+    cone, level = [x], [x]
+    for k in range(depth, len(degrees)):
+        d, full = degrees[k], range(1, degrees[k] + 1)
+        shift = starts[k + 1] - starts[k] * d - 1
+        level = [shift + y * d + c for y in level for c in keep.get(y, full)]
+        cone += level
+    return cone
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassState:
-    """Where the thinning pipeline stands.
-
-    ``graph`` is the current product, ``order`` and ``coloring`` its
-    layout, and ``node_map`` sends every surviving node of the original
-    tree to its current address (pruned nodes are absent).
+    """Where the thinning pipeline stands: the product's ``degrees`` and
+    ``path_len``, a rank per vertex id (any increasing numbers), one of
+    ``k`` colours per edge id, and the current id of every node of the
+    input tree ``source`` (-1 once pruned).  ``graph``, ``order``,
+    ``coloring`` and ``node_map`` (input node to current address) are
+    built from them when first read; an initial state returns its inputs.
     """
 
-    graph: ProductGraph
-    order: LinearOrder
-    coloring: EdgeColoring
-    node_map: dict[NodeIndex, NodeIndex]
+    degrees: tuple[int, ...]
+    path_len: int
+    ranks: list
+    colors: list
+    k: int
+    node_ids: list
+    source: Tree
+
+    @functools.cached_property
+    def graph(self) -> ProductGraph:
+        return boxslash_product(self.degrees, self.path_len)
+
+    @functools.cached_property
+    def order(self) -> LinearOrder:
+        vs, ranks = self.graph.vertices, self.ranks
+        return LinearOrder(vs[v] for v in sorted(range(len(vs)), key=ranks.__getitem__))
+
+    @functools.cached_property
+    def coloring(self) -> EdgeColoring:
+        pairs = ((u, v) for u, v, _ in self.graph.edges)
+        return EdgeColoring(dict(zip(pairs, self.colors)), k=self.k)
+
+    @functools.cached_property
+    def node_map(self) -> dict[NodeIndex, NodeIndex]:
+        nodes = self.graph.tree.nodes
+        return {old: nodes[x] for old, x in zip(self.source.nodes, self.node_ids) if x >= 0}
 
     @classmethod
-    def initial(
-        cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring
-    ) -> "PassState":
-        return cls(graph, order, coloring, {n: n for n in graph.tree.nodes})
+    def initial(cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring) -> PassState:
+        colors = _colour_gaps(graph, _edge_colors(graph, coloring))
+        state = cls(graph.tree.spec.degrees, graph.path_len, _vertex_ranks(graph, order),
+                    colors, coloring.k, list(range(len(graph.tree))), graph.tree)
+        vars(state).update(graph=graph, order=order, coloring=coloring)
+        return state
+
+
+def _restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
+    """restrict() on a selection keyed by node id."""
+    degrees, old = restrict_ids(state.degrees, keep)
+    m, n_old = state.path_len, len(state.ranks) // state.path_len
+    if len(old) == n_old:
+        # Every child is kept: a built graph still fits.  A full slice
+        # reads every entry, so a gap raises here as in a re-index.
+        kept = replace(state, ranks=state.ranks[:], colors=state.colors[:])
+        if "graph" in vars(state):
+            vars(kept)["graph"] = state.graph
+        return kept
+    vertex_ids = [x + t for t in range(0, m * n_old, n_old) for x in old]
+    ranks = list(map(state.ranks.__getitem__, vertex_ids))
+    edge_ids = [first + x * width + i
+                for (first, width), nodes in zip(edge_runs(n_old, m), (old[1:], old, old[1:]))
+                for x in nodes for i in range(width)]
+    colors = list(map(state.colors.__getitem__, edge_ids))
+    new_id = dict(zip(old, range(len(old))))
+    node_ids = [new_id.get(x, -1) for x in state.node_ids]
+    return PassState(degrees, m, ranks, colors, state.k, node_ids, state.source)
 
 
 def restrict(state: PassState, keep: Mapping[NodeIndex, Iterable[int]]) -> PassState:
     """Keep the given children (see restrict_subtree) and carry the layout over.
 
-    The order and the colouring are read back through the inverse of the
-    renumbering, and the node map is composed with it.
+    The rank and colour lists are re-indexed through the old ids of the
+    new nodes, and the node ids are composed with the renumbering.
     """
-    graph, step = restrict_subtree(state.graph, keep)
-    previous = {new: old for old, new in step.items()}
-
-    def old(v: PVertex) -> PVertex:
-        return PVertex(previous[v.node], v.pos)
-
-    rank = state.order.rank
-    order = LinearOrder(sorted(graph.vertices, key=lambda v: rank(old(v))))
-    color = state.coloring.color
-    coloring = EdgeColoring(
-        {(u, v): color(old(u), old(v)) for u, v in graph.edge_pairs()},
-        k=state.coloring.k,
-    )
-    node_map = {
-        orig: step[cur] for orig, cur in state.node_map.items() if cur in step
-    }
-    return PassState(graph, order, coloring, node_map)
+    return _restrict(state, keep_by_id(state.graph.tree, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -425,46 +474,35 @@ def pass_colour(state: PassState, targets=None) -> PassState:
     A child's profile is the colour of every edge in its kept cone plus
     the edges joining the child to its parent, keyed by positional
     address, so equal profiles mean positionally identical colourings.
+    Each node's profile is numbered once: its own horizontal, vertical
+    and diagonal colours followed by the numbers of its kept children.
     """
-    graph, coloring = state.graph, state.coloring
-    m = graph.path_len
-    height = graph.tree.height
+    degrees, m, colors = state.degrees, state.path_len, state.colors
+    levels = _resolve_targets(targets, len(degrees), "colour")
+    starts = level_starts(degrees)
+    vertical, horizontal, diagonal = edge_runs(starts[-1], m)
+    numbers, number_of = {}, {}  # profile -> number, node id -> its profile's number
 
-    def profile(node: NodeIndex, c: int, keep) -> tuple:
-        child = node.child(c)
-        entries = []
-        for addr, cur in _cone_nodes(child, keep, height):
-            for i in range(1, m):
-                entries.append(
-                    (("H", addr, i), coloring.color(PVertex(cur, i), PVertex(cur, i + 1)))
-                )
-            par = node if addr == () else cur.parent
-            for i in range(1, m + 1):
-                entries.append(
-                    (("V", addr, i), coloring.color(PVertex(cur, i), PVertex(par, i)))
-                )
-            for i in range(1, m):
-                entries.append(
-                    (("D", addr, i), coloring.color(PVertex(cur, i), PVertex(par, i + 1)))
-                )
-        return tuple(sorted(entries))
+    def profile(x: int, depth: int, keep) -> int:
+        key = [c for first, width in (horizontal, vertical, diagonal)
+               for c in colors[first + x * width : first + (x + 1) * width]]
+        if depth < len(degrees):
+            first = starts[depth + 1] + (x - starts[depth]) * degrees[depth] - 1
+            key += [number_of[first + c] for c in keep[x]]
+        number_of[x] = numbers.setdefault(tuple(key), len(numbers))
+        return number_of[x]
 
-    return restrict(state, _prune_by_profiles(graph, profile, targets, "colour"))
+    return _restrict(state, _prune_by_profiles(degrees, profile, levels, "colour"))
 
 
 # ---------------------------------------------------------------------------
 # The order pass.
 
-def _rank_pattern(ranks: list[int]) -> tuple[int, ...]:
-    by_rank = {r: i for i, r in enumerate(sorted(ranks))}
-    return tuple(by_rank[r] for r in ranks)
-
-
-def _cone_pattern(cone: list, order: LinearOrder, m: int) -> tuple[int, ...]:
+def _cone_pattern(cone: list[int], ranks: list, n: int) -> tuple[int, ...]:
     """Rank pattern of a cone's vertices, nodes in cone order, positions 1..m."""
-    return _rank_pattern(
-        [order.rank(PVertex(cur, i)) for _, cur in cone for i in range(1, m + 1)]
-    )
+    values = [r for x in cone for r in ranks[x::n]]
+    by_rank = {r: i for i, r in enumerate(sorted(values))}
+    return tuple(by_rank[r] for r in values)
 
 
 def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport:
@@ -484,27 +522,25 @@ def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport
     the first node a's is reported once, as (a, b, x, i, y, j) for the
     spots (x, i) before (y, j) of a pair the two order differently.
     """
-    tree = graph.tree
-    m = graph.path_len
-    keep = _full_keep(graph)
-    violations = []
-    checked = 0
-    for depth in range(1, tree.height + 1):
-        first, *rest = tree.nodes_at_depth(depth)
-        cone = _cone_nodes(first, keep, tree.height)
-        checked += math.comb(len(rest) + 1, 2) * math.comb(len(cone) * m, 2)
-        want = _cone_pattern(cone, order, m)
-        for node in rest:
-            got = _cone_pattern(_cone_nodes(node, keep, tree.height), order, m)
+    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
+    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
+    violations, checked = [], 0
+    for depth in range(1, len(degrees) + 1):
+        first, end = starts[depth], starts[depth + 1]
+        cone = _cone(first, depth, {}, degrees, starts)
+        checked += math.comb(end - first, 2) * math.comb(len(cone) * m, 2)
+        want = _cone_pattern(cone, ranks, starts[-1])
+        for node in range(first + 1, end):
+            got = _cone_pattern(_cone(node, depth, {}, degrees, starts), ranks, starts[-1])
             if got == want:
                 continue
             spots = range(len(want))
             k = next(s for s in spots if want[s] != got[s])
             other = next(s for s in spots if (want[s] < want[k]) != (got[s] < got[k]))
             (x, i), (y, j) = (
-                (cone[s // m][1].path[depth:], s % m + 1) for s in sorted((k, other))
+                (nodes[cone[s // m]].path[depth:], s % m + 1) for s in sorted((k, other))
             )
-            violations.append((str(first), str(node), x, i, y, j))
+            violations.append((str(nodes[first]), str(nodes[node]), x, i, y, j))
     return CheckReport(violations, checked)
 
 
@@ -514,14 +550,14 @@ def pass_order(state: PassState, targets=None) -> PassState:
     A child's profile is the relative rank pattern of its cone's
     vertices in canonical positional enumeration.
     """
-    graph, order = state.graph, state.order
-    m = graph.path_len
-    height = graph.tree.height
+    degrees, ranks = state.degrees, state.ranks
+    levels = _resolve_targets(targets, len(degrees), "order")
+    starts = level_starts(degrees)
 
-    def profile(node: NodeIndex, c: int, keep) -> tuple:
-        return _cone_pattern(_cone_nodes(node.child(c), keep, height), order, m)
+    def profile(x: int, depth: int, keep) -> tuple:
+        return _cone_pattern(_cone(x, depth, keep, degrees, starts), ranks, starts[-1])
 
-    return restrict(state, _prune_by_profiles(graph, profile, targets, "order"))
+    return _restrict(state, _prune_by_profiles(degrees, profile, levels, "order"))
 
 
 # ---------------------------------------------------------------------------
@@ -539,69 +575,52 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
     every child is kept, or PassStarvation raised.  Returns the thinned
     state and the witness of each (level, position).
     """
-    graph, order = state.graph, state.order
-    tree = graph.tree
-    m = graph.path_len
-    levels = _resolve_targets(targets, tree.height)
-    kept_choices: list[tuple[int, ...]] = [
-        tuple(range(1, d + 1)) for d in tree.spec.degrees
-    ]
+    degrees, m, ranks = state.degrees, state.path_len, state.ranks
+    height, starts = len(degrees), level_starts(degrees)
+    levels = _resolve_targets(targets, height, "lex")
+    kept_choices: list[tuple[int, ...]] = [tuple(range(1, d + 1)) for d in degrees]
     witnesses: dict = {}
-    for level in range(1, tree.height + 1):
+    for level in range(1, height + 1):
         for p in range(1, m + 1):
             axes = kept_choices[:level]
             dims = tuple(len(a) for a in axes)
-            goal = tuple(
-                dims[k] if levels[k] is None else min(levels[k], dims[k])
-                for k in range(level)
-            )
-            ranks = {
-                cell: order.rank(PVertex(NodeIndex(tuple(a[c] for a, c in zip(axes, cell))), p))
-                for cell in itertools.product(*[range(d) for d in dims])
-            }
-            witness = _search_lex(dims, ranks, goal)
+            goal = tuple(d if t is None else min(t, d) for d, t in zip(dims, levels))
+            # Level indices of the array's nodes, cells in product order.
+            index = [0]
+            for d, axis in zip(degrees, axes):
+                index = [i * d + c - 1 for i in index for c in axis]
+            base = (p - 1) * starts[-1] + starts[level]
+            cells = itertools.product(*[range(d) for d in dims])
+            witness = _search_lex(dims, dict(zip(cells, [ranks[base + i] for i in index])), goal)
             if witness is None:
                 raise PassStarvation("lex", (level, p), dims, goal)
             witnesses[(level, p)] = witness
-            for k in range(level):
-                axes_k = axes[k]
-                kept_choices[k] = tuple(axes_k[t] for t in witness.index_sets[k])
-    keep = {}
-    for depth in range(tree.height):
-        for node in tree.nodes_at_depth(depth):
-            keep[node] = kept_choices[depth]
-    return restrict(state, keep), witnesses
+            kept_choices[:level] = [
+                tuple(axis[t] for t in kept) for axis, kept in zip(axes, witness.index_sets)
+            ]
+    keep = {x: kept_choices[depth] for depth in range(height)
+            for x in range(starts[depth], starts[depth + 1])}
+    return _restrict(state, keep), witnesses
 
 
 # ---------------------------------------------------------------------------
 # Direction extraction and its consistency checks.
 
-def _observed_directions(
-    graph: ProductGraph, order: LinearOrder, i: int, j: int, p: int
-) -> set[Direction]:
-    """Directions of all child-choice sequences for (level i, length j, pos p)."""
-    tree = graph.tree
-    degrees = tree.spec.degrees
-    out: set[Direction] = set()
-    suffix_space = itertools.product(
-        *[range(1, degrees[lvl] + 1) for lvl in range(i, j)]
-    )
-    suffixes = [tuple(s) for s in suffix_space]
-    for prefix in tree.nodes_at_depth(i - 1):
-        for suffix in suffixes:
-            ranks = [
-                order.rank(PVertex(NodeIndex(prefix.path + (g,) + suffix), p))
-                for g in range(1, degrees[i - 1] + 1)
-            ]
-            if all(a < b for a, b in zip(ranks, ranks[1:])):
-                out.add(Direction.INC)
-            elif all(a > b for a, b in zip(ranks, ranks[1:])):
-                out.add(Direction.DEC)
-            else:
+def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> set[Direction]:
+    """Directions of all child-choice sequences for (level i, length j,
+    pos p).  Varying the level-i choice of a depth-j node steps its id by
+    ``stride``, the number of choice combinations below level i."""
+    d, stride = degrees[i - 1], math.prod(degrees[i:j])
+    start, out = (p - 1) * starts[-1] + starts[j], set()
+    for b in range(starts[i] - starts[i - 1]):
+        for s in range(start + b * d * stride, start + (b * d + 1) * stride):
+            dirs = rank_directions(ranks[s : s + d * stride : stride])
+            if not dirs:
                 raise InconsistencyError(
                     f"child sequence at level {i}, length {j}, position {p} "
-                    f"under {prefix} is not monotone"
+                    f"under {build_tree(degrees).nodes[starts[i - 1] + b]} is not monotone"
                 )
+            out |= dirs
     return out
 
 
@@ -612,23 +631,24 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
     non-monotone witness) raises InconsistencyError, which signals that
     the lex pass did not actually succeed on this order.
     """
-    tree = graph.tree
-    if any(d < 2 for d in tree.spec.degrees):
-        bad = [lvl for lvl, d in enumerate(tree.spec.degrees) if d < 2]
+    degrees, height = graph.tree.spec.degrees, graph.tree.height
+    if any(d < 2 for d in degrees):
+        bad = [lvl for lvl, d in enumerate(degrees) if d < 2]
         raise PreconditionError(
             f"directions need at least two children per level; levels {bad} are thinner"
         )
+    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
     entries = {}
-    for i in range(1, tree.height + 1):
-        for j in range(i, tree.height + 1):
+    for i in range(1, height + 1):
+        for j in range(i, height + 1):
             for p in range(1, graph.path_len + 1):
-                dirs = _observed_directions(graph, order, i, j, p)
+                dirs = _observed_directions(degrees, starts, ranks, i, j, p)
                 if len(dirs) != 1:
                     raise InconsistencyError(
                         f"witnesses disagree at level {i}, length {j}, position {p}"
                     )
                 entries[(i, j, p)] = dirs.pop()
-    return DirectionTable(tree.height, graph.path_len, entries)
+    return DirectionTable(height, graph.path_len, entries)
 
 
 def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> CheckReport:
@@ -639,19 +659,18 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
     that level.  Equivalent to every level's axis permutation being the
     identity.  Violations are reported, not raised.
     """
-    tree = graph.tree
-    m = graph.path_len
-    violations = []
-    checked = 0
-    cache: dict = {}
-    for depth in range(1, tree.height + 1):
-        for a, b in itertools.combinations(tree.nodes_at_depth(depth), 2):
+    degrees, m = graph.tree.spec.degrees, graph.path_len
+    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
+    violations, checked, cache = [], 0, {}
+    for depth in range(1, graph.tree.height + 1):
+        at_depth = enumerate(graph.tree.nodes_at_depth(depth), start=starts[depth])
+        for (x, a), (y, b) in itertools.combinations(at_depth, 2):
             t = next(k for k in range(depth) if a.path[k] != b.path[k])
             for p in range(1, m + 1):
                 key = (t + 1, depth, p)
                 if key not in cache:
                     try:
-                        dirs = _observed_directions(graph, order, *key)
+                        dirs = _observed_directions(degrees, starts, ranks, *key)
                     except InconsistencyError:
                         dirs = set()
                     cache[key] = dirs
@@ -661,10 +680,9 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
                     violations.append(("ambiguous-direction",) + key)
                     continue
                 (d,) = dirs
-                smaller_first = a.path[t] < b.path[t]
-                if d is Direction.DEC:
-                    smaller_first = not smaller_first
-                if order.before(PVertex(a, p), PVertex(b, p)) != smaller_first:
+                smaller_first = (a.path[t] < b.path[t]) != (d is Direction.DEC)
+                shift = (p - 1) * starts[-1]
+                if (ranks[shift + x] < ranks[shift + y]) != smaller_first:
                     violations.append((str(a), str(b), p, d.value))
     return CheckReport(violations, checked)
 
@@ -718,61 +736,43 @@ def check_related_sequence_families(
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
     """
-    from .sequences import is_related
-
-    tree = graph.tree
-    degrees = tree.spec.degrees
-    m = graph.path_len
-    violations = []
-    checked = 0
-    for star in range(1, tree.height + 1):
-        for prefix in tree.nodes_at_depth(star - 1):
-            for tail_len in range(tree.height - star + 1):
-                tails = itertools.product(
-                    *[range(1, degrees[lvl] + 1) for lvl in range(star, star + tail_len)]
-                )
-                for tail in tails:
-                    tail = tuple(tail)
-                    base = [
-                        NodeIndex(prefix.path + (g,) + tail)
-                        for g in range(1, degrees[star - 1] + 1)
-                    ]
-                    depth = star + tail_len
-
-                    def seq(nodes, p):
-                        return tuple(PVertex(nd, p) for nd in nodes)
-
-                    if depth < tree.height:
+    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
+    ranks, colors = _vertex_ranks(graph, order), _edge_colors(graph, coloring)
+    height, starts = len(degrees), level_starts(degrees)
+    n = starts[-1]
+    vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(n, m)))
+    violations, checked = [], 0
+    for star in range(1, height + 1):
+        d = degrees[star - 1]
+        for b, prefix in enumerate(range(starts[star - 1], starts[star])):
+            for depth in range(star, height + 1):
+                stride = math.prod(degrees[star:depth])
+                tails = itertools.product(*[range(1, g + 1) for g in degrees[star:depth]])
+                for s, tail in enumerate(tails):
+                    first = starts[depth] + b * d * stride + s
+                    base = range(first, first + d * stride, stride)
+                    # (label, sequence, shape, position shift of base, positions)
+                    shapes = []
+                    if depth < height:
+                        shift = starts[depth + 1] - starts[depth] * degrees[depth] - 1
                         for v in range(1, degrees[depth] + 1):
-                            extended = [nd.child(v) for nd in base]
-                            for p in range(1, m + 1):
-                                checked += 1
-                                got = is_related(
-                                    seq(extended, p), seq(base, p), order, coloring
-                                )
-                                want = table.color_of(depth + 1, p, EdgeKind.VERTICAL)
-                                if got is None or got[1] != want:
-                                    violations.append(
-                                        ("vertical", str(prefix), tail, v, p)
-                                    )
-                            for p in range(1, m):
-                                checked += 1
-                                got = is_related(
-                                    seq(extended, p), seq(base, p + 1), order, coloring
-                                )
-                                want = table.color_of(depth + 1, p, EdgeKind.DIAGONAL)
-                                if got is None or got[1] != want:
-                                    violations.append(
-                                        ("diagonal", str(prefix), tail, v, p)
-                                    )
-                    for p in range(1, m):
-                        checked += 1
-                        got = is_related(
-                            seq(base, p), seq(base, p + 1), order, coloring
-                        )
-                        want = table.color_of(depth, p, EdgeKind.HORIZONTAL)
-                        if got is None or got[1] != want:
-                            violations.append(("horizontal", str(prefix), tail, p))
+                            extended = [shift + x * degrees[depth] + v for x in base]
+                            shapes.append(((tail, v), extended, vertical, 0, m + 1))
+                            shapes.append(((tail, v), extended, diagonal, 1, m))
+                    shapes.append(((tail,), base, horizontal, 1, m))
+                    for label, seq, (kind, edge0, width), up, end in shapes:
+                        row = depth if kind is EdgeKind.HORIZONTAL else depth + 1
+                        for p in range(1, end):
+                            checked += 1
+                            a_at, b_at = (p - 1) * n, (p - 1 + up) * n
+                            got = related_ranks(
+                                [ranks[x + a_at] for x in seq],
+                                [ranks[x + b_at] for x in base],
+                                [colors[edge0 + x * width + p - 1] for x in seq],
+                            )
+                            want = table.color_of(row, p, kind)
+                            if got is None or got[1] != want:
+                                violations.append((kind.value, str(nodes[prefix]), *label, p))
     return CheckReport(violations, checked)
 
 
@@ -802,14 +802,17 @@ def run_passes(
 ) -> PipelineResult:
     """Colour, order and lex passes in sequence, then one verification.
 
-    The passes thread a single PassState and do not check their own
-    work.  Every property is verified once, on the final state, which
-    is what is returned: the colour table is built (raising on any
-    clash), child symmetry is checked exhaustively, and the
-    related-sequence check ties both to the table.  The direction table
-    is extracted when every surviving level keeps at least two
-    children, else left None.
+    All three target sets are checked before any work.  The passes
+    thread a single PassState and do not check their own work.  Every
+    property is verified once, on the final state, which is what is
+    returned: the colour table is built (raising on any clash), child
+    symmetry is checked exhaustively, and the related-sequence check
+    ties both to the table.  The direction table is extracted when every
+    surviving level keeps at least two children, else left None.
     """
+    stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
+    for stage, targets in stages.items():
+        _resolve_targets(targets, graph.tree.height, stage)
     state = PassState.initial(graph, order, coloring)
     state = pass_colour(state, colour_targets)
     state = pass_order(state, order_targets)
@@ -825,14 +828,5 @@ def run_passes(
         direction_table = extract_direction_table(final_graph, final_order)
     else:
         direction_table = None
-    return PipelineResult(
-        final_graph,
-        state.node_map,
-        final_order,
-        final_coloring,
-        color_table,
-        direction_table,
-        order_report,
-        witnesses,
-        related_report,
-    )
+    return PipelineResult(final_graph, state.node_map, final_order, final_coloring, color_table,
+                          direction_table, order_report, witnesses, related_report)

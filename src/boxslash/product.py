@@ -13,11 +13,20 @@ The product of a tree T and a path on m vertices has vertex set
 
 Stored edges always put the endpoint with the larger tree depth first,
 or the smaller path position when depths agree.
+
+Integer ids: tree nodes are numbered breadth first, so each node's
+children are consecutive, `level_starts` gives each depth's first id,
+and parent and child ids follow by mixed-radix arithmetic on the
+degrees.  Vertex (node, pos) is (pos - 1) * |T| + node, its index in
+ProductGraph.vertices; an edge's id is its index in ProductGraph.edges,
+as laid out by `edge_runs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -27,17 +36,22 @@ from .errors import ShapeError, SizeLimitError
 VERTEX_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeIndex:
     """Tree-node address: the sequence of child choices from the root."""
 
     path: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         path = tuple(self.path)
         object.__setattr__(self, "path", path)
         if not all(isinstance(v, int) and v >= 1 for v in path):
             raise ValueError(f"child choices must be positive integers: {path!r}")
+        object.__setattr__(self, "_hash", hash((path,)))
+
+    def __hash__(self) -> int:  # the dataclass hash, computed once
+        return self._hash
 
     @property
     def depth(self) -> int:
@@ -176,12 +190,19 @@ def build_tree(spec) -> Tree:
     return Tree(spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PVertex:
     """Product vertex: a tree node at a path position (1-based)."""
 
     node: NodeIndex
     pos: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.node, self.pos)))
+
+    def __hash__(self) -> int:  # the dataclass hash, computed once
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.node}@{self.pos}"
@@ -230,9 +251,10 @@ class ProductGraph:
         )
         # Edges share the vertex objects: node k at position i is
         # vertices[(i - 1) * n + k], and t runs over the offsets (i - 1) * n.
-        n, vs = len(tree), self.vertices
-        index = {node: k for k, node in enumerate(tree.nodes)}
-        non_root = [(k, index[node.parent]) for k, node in enumerate(tree.nodes) if k]
+        n, vs, starts = len(tree), self.vertices, level_starts(tree.spec.degrees)
+        non_root = list(zip(range(1, n), (  # the children of each node are the next ids
+            x for k, d in enumerate(tree.spec.degrees)
+            for x in range(starts[k], starts[k + 1]) for _ in range(d))))
         self.edges: tuple[Edge, ...] = (
             *((vs[c + t], vs[par + t], EdgeKind.VERTICAL)
               for c, par in non_root for t in range(0, m * n, n)),
@@ -318,6 +340,55 @@ def boxslash_product(tree, path_len: int) -> ProductGraph:
     return ProductGraph(build_tree(tree), path_len)
 
 
+def level_starts(degrees) -> list[int]:
+    """Id of the first node of each depth 0..height, then the node count."""
+    return [0, *accumulate(accumulate(degrees, mul, initial=1))]
+
+
+def edge_runs(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """(first, width) of the vertical, horizontal and diagonal edges of a
+    product of n nodes and m positions: the edge of that kind at node x
+    and position p has id first + x * width + p - 1."""
+    return ((-m, m), ((n - 1) * m, m - 1), ((n - 1) * (2 * m - 1), m - 1))
+
+
+def _name(degrees, x: int) -> str:
+    return str(build_tree(degrees).nodes[x])
+
+
+def keep_by_id(tree: Tree, keep: Mapping[NodeIndex, Iterable[int]]) -> dict[int, Iterable[int]]:
+    """A child selection keyed by node id; entries for nodes outside the
+    tree, which no restriction reads, are dropped."""
+    index = {node: x for x, node in enumerate(tree.nodes)}
+    return {index[node]: chosen for node, chosen in keep.items() if node in index}
+
+
+def restrict_ids(degrees, keep: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], list[int]]:
+    """restrict_subtree on node ids: the kept degrees, and the old id of
+    every kept node in the kept tree's breadth-first order."""
+    starts, old, frontier, counts = level_starts(degrees), [0], [0], []
+    for depth, d in enumerate(degrees):
+        next_frontier: list[int] = []
+        for x in frontier:
+            chosen = keep.get(x)
+            nums = tuple(range(1, d + 1) if chosen is None else sorted(set(chosen)))
+            if not nums:
+                raise ShapeError(f"empty child selection at node {_name(degrees, x)}")
+            if nums[0] < 1 or nums[-1] > d:
+                raise ValueError(
+                    f"child selection {nums} out of range 1..{d} at {_name(degrees, x)}")
+            if counts[depth:] and counts[depth] != len(nums):
+                raise ShapeError(
+                    f"level {depth} keeps {len(nums)} children at {_name(degrees, x)}, "
+                    f"other nodes keep {counts[depth]}"
+                )
+            counts[depth:] = [len(nums)]
+            next_frontier += [starts[depth + 1] + (x - starts[depth]) * d + c - 1 for c in nums]
+        old += next_frontier
+        frontier = next_frontier
+    return tuple(counts), old
+
+
 def restrict_subtree(
     graph: ProductGraph, keep: Mapping[NodeIndex, Iterable[int]]
 ) -> tuple[ProductGraph, dict[NodeIndex, NodeIndex]]:
@@ -328,36 +399,8 @@ def restrict_subtree(
     within each depth level, otherwise a ShapeError names the level.
     Returns the renumbered product and the old-to-new address map.
     """
-    tree = graph.tree
-    new_counts: dict[int, int] = {}
-    node_map: dict[NodeIndex, NodeIndex] = {ROOT: ROOT}
-    frontier: list[NodeIndex] = [ROOT]
-    for depth in range(tree.height):
-        d = tree.spec.degrees[depth]
-        next_frontier: list[NodeIndex] = []
-        for node in frontier:
-            chosen = keep.get(node)
-            if chosen is None:
-                nums: tuple[int, ...] = tuple(range(1, d + 1))
-            else:
-                nums = tuple(sorted(set(chosen)))
-                if not nums:
-                    raise ShapeError(f"empty child selection at node {node}")
-                if nums[0] < 1 or nums[-1] > d:
-                    raise ValueError(
-                        f"child selection {nums} out of range 1..{d} at {node}"
-                    )
-            if depth in new_counts and new_counts[depth] != len(nums):
-                raise ShapeError(
-                    f"level {depth} keeps {len(nums)} children at {node}, "
-                    f"other nodes keep {new_counts[depth]}"
-                )
-            new_counts[depth] = len(nums)
-            base = node_map[node]
-            for new_v, old_v in enumerate(nums, start=1):
-                old_child = node.child(old_v)
-                node_map[old_child] = base.child(new_v)
-                next_frontier.append(old_child)
-        frontier = next_frontier
-    new_spec = TreeSpec(tuple(new_counts[d] for d in range(tree.height)))
-    return ProductGraph(Tree(new_spec), graph.path_len), node_map
+    degrees = graph.tree.spec.degrees
+    new_degrees, old = restrict_ids(degrees, keep_by_id(graph.tree, keep))
+    kept = ProductGraph(Tree(TreeSpec(new_degrees)), graph.path_len)
+    nodes = graph.tree.nodes
+    return kept, {nodes[x]: new for x, new in zip(old, kept.tree.nodes)}

@@ -5,8 +5,10 @@ taken relative to an explicit LinearOrder.  A pair of equal-length
 sequences is "related" when it is order consistent (pointwise on the
 same side), pointwise adjacent in a single colour, and both sequences
 are monotone.  Same direction makes the pair bundled, opposite
-directions make it rainbow-like.  `passes.check_related_sequence_families`
-classifies pairs with `is_related`.  The chains of related pairs that
+directions make it rainbow-like.  `related_ranks` classifies a pair
+from its ranks and pairing colours; `is_related` reads those off the
+order and colouring, and `passes.check_related_sequence_families` off
+its integer rank and colour lists.  The chains of related pairs that
 the paper builds on top of these need inputs far beyond the package's
 size limit; the size table in the `hexgrid` docstring gives the figures.
 
@@ -46,25 +48,21 @@ def _ranks(seq: Sequence, order: LinearOrder) -> list[int]:
     return ranks
 
 
+def rank_directions(ranks: list) -> frozenset:
+    """direction_set of a sequence given by its distinct ranks."""
+    rules = ((Direction.INC, False), (Direction.DEC, True))
+    return frozenset(d for d, rule in rules if ranks == sorted(ranks, reverse=rule))
+
+
 def direction_set(seq: Sequence, order: LinearOrder) -> frozenset:
     """Directions the sequence is monotone in; both for singletons."""
-    ranks = _ranks(seq, order)
-    if len(ranks) == 1:
-        return frozenset((Direction.INC, Direction.DEC))
-    if all(a < b for a, b in zip(ranks, ranks[1:])):
-        return frozenset((Direction.INC,))
-    if all(a > b for a, b in zip(ranks, ranks[1:])):
-        return frozenset((Direction.DEC,))
-    return frozenset()
+    return rank_directions(_ranks(seq, order))
 
 
 def is_monotone(seq: Sequence, order: LinearOrder) -> Optional[Direction]:
     """INC or DEC for a monotone sequence of length >= 2, else None."""
     dirs = direction_set(seq, order)
-    if len(dirs) == 1:
-        (d,) = dirs
-        return d
-    return None
+    return next(iter(dirs)) if len(dirs) == 1 else None
 
 
 def _check_pair_shape(a: Sequence, b: Sequence) -> None:
@@ -74,21 +72,16 @@ def _check_pair_shape(a: Sequence, b: Sequence) -> None:
         raise ValueError("sequences must not share elements")
 
 
-def _order_consistent(a, b, order: LinearOrder) -> bool:
-    sides = {order.before(x, y) for x, y in zip(a, b)}
-    return len(sides) == 1
-
-
-def _uniform_color(a, b, coloring: EdgeColoring, graph=None) -> Optional[int]:
-    colors = set()
-    for x, y in zip(a, b):
-        if graph is not None and not graph.has_edge(x, y):
-            return None
-        c = coloring.get(x, y)
-        if c is None:
-            return None
-        colors.add(c)
-    return colors.pop() if len(colors) == 1 else None
+def related_ranks(ranks_a: list, ranks_b: list, colors: list) -> Optional[tuple[RelatedKind, int]]:
+    """is_related on integers: the two sequences' ranks (distinct, equal
+    length) and the colour of each pairing edge, None where there is none."""
+    dirs_a, dirs_b, used = rank_directions(ranks_a), rank_directions(ranks_b), set(colors)
+    if not dirs_a or not dirs_b or len(used) != 1 or None in used:
+        return None
+    if len({x < y for x, y in zip(ranks_a, ranks_b)}) != 1:
+        return None
+    # Two monotone sequences share a direction or run opposite ways.
+    return (RelatedKind.BUNDLED if dirs_a & dirs_b else RelatedKind.RAINBOW, *used)
 
 
 def is_related(
@@ -98,20 +91,11 @@ def is_related(
 
     Requires order consistency, pointwise adjacency in one colour, and
     monotonicity of both sequences.  When both assignments are possible
-    (singletons) the bundled reading wins.
+    (singletons) the bundled reading wins.  A pairing that is not an
+    edge of ``graph``, when one is given, has no colour.
     """
     _check_pair_shape(a, b)
-    dirs_a = direction_set(a, order)
-    dirs_b = direction_set(b, order)
-    if not dirs_a or not dirs_b:
-        return None
-    if not _order_consistent(a, b, order):
-        return None
-    color = _uniform_color(a, b, coloring, graph)
-    if color is None:
-        return None
-    if dirs_a & dirs_b:
-        return (RelatedKind.BUNDLED, color)
-    if any(d.opposite in dirs_b for d in dirs_a):
-        return (RelatedKind.RAINBOW, color)
-    return None
+    ranks_a, ranks_b = _ranks(a, order), _ranks(b, order)
+    colors = [coloring.get(x, y) if graph is None or graph.has_edge(x, y) else None
+              for x, y in zip(a, b)]
+    return related_ranks(ranks_a, ranks_b, colors)

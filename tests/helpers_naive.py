@@ -301,6 +301,144 @@ def naive_child_symmetry(degrees, m, rank):
 
 
 # ---------------------------------------------------------------------------
+# Restriction and related sequence families (used against passes.restrict
+# and passes.check_related_sequence_families).  As above, a vertex is
+# (path tuple, position); colour maps frozenset({u, v}) of an edge to its
+# colour, and a table maps (depth, position, kind) to a colour, where a
+# kind is "vertical", "horizontal" or "diagonal".
+
+def naive_restrict(degrees, m, rank, colour, node_map, keep):
+    """Keep the given children of every node and carry the layout over.
+
+    keep maps a node path to the child numbers it retains; nodes missing
+    from it keep every child, and entries for pruned nodes are ignored.
+    The survivors are renumbered per level, in breadth-first order.
+    Returns (degrees, order, colour, node_map): the kept degrees, the
+    kept vertices renamed and sorted by their old rank, the colour of
+    every kept edge under its new name, and node_map (original node to
+    current node) composed with the renumbering.  Raises ValueError on
+    an empty, out-of-range or non-uniform level selection.
+    """
+    renamed = {(): ()}
+    frontier = [()]
+    counts = []
+    for depth, d in enumerate(degrees):
+        next_frontier = []
+        for node in frontier:
+            nums = sorted(set(keep.get(node, range(1, d + 1))))
+            if not nums or nums[0] < 1 or nums[-1] > d:
+                raise ValueError(f"bad selection {nums} at {node}")
+            if len(counts) > depth and counts[depth] != len(nums):
+                raise ValueError(f"level {depth} is not uniform")
+            counts[depth:] = [len(nums)]
+            for new_v, old_v in enumerate(nums, start=1):
+                renamed[node + (old_v,)] = renamed[node] + (new_v,)
+                next_frontier.append(node + (old_v,))
+        frontier = next_frontier
+    old_of = {new: old for old, new in renamed.items()}
+    vertices = [(node, i) for node in renamed.values() for i in range(1, m + 1)]
+    order = sorted(vertices, key=lambda v: rank[(old_of[v[0]], v[1])])
+    new_colour = {}
+    for (a, i), (b, j) in naive_product_edges(counts, m):
+        new_colour[frozenset(((a, i), (b, j)))] = colour[frozenset(((old_of[a], i), (old_of[b], j)))]
+    composed = {orig: renamed[cur] for orig, cur in node_map.items() if cur in renamed}
+    return tuple(counts), order, new_colour, composed
+
+
+def naive_product_edges(degrees, m):
+    """Every edge of the product as a vertex pair, deeper endpoint first."""
+    level, nodes = [()], [()]
+    for d in degrees:
+        level = [node + (c,) for node in level for c in range(1, d + 1)]
+        nodes += level
+    edges = []
+    for node in nodes:
+        for i in range(1, m + 1):
+            if node:
+                edges.append(((node, i), (node[:-1], i)))
+                if i < m:
+                    edges.append(((node, i), (node[:-1], i + 1)))
+            if i < m:
+                edges.append(((node, i), (node, i + 1)))
+    return edges
+
+
+def naive_is_related(a, b, rank, colour):
+    """(kind, colour) of two vertex sequences, or None.
+
+    They are related when both are monotone under the rank, every pair
+    (a[t], b[t]) lies on the same side, and every pairing edge has one
+    and the same colour.  Same directions are "bundled", opposite ones
+    "rainbow"; a singleton runs both ways, so singletons are bundled.
+    """
+    def directions(seq):
+        ranks = [rank[v] for v in seq]
+        out = set()
+        if all(x < y for x, y in zip(ranks, ranks[1:])):
+            out.add("inc")
+        if all(x > y for x, y in zip(ranks, ranks[1:])):
+            out.add("dec")
+        return out
+
+    dirs_a, dirs_b = directions(a), directions(b)
+    if not dirs_a or not dirs_b:
+        return None
+    if len({rank[x] < rank[y] for x, y in zip(a, b)}) != 1:
+        return None
+    colours = [colour.get(frozenset((x, y))) for x, y in zip(a, b)]
+    if None in colours or len(set(colours)) != 1:
+        return None
+    return ("bundled" if dirs_a & dirs_b else "rainbow", colours[0])
+
+
+def naive_related_families(degrees, m, rank, colour, table):
+    """(violations, checked) of the related sequence families.
+
+    For every level `star`, every node at depth star - 1 (the prefix),
+    and every tail of child choices below level star, the base sequence
+    varies the choice at level star.  It is paired with each one-child
+    extension at the same position (vertical) and at the next position
+    (diagonal), and with itself at the next position (horizontal); each
+    pair must be related with the table's colour for its pairing edges.
+    A violation is (kind, dotted prefix or "r", tail, [child,] position).
+    """
+    h = len(degrees)
+    violations, checked = [], 0
+
+    def at(nodes, p):
+        return [(node, p) for node in nodes]
+
+    def check(kind, prefix, label, a, b, want):
+        related = naive_is_related(a, b, rank, colour)
+        if related is None or related[1] != want:
+            violations.append((kind, ".".join(map(str, prefix)) or "r", *label))
+
+    for star in range(1, h + 1):
+        prefixes = itertools.product(*[range(1, degrees[k] + 1) for k in range(star - 1)])
+        for prefix in prefixes:
+            for depth in range(star, h + 1):
+                tails = itertools.product(*[range(1, degrees[k] + 1) for k in range(star, depth)])
+                for tail in tails:
+                    base = [prefix + (g,) + tail for g in range(1, degrees[star - 1] + 1)]
+                    if depth < h:
+                        for v in range(1, degrees[depth] + 1):
+                            ext = [node + (v,) for node in base]
+                            for p in range(1, m + 1):
+                                checked += 1
+                                check("vertical", prefix, (tail, v, p), at(ext, p), at(base, p),
+                                      table[(depth + 1, p, "vertical")])
+                            for p in range(1, m):
+                                checked += 1
+                                check("diagonal", prefix, (tail, v, p), at(ext, p), at(base, p + 1),
+                                      table[(depth + 1, p, "diagonal")])
+                    for p in range(1, m):
+                        checked += 1
+                        check("horizontal", prefix, (tail, p), at(base, p), at(base, p + 1),
+                              table[(depth, p, "horizontal")])
+    return violations, checked
+
+
+# ---------------------------------------------------------------------------
 # Hex grids (used against hexgrid).  A colouring is a list of rows of
 # 0/1; cell (i, j) is 1-based, row 1 on top, and touches the cells at the
 # six offsets below.

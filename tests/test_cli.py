@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,26 @@ def test_passes_run_keeps_the_canonical_layout(product_files, capsys):
     assert doc["checks"]["direction_consistency"]["ok"] is True
     assert set(doc["direction_table"]["entries"].values()) == {"inc"}
     assert all(old == new for old, new in doc["node_map"].items())
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "shape, layout, extra",
+    [("2-2x3", "canonical", []), ("2-2x3", "reversed", []),
+     ("4-4x3", "scrambled", ["--target-degrees", "2,2"])],
+)
+def test_passes_run_output_is_byte_identical_to_the_saved_document(shape, layout, extra, capsys):
+    # The saved documents are the output of the object-based pipeline
+    # that the integer one replaced.  The scrambled (4,4)x3 layout
+    # renumbers each level's children and gives one child per level its
+    # own horizontal colour.
+    argv = ["passes", "run", "--graph", str(DATA / f"passes_{shape}_graph.json"),
+            "--layout", str(DATA / f"passes_{shape}_{layout}_layout.json"), *extra]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = (DATA / f"passes_{shape}_{layout}_run.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_passes_run_reports_colour_starvation(product_files, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,13 @@ from boxslash import (
 )
 from boxslash import passes
 from boxslash.passes import LexMonotoneWitness, restrict
-from helpers_naive import brute_longest_monotone, naive_child_symmetry, naive_lex_search
+from helpers_naive import (
+    brute_longest_monotone,
+    naive_child_symmetry,
+    naive_lex_search,
+    naive_related_families,
+    naive_restrict,
+)
 
 
 def is_subsequence(sub, full):
@@ -642,3 +649,181 @@ def test_run_passes_with_shrinking_targets():
     # Surviving nodes map somewhere, pruned ones do not.
     assert NodeIndex((1, 1)) in result.node_map
     assert NodeIndex((2, 2)) not in result.node_map
+
+
+@pytest.mark.parametrize("stage", ["colour", "order", "lex"])
+@pytest.mark.parametrize(
+    "target, level", [(-1, 0), (0, 0), (True, 0), (2.5, 0), ("2", 0), ([2, -1], 1), ([2, False], 1)]
+)
+def test_run_passes_rejects_bad_targets_up_front(stage, target, level, monkeypatch):
+    g = boxslash_product((3, 3), 2)
+    order, coloring = three_queue_layout(g)
+    monkeypatch.setattr(passes.PassState, "initial", lambda *args: pytest.fail("work started"))
+    with pytest.raises(ValueError, match=rf"^{stage} pass: level {level} target "):
+        run_passes(g, order, coloring, **{f"{stage}_targets": target})
+
+
+# ---------------------------------------------------------------------------
+# The integer pipeline against the object-based oracles.
+
+def vkey(v):
+    return (v.node.path, v.pos)
+
+
+def layout_data(graph, order, coloring):
+    """The oracles' form of a layout: rank by vertex, colour by edge."""
+    rank = {vkey(v): r for r, v in enumerate(order) if isinstance(v, PVertex)}
+    colour = {}
+    for u, v in graph.edge_pairs():
+        if coloring.get(u, v) is not None:
+            colour[frozenset((vkey(u), vkey(v)))] = coloring.get(u, v)
+    return rank, colour
+
+
+def scrambled_layout(g, rng):
+    """Children renumbered per level, and one child per level on a
+    horizontal colour of its own, which the colour pass must thin away."""
+    degrees = g.tree.spec.degrees
+    perms = [rng.sample(range(d), d) for d in degrees]
+    special = [rng.randint(1, d) for d in degrees]
+
+    def key(v):
+        return (v.pos, v.node.depth, tuple(perms[k][c - 1] for k, c in enumerate(v.node.path)))
+
+    _, queues = three_queue_layout(g)
+    colors = {}
+    for u, v, kind in g.edges:
+        path = u.node.path
+        own = kind is EdgeKind.HORIZONTAL and path and path[-1] == special[len(path) - 1]
+        colors[(u, v)] = 3 if own else queues.color(u, v)
+    return LinearOrder(sorted(g.vertices, key=key)), EdgeColoring(colors, k=4)
+
+
+def oracle_layouts(g, rng):
+    """Canonical, reversed, scrambled and shuffled layouts of g, and
+    one whose colouring lacks or changes a few edges' colours."""
+    order, coloring = three_queue_layout(g)
+    shuffled = LinearOrder(rng.sample(list(g.vertices), len(g.vertices)))
+    damaged = {}
+    for u, v, _ in g.edges:
+        roll = rng.random()
+        if roll > 0.1:
+            damaged[(u, v)] = rng.randrange(3) if roll > 0.9 else coloring.color(u, v)
+    return [
+        (order, coloring),
+        (order.reversed(), coloring),
+        scrambled_layout(g, rng),
+        (shuffled, coloring),
+        (swapped(order, rng), EdgeColoring(damaged, k=3)),
+    ]
+
+
+def random_keep(tree, rng):
+    """A uniform child selection: per level one count, per node a random
+    set of that many children (every child, now and then)."""
+    keep = {}
+    for depth, d in enumerate(tree.spec.degrees):
+        size = d if rng.random() < 0.3 else rng.randint(1, d)
+        for node in tree.nodes_at_depth(depth):
+            keep[node] = tuple(rng.sample(range(1, d + 1), size))
+    return keep
+
+
+ORACLE_SHAPES = [((2,), 3), ((3,), 2), ((2, 2), 2), ((2, 3), 3), ((3, 2), 2), ((4, 3), 2),
+                 ((2, 2, 2), 2), ((3, 1, 2), 2)]
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_restrict_matches_the_naive_restriction(degrees, m):
+    rng = random.Random(f"restrict {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    for order, coloring in oracle_layouts(g, rng)[:4]:
+        state = PassState.initial(g, order, coloring)
+        rank, colour = layout_data(g, order, coloring)
+        node_map = {n.path: n.path for n in g.tree.nodes}
+        shape = degrees
+        for _ in range(3):
+            keep = random_keep(state.graph.tree, rng)
+            shape, want_order, colour, node_map = naive_restrict(
+                shape, m, rank, colour, node_map, {n.path: c for n, c in keep.items()}
+            )
+            rank = {v: r for r, v in enumerate(want_order)}
+            state = restrict(state, keep)
+            assert state.graph.tree.spec.degrees == shape
+            assert [vkey(v) for v in state.order] == want_order
+            assert layout_data(state.graph, state.order, state.coloring)[1] == colour
+            assert {a.path: b.path for a, b in state.node_map.items()} == node_map
+            assert state.coloring.k == coloring.k
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_check_related_sequence_families_matches_the_oracle(degrees, m):
+    rng = random.Random(f"related {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    table = ColorTable.from_layout(g, three_queue_layout(g)[1])
+    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
+    found = 0
+    for order, coloring in oracle_layouts(g, rng):
+        report = check_related_sequence_families(g, order, coloring, table)
+        rank, colour = layout_data(g, order, coloring)
+        violations, checked = naive_related_families(degrees, m, rank, colour, entries)
+        assert report.violations == violations
+        assert report.checked == checked
+        found += len(violations)
+    assert found > 0
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_run_passes_final_state_matches_the_oracles(degrees, m):
+    # The final order is the input order restricted to the survivors and
+    # renamed, the colouring is carried over, and both checks agree with
+    # their oracles on it.
+    rng = random.Random(f"run_passes {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    for order, coloring in oracle_layouts(g, rng)[:3]:
+        result = run_passes(g, order, coloring, lex_targets=2)
+        inverse = {new: old for old, new in result.node_map.items()}
+        assert [PVertex(inverse[v.node], v.pos) for v in result.order] == [
+            v for v in order if v.node in result.node_map
+        ]
+        for u, v in result.graph.edge_pairs():
+            original = (PVertex(inverse[u.node], u.pos), PVertex(inverse[v.node], v.pos))
+            assert result.coloring.color(u, v) == coloring.color(*original)
+        final = result.graph.tree.spec.degrees
+        rank, colour = layout_data(result.graph, result.order, result.coloring)
+        entries = {(d, p, k.value): c for (d, p, k), c in result.color_table.entries.items()}
+        assert (result.related_report.violations, result.related_report.checked) == (
+            naive_related_families(final, m, rank, colour, entries)
+        )
+        naive, checked = naive_child_symmetry(final, m, rank)
+        assert result.order_report.checked == checked and result.order_report.ok == (not naive)
+
+
+def test_run_passes_accepts_an_order_with_extra_vertices():
+    g = boxslash_product((2, 2), 2)
+    order, coloring = three_queue_layout(g)
+    padded = LinearOrder(["x", *order, "y"])
+    result = run_passes(g, padded, coloring)
+    assert list(result.order) == list(run_passes(g, order, coloring).order) == list(order)
+
+
+def test_malformed_layouts_raise_what_the_object_lookups_raise():
+    g = boxslash_product((2, 2), 2)
+    order, coloring = three_queue_layout(g)
+    missing = pv("1.2@2")
+    short = LinearOrder(v for v in order if v != missing)
+    with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(missing))} not in order$"):
+        run_passes(g, short, coloring)
+    # The checks never read the root, so an order without it passes them.
+    rootless = LinearOrder(v for v in order if v.node.depth)
+    assert check_child_symmetry(g, rootless).ok
+    assert extract_direction_table(g, rootless).entries == extract_direction_table(g, order).entries
+    with pytest.raises(ValueError, match=r"^vertex PVertex\(node=NodeIndex\(path=\(2,\)\), pos=1\)"):
+        extract_direction_table(g, LinearOrder(v for v in order if v != pv("2@1")))
+    for u, v in [(pv("1.1@1"), pv("1@1")), (pv("r@1"), pv("r@2"))]:
+        partial = EdgeColoring({e: c for e, c in coloring.edges() if e != frozenset((u, v))}, k=3)
+        message = rf"^edge {re.escape(repr(u))} -- {re.escape(repr(v))} has no colour$"
+        with pytest.raises(ValueError, match=message):
+            run_passes(g, order, partial)
+        with pytest.raises(ValueError, match=message):
+            ColorTable.from_layout(g, partial)

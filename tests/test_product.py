@@ -18,6 +18,7 @@ from boxslash import (
     concat,
     restrict_subtree,
 )
+from boxslash.product import edge_runs, level_starts
 
 
 def tree_size(degrees):
@@ -214,3 +215,46 @@ def test_size_limits():
         boxslash_product((10, 10, 10), 1000)
     with pytest.raises(ValueError):
         boxslash_product((2,), 0)
+
+
+def test_restrict_subtree_errors_name_the_node():
+    g = boxslash_product((2, 2), 2)
+    with pytest.raises(ShapeError, match=r"^level 1 keeps 2 children at 2, other nodes keep 1$"):
+        restrict_subtree(g, {NodeIndex((1,)): (1,), NodeIndex((2,)): (1, 2)})
+    with pytest.raises(ShapeError, match=r"^empty child selection at node 1\.2$"):
+        restrict_subtree(boxslash_product((2, 2, 2), 1), {NodeIndex((1, 2)): ()})
+    with pytest.raises(ValueError, match=r"^child selection \(5,\) out of range 1\.\.2 at r$"):
+        restrict_subtree(g, {ROOT: (5,)})
+    # Entries for nodes outside the tree, or on its bottom level, are never read.
+    kept, _ = restrict_subtree(g, {NodeIndex((3,)): (), NodeIndex((1, 1)): (9,)})
+    assert kept.vertices == g.vertices
+
+
+def test_hashes_equal_the_dataclass_hash():
+    # Each is computed once, but has the value the dataclass gave, so
+    # sets and frozensets of nodes and vertices iterate as before.
+    for node in build_tree((2, 3)).nodes:
+        assert hash(node) == hash((node.path,))
+        assert hash(PVertex(node, 3)) == hash((node, 3))
+
+
+@pytest.mark.parametrize("degrees, m", [((2,), 1), ((3, 2), 3), ((1, 2, 2), 2)])
+def test_integer_ids_index_the_vertices_and_edges(degrees, m):
+    g = boxslash_product(degrees, m)
+    nodes, starts = g.tree.nodes, level_starts(degrees)
+    n = len(nodes)
+    assert starts[-1] == n
+    for depth in range(len(degrees) + 1):
+        assert nodes[starts[depth] : starts[depth + 1]] == g.tree.nodes_at_depth(depth)
+    for x, node in enumerate(nodes):
+        assert [g.vertices[(p - 1) * n + x] for p in range(1, m + 1)] == [
+            PVertex(node, p) for p in range(1, m + 1)
+        ]
+    seen = []
+    for kind, (first, width) in zip(EdgeKind, edge_runs(n, m)):
+        for x in range(0 if kind is EdgeKind.HORIZONTAL else 1, n):
+            for p in range(1, width + 1):
+                u, v, got = g.edges[first + x * width + p - 1]
+                assert (u, got) == (PVertex(nodes[x], p), kind)
+                seen.append(first + x * width + p - 1)
+    assert seen == list(range(len(g.edges)))
