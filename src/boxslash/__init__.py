@@ -19,8 +19,6 @@ from .product import (
     TreeSpec,
     boxslash_product,
     build_tree,
-    concat,
-    restrict_subtree,
 )
 from .layout import (
     EdgeColoring,
@@ -30,7 +28,6 @@ from .layout import (
     classify_pair,
     layout_from_json,
     layout_to_json,
-    max_rainbow,
     queues_for_order,
     stack_pages_for_order,
     three_queue_layout,
@@ -45,9 +42,6 @@ from .solver import (
 from .sequences import (
     Direction,
     RelatedKind,
-    direction_set,
-    is_monotone,
-    is_related,
 )
 from .passes import (
     CheckReport,
@@ -62,12 +56,10 @@ from .passes import (
     check_related_sequence_families,
     extract_direction_table,
     find_monotone_subsequence,
-    lex_monotone_subarray,
     pass_colour,
     pass_lex,
     pass_order,
     run_passes,
-    verify_lex_monotone,
 )
 from .hexgrid import (
     BoundaryLine,

@@ -450,12 +450,6 @@ def stack_pages_for_order(
     return ColoringResult(best, colors, exact)
 
 
-def max_rainbow(edges, order: LinearOrder) -> int:
-    """Size of the largest set of pairwise nesting edges."""
-    pairs = graph_vertices_edges(edges)[1]
-    return _nesting_depths(pairs, order)[0]
-
-
 def _nesting_depths(pairs: list[EdgePair], order: LinearOrder) -> tuple[int, list[int]]:
     """Each edge's depth, the most edges in a chain nesting around it
     (itself included), and the largest depth, the biggest rainbow.

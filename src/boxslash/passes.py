@@ -16,9 +16,11 @@ PassState holds a rank per vertex id, a colour per edge id and the
 current id of each input node; restrict() maps a pass's choice of
 children to the old ids of the new nodes and re-indexes both lists.
 Graph, order and colouring objects are built from the lists when first
-read, by run_passes once; each public check reads its objects back
-into lists once.  Costs, on n nodes, m positions, height h, E edges:
-restrict O(nm + E), a list copy when every child is kept; pass_colour
+read, by run_passes once.  Each public check reads its objects into
+lists once, and coverage is checked there, once: a vertex the order
+lacks, or an edge without a colour where a colour is needed, raises
+before any work.  Costs, on n nodes, m positions, height h, E edges:
+restrict O(nm + E), O(1) when every child is kept; pass_colour
 O(E), as each node's profile is numbered once from its own colours and
 its kept children's numbers; pass_order O(h nm log nm), a cone rank
 pattern per child and level; pass_lex O(C log C) per candidate subarray
@@ -42,14 +44,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import InconsistencyError, PassStarvation, PreconditionError, SizeLimitError
+from .errors import InconsistencyError, PassStarvation, PreconditionError
 from .layout import EdgeColoring, LinearOrder
-from .product import (EdgeKind, NodeIndex, ProductGraph, PVertex, Tree, boxslash_product,
-                      build_tree, edge_runs, keep_by_id, level_starts, restrict_ids)
+from .product import (EdgeKind, NodeIndex, ProductGraph, PVertex, Tree, _name, boxslash_product,
+                      edge_runs, level_starts, restrict_ids)
 from .sequences import Direction, rank_directions, related_ranks
 
 
@@ -68,28 +69,12 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # Integer ids.
 
-class _Gaps(list):
-    """A list with gaps (None) where the object form had no entry.
-    Reading a gap, alone or in a slice, raises ``error(index)``: the
-    object lookup's error, at the entry the object code failed at."""
-
-    def __init__(self, values: list, error: Callable[[int], Exception]):
-        super().__init__(values)
-        self.error = error
-
-    def __getitem__(self, i):
-        got = super().__getitem__(i)
-        for j, value in zip(range(len(self))[i], got) if isinstance(i, slice) else ((i, got),):
-            if value is None:
-                raise self.error(j)
-        return got
-
-
 def _vertex_ranks(graph: ProductGraph, order: LinearOrder) -> list:
-    vs, ranks = graph.vertices, order.ranks_of(graph.vertices)
-    if None not in ranks:
-        return ranks
-    return _Gaps(ranks, lambda v: ValueError(f"vertex {vs[v]!r} not in order"))
+    """Rank per vertex id; the first vertex the order lacks raises."""
+    ranks = order.ranks_of(graph.vertices)
+    if None in ranks:
+        raise ValueError(f"vertex {graph.vertices[ranks.index(None)]!r} not in order")
+    return ranks
 
 
 def _edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
@@ -98,13 +83,13 @@ def _edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
     return [get(u, v) for u, v, _ in graph.edges]
 
 
-def _colour_gaps(graph: ProductGraph, colors: list) -> list:
-    """The colours, read as EdgeColoring.color reads them."""
-    if None not in colors:
-        return colors
-    edges = graph.edges
-    return _Gaps(colors, lambda e: ValueError(
-        f"edge {edges[e][0]!r} -- {edges[e][1]!r} has no colour"))
+def _full_edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
+    """Colour per edge id; the first edge without one raises."""
+    colors = _edge_colors(graph, coloring)
+    if None in colors:
+        u, v, _ = graph.edges[colors.index(None)]
+        raise ValueError(f"edge {u!r} -- {v!r} has no colour")
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +108,7 @@ class ColorTable:
     @classmethod
     def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
         """Build the table, insisting every edge agrees with it."""
-        colors = _colour_gaps(graph, _edge_colors(graph, coloring))
+        colors = _full_edge_colors(graph, coloring)
         entries: dict[tuple[int, int, EdgeKind], int] = {}
         for e, (u, v, kind) in enumerate(graph.edges):
             sig, c = cls.signature(u, v, kind), colors[e]
@@ -261,24 +246,6 @@ class LexMonotoneWitness:
     index_sets: tuple[tuple[int, ...], ...]
 
 
-MAX_ARRAY_DIMS = 3
-MAX_ARRAY_SIDE = 12
-
-
-def _array_dims(array) -> tuple[int, ...]:
-    dims = []
-    probe = array
-    while isinstance(probe, (list, tuple)):
-        dims.append(len(probe))
-        probe = probe[0]
-    return tuple(dims)
-
-
-def _array_values(array, cells: Iterable[tuple[int, ...]]) -> dict:
-    """The nested array read once into a dict from index cell to value."""
-    return {cell: functools.reduce(operator.getitem, cell, array) for cell in cells}
-
-
 def _lex_key(cell, sigma, signs) -> tuple:
     return tuple(
         cell[axis] if signs[axis] is Direction.INC else -cell[axis]
@@ -305,33 +272,6 @@ def _search_lex(
                 if _is_lex_monotone(values, cells, sigma, signs):
                     return LexMonotoneWitness(tuple(sigma), tuple(signs), tuple(index_sets))
     return None
-
-
-def lex_monotone_subarray(array, target: int) -> Optional[LexMonotoneWitness]:
-    """Find an all-axes target-sized lex-monotone subarray.
-
-    The search runs over every axis permutation (identity first), sign
-    vector (all increasing first) and index combination, and accepts
-    the first candidate whose cells, sorted by value, also sort by lex
-    key.  Returns None when no subarray of that size qualifies.
-    """
-    dims = _array_dims(array)
-    if len(dims) > MAX_ARRAY_DIMS or any(s > MAX_ARRAY_SIDE for s in dims):
-        raise SizeLimitError(
-            f"array of shape {dims} exceeds the {MAX_ARRAY_DIMS}-dimensional, "
-            f"side-{MAX_ARRAY_SIDE} search limit"
-        )
-    values = _array_values(array, itertools.product(*[range(s) for s in dims]))
-    if len(set(values.values())) != len(values):
-        raise ValueError("array values must be distinct")
-    return _search_lex(dims, values, (target,) * len(dims))
-
-
-def verify_lex_monotone(array, witness: LexMonotoneWitness) -> bool:
-    """Recheck a witness against the array: its values must be distinct
-    and sort its cells exactly as the witness's lex key does."""
-    cells = list(itertools.product(*witness.index_sets))
-    return _is_lex_monotone(_array_values(array, cells), cells, witness.sigma, witness.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +367,23 @@ class PassState:
 
     @classmethod
     def initial(cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring) -> PassState:
-        colors = _colour_gaps(graph, _edge_colors(graph, coloring))
+        colors = _full_edge_colors(graph, coloring)
         state = cls(graph.tree.spec.degrees, graph.path_len, _vertex_ranks(graph, order),
                     colors, coloring.k, list(range(len(graph.tree))), graph.tree)
         vars(state).update(graph=graph, order=order, coloring=coloring)
         return state
 
 
-def _restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
-    """restrict() on a selection keyed by node id."""
+def restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
+    """Keep the given children (see restrict_ids) and carry the layout over.
+
+    The rank and colour lists are re-indexed through the old ids of the
+    new nodes, and the node ids are composed with the renumbering.
+    """
     degrees, old = restrict_ids(state.degrees, keep)
     m, n_old = state.path_len, len(state.ranks) // state.path_len
     if len(old) == n_old:
-        # Every child is kept: a built graph still fits.  A full slice
-        # reads every entry, so a gap raises here as in a re-index.
-        kept = replace(state, ranks=state.ranks[:], colors=state.colors[:])
+        kept = replace(state)  # every child is kept: a built graph still fits
         if "graph" in vars(state):
             vars(kept)["graph"] = state.graph
         return kept
@@ -454,15 +396,6 @@ def _restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
     new_id = dict(zip(old, range(len(old))))
     node_ids = [new_id.get(x, -1) for x in state.node_ids]
     return PassState(degrees, m, ranks, colors, state.k, node_ids, state.source)
-
-
-def restrict(state: PassState, keep: Mapping[NodeIndex, Iterable[int]]) -> PassState:
-    """Keep the given children (see restrict_subtree) and carry the layout over.
-
-    The rank and colour lists are re-indexed through the old ids of the
-    new nodes, and the node ids are composed with the renumbering.
-    """
-    return _restrict(state, keep_by_id(state.graph.tree, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +425,7 @@ def pass_colour(state: PassState, targets=None) -> PassState:
         number_of[x] = numbers.setdefault(tuple(key), len(numbers))
         return number_of[x]
 
-    return _restrict(state, _prune_by_profiles(degrees, profile, levels, "colour"))
+    return restrict(state, _prune_by_profiles(degrees, profile, levels, "colour"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +490,7 @@ def pass_order(state: PassState, targets=None) -> PassState:
     def profile(x: int, depth: int, keep) -> tuple:
         return _cone_pattern(_cone(x, depth, keep, degrees, starts), ranks, starts[-1])
 
-    return _restrict(state, _prune_by_profiles(degrees, profile, levels, "order"))
+    return restrict(state, _prune_by_profiles(degrees, profile, levels, "order"))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +533,7 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
             ]
     keep = {x: kept_choices[depth] for depth in range(height)
             for x in range(starts[depth], starts[depth + 1])}
-    return _restrict(state, keep), witnesses
+    return restrict(state, keep), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +551,7 @@ def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> set[
             if not dirs:
                 raise InconsistencyError(
                     f"child sequence at level {i}, length {j}, position {p} "
-                    f"under {build_tree(degrees).nodes[starts[i - 1] + b]} is not monotone"
+                    f"under {_name(degrees, starts[i - 1] + b)} is not monotone"
                 )
             out |= dirs
     return out

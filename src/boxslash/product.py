@@ -66,9 +66,6 @@ class NodeIndex:
     def child(self, choice: int) -> "NodeIndex":
         return NodeIndex(self.path + (choice,))
 
-    def __add__(self, other: "NodeIndex | int") -> "NodeIndex":
-        return concat(self, other)
-
     def __str__(self) -> str:
         if not self.path:
             return "r"
@@ -85,19 +82,6 @@ class NodeIndex:
 
 
 ROOT = NodeIndex()
-
-
-def concat(a: NodeIndex, b: "NodeIndex | int", height: int | None = None) -> NodeIndex:
-    """Concatenate two addresses, or append one child choice.
-
-    When ``height`` is given the combined address must not descend past
-    it; that guard is what tree-aware callers rely on.
-    """
-    tail = (b,) if isinstance(b, int) else tuple(b.path)
-    result = NodeIndex(tuple(a.path) + tail)
-    if height is not None and result.depth > height:
-        raise SizeLimitError(f"address {result} exceeds tree height {height}")
-    return result
 
 
 @dataclass(frozen=True)
@@ -353,19 +337,19 @@ def edge_runs(n: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _name(degrees, x: int) -> str:
+    """The address of node id x, as text."""
     return str(build_tree(degrees).nodes[x])
 
 
-def keep_by_id(tree: Tree, keep: Mapping[NodeIndex, Iterable[int]]) -> dict[int, Iterable[int]]:
-    """A child selection keyed by node id; entries for nodes outside the
-    tree, which no restriction reads, are dropped."""
-    index = {node: x for x, node in enumerate(tree.nodes)}
-    return {index[node]: chosen for node, chosen in keep.items() if node in index}
-
-
 def restrict_ids(degrees, keep: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], list[int]]:
-    """restrict_subtree on node ids: the kept degrees, and the old id of
-    every kept node in the kept tree's breadth-first order."""
+    """Restrict a tree to a kept subtree, children renumbered per level.
+
+    ``keep`` maps a node id to the child numbers it retains; nodes
+    missing from the map keep every child.  The kept counts must be
+    uniform within each depth level, otherwise a ShapeError names the
+    level.  Returns the kept degrees, and the old id of every kept node
+    in the kept tree's breadth-first order.
+    """
     starts, old, frontier, counts = level_starts(degrees), [0], [0], []
     for depth, d in enumerate(degrees):
         next_frontier: list[int] = []
@@ -387,20 +371,3 @@ def restrict_ids(degrees, keep: Mapping[int, Iterable[int]]) -> tuple[tuple[int,
         old += next_frontier
         frontier = next_frontier
     return tuple(counts), old
-
-
-def restrict_subtree(
-    graph: ProductGraph, keep: Mapping[NodeIndex, Iterable[int]]
-) -> tuple[ProductGraph, dict[NodeIndex, NodeIndex]]:
-    """Induced product on a kept subtree, children renumbered per level.
-
-    ``keep`` maps a node to the child numbers it retains; nodes missing
-    from the map keep every child.  The kept counts must be uniform
-    within each depth level, otherwise a ShapeError names the level.
-    Returns the renumbered product and the old-to-new address map.
-    """
-    degrees = graph.tree.spec.degrees
-    new_degrees, old = restrict_ids(degrees, keep_by_id(graph.tree, keep))
-    kept = ProductGraph(Tree(TreeSpec(new_degrees)), graph.path_len)
-    nodes = graph.tree.nodes
-    return kept, {nodes[x]: new for x, new in zip(old, kept.tree.nodes)}

@@ -301,11 +301,11 @@ def naive_child_symmetry(degrees, m, rank):
 
 
 # ---------------------------------------------------------------------------
-# Restriction and related sequence families (used against passes.restrict
-# and passes.check_related_sequence_families).  As above, a vertex is
-# (path tuple, position); colour maps frozenset({u, v}) of an edge to its
-# colour, and a table maps (depth, position, kind) to a colour, where a
-# kind is "vertical", "horizontal" or "diagonal".
+# Restriction and related sequence families (used against passes.restrict,
+# sequences.related_ranks and passes.check_related_sequence_families).  As
+# above, a vertex is (path tuple, position); colour maps frozenset({u, v})
+# of an edge to its colour, and a table maps (depth, position, kind) to a
+# colour, where a kind is "vertical", "horizontal" or "diagonal".
 
 def naive_restrict(degrees, m, rank, colour, node_map, keep):
     """Keep the given children of every node and carry the layout over.

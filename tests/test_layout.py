@@ -16,7 +16,6 @@ from boxslash import (
     classify_pair,
     layout_from_json,
     layout_to_json,
-    max_rainbow,
     queues_for_order,
     stack_pages_for_order,
     three_queue_layout,
@@ -336,7 +335,7 @@ def test_queues_for_order_matches_reference():
         result = queues_for_order(edges, order)
         assert result.exact
         assert result.count == min_queues_for_position(edges, position)
-        assert result.count == max_rainbow(edges, order)
+        assert result.count == max(naive_nesting_depths(edges, position), default=0)
         assert validate_queue_layout(edges, order, result.colors).valid
 
 
@@ -344,14 +343,15 @@ def test_fixed_order_empty_edges():
     order = int_order(3)
     assert stack_pages_for_order([], order).count == 0
     assert queues_for_order([], order).count == 0
-    assert max_rainbow([], order) == 0
 
 
 def test_max_rainbow_frozen():
-    order = int_order(6)
-    assert max_rainbow([(0, 5), (1, 4), (2, 3)], order) == 3
-    assert max_rainbow([(0, 1), (2, 3), (4, 5)], order) == 1
-    assert max_rainbow([(0, 2), (1, 3)], order) == 1
+    # The queue count for a fixed order is the biggest rainbow.
+    order, position = int_order(6), {v: v for v in range(6)}
+    for edges, rainbow in [([(0, 5), (1, 4), (2, 3)], 3), ([(0, 1), (2, 3), (4, 5)], 1),
+                           ([(0, 2), (1, 3)], 1)]:
+        assert queues_for_order(edges, order).count == rainbow
+        assert max(naive_nesting_depths(edges, position)) == rainbow
 
 
 def test_greedy_fallback_kicks_in_past_the_component_limit():

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxslash import (
     ColorTable,
@@ -20,7 +20,6 @@ from boxslash import (
     PassState,
     PreconditionError,
     PVertex,
-    SizeLimitError,
     boxslash_product,
     canonical_order,
     check_child_symmetry,
@@ -29,19 +28,19 @@ from boxslash import (
     check_related_sequence_families,
     extract_direction_table,
     find_monotone_subsequence,
-    lex_monotone_subarray,
     pass_colour,
     pass_lex,
     pass_order,
     run_passes,
     three_queue_layout,
-    verify_lex_monotone,
 )
 from boxslash import passes
-from boxslash.passes import LexMonotoneWitness, restrict
+from boxslash.passes import restrict
+from boxslash.product import level_starts
 from helpers_naive import (
     brute_longest_monotone,
     naive_child_symmetry,
+    naive_lex_monotone,
     naive_lex_search,
     naive_related_families,
     naive_restrict,
@@ -116,14 +115,20 @@ def test_guarantee_length_always_succeeds():
 # ---------------------------------------------------------------------------
 # Lex-monotone subarrays.
 
-def test_lex_subarray_one_dimension():
-    witness = lex_monotone_subarray([5, 1, 4, 2], 2)
-    assert witness is not None
-    assert witness.sigma == (0,)
-    assert witness.signs == (Direction.INC,)
-    assert witness.index_sets == ((1, 2),)
-    assert verify_lex_monotone([5, 1, 4, 2], witness)
-    assert lex_monotone_subarray([1, 2], 3) is None
+def lex_case(values, target):
+    """A (dims, values by cell, per-axis targets) case of a 1-D array."""
+    return (len(values),), {(i,): x for i, x in enumerate(values)}, (target,)
+
+
+def grid_case(rows):
+    """The same for a 2x2 array and target 2."""
+    return (2, 2), {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}, (2, 2)
+
+
+def witness_holds(cells, witness):
+    """The witness's subarray is lex-monotone, by the oracle's test."""
+    kept = list(itertools.product(*witness.index_sets))
+    return naive_lex_monotone(cells, kept, witness.sigma, tuple(s.value for s in witness.signs))
 
 
 def test_lex_subarray_agrees_with_monotone_search():
@@ -132,52 +137,29 @@ def test_lex_subarray_agrees_with_monotone_search():
         n = rng.randrange(2, 8)
         values = rng.sample(range(40), n)
         for target in range(2, n + 1):
-            witness = lex_monotone_subarray(values, target)
+            dims, cells, targets = lex_case(values, target)
+            witness = passes._search_lex(dims, cells, targets)
             found = find_monotone_subsequence(values, target)
             assert (witness is None) == (found is None)
             if witness is not None:
-                assert verify_lex_monotone(values, witness)
+                assert witness_holds(cells, witness)
 
 
 def test_lex_subarray_two_dimensions():
     rng = random.Random(59)
     for _ in range(10):
         flat = rng.sample(range(1000), 100)
-        array = [flat[i * 10 : (i + 1) * 10] for i in range(10)]
-        witness = lex_monotone_subarray(array, 2)
+        cells = dict(zip(itertools.product(range(10), range(10)), flat))
+        witness = passes._search_lex((10, 10), cells, (2, 2))
         assert witness is not None
         assert tuple(len(s) for s in witness.index_sets) == (2, 2)
-        assert verify_lex_monotone(array, witness)
-
-
-def test_lex_subarray_witness_semantics():
-    # Rank array of a 2x2 identity layout: row-major increasing.
-    array = [[0, 1], [2, 3]]
-    witness = lex_monotone_subarray(array, 2)
-    assert witness.sigma == (0, 1)
-    assert witness.signs == (Direction.INC, Direction.INC)
-    assert witness.index_sets == ((0, 1), (0, 1))
-    # A value pattern that needs the axis swap.
-    swapped = [[0, 2], [1, 3]]
-    witness = lex_monotone_subarray(swapped, 2)
-    assert verify_lex_monotone(swapped, witness)
-    assert witness.sigma == (1, 0)
-
-
-def test_lex_subarray_limits():
-    with pytest.raises(SizeLimitError):
-        lex_monotone_subarray([[[[1]]]], 1)
-    with pytest.raises(SizeLimitError):
-        lex_monotone_subarray(list(range(13)), 2)
-    with pytest.raises(ValueError):
-        lex_monotone_subarray([1, 1], 1)
+        assert witness_holds(cells, witness)
 
 
 @pytest.mark.parametrize("sign", [Direction.INC, Direction.DEC])
 def test_verify_lex_monotone_rejects_repeated_values(sign):
     # Equal values order neither way, so no lex key can match them.
-    witness = LexMonotoneWitness((0,), (sign,), ((0, 1),))
-    assert not verify_lex_monotone([1, 1], witness)
+    assert not passes._is_lex_monotone({(0,): 1, (1,): 1}, [(0,), (1,)], (0,), (sign,))
 
 
 def as_triple(witness):
@@ -210,6 +192,10 @@ def lex_arrays(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=lex_arrays())
+@example(case=lex_case([5, 1, 4, 2], 2))  # indices (1, 2): all-INC signs tried first
+@example(case=grid_case([[0, 1], [2, 3]]))  # the identity axis order tried first
+@example(case=grid_case([[0, 2], [1, 3]]))  # needs the axis swap (1, 0)
+@example(case=lex_case([1, 2], 3))  # a target past the side: None
 def test_search_lex_matches_the_brute_force_oracle(case):
     dims, values, targets = case
     got = passes._search_lex(dims, values, targets)
@@ -570,7 +556,7 @@ def test_check_related_sequence_families():
 def test_restrict_follows_the_node_map():
     g = boxslash_product((2,), 2)
     state = state_of(g)
-    kept = restrict(state, {NodeIndex(()): (2,)})
+    kept = restrict(state, {0: (2,)})
     assert [str(v) for v in kept.order] == ["r@1", "1@1", "r@2", "1@2"]
     old_edge = (pv("2@1"), pv("r@1"))
     new_edge = (pv("1@1"), pv("r@1"))
@@ -579,9 +565,9 @@ def test_restrict_follows_the_node_map():
     # Two restrictions in a row compose their node maps.
     g = boxslash_product((3, 2), 2)
     start = state_of(g)
-    once = restrict(start, {NodeIndex(()): (1, 3)})
-    # Child 2 of the root is now what was child 3.
-    twice = restrict(once, {NodeIndex((1,)): (2,), NodeIndex((2,)): (2,)})
+    once = restrict(start, {0: (1, 3)})
+    # Child 2 of the root (node id 2) is now what was child 3.
+    twice = restrict(once, {1: (2,), 2: (2,)})
     assert twice.graph.tree.spec.degrees == (2, 1)
     assert twice.node_map == {
         NodeIndex(()): NodeIndex(()),
@@ -718,14 +704,14 @@ def oracle_layouts(g, rng):
     ]
 
 
-def random_keep(tree, rng):
-    """A uniform child selection: per level one count, per node a random
-    set of that many children (every child, now and then)."""
-    keep = {}
-    for depth, d in enumerate(tree.spec.degrees):
+def random_keep(degrees, rng):
+    """A uniform child selection by node id: per level one count, per
+    node a random set of that many children (every child, now and then)."""
+    keep, starts = {}, level_starts(degrees)
+    for depth, d in enumerate(degrees):
         size = d if rng.random() < 0.3 else rng.randint(1, d)
-        for node in tree.nodes_at_depth(depth):
-            keep[node] = tuple(rng.sample(range(1, d + 1), size))
+        for x in range(starts[depth], starts[depth + 1]):
+            keep[x] = tuple(rng.sample(range(1, d + 1), size))
     return keep
 
 
@@ -743,9 +729,10 @@ def test_restrict_matches_the_naive_restriction(degrees, m):
         node_map = {n.path: n.path for n in g.tree.nodes}
         shape = degrees
         for _ in range(3):
-            keep = random_keep(state.graph.tree, rng)
+            keep = random_keep(state.degrees, rng)
+            nodes = state.graph.tree.nodes
             shape, want_order, colour, node_map = naive_restrict(
-                shape, m, rank, colour, node_map, {n.path: c for n, c in keep.items()}
+                shape, m, rank, colour, node_map, {nodes[x].path: c for x, c in keep.items()}
             )
             rank = {v: r for r, v in enumerate(want_order)}
             state = restrict(state, keep)
@@ -807,6 +794,17 @@ def test_run_passes_accepts_an_order_with_extra_vertices():
     assert list(result.order) == list(run_passes(g, order, coloring).order) == list(order)
 
 
+def test_run_passes_rejects_an_order_without_a_vertex_that_a_pass_prunes():
+    # The colour pass keeps one child per level, 1 and then 1.1, so 2.2
+    # is pruned before anything reads its rank; the order must still have it.
+    g = boxslash_product((2, 2), 2)
+    order, coloring = three_queue_layout(g)
+    short = LinearOrder(v for v in order if v != pv("2.2@2"))
+    message = r"^vertex PVertex\(node=NodeIndex\(path=\(2, 2\)\), pos=2\) not in order$"
+    with pytest.raises(ValueError, match=message):
+        run_passes(g, short, coloring, colour_targets=1)
+
+
 def test_malformed_layouts_raise_what_the_object_lookups_raise():
     g = boxslash_product((2, 2), 2)
     order, coloring = three_queue_layout(g)
@@ -814,10 +812,13 @@ def test_malformed_layouts_raise_what_the_object_lookups_raise():
     short = LinearOrder(v for v in order if v != missing)
     with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(missing))} not in order$"):
         run_passes(g, short, coloring)
-    # The checks never read the root, so an order without it passes them.
+    # Every check reads the whole order, the root included.
     rootless = LinearOrder(v for v in order if v.node.depth)
-    assert check_child_symmetry(g, rootless).ok
-    assert extract_direction_table(g, rootless).entries == extract_direction_table(g, order).entries
+    no_root = rf"^vertex {re.escape(repr(pv('r@1')))} not in order$"
+    with pytest.raises(ValueError, match=no_root):
+        check_child_symmetry(g, rootless)
+    with pytest.raises(ValueError, match=no_root):
+        extract_direction_table(g, rootless)
     with pytest.raises(ValueError, match=r"^vertex PVertex\(node=NodeIndex\(path=\(2,\)\), pos=1\)"):
         extract_direction_table(g, LinearOrder(v for v in order if v != pv("2@1")))
     for u, v in [(pv("1.1@1"), pv("1@1")), (pv("r@1"), pv("r@2"))]:

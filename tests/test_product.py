@@ -15,10 +15,8 @@ from boxslash import (
     TreeSpec,
     boxslash_product,
     build_tree,
-    concat,
-    restrict_subtree,
 )
-from boxslash.product import edge_runs, level_starts
+from boxslash.product import edge_runs, level_starts, restrict_ids
 
 
 def tree_size(degrees):
@@ -122,10 +120,6 @@ def test_node_index_algebra():
     assert a.depth == 2
     assert a.parent == NodeIndex((1,))
     assert a.child(3) == NodeIndex((1, 2, 3))
-    assert a + 3 == NodeIndex((1, 2, 3))
-    assert concat(a, NodeIndex((1,))) == NodeIndex((1, 2, 1))
-    with pytest.raises(SizeLimitError):
-        concat(a, 1, height=2)
     with pytest.raises(ValueError):
         NodeIndex((0,))
     assert ROOT.parent is None
@@ -183,31 +177,21 @@ def test_kind_lookup():
 
 
 def test_restrict_subtree_renumbers():
-    g = boxslash_product((3,), 2)
-    kept, node_map = restrict_subtree(g, {ROOT: (1, 3)})
-    assert kept.tree.spec.degrees == (2,)
-    assert node_map[NodeIndex((3,))] == NodeIndex((2,))
-    assert node_map[NodeIndex((1,))] == NodeIndex((1,))
-    assert NodeIndex((2,)) not in node_map
-    assert len(kept) == 6
-    # The kept graph is the genuine induced product, not a relabeling stub.
-    assert kept.edge_counts() == expected_counts((2,), 2)
+    # Old ids 0, 1, 3: the kept root, node 1, and node 3 as the new node 2.
+    assert restrict_ids((3,), {0: (1, 3)}) == ((2,), [0, 1, 3])
+    assert restrict_ids((2, 2), {0: (2,)}) == ((1, 2), [0, 2, 5, 6])
 
 
 def test_restrict_subtree_uniformity_guard():
-    g = boxslash_product((2, 2), 2)
-    lopsided = {NodeIndex((1,)): (1,), NodeIndex((2,)): (1, 2)}
+    lopsided = {1: (1,), 2: (1, 2)}
     with pytest.raises(ShapeError):
-        restrict_subtree(g, lopsided)
+        restrict_ids((2, 2), lopsided)
     with pytest.raises(ValueError):
-        restrict_subtree(g, {ROOT: (5,)})
+        restrict_ids((2, 2), {0: (5,)})
 
 
 def test_restrict_subtree_full_keep_is_identity():
-    g = boxslash_product((2, 2), 2)
-    kept, node_map = restrict_subtree(g, {})
-    assert kept.vertices == g.vertices
-    assert node_map == {n: n for n in g.tree.nodes}
+    assert restrict_ids((2, 2), {}) == ((2, 2), list(range(7)))
 
 
 def test_size_limits():
@@ -218,16 +202,14 @@ def test_size_limits():
 
 
 def test_restrict_subtree_errors_name_the_node():
-    g = boxslash_product((2, 2), 2)
     with pytest.raises(ShapeError, match=r"^level 1 keeps 2 children at 2, other nodes keep 1$"):
-        restrict_subtree(g, {NodeIndex((1,)): (1,), NodeIndex((2,)): (1, 2)})
+        restrict_ids((2, 2), {1: (1,), 2: (1, 2)})
     with pytest.raises(ShapeError, match=r"^empty child selection at node 1\.2$"):
-        restrict_subtree(boxslash_product((2, 2, 2), 1), {NodeIndex((1, 2)): ()})
+        restrict_ids((2, 2, 2), {4: ()})
     with pytest.raises(ValueError, match=r"^child selection \(5,\) out of range 1\.\.2 at r$"):
-        restrict_subtree(g, {ROOT: (5,)})
-    # Entries for nodes outside the tree, or on its bottom level, are never read.
-    kept, _ = restrict_subtree(g, {NodeIndex((3,)): (), NodeIndex((1, 1)): (9,)})
-    assert kept.vertices == g.vertices
+        restrict_ids((2, 2), {0: (5,)})
+    # Entries for ids outside the tree, or on its bottom level (3 is 1.1), are never read.
+    assert restrict_ids((2, 2), {9: (), 3: (9,)}) == ((2, 2), list(range(7)))
 
 
 def test_hashes_equal_the_dataclass_hash():
