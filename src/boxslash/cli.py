@@ -123,15 +123,12 @@ def cmd_validate(args) -> int:
             u, _, v = key.partition("--")
             if not graph.has_edge(PVertex.parse(u), PVertex.parse(v)):
                 raise ValueError(f"colour key {key!r} is not an edge of the graph")
-        edges = list(graph.edge_pairs())
+        edges = graph.edges
     else:
         order, coloring = layout_from_json(doc, parse_vertex=str)
-        edges = []
-        for key in doc["colors"]:
-            u, _, v = key.partition("--")
-            edges.append((u, v))
+        graph = edges = [key.partition("--")[::2] for key in doc["colors"]]
     check = validate_queue_layout if args.queue else validate_stack_layout
-    report = check(edges, order, coloring)
+    report = check(graph, order, coloring)
     kind = "queue" if args.queue else "stack"
     if report.valid:
         print(f"valid {kind} layout: {len(edges)} edges, {len(order)} vertices")

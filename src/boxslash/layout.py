@@ -4,24 +4,29 @@ A stack page forbids same-colour crossings, a queue forbids same-colour
 nestings.  Everything here works over an explicit LinearOrder, so all
 positional notions (crossing, nesting, sidedness) are relative to it.
 
-For a fixed order the kernels run in O(E log E) plus their output: the
-validators and the stack page count find each edge's partners with one
-sweep over rank spans (``_sweep``), and the nesting depths, whose
-maximum is the queue count (the largest rainbow, Heath & Rosenberg
-1992), come from patience sorting.  ``stack_pages_for_order`` costs
-O(E log E + crossings) plus an exact search on each crossing-conflict
-component of at most ``exact_limit`` edges.  ``classify_pair`` is the
-per-pair reference for callers that hold just two edges.
+Each entry point reads its inputs once into integer lists (``_spans``):
+each edge's lower and upper endpoint rank, by vertex id for a
+ProductGraph (``product.edge_ends``), and its colour, which a colouring
+built on the same edge sequence hands over as it is: no object per edge.
+The kernels then run in O(E log E) plus their output: the validators
+and the stack page count find each edge's partners with one sweep over
+rank spans (``_sweep``), and the nesting depths, whose maximum is the
+queue count (the largest rainbow, Heath & Rosenberg 1992), come from
+patience sorting.  ``stack_pages_for_order`` costs O(E log E +
+crossings) plus an exact search on each crossing-conflict component of
+at most ``exact_limit`` edges.  ``classify_pair`` is the per-pair
+reference for callers that hold just two edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Mapping
+from operator import itemgetter
 
-from .product import EdgeKind, ProductGraph, PVertex
+from .product import EdgeKind, ProductGraph, PVertex, edge_ends
 
 Vertex = Hashable
 EdgePair = tuple[Vertex, Vertex]
@@ -62,9 +67,12 @@ class LinearOrder:
         except KeyError:
             raise ValueError(f"vertex {v!r} not in order") from None
 
-    def ranks_of(self, vertices: Iterable[Vertex]) -> list:
-        """The rank of each vertex, None for one outside the order."""
-        return list(map(self._rank.get, vertices))
+    def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
+        """The rank of each vertex; the first one outside the order raises."""
+        ranks = list(map(self._rank.get, vertices))
+        if None in ranks:
+            raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
+        return ranks
 
     def before(self, u: Vertex, v: Vertex) -> bool:
         return self.rank(u) < self.rank(v)
@@ -76,56 +84,80 @@ class LinearOrder:
         kept_set = set(kept)
         return LinearOrder(v for v in self._seq if v in kept_set)
 
-    def sorted_edge(self, e: EdgePair) -> tuple[int, int]:
-        a, b = self.rank(e[0]), self.rank(e[1])
-        return (a, b) if a < b else (b, a)
 
-
-def _edge_key(e) -> frozenset:
-    u, v = e
-    key = frozenset((u, v))
-    if len(key) == 1:
-        raise ValueError(f"self-loop at {u!r}")
-    return key
+_PAIR = itemgetter(slice(2))  # an edge's endpoints, from (u, v) or (u, v, kind)
 
 
 class EdgeColoring:
-    """Colour assignment on undirected edges, keyed independent of
-    direction by two-member sets, so no self-loop is ever found."""
+    """A colour per edge of a sequence of undirected edges, found in either
+    direction; an edge given twice keeps its first direction, last colour."""
 
     def __init__(self, colors: Mapping, k: int | None = None):
-        self._colors: dict[frozenset, int] = {}
+        self._edges, self._colors, self._index = [], [], None
         for e, c in colors.items():
-            key = e if isinstance(e, frozenset) else _edge_key(e)
-            if len(key) != 2:
-                raise ValueError(f"self-loop edge key {key!r}")
+            if isinstance(e, frozenset) and len(e) != 2:
+                raise ValueError(f"self-loop edge key {e!r}")
+            u, v = e
+            if u == v:
+                raise ValueError(f"self-loop at {u!r}")
             c = int(c)
             if c < 0:
                 raise ValueError(f"edge {e!r} has a negative colour {c}")
-            self._colors[key] = c
-        used = max(self._colors.values(), default=-1) + 1
+            self._edges.append((u, v))
+            self._colors.append(c)
+        used = max(self._lookup().values(), default=-1) + 1
         self.k = used if k is None else int(k)
         if self.k < used:
             raise ValueError(f"k={k} too small for {used} colours in use")
 
+    @classmethod
+    def from_lists(cls, edges: Sequence, colors: list, k: int) -> "EdgeColoring":
+        """Colour colors[i] on edges[i], kept as given: no edge object is made."""
+        self = cls.__new__(cls)
+        self._edges, self._colors, self._index, self.k = edges, colors, None, k
+        return self
+
+    def _lookup(self) -> dict:
+        if self._index is None:
+            index = self._index = {}
+            for (u, v), c in zip(map(_PAIR, self._edges), self._colors):
+                index[(v, u) if (v, u) in index else (u, v)] = c
+        return self._index
+
     def __len__(self) -> int:
-        return len(self._colors)
+        return len(self._lookup())
 
     def __contains__(self, e) -> bool:
         u, v = e
-        return frozenset((u, v)) in self._colors
+        return self.get(u, v) is not None
 
     def color(self, u: Vertex, v: Vertex) -> int:
-        try:
-            return self._colors[frozenset((u, v))]
-        except KeyError:
-            raise ValueError(f"edge {u!r} -- {v!r} has no colour") from None
+        if (c := self.get(u, v)) is None:
+            raise ValueError(f"edge {u!r} -- {v!r} has no colour")
+        return c
 
     def get(self, u: Vertex, v: Vertex):
-        return self._colors.get(frozenset((u, v)))
+        index = self._lookup()
+        return index.get((u, v), index.get((v, u)))
 
-    def edges(self) -> Iterator[tuple[frozenset, int]]:
-        return iter(self._colors.items())
+    def edges(self) -> Iterator[tuple[EdgePair, int]]:
+        return iter(self._lookup().items())
+
+    def colors_of(self, edges: Sequence, full: bool = True) -> list:
+        """Each edge's colour; a missing one raises, or is None without ``full``.
+        A colouring built on this very sequence gives its own list (not to be
+        changed); any other is read by one lookup per edge, misses retried reversed."""
+        if self._edges is edges:
+            colors = self._colors
+        else:
+            get = self._lookup().get
+            colors = list(map(get, map(_PAIR, edges)))
+            if None in colors:
+                colors = [get((e[1], e[0])) if c is None else c for e, c in zip(edges, colors)]
+        if full and None in colors:
+            u, v = _PAIR(edges[colors.index(None)])
+            raise ValueError(f"edge {_text(u)} -- {_text(v)} has no colour")
+        return colors
 
 
 def classify_pair(e1: EdgePair, e2: EdgePair, order: LinearOrder) -> PairRelation:
@@ -141,8 +173,7 @@ def classify_pair(e1: EdgePair, e2: EdgePair, order: LinearOrder) -> PairRelatio
         raise ValueError("self-loops cannot be classified")
     if {u1, v1} & {u2, v2}:
         return PairRelation.SHARES_ENDPOINT
-    a, b = order.sorted_edge(e1)
-    c, d = order.sorted_edge(e2)
+    (a, b), (c, d) = sorted(map(order.rank, e1)), sorted(map(order.rank, e2))
     if b < c or d < a:
         return PairRelation.SEPARATED
     if (a < c and d < b) or (c < a and b < d):
@@ -150,7 +181,7 @@ def classify_pair(e1: EdgePair, e2: EdgePair, order: LinearOrder) -> PairRelatio
     return PairRelation.CROSS
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
     edge_a: EdgePair
     edge_b: EdgePair
@@ -158,10 +189,29 @@ class Violation:
     color: int
 
 
+class _Violations(Sequence):
+    """Violating pairs as keys (colour * E + i) * E + j, i < j, each made a Violation when read."""
+
+    def __init__(self, keys: list[int], edges: Sequence, colors: list, relation: PairRelation):
+        self._keys, self._edges, self._colors, self._relation = keys, edges, colors, relation
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return [self[i] for i in range(*at.indices(len(self)))]
+        i, j = divmod(self._keys[at] % len(self._edges) ** 2, len(self._edges))
+        return Violation(_PAIR(self._edges[i]), _PAIR(self._edges[j]), self._relation, self._colors[i])
+
+
 @dataclass
 class LayoutReport:
     valid: bool
-    violations: list[Violation]
+    violations: Sequence[Violation]
 
 
 def _as_vertices_edges(pair):
@@ -209,58 +259,70 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     return list(dict.fromkeys(w for e in edges for w in e)), edges
 
 
-def _sweep(spans: list[tuple[int, int]], relation: PairRelation) -> Iterator[tuple[int, list[int]]]:
-    """Each span index with the indices of earlier-swept spans in
-    ``relation`` (CROSS or NEST) with it; every such pair occurs once.
+def _text(v: Vertex) -> str:
+    """A vertex as errors name it: a product vertex in its 2.2@1 form."""
+    return str(v) if isinstance(v, PVertex) else repr(v)
 
-    Spans are (left, right) ranks, left < right.  The sweep takes spans
-    by left rank and keeps the open ones sorted by right rank, so a
-    span's crossing partners (right end strictly inside it) and nesting
-    partners (right end beyond it) are one slice each: O(E log E)
-    comparisons plus the pairs listed (inserting into the open list
-    shifts it by a memmove).  Equal left ranks are taken widest first for
-    crossings and narrowest first for nestings, so that spans sharing an
-    endpoint, which share a rank, are never listed.
+
+def _spans(graph, order: LinearOrder, coloring: EdgeColoring | None = None):
+    """(edges, colours or None, lo, hi): the lower and upper rank of each
+    edge's ends, a ProductGraph's found by vertex id (``edge_ends``)."""
+    edges = graph.edges if isinstance(graph, ProductGraph) else graph_vertices_edges(graph)[1]
+    colors = None if coloring is None else coloring.colors_of(edges)
+    if isinstance(graph, ProductGraph):
+        ranks, ends = order.ranks_of(graph.vertices), edge_ends(graph.tree.spec.degrees, graph.path_len)
+        a, b = (list(map(ranks.__getitem__, ids)) for ids in ends)
+    else:
+        flat = order.ranks_of([w for e in edges for w in e])
+        a, b = flat[0::2], flat[1::2]
+    return edges, colors, list(map(min, a, b)), list(map(max, a, b))
+
+
+def _by_span(lo: list[int], hi: list[int], sign: int) -> list[int]:
+    """Edge ids by left rank, then by ``sign`` times right rank."""
+    r = max(hi, default=0) + 1
+    key = [a * r + sign * b for a, b in zip(lo, hi)]
+    return sorted(range(len(lo)), key=key.__getitem__)
+
+
+def _sweep(lo: list[int], hi: list[int], crossing: bool) -> Iterator[tuple[int, list[int]]]:
+    """Each edge id with the ids of earlier-swept edges that cross it
+    (``crossing``) or nest with it; every such pair occurs once.
+
+    Spans are taken by left rank, the open ones kept sorted by right
+    rank, so a span's crossing partners (right end strictly inside it)
+    and nesting partners (right end beyond it) are one slice each:
+    O(E log E) plus the pairs listed.  Equal left ranks come widest first
+    for crossings, narrowest first for nestings, so that spans sharing
+    an endpoint, which share a rank, are never listed.
     """
-    crossing = relation is PairRelation.CROSS
-    sign = -1 if crossing else 1
-    rights: list[int] = []
-    ids: list[int] = []
-    for i in sorted(range(len(spans)), key=lambda i: (spans[i][0], sign * spans[i][1])):
-        a, b = spans[i]
-        closed = bisect_right(rights, a)
-        if closed:
-            del rights[:closed], ids[:closed]
-        end = bisect_right(rights, b)
-        hits = ids[:bisect_left(rights, b)] if crossing else ids[end:]
+    rights, ids, start = [], [], 0  # rights[:start] are closed; deleting them would shift the rest
+    for i in _by_span(lo, hi, -1 if crossing else 1):
+        a, b = lo[i], hi[i]
+        start = bisect_right(rights, a, start)
+        end = bisect_right(rights, b, start)
+        hits = ids[start:bisect_left(rights, b, start)] if crossing else ids[end:]
         if hits:
             yield i, hits
         rights.insert(end, b)
         ids.insert(end, i)
 
 
-def _validate(edges, order, coloring, forbidden: PairRelation) -> LayoutReport:
+def _validate(graph, order, coloring, forbidden: PairRelation) -> LayoutReport:
     """Every same-colour pair in the ``forbidden`` relation, by colour,
     then by input position of the pair's first and second edge.
 
     Every edge is ranked, so an edge with an endpoint outside the order
-    raises ValueError.  O(E log E) plus the violations listed.
+    raises ValueError.  Colour c's spans are shifted by c times the rank
+    range, so one sweep keeps colours apart.  O(E log E) plus the pairs.
     """
-    pairs = graph_vertices_edges(edges)[1]
-    by_color: dict[int, list[EdgePair]] = {}
-    for e in pairs:
-        c = coloring.get(*e)
-        if c is None:
-            raise ValueError(f"edge {e} is uncoloured")
-        by_color.setdefault(c, []).append(e)
-    violations: list[Violation] = []
-    for c, bucket in sorted(by_color.items()):
-        spans = [order.sorted_edge(e) for e in bucket]
-        found = sorted(
-            (j, i) if j < i else (i, j) for i, hits in _sweep(spans, forbidden) for j in hits
-        )
-        violations.extend(Violation(bucket[i], bucket[j], forbidden, c) for i, j in found)
-    return LayoutReport(valid=not violations, violations=violations)
+    edges, colors, lo, hi = _spans(graph, order, coloring)
+    n, r = len(edges), max(hi, default=0) + 1
+    lo, hi = ([c * r + x for c, x in zip(colors, xs)] for xs in (lo, hi))
+    found = _sweep(lo, hi, forbidden is PairRelation.CROSS)
+    keys = sorted((colors[i] * n + i) * n + j if i < j else (colors[i] * n + j) * n + i
+                  for i, hits in found for j in hits)
+    return LayoutReport(valid=not keys, violations=_Violations(keys, edges, colors, forbidden))
 
 
 def validate_stack_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> LayoutReport:
@@ -292,9 +354,8 @@ def three_queue_layout(graph: ProductGraph) -> tuple[LinearOrder, EdgeColoring]:
     """Queue layout with one queue per edge kind under the canonical order."""
     if not isinstance(graph, ProductGraph):
         raise TypeError("three_queue_layout needs a ProductGraph")
-    order = canonical_order(graph)
-    colors = {(u, v): QUEUE_OF_KIND[kind] for u, v, kind in graph.edges}
-    return order, EdgeColoring(colors, k=3)
+    colors = [QUEUE_OF_KIND[kind] for _, _, kind in graph.edges]
+    return canonical_order(graph), EdgeColoring.from_lists(graph.edges, colors, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +435,11 @@ def fewest_colours(masks: list[int], below: int, counter: list[int] | None = Non
     return None
 
 
-def _crossing_lists(pairs: list[EdgePair], order: LinearOrder) -> list[list[int]]:
+def _crossing_lists(lo: list[int], hi: list[int]) -> list[list[int]]:
     """Crossing-conflict adjacency lists: j in adj[i] when edges i and j
     cross, each partner once.  O(E log E) plus the crossings."""
-    adj: list[list[int]] = [[] for _ in pairs]
-    for i, hits in _sweep([order.sorted_edge(e) for e in pairs], PairRelation.CROSS):
+    adj: list[list[int]] = [[] for _ in lo]
+    for i, hits in _sweep(lo, hi, True):
         adj[i].extend(hits)
         for j in hits:
             adj[j].append(i)
@@ -430,10 +491,8 @@ def stack_pages_for_order(
     search costs O(E log E + crossings); only the components searched
     exactly become bitmasks, of at most ``exact_limit`` bits.
     """
-    pairs = graph_vertices_edges(edges)[1]
-    if not pairs:
-        return ColoringResult(0, EdgeColoring({}), True)
-    adj = _crossing_lists(pairs, order)
+    pairs, _, lo, hi = _spans(edges, order)
+    adj = _crossing_lists(lo, hi)
     assignment = [-1] * len(pairs)
     exact = True
     for comp in _components(adj):
@@ -445,12 +504,11 @@ def stack_pages_for_order(
         else:
             _greedy_color(adj, comp, assignment)
             exact = False
-    best = max(assignment) + 1
-    colors = EdgeColoring({e: c for e, c in zip(pairs, assignment)}, k=best)
-    return ColoringResult(best, colors, exact)
+    best = max(assignment, default=-1) + 1
+    return ColoringResult(best, EdgeColoring.from_lists(pairs, assignment, best), exact)
 
 
-def _nesting_depths(pairs: list[EdgePair], order: LinearOrder) -> tuple[int, list[int]]:
+def _nesting_depths(lo: list[int], hi: list[int]) -> tuple[int, list[int]]:
     """Each edge's depth, the most edges in a chain nesting around it
     (itself included), and the largest depth, the biggest rainbow.
 
@@ -458,11 +516,10 @@ def _nesting_depths(pairs: list[EdgePair], order: LinearOrder) -> tuple[int, lis
     is a strictly decreasing run of right ranks, and ``tails[k]`` is
     minus the largest right rank that ends a chain of k + 1 edges so far.
     """
-    spans = [order.sorted_edge(e) for e in pairs]
-    depth = [0] * len(pairs)
+    depth = [0] * len(lo)
     tails: list[int] = []
-    for i in sorted(range(len(pairs)), key=spans.__getitem__):
-        x = -spans[i][1]
+    for i in _by_span(lo, hi, 1):
+        x = -hi[i]
         k = bisect_left(tails, x)
         if k == len(tails):
             tails.append(x)
@@ -478,12 +535,9 @@ def queues_for_order(edges, order: LinearOrder) -> ColoringResult:
     The witness colours each edge by its nesting depth, which uses
     exactly that many colours and never nests two equal colours.
     """
-    pairs = graph_vertices_edges(edges)[1]
-    if not pairs:
-        return ColoringResult(0, EdgeColoring({}), True)
-    count, depth = _nesting_depths(pairs, order)
-    colors = EdgeColoring({e: d - 1 for e, d in zip(pairs, depth)}, k=count)
-    return ColoringResult(count, colors, True)
+    pairs, _, lo, hi = _spans(edges, order)
+    count, depth = _nesting_depths(lo, hi)
+    return ColoringResult(count, EdgeColoring.from_lists(pairs, [d - 1 for d in depth], count), True)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +545,9 @@ def queues_for_order(edges, order: LinearOrder) -> ColoringResult:
 
 def layout_to_json(order: LinearOrder, coloring: EdgeColoring, edges) -> dict:
     """Serialize a layout; ``edges`` fixes the key direction u--v."""
-    colors = {}
-    for u, v in graph_vertices_edges(edges)[1]:
-        colors[f"{u}--{v}"] = coloring.color(u, v)
-    return {
-        "order": [str(v) for v in order],
-        "colors": colors,
-        "k": coloring.k,
-    }
+    pairs = edges.edges if isinstance(edges, ProductGraph) else graph_vertices_edges(edges)[1]
+    colors = {f"{e[0]}--{e[1]}": c for e, c in zip(pairs, coloring.colors_of(pairs))}
+    return {"order": [str(v) for v in order], "colors": colors, "k": coloring.k}
 
 
 def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOrder, EdgeColoring]:

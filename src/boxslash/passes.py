@@ -67,32 +67,6 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Integer ids.
-
-def _vertex_ranks(graph: ProductGraph, order: LinearOrder) -> list:
-    """Rank per vertex id; the first vertex the order lacks raises."""
-    ranks = order.ranks_of(graph.vertices)
-    if None in ranks:
-        raise ValueError(f"vertex {graph.vertices[ranks.index(None)]!r} not in order")
-    return ranks
-
-
-def _edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
-    """Colour per edge id, None where there is none."""
-    get = coloring.get
-    return [get(u, v) for u, v, _ in graph.edges]
-
-
-def _full_edge_colors(graph: ProductGraph, coloring: EdgeColoring) -> list:
-    """Colour per edge id; the first edge without one raises."""
-    colors = _edge_colors(graph, coloring)
-    if None in colors:
-        u, v, _ = graph.edges[colors.index(None)]
-        raise ValueError(f"edge {u!r} -- {v!r} has no colour")
-    return colors
-
-
-# ---------------------------------------------------------------------------
 # Tables.
 
 class ColorTable:
@@ -108,7 +82,7 @@ class ColorTable:
     @classmethod
     def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
         """Build the table, insisting every edge agrees with it."""
-        colors = _full_edge_colors(graph, coloring)
+        colors = coloring.colors_of(graph.edges)
         entries: dict[tuple[int, int, EdgeKind], int] = {}
         for e, (u, v, kind) in enumerate(graph.edges):
             sig, c = cls.signature(u, v, kind), colors[e]
@@ -357,8 +331,7 @@ class PassState:
 
     @functools.cached_property
     def coloring(self) -> EdgeColoring:
-        pairs = ((u, v) for u, v, _ in self.graph.edges)
-        return EdgeColoring(dict(zip(pairs, self.colors)), k=self.k)
+        return EdgeColoring.from_lists(self.graph.edges, self.colors, self.k)
 
     @functools.cached_property
     def node_map(self) -> dict[NodeIndex, NodeIndex]:
@@ -367,8 +340,8 @@ class PassState:
 
     @classmethod
     def initial(cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring) -> PassState:
-        colors = _full_edge_colors(graph, coloring)
-        state = cls(graph.tree.spec.degrees, graph.path_len, _vertex_ranks(graph, order),
+        colors = coloring.colors_of(graph.edges)
+        state = cls(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
                     colors, coloring.k, list(range(len(graph.tree))), graph.tree)
         vars(state).update(graph=graph, order=order, coloring=coloring)
         return state
@@ -456,7 +429,7 @@ def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport
     spots (x, i) before (y, j) of a pair the two order differently.
     """
     degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
-    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
+    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
     violations, checked = [], 0
     for depth in range(1, len(degrees) + 1):
         first, end = starts[depth], starts[depth + 1]
@@ -570,7 +543,7 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
         raise PreconditionError(
             f"directions need at least two children per level; levels {bad} are thinner"
         )
-    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
+    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
     entries = {}
     for i in range(1, height + 1):
         for j in range(i, height + 1):
@@ -593,7 +566,7 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
     identity.  Violations are reported, not raised.
     """
     degrees, m = graph.tree.spec.degrees, graph.path_len
-    ranks, starts = _vertex_ranks(graph, order), level_starts(degrees)
+    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
     violations, checked, cache = [], 0, {}
     for depth in range(1, graph.tree.height + 1):
         at_depth = enumerate(graph.tree.nodes_at_depth(depth), start=starts[depth])
@@ -670,7 +643,7 @@ def check_related_sequence_families(
     exactly the colour the table prescribes for its pairing edges.
     """
     degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
-    ranks, colors = _vertex_ranks(graph, order), _edge_colors(graph, coloring)
+    ranks, colors = order.ranks_of(graph.vertices), coloring.colors_of(graph.edges, full=False)
     height, starts = len(degrees), level_starts(degrees)
     n = starts[-1]
     vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(n, m)))

@@ -19,13 +19,13 @@ children are consecutive, `level_starts` gives each depth's first id,
 and parent and child ids follow by mixed-radix arithmetic on the
 degrees.  Vertex (node, pos) is (pos - 1) * |T| + node, its index in
 ProductGraph.vertices; an edge's id is its index in ProductGraph.edges,
-as laid out by `edge_runs`.
+as laid out by `edge_runs`, and `edge_ends` lists its endpoints' ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -233,20 +233,10 @@ class ProductGraph:
         self.vertices: tuple[PVertex, ...] = tuple(
             PVertex(node, i) for i in range(1, m + 1) for node in tree.nodes
         )
-        # Edges share the vertex objects: node k at position i is
-        # vertices[(i - 1) * n + k], and t runs over the offsets (i - 1) * n.
-        n, vs, starts = len(tree), self.vertices, level_starts(tree.spec.degrees)
-        non_root = list(zip(range(1, n), (  # the children of each node are the next ids
-            x for k, d in enumerate(tree.spec.degrees)
-            for x in range(starts[k], starts[k + 1]) for _ in range(d))))
-        self.edges: tuple[Edge, ...] = (
-            *((vs[c + t], vs[par + t], EdgeKind.VERTICAL)
-              for c, par in non_root for t in range(0, m * n, n)),
-            *((vs[c + t], vs[c + t + n], EdgeKind.HORIZONTAL)
-              for c in range(n) for t in range(0, (m - 1) * n, n)),
-            *((vs[c + t], vs[par + t + n], EdgeKind.DIAGONAL)
-              for c, par in non_root for t in range(0, (m - 1) * n, n)),
-        )
+        # Edges share the vertex objects, picked by their endpoint ids.
+        ends = (map(self.vertices.__getitem__, ids) for ids in edge_ends(tree.spec.degrees, m))
+        kinds = chain.from_iterable(map(repeat, EdgeKind, self.edge_counts().values()))
+        self.edges: tuple[Edge, ...] = tuple(zip(*ends, kinds))
 
     def __contains__(self, vertex: PVertex) -> bool:
         return isinstance(vertex, PVertex) and vertex.node in self.tree and (
@@ -280,10 +270,8 @@ class ProductGraph:
         return kind
 
     def edge_counts(self) -> dict[EdgeKind, int]:
-        counts = {kind: 0 for kind in EdgeKind}
-        for _, _, kind in self.edges:
-            counts[kind] += 1
-        return counts
+        n, m = len(self.tree), self.path_len
+        return dict(zip(EdgeKind, ((n - 1) * m, n * (m - 1), (n - 1) * (m - 1))))
 
     def descriptor(self) -> dict:
         return {
@@ -334,6 +322,18 @@ def edge_runs(n: int, m: int) -> tuple[tuple[int, int], ...]:
     product of n nodes and m positions: the edge of that kind at node x
     and position p has id first + x * width + p - 1."""
     return ((-m, m), ((n - 1) * m, m - 1), ((n - 1) * (2 * m - 1), m - 1))
+
+
+def edge_ends(degrees, m: int) -> tuple[Iterator[int], Iterator[int]]:
+    """The vertex ids of each edge's first and of its second endpoint, by
+    edge id: per run of edge_runs, node pair and the positions it spans."""
+    starts = level_starts(degrees)
+    n = starts[-1]
+    parents = [x for k, d in enumerate(degrees) for x in range(starts[k], starts[k + 1]) for _ in range(d)]
+    runs = ((range(1, n), parents, m), (range(n), range(n, 2 * n), m - 1),
+            (range(1, n), [x + n for x in parents], m - 1))
+    return (chain.from_iterable(range(x, x + w * n, n) for xs, _, w in runs for x in xs),
+            chain.from_iterable(range(y, y + w * n, n) for _, ys, w in runs for y in ys))
 
 
 def _name(degrees, x: int) -> str:

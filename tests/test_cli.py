@@ -144,6 +144,35 @@ def test_validate_the_three_queue_layout(product_files, capsys):
     assert "invalid stack layout" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "check, one_colour, saved",
+    [("--stack", False, "validate_2-2x2_stack.txt"),
+     ("--queue", True, "validate_2-2x2_one-colour_queue.txt")],
+)
+def test_validate_output_on_an_invalid_product_layout_is_byte_identical(
+    tmp_path, capsys, check, one_colour, saved
+):
+    # The saved texts are the output of the validators that ranked edge
+    # pairs through the order; both run past the 20 violations printed.
+    assert cli.main(["layout", "--three-queue", "--degrees", "2,2", "--path", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if one_colour:
+        doc.update(colors=dict.fromkeys(doc["colors"], 0), k=1)
+    path = _write(tmp_path, "layout.json", doc)
+    assert cli.main(["validate", check, "--layout", path]) == cli.EXIT_INVALID
+    assert capsys.readouterr().out == (DATA / saved).read_text(encoding="utf-8")
+
+
+def test_validate_and_passes_run_name_a_missing_colour_alike(product_files, tmp_path, capsys):
+    doc = json.loads(Path(product_files[-1]).read_text())
+    del doc["colors"]["2@1--r@1"]
+    layout = _write(tmp_path, "partial.json", doc)
+    for argv in (["validate", "--queue", "--layout", layout],
+                 ["passes", "run", "--graph", product_files[1], "--layout", layout]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: edge 2@1 -- r@1 has no colour\n"
+
+
 @pytest.fixture
 def k4_file(tmp_path):
     edges = [[u, v] for u in range(4) for v in range(u + 1, 4)]

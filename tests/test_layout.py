@@ -22,7 +22,7 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
-from boxslash.layout import _crossing_lists, _nesting_depths
+from boxslash.layout import _crossing_lists, _nesting_depths, _spans
 from helpers_naive import (
     chromatic_number,
     conflict_adjacency,
@@ -53,7 +53,6 @@ def test_linear_order_basics():
     assert order.before("a", "d")
     assert list(order.reversed()) == ["c", "d", "a", "b"]
     assert list(order.restrict("cab")) == ["b", "a", "c"]
-    assert order.sorted_edge(("c", "b")) == (0, 3)
     assert "q" not in order
     with pytest.raises(ValueError):
         order.rank("q")
@@ -77,6 +76,40 @@ def test_edge_coloring_basics():
     # sit on two pages under a declared k of 1.
     with pytest.raises(ValueError, match="negative colour -1"):
         EdgeColoring({("a", "c"): -1, ("b", "d"): 0}, k=1)
+
+
+def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
+    # In either direction, as a two-member set key did; the edge is
+    # stored once, so it counts once.
+    for second in ((1, 2), (2, 1), frozenset((1, 2))):
+        coloring = EdgeColoring({(1, 2): 0, (3, 4): 1, second: 2})
+        assert (coloring.color(1, 2), coloring.color(2, 1), len(coloring), coloring.k) == (2, 2, 2, 3)
+    bulk = EdgeColoring.from_lists([(1, 2), (3, 4), (2, 1)], [0, 1, 2], 3)
+    assert (bulk.get(1, 2), bulk.get(2, 1), len(bulk)) == (2, 2, 2)
+    assert dict(bulk.edges()) == {(1, 2): 2, (3, 4): 1}
+
+
+def test_edge_coloring_accepts_frozenset_keys():
+    coloring = EdgeColoring({frozenset(("a", "b")): 1, ("b", "c"): 0})
+    assert (coloring.color("a", "b"), coloring.color("b", "a"), coloring.k) == (1, 1, 2)
+    assert ("b", "a") in coloring and ("a", "c") not in coloring
+    with pytest.raises(ValueError, match="self-loop edge key"):
+        EdgeColoring({frozenset(("a",)): 0})
+
+
+@pytest.mark.parametrize("build", ["mapping", "three_queue", "queues", "pages"])
+def test_edge_coloring_round_trips_through_its_edges(build):
+    g = boxslash_product((2, 2), 2)
+    order = canonical_order(g)
+    coloring = {
+        "mapping": lambda: EdgeColoring({(v, u): i % 3 for i, (u, v) in enumerate(g.edge_pairs())}),
+        "three_queue": lambda: three_queue_layout(g)[1],
+        "queues": lambda: queues_for_order(g, order).colors,
+        "pages": lambda: stack_pages_for_order(g, order).colors,
+    }[build]()
+    again = EdgeColoring(dict(coloring.edges()), k=coloring.k)
+    assert again.k == coloring.k and len(again) == len(coloring) == len(g.edges)
+    assert all(again.color(u, v) == coloring.color(v, u) for u, v in g.edge_pairs())
 
 
 def test_classify_pair_frozen_cases():
@@ -188,10 +221,46 @@ def test_kernels_match_reference(case):
         assert [(v.edge_a, v.edge_b, v.color) for v in report.violations] == expected
         assert all(v.relation is rel for v in report.violations)
         assert report.valid == (not expected)
+    spans = _spans(edges, order)[2:]
     depths = naive_nesting_depths(edges, position)
-    assert _nesting_depths(edges, order) == (max(depths, default=0), depths)
+    assert _nesting_depths(*spans) == (max(depths, default=0), depths)
     adjacency = conflict_adjacency(edges, position, edges_cross)
-    assert [sorted(adj) for adj in _crossing_lists(edges, order)] == [sorted(adj) for adj in adjacency]
+    assert [sorted(adj) for adj in _crossing_lists(*spans)] == [sorted(adj) for adj in adjacency]
+
+
+@pytest.mark.parametrize("degrees, m", [((2,), 3), ((3,), 2), ((2, 2), 2), ((1, 2), 3)])
+def test_product_inputs_match_the_reference(degrees, m):
+    # The product path ranks edge ends by vertex id; the oracles rank
+    # edge pairs by a position map.  Canonical, reversed and shuffled
+    # orders, each with a colouring of one to three colours drawn per
+    # edge and with the bulk-built three-queue colouring.
+    rng = random.Random(f"product-{degrees}x{m}")
+    g = boxslash_product(degrees, m)
+    edges = list(g.edge_pairs())
+    shuffled = list(g.vertices)
+    rng.shuffle(shuffled)
+    for vertices in (g.vertices, g.vertices[::-1], shuffled):
+        order = LinearOrder(vertices)
+        position = {v: order.rank(v) for v in order}
+        k = rng.randint(1, 3)
+        drawn = EdgeColoring({e: rng.randrange(k) for e in edges}, k=k)
+        for coloring in (drawn, three_queue_layout(g)[1]):
+            colours = [coloring.color(*e) for e in edges]
+            for check, conflict in ((validate_stack_layout, edges_cross),
+                                    (validate_queue_layout, edges_nest)):
+                report = check(g, order, coloring)
+                expected = naive_violations(edges, colours, position, conflict)
+                assert [(v.edge_a, v.edge_b, v.color) for v in report.violations] == expected
+        depths = naive_nesting_depths(edges, position)
+        queues = queues_for_order(g, order)
+        assert (queues.count, queues.exact) == (max(depths), True)
+        assert [queues.colors.color(*e) + 1 for e in edges] == depths
+        pages = stack_pages_for_order(g, order)
+        page = [pages.colors.color(*e) for e in edges]
+        adjacency = conflict_adjacency(edges, position, edges_cross)
+        assert all(page[i] != page[j] for i, adj in enumerate(adjacency) for j in adj)
+        assert pages.exact and pages.count == min_pages_for_position(edges, position)
+        assert validate_stack_layout(g, order, pages.colors).valid
 
 
 def test_canonical_order_is_position_major_then_depth():

@@ -800,30 +800,28 @@ def test_run_passes_rejects_an_order_without_a_vertex_that_a_pass_prunes():
     g = boxslash_product((2, 2), 2)
     order, coloring = three_queue_layout(g)
     short = LinearOrder(v for v in order if v != pv("2.2@2"))
-    message = r"^vertex PVertex\(node=NodeIndex\(path=\(2, 2\)\), pos=2\) not in order$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"^vertex 2\.2@2 not in order$"):
         run_passes(g, short, coloring, colour_targets=1)
 
 
-def test_malformed_layouts_raise_what_the_object_lookups_raise():
+def test_malformed_layouts_name_vertices_and_edges_as_the_cli_writes_them():
+    # The messages use the 1.2@1 text form that layout documents hold.
     g = boxslash_product((2, 2), 2)
     order, coloring = three_queue_layout(g)
-    missing = pv("1.2@2")
-    short = LinearOrder(v for v in order if v != missing)
-    with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(missing))} not in order$"):
+    short = LinearOrder(v for v in order if v != pv("1.2@2"))
+    with pytest.raises(ValueError, match=r"^vertex 1\.2@2 not in order$"):
         run_passes(g, short, coloring)
     # Every check reads the whole order, the root included.
     rootless = LinearOrder(v for v in order if v.node.depth)
-    no_root = rf"^vertex {re.escape(repr(pv('r@1')))} not in order$"
-    with pytest.raises(ValueError, match=no_root):
+    with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):
         check_child_symmetry(g, rootless)
-    with pytest.raises(ValueError, match=no_root):
+    with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):
         extract_direction_table(g, rootless)
-    with pytest.raises(ValueError, match=r"^vertex PVertex\(node=NodeIndex\(path=\(2,\)\), pos=1\)"):
+    with pytest.raises(ValueError, match=r"^vertex 2@1 not in order$"):
         extract_direction_table(g, LinearOrder(v for v in order if v != pv("2@1")))
     for u, v in [(pv("1.1@1"), pv("1@1")), (pv("r@1"), pv("r@2"))]:
-        partial = EdgeColoring({e: c for e, c in coloring.edges() if e != frozenset((u, v))}, k=3)
-        message = rf"^edge {re.escape(repr(u))} -- {re.escape(repr(v))} has no colour$"
+        partial = EdgeColoring({e: c for e, c in coloring.edges() if set(e) != {u, v}}, k=3)
+        message = rf"^edge {re.escape(str(u))} -- {re.escape(str(v))} has no colour$"
         with pytest.raises(ValueError, match=message):
             run_passes(g, order, partial)
         with pytest.raises(ValueError, match=message):
