@@ -25,7 +25,6 @@ from .layout import (
     LinearOrder,
     PairRelation,
     canonical_order,
-    classify_pair,
     layout_from_json,
     layout_to_json,
     queues_for_order,
@@ -55,7 +54,6 @@ from .passes import (
     check_identity_permutation,
     check_related_sequence_families,
     extract_direction_table,
-    find_monotone_subsequence,
     pass_colour,
     pass_lex,
     pass_order,

@@ -8,7 +8,6 @@ Subcommands:
 * solve      exact small-instance stack or queue number
 * passes     run the thinning pipeline on a graph plus layout
 * hex        analyze a two-colored hexagonal grid
-* selftest   run the built-in verification suites
 
 Exit status: 0 on success, 1 when a check or validation reports
 violations, 2 for usage or input errors.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -39,9 +37,8 @@ from .layout import (
     validate_queue_layout,
     validate_stack_layout,
 )
-from .passes import check_direction_consistency, run_passes, DirectionTable
+from .passes import check_direction_consistency, run_passes
 from .product import ProductGraph, PVertex, boxslash_product
-from .sequences import Direction
 from .solver import queue_number, stack_number
 
 EXIT_OK = 0
@@ -113,15 +110,17 @@ def cmd_validate(args) -> int:
     if "graph" in doc:
         graph = ProductGraph.from_descriptor(doc["graph"])
         order, coloring = layout_from_json(doc, parse_vertex=PVertex.parse)
-        stray = next((v for v in order if v not in graph), None)
+        vertices = set(graph.vertices)
+        stray = next((v for v in order if v not in vertices), None)
         if stray is not None:
             raise ValueError(f"order has vertex {stray}, which is not in the graph")
         if len(order) < len(graph):
             missing = next(v for v in graph.vertices if v not in order)
             raise ValueError(f"order misses vertex {missing} of the graph")
+        pairs = set(graph.edge_pairs())
         for key in doc["colors"]:
-            u, _, v = key.partition("--")
-            if not graph.has_edge(PVertex.parse(u), PVertex.parse(v)):
+            u, v = map(PVertex.parse, key.partition("--")[::2])
+            if (u, v) not in pairs and (v, u) not in pairs:
                 raise ValueError(f"colour key {key!r} is not an edge of the graph")
         edges = graph.edges
     else:
@@ -247,51 +246,6 @@ def cmd_hex_analyze(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Self test suites.
-
-def _suite_monotone() -> tuple[bool, str]:
-    from .passes import find_monotone_subsequence
-
-    for perm in itertools.permutations(range(5)):
-        found = find_monotone_subsequence(list(perm), 3)
-        if found is None:
-            return False, f"no length-3 monotone run in {perm}"
-        rising = all(a < b for a, b in zip(found, found[1:]))
-        falling = all(a > b for a, b in zip(found, found[1:]))
-        if len(found) < 3 or not (rising or falling):
-            return False, f"bad witness {found} for {perm}"
-    return True, "all 120 permutations of 5 yield a monotone triple"
-
-
-def _suite_corrupted_table() -> tuple[bool, str]:
-    entries = {}
-    for i in range(1, 4):
-        for j in range(i, 4):
-            entries[(i, j, 1)] = Direction.INC
-    # Same direction at the deeper level but a flip below it: the
-    # propagation check must name this.
-    entries[(1, 2, 1)] = Direction.DEC
-    table = DirectionTable(3, 1, entries)
-    report = check_direction_consistency(table)
-    if report.ok:
-        return False, "corrupted table passed the consistency check"
-    return True, f"corruption caught: {report.violations[0]}"
-
-
-def cmd_selftest(args) -> int:
-    suites = [
-        ("monotone-five", _suite_monotone),
-        ("corrupted-table", _suite_corrupted_table),
-    ]
-    failed = 0
-    for name, run in suites:
-        ok, detail = run()
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += not ok
-    return EXIT_OK if failed == 0 else EXIT_INVALID
-
-
-# ---------------------------------------------------------------------------
 # Parser.
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--s", type=int, default=1, help="top cells sought minus one")
     p_an.add_argument("--long-length", type=int, default=None, help="boundary length threshold (default: grid rows)")
     p_an.set_defaults(func=cmd_hex_analyze)
-
-    p_self = sub.add_parser("selftest", help="built-in verification suites")
-    p_self.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -3,6 +3,9 @@
 A stack page forbids same-colour crossings, a queue forbids same-colour
 nestings.  Everything here works over an explicit LinearOrder, so all
 positional notions (crossing, nesting, sidedness) are relative to it.
+A graph is a ProductGraph, an iterable of vertex pairs, or a graph
+document (``graph_vertices_edges``); a vertex is in it only as the end
+of an edge.
 
 Each entry point reads its inputs once into integer lists (``_spans``):
 each edge's lower and upper endpoint rank, by vertex id for a
@@ -14,17 +17,16 @@ rank spans (``_sweep``), and the nesting depths, whose maximum is the
 queue count (the largest rainbow, Heath & Rosenberg 1992), come from
 patience sorting.  ``stack_pages_for_order`` costs O(E log E +
 crossings) plus an exact search on each crossing-conflict component of
-at most ``exact_limit`` edges.  ``classify_pair`` is the per-pair
-reference for callers that hold just two edges.
+at most ``EXACT_PAGE_LIMIT`` edges.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 
 from .product import EdgeKind, ProductGraph, PVertex, edge_ends
 
@@ -33,10 +35,8 @@ EdgePair = tuple[Vertex, Vertex]
 
 
 class PairRelation(Enum):
-    SEPARATED = "separated"
     NEST = "nest"
     CROSS = "cross"
-    SHARES_ENDPOINT = "shares_endpoint"
 
 
 class LinearOrder:
@@ -74,18 +74,11 @@ class LinearOrder:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
         return ranks
 
-    def before(self, u: Vertex, v: Vertex) -> bool:
-        return self.rank(u) < self.rank(v)
-
     def reversed(self) -> "LinearOrder":
         return LinearOrder(reversed(self._seq))
 
-    def restrict(self, kept: Iterable[Vertex]) -> "LinearOrder":
-        kept_set = set(kept)
-        return LinearOrder(v for v in self._seq if v in kept_set)
 
-
-_PAIR = itemgetter(slice(2))  # an edge's endpoints, from (u, v) or (u, v, kind)
+_PAIR = operator.itemgetter(slice(2))  # an edge's endpoints, from (u, v) or (u, v, kind)
 
 
 class EdgeColoring:
@@ -100,7 +93,9 @@ class EdgeColoring:
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            c = int(c)
+            if isinstance(c, bool) or not hasattr(c, "__index__"):
+                raise ValueError(f"edge {e!r} has a non-integer colour {c!r}")
+            c = operator.index(c)
             if c < 0:
                 raise ValueError(f"edge {e!r} has a negative colour {c}")
             self._edges.append((u, v))
@@ -160,27 +155,6 @@ class EdgeColoring:
         return colors
 
 
-def classify_pair(e1: EdgePair, e2: EdgePair, order: LinearOrder) -> PairRelation:
-    """Relation of two edges under the order.
-
-    Exactly one of separated, nest, cross holds for disjoint edge pairs;
-    edges sharing an endpoint get their own bucket.  Self-loops are
-    rejected.
-    """
-    u1, v1 = e1
-    u2, v2 = e2
-    if u1 == v1 or u2 == v2:
-        raise ValueError("self-loops cannot be classified")
-    if {u1, v1} & {u2, v2}:
-        return PairRelation.SHARES_ENDPOINT
-    (a, b), (c, d) = sorted(map(order.rank, e1)), sorted(map(order.rank, e2))
-    if b < c or d < a:
-        return PairRelation.SEPARATED
-    if (a < c and d < b) or (c < a and b < d):
-        return PairRelation.NEST
-    return PairRelation.CROSS
-
-
 @dataclass(slots=True)
 class Violation:
     edge_a: EdgePair
@@ -214,30 +188,13 @@ class LayoutReport:
     violations: Sequence[Violation]
 
 
-def _as_vertices_edges(pair):
-    """A 2-tuple read as (vertices, edges), or None when it is an edge list.
-
-    It is (vertices, edges) only when every item of its second entry is
-    a pair whose endpoints both lie in its first entry; two edges such
-    as ((1, 2), (3, 4)) or (("ab", "cd"), ("ef", "gh")) are not.
-    """
-    try:
-        vertices, edges = list(pair[0]), list(pair[1])
-        members = set(vertices)
-        if all(len(e) == 2 and members.issuperset(e) for e in edges):
-            return vertices, [(u, v) for u, v in edges]
-    except TypeError:
-        pass
-    return None
-
-
 def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     """Vertices and edge pairs of any graph input the package accepts.
 
-    A graph is a ProductGraph, a (vertices, edges) pair, an iterable of
-    edge pairs, whose vertices are listed in order of first mention, or
-    a graph document (a dict): a product descriptor, one under "graph",
-    or "edges", a list of vertex pairs whose ids are read as strings.
+    A graph is a ProductGraph, an iterable of vertex pairs, whose
+    vertices are listed in order of first mention, or a graph document
+    (a dict): a product descriptor, one under "graph", or "edges", a
+    list of vertex pairs whose ids are read as strings.
     """
     if isinstance(graph, dict):
         if "graph" in graph or "tree_degrees" in graph:
@@ -247,16 +204,26 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
             if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
                 raise ValueError("graph 'edges' must be a list of vertex pairs")
             graph = [(str(u), str(v)) for u, v in edges]
+            _check_key_ids(w for e in graph for w in e)
         else:
             raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
     if isinstance(graph, ProductGraph):
         return list(graph.vertices), list(graph.edge_pairs())
-    if isinstance(graph, tuple) and len(graph) == 2:
-        split = _as_vertices_edges(graph)
-        if split is not None:
-            return split
-    edges = [(u, v) for u, v in graph]
+    edges = []
+    for e in graph:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"graph item {e!r} is not a vertex pair") from None
+        edges.append((u, v))
     return list(dict.fromkeys(w for e in edges for w in e)), edges
+
+
+def _check_key_ids(ids: Iterable[str]) -> None:
+    """Reject an id that an edge key u--v, split at its first '--', would not give back."""
+    for v in ids:
+        if "--" in v or v.endswith("-"):
+            raise ValueError(f"vertex id {v!r} cannot be written in an edge key: it contains '--' or ends in '-'")
 
 
 def _text(v: Vertex) -> str:
@@ -354,7 +321,9 @@ def three_queue_layout(graph: ProductGraph) -> tuple[LinearOrder, EdgeColoring]:
     """Queue layout with one queue per edge kind under the canonical order."""
     if not isinstance(graph, ProductGraph):
         raise TypeError("three_queue_layout needs a ProductGraph")
-    colors = [QUEUE_OF_KIND[kind] for _, _, kind in graph.edges]
+    colors = []  # edges come kind-major, a run per kind
+    for kind, count in graph.edge_counts().items():
+        colors += [QUEUE_OF_KIND[kind]] * count
     return canonical_order(graph), EdgeColoring.from_lists(graph.edges, colors, 3)
 
 
@@ -479,24 +448,22 @@ def _greedy_color(adj: list[list[int]], comp: list[int], colors: list[int]) -> N
         colors[v] = c
 
 
-def stack_pages_for_order(
-    edges, order: LinearOrder, exact_limit: int = EXACT_PAGE_LIMIT
-) -> ColoringResult:
+def stack_pages_for_order(edges, order: LinearOrder) -> ColoringResult:
     """Fewest stack pages for a fixed order.
 
     Exact when every connected component of the crossing-conflict graph
-    has at most ``exact_limit`` edges; beyond that a greedy bound is
+    has at most EXACT_PAGE_LIMIT edges; beyond that a greedy bound is
     returned with ``exact`` set to False.  The conflict graph is held as
     adjacency lists from one rank sweep, so everything but the exact
     search costs O(E log E + crossings); only the components searched
-    exactly become bitmasks, of at most ``exact_limit`` bits.
+    exactly become bitmasks, of at most EXACT_PAGE_LIMIT bits.
     """
     pairs, _, lo, hi = _spans(edges, order)
     adj = _crossing_lists(lo, hi)
     assignment = [-1] * len(pairs)
     exact = True
     for comp in _components(adj):
-        if len(comp) <= exact_limit:
+        if len(comp) <= EXACT_PAGE_LIMIT:
             local_index = {v: i for i, v in enumerate(comp)}
             masks = [sum(1 << local_index[w] for w in adj[v]) for v in comp]
             for v, c in zip(comp, fewest_colours(masks, len(comp) + 1)):
@@ -555,6 +522,7 @@ def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOr
         raise ValueError("layout 'order' must be a list of vertices")
     if not isinstance(doc.get("colors"), dict):
         raise ValueError("layout 'colors' must be an object of edge colours")
+    _check_key_ids(map(str, doc["order"]))
     order = LinearOrder(parse_vertex(s) for s in doc["order"])
     colors = {}
     for key, c in doc["colors"].items():

@@ -45,7 +45,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InconsistencyError, PassStarvation, PreconditionError
 from .layout import EdgeColoring, LinearOrder
@@ -167,49 +167,7 @@ class DirectionTable:
 
 
 # ---------------------------------------------------------------------------
-# Monotone extraction.
-
-def find_monotone_subsequence(values: Sequence[int], target: int) -> Optional[list]:
-    """Longest increasing or decreasing subsequence, if it reaches target.
-
-    Patience sorting in both directions; the increasing run wins ties.
-    Any list of length at least (target-1)^2 + 1 must succeed.
-    """
-    values = list(values)
-    if len(set(values)) != len(values):
-        raise ValueError("values must be distinct")
-    if target < 1:
-        raise ValueError("target must be positive")
-
-    def longest(seq: list) -> list:
-        import bisect
-
-        tails: list = []
-        tail_index: list[int] = []
-        prev = [-1] * len(seq)
-        for idx, x in enumerate(seq):
-            spot = bisect.bisect_left(tails, x)
-            if spot == len(tails):
-                tails.append(x)
-                tail_index.append(idx)
-            else:
-                tails[spot] = x
-                tail_index[spot] = idx
-            prev[idx] = tail_index[spot - 1] if spot > 0 else -1
-        out = []
-        at = tail_index[-1] if tail_index else -1
-        while at != -1:
-            out.append(seq[at])
-            at = prev[at]
-        return out[::-1]
-
-    if not values:
-        return None
-    rising = longest(values)
-    falling = [-x for x in longest([-x for x in values])]
-    best = rising if len(rising) >= len(falling) else falling
-    return best if len(best) >= target else None
-
+# Lex-monotone subarrays.
 
 @dataclass(frozen=True)
 class LexMonotoneWitness:

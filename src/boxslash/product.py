@@ -142,11 +142,6 @@ class Tree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, node: NodeIndex) -> bool:
-        return isinstance(node, NodeIndex) and node.depth <= self.height and all(
-            c <= d for c, d in zip(node.path, self.spec.degrees)
-        )
-
     def __iter__(self) -> Iterator[NodeIndex]:
         return iter(self.nodes)
 
@@ -154,17 +149,6 @@ class Tree:
         if not 0 <= depth <= self.height:
             return ()
         return self._by_depth[depth]
-
-    def children(self, node: NodeIndex) -> tuple[NodeIndex, ...]:
-        self._require(node)
-        if node.depth >= self.height:
-            return ()
-        d = self.spec.degrees[node.depth]
-        return tuple(node.child(v) for v in range(1, d + 1))
-
-    def _require(self, node: NodeIndex) -> None:
-        if node not in self:
-            raise ValueError(f"node {node} is not in tree {self.spec.degrees}")
 
 
 def build_tree(spec) -> Tree:
@@ -238,36 +222,11 @@ class ProductGraph:
         kinds = chain.from_iterable(map(repeat, EdgeKind, self.edge_counts().values()))
         self.edges: tuple[Edge, ...] = tuple(zip(*ends, kinds))
 
-    def __contains__(self, vertex: PVertex) -> bool:
-        return isinstance(vertex, PVertex) and vertex.node in self.tree and (
-            vertex.pos in range(1, self.path_len + 1)
-        )
-
     def __len__(self) -> int:
         return len(self.vertices)
 
     def edge_pairs(self) -> Iterator[tuple[PVertex, PVertex]]:
         return ((u, v) for u, v, _ in self.edges)
-
-    def _kind(self, u: PVertex, v: PVertex) -> EdgeKind | None:
-        """Kind of the edge u -- v by the address rules, or None."""
-        if u not in self or v not in self:
-            return None
-        if u.node.depth < v.node.depth:
-            u, v = v, u
-        if u.node == v.node and abs(u.pos - v.pos) == 1:
-            return EdgeKind.HORIZONTAL
-        if u.node.parent == v.node:
-            return {0: EdgeKind.VERTICAL, 1: EdgeKind.DIAGONAL}.get(v.pos - u.pos)
-        return None
-
-    def has_edge(self, u: PVertex, v: PVertex) -> bool:
-        return self._kind(u, v) is not None
-
-    def kind_of(self, u: PVertex, v: PVertex) -> EdgeKind:
-        if (kind := self._kind(u, v)) is None:
-            raise ValueError(f"no edge {u} -- {v}")
-        return kind
 
     def edge_counts(self) -> dict[EdgeKind, int]:
         n, m = len(self.tree), self.path_len

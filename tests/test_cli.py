@@ -21,19 +21,6 @@ from helpers_naive import (
 )
 
 
-def test_selftest_passes():
-    assert cli.main(["selftest"]) == cli.EXIT_OK
-
-
-def test_selftest_has_no_jobs_option(capsys):
-    # Nor a --seed: no suite left in selftest is randomized.
-    for option in ("--jobs", "--seed"):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["selftest", option, "2"])
-        assert err.value.code == cli.EXIT_USAGE
-        assert option in capsys.readouterr().err
-
-
 @pytest.fixture
 def product_files(tmp_path, capsys):
     """Graph and layout files of the (2,2)x2 product's three-queue layout."""
@@ -219,6 +206,26 @@ def test_solve_document_matches_the_oracles(tmp_path, capsys, kind, name):
     order, coloring = layout_from_json(doc, parse_vertex=str)
     validate = validate_stack_layout if kind == "stack" else validate_queue_layout
     assert validate(edges, order, coloring).valid
+
+
+def test_solve_keys_every_edge_of_a_two_edge_graph(tmp_path, capsys):
+    # Not the edges a -- b and b -- a of the vertices a and b.
+    path = _write(tmp_path, "graph.json", {"edges": [["a", "b"], ["ab", "ba"]]})
+    assert cli.main(["solve", "--stack", "--graph", path]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["exact"]) == (1, True)
+    assert list(doc["colors"]) == ["a--b", "ab--ba"]
+    assert sorted(doc["order"]) == ["a", "ab", "b", "ba"]
+
+
+def test_solve_rejects_an_id_its_edge_keys_cannot_give_back(tmp_path, capsys):
+    # "a--b" -- "c" would be written "a--b--c", which validate reads as a -- b--c.
+    path = _write(tmp_path, "graph.json", {"edges": [["a--b", "c"], ["c", "d"]]})
+    assert cli.main(["solve", "--queue", "--graph", path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: vertex id 'a--b' cannot be written in an edge key: "
+                            "it contains '--' or ends in '-'\n")
 
 
 def test_main_keeps_no_parsed_state_between_calls(k4_file, capsys):

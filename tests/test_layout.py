@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from boxslash import (
     PairRelation,
     boxslash_product,
     canonical_order,
-    classify_pair,
     layout_from_json,
     layout_to_json,
     queues_for_order,
@@ -22,7 +22,8 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
-from boxslash.layout import _crossing_lists, _nesting_depths, _spans
+from boxslash import layout
+from boxslash.layout import _crossing_lists, _nesting_depths, _spans, graph_vertices_edges
 from helpers_naive import (
     chromatic_number,
     conflict_adjacency,
@@ -35,14 +36,6 @@ from helpers_naive import (
     relation,
 )
 
-RELATION_NAME = {
-    PairRelation.CROSS: "cross",
-    PairRelation.NEST: "nest",
-    PairRelation.SEPARATED: "separate",
-    PairRelation.SHARES_ENDPOINT: "shared",
-}
-
-
 def int_order(n):
     return LinearOrder(range(n))
 
@@ -50,9 +43,7 @@ def int_order(n):
 def test_linear_order_basics():
     order = LinearOrder("badc")
     assert order.rank("b") == 0
-    assert order.before("a", "d")
     assert list(order.reversed()) == ["c", "d", "a", "b"]
-    assert list(order.restrict("cab")) == ["b", "a", "c"]
     assert "q" not in order
     with pytest.raises(ValueError):
         order.rank("q")
@@ -76,6 +67,15 @@ def test_edge_coloring_basics():
     # sit on two pages under a declared k of 1.
     with pytest.raises(ValueError, match="negative colour -1"):
         EdgeColoring({("a", "c"): -1, ("b", "d"): 0}, k=1)
+
+
+def test_edge_coloring_rejects_non_integer_colours():
+    # As layout_from_json does: no colour is truncated or parsed.
+    for c in (1.7, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has a non-integer colour"):
+            EdgeColoring({(1, 2): c})
+    index_like = type("IndexLike", (), {"__index__": lambda self: 2})()
+    assert EdgeColoring({(1, 2): index_like}).color(1, 2) == 2
 
 
 def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
@@ -112,34 +112,15 @@ def test_edge_coloring_round_trips_through_its_edges(build):
     assert all(again.color(u, v) == coloring.color(v, u) for u, v in g.edge_pairs())
 
 
-def test_classify_pair_frozen_cases():
+def test_one_colour_pairs_frozen_cases():
+    # Two edges on one page: a stack rejects only a crossing pair, a
+    # queue only a nesting one, whichever way round each edge is given.
     order = int_order(6)
-    assert classify_pair((0, 2), (1, 3), order) is PairRelation.CROSS
-    assert classify_pair((0, 3), (1, 2), order) is PairRelation.NEST
-    assert classify_pair((1, 2), (0, 3), order) is PairRelation.NEST
-    assert classify_pair((0, 1), (2, 3), order) is PairRelation.SEPARATED
-    assert classify_pair((0, 2), (2, 4), order) is PairRelation.SHARES_ENDPOINT
-    # Endpoint order inside the pair must not matter.
-    assert classify_pair((2, 0), (3, 1), order) is PairRelation.CROSS
-
-
-@given(data=st.data())
-def test_classify_pair_matches_reference(data):
-    n = data.draw(st.integers(min_value=4, max_value=8))
-    perm = data.draw(st.permutations(list(range(n))))
-    order = LinearOrder(perm)
-    position = {v: order.rank(v) for v in perm}
-    picks = data.draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda e: e[0] != e[1]
-            ),
-            min_size=2,
-            max_size=2,
-        )
-    )
-    e, f = picks
-    assert RELATION_NAME[classify_pair(e, f, order)] == relation(e, f, position)
+    for e, f, rel in [((0, 2), (1, 3), "cross"), ((2, 0), (3, 1), "cross"), ((0, 3), (1, 2), "nest"),
+                      ((1, 2), (0, 3), "nest"), ((0, 1), (2, 3), "separate"), ((0, 2), (2, 4), "shared")]:
+        one = EdgeColoring({e: 0, f: 0})
+        assert validate_stack_layout([e, f], order, one).valid == (rel != "cross")
+        assert validate_queue_layout([e, f], order, one).valid == (rel != "nest")
 
 
 def test_validators_on_hand_built_layouts():
@@ -358,10 +339,11 @@ def _reference_stack_pages(edges, position, exact_limit):
     return out
 
 
-def test_stack_pages_for_order_matches_reference_per_component():
+def test_stack_pages_for_order_matches_reference_per_component(monkeypatch):
     # Blocks of vertices in disjoint stretches of the order: edges of
     # different blocks never cross, so each block adds its own conflict
-    # components, some at most exact_limit edges and some beyond.
+    # components, some at most the exact-search limit and some beyond;
+    # the limit is lowered so that both kinds stay small.
     rng = random.Random(17)
     seen_exact = seen_greedy = 0
     for _ in range(60):
@@ -375,7 +357,8 @@ def test_stack_pages_for_order_matches_reference_per_component():
         rng.shuffle(edges)
         order = int_order(start)
         limit = rng.choice([0, 2, 4, 6])
-        result = stack_pages_for_order(edges, order, exact_limit=limit)
+        monkeypatch.setattr(layout, "EXACT_PAGE_LIMIT", limit)
+        result = stack_pages_for_order(edges, order)
         colours = [result.colors.color(*e) for e in edges]
         count, exact = 0, True
         for comp, expected in _reference_stack_pages(edges, {v: v for v in range(start)}, limit):
@@ -427,8 +410,9 @@ def test_greedy_fallback_kicks_in_past_the_component_limit():
     # A long chain of pairwise-crossing edges in one conflict component.
     n = 60
     edges = [(i, i + 30) for i in range(30)]
+    assert len(edges) > layout.EXACT_PAGE_LIMIT
     order = int_order(n)
-    result = stack_pages_for_order(edges, order, exact_limit=8)
+    result = stack_pages_for_order(edges, order)
     assert not result.exact
     assert result.count >= 30  # they all mutually cross
     assert validate_stack_layout(edges, order, result.colors).valid
@@ -445,6 +429,26 @@ def test_layout_json_roundtrip():
     assert list(order2) == list(order)
     for u, v in edges:
         assert coloring2.color(u, v) == coloring.color(u, v)
+
+
+def test_graph_items_must_be_vertex_pairs():
+    # The old (vertices, edges) reading is gone: both entries are items.
+    for graph, item in [(([1, 2, 3], []), "[1, 2, 3]"), ([(1, 2), (1, 2, 3)], "(1, 2, 3)"), ([(1, 2), 5], "5")]:
+        with pytest.raises(ValueError, match=rf"graph item {re.escape(item)} is not a vertex pair"):
+            graph_vertices_edges(graph)
+    assert graph_vertices_edges(iter([(1, 2), [2, 3]])) == ([1, 2, 3], [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("name", ["a--b", "a---b", "a-", "--"])
+def test_ids_an_edge_key_cannot_give_back_are_rejected(name):
+    # A key u--v is split at its first '--'.
+    message = rf"vertex id '{name}' cannot be written in an edge key"
+    with pytest.raises(ValueError, match=message):
+        graph_vertices_edges({"edges": [[name, "c"], ["c", "d"]]})
+    with pytest.raises(ValueError, match=message):
+        layout_from_json({"order": ["c", name], "colors": {}}, parse_vertex=str)
+    # A dash elsewhere is fine.
+    assert graph_vertices_edges({"edges": [["-a", "b-c"]]}) == (["-a", "b-c"], [("-a", "b-c")])
 
 
 def test_layout_json_rejects_bad_edge_keys():

@@ -1,4 +1,4 @@
-"""Thinning passes, monotone extraction, and the direction table."""
+"""Thinning passes, lex-monotone extraction, and the direction table."""
 
 import itertools
 import random
@@ -27,7 +27,6 @@ from boxslash import (
     check_identity_permutation,
     check_related_sequence_families,
     extract_direction_table,
-    find_monotone_subsequence,
     pass_colour,
     pass_lex,
     pass_order,
@@ -47,11 +46,6 @@ from helpers_naive import (
 )
 
 
-def is_subsequence(sub, full):
-    it = iter(full)
-    return all(x in it for x in sub)
-
-
 def pv(text):
     return PVertex.parse(text)
 
@@ -64,52 +58,6 @@ def state_of(g, order=None, coloring=None):
     """Initial pass state; the three-queue layout fills what is not given."""
     canonical, queues = three_queue_layout(g)
     return PassState.initial(g, order or canonical, coloring or queues)
-
-
-# ---------------------------------------------------------------------------
-# Monotone subsequences.
-
-def test_find_monotone_subsequence_frozen():
-    assert find_monotone_subsequence([3, 1, 2], 2) == [1, 2]
-    assert find_monotone_subsequence([4, 1, 3, 2], 3) == [4, 3, 2]
-    assert find_monotone_subsequence([2, 1, 4, 3], 3) is None
-    assert find_monotone_subsequence([], 1) is None
-    assert find_monotone_subsequence([7], 1) == [7]
-
-
-def test_find_monotone_subsequence_rejections():
-    with pytest.raises(ValueError):
-        find_monotone_subsequence([1, 1, 2], 2)
-    with pytest.raises(ValueError):
-        find_monotone_subsequence([1, 2], 0)
-
-
-def test_find_monotone_subsequence_is_maximal_and_valid():
-    rng = random.Random(43)
-    for _ in range(80):
-        n = rng.randrange(1, 9)
-        values = rng.sample(range(50), n)
-        best = brute_longest_monotone(values)
-        got = find_monotone_subsequence(values, 1)
-        assert got is not None
-        assert len(got) == best
-        assert is_subsequence(got, values)
-        ranks = got
-        assert all(a < b for a, b in zip(ranks, ranks[1:])) or all(
-            a > b for a, b in zip(ranks, ranks[1:])
-        )
-        # Asking beyond the maximum must fail, asking at it must succeed.
-        assert find_monotone_subsequence(values, best) is not None
-        assert find_monotone_subsequence(values, best + 1) is None
-
-
-def test_guarantee_length_always_succeeds():
-    # (target-1)^2 + 1 = 10 for target 4.
-    rng = random.Random(47)
-    for _ in range(40):
-        values = rng.sample(range(100), 10)
-        got = find_monotone_subsequence(values, 4)
-        assert got is not None and len(got) >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +80,28 @@ def witness_holds(cells, witness):
 
 
 def test_lex_subarray_agrees_with_monotone_search():
+    # On one axis a lex-monotone subarray is a monotone subsequence.
     rng = random.Random(53)
     for _ in range(40):
         n = rng.randrange(2, 8)
         values = rng.sample(range(40), n)
+        longest = brute_longest_monotone(values)
         for target in range(2, n + 1):
             dims, cells, targets = lex_case(values, target)
             witness = passes._search_lex(dims, cells, targets)
-            found = find_monotone_subsequence(values, target)
-            assert (witness is None) == (found is None)
+            assert (witness is None) == (target > longest)
             if witness is not None:
                 assert witness_holds(cells, witness)
+
+
+def test_guarantee_length_always_succeeds():
+    # Erdos-Szekeres: (target-1)^2 + 1 = 10 values hold a monotone run of 4.
+    rng = random.Random(47)
+    for _ in range(40):
+        values = rng.sample(range(100), 10)
+        dims, cells, targets = lex_case(values, 4)
+        witness = passes._search_lex(dims, cells, targets)
+        assert witness is not None and witness_holds(cells, witness)
 
 
 def test_lex_subarray_two_dimensions():
