@@ -51,13 +51,16 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize(
     "shape, layout, extra",
     [("2-2x3", "canonical", []), ("2-2x3", "reversed", []),
-     ("4-4x3", "scrambled", ["--target-degrees", "2,2"])],
+     ("4-4x3", "scrambled", ["--target-degrees", "2,2"]), ("3-3-3x4", "reversed", []),
+     ("3-3-3x4", "scrambled", ["--target-degrees", "2,2,2"])],
 )
 def test_passes_run_output_is_byte_identical_to_the_saved_document(shape, layout, extra, capsys):
-    # The saved documents are the output of the object-based pipeline
-    # that the integer one replaced.  The scrambled (4,4)x3 layout
+    # The 2-level documents are the output of the object-based pipeline
+    # that the integer one replaced; the (3,3,3)x4 ones that of the
+    # pipeline whose checks still read objects.  A scrambled layout
     # renumbers each level's children and gives one child per level its
-    # own horizontal colour.
+    # own horizontal colour.  The 3-level ones reach every multi-level
+    # stride, and the scrambled one's direction table mixes inc and dec.
     argv = ["passes", "run", "--graph", str(DATA / f"passes_{shape}_graph.json"),
             "--layout", str(DATA / f"passes_{shape}_{layout}_layout.json"), *extra]
     assert cli.main(argv) == cli.EXIT_OK
