@@ -33,6 +33,9 @@ class PassStarvation(BoxslashError, RuntimeError):
     The colour and order passes give a tree level and child counts.  The
     lex pass gives (level, position) and, as available and wanted, the
     shape of that rank array and of the lex-monotone subarray it lacks.
+    At level 1 the array is a sequence, and the message adds the length
+    (t-1)^2+1 from which Erdos-Szekeres guarantees a monotone run of t;
+    higher levels state no bound.
     """
 
     def __init__(self, stage: str, level, available, wanted):
@@ -48,6 +51,10 @@ class PassStarvation(BoxslashError, RuntimeError):
                 f"lex: level {depth}, position {pos}: the rank array has shape "
                 f"{shape} and no lex-monotone subarray of shape {sub}"
             )
+            if depth == 1:
+                (t,) = wanted
+                text += (f"; Erdos-Szekeres guarantees a monotone run of {t} "
+                         f"from (t-1)^2+1 = {(t - 1) ** 2 + 1} entries")
         else:
             text = f"{stage}: level {level} can keep {available} children, target is {wanted}"
         super().__init__(text)

@@ -47,6 +47,19 @@ class LinearOrder:
         self._rank = {v: i for i, v in enumerate(self._seq)}
         if len(self._rank) != len(self._seq):
             raise ValueError("duplicate vertices in order")
+        self._listed, self._listed_ranks = None, None
+
+    @classmethod
+    def from_ranks(cls, vertices: Sequence[Vertex], ranks: list) -> "LinearOrder":
+        """vertices ordered by ranks (distinct numbers); ranks_of on this very
+        sequence gives their places without a lookup (a list not to be changed)."""
+        by_rank = sorted(range(len(vertices)), key=ranks.__getitem__)
+        self = cls(map(vertices.__getitem__, by_rank))
+        places = [0] * len(by_rank)
+        for place, v in enumerate(by_rank):
+            places[v] = place
+        self._listed, self._listed_ranks = vertices, places
+        return self
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -69,6 +82,8 @@ class LinearOrder:
 
     def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
         """The rank of each vertex; the first one outside the order raises."""
+        if vertices is self._listed:
+            return self._listed_ranks
         ranks = list(map(self._rank.get, vertices))
         if None in ranks:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")

@@ -16,15 +16,24 @@ PassState holds a rank per vertex id, a colour per edge id and the
 current id of each input node; restrict() maps a pass's choice of
 children to the old ids of the new nodes and re-indexes both lists.
 Graph, order and colouring objects are built from the lists when first
-read, by run_passes once.  Each public check reads its objects into
-lists once, and coverage is checked there, once: a vertex the order
-lacks, or an edge without a colour where a colour is needed, raises
-before any work.  Costs, on n nodes, m positions, height h, E edges:
-restrict O(nm + E), O(1) when every child is kept; pass_colour
+read, by run_passes once; the order built from the rank list hands the
+checks their ranks without a lookup.  Each public check reads its
+objects into lists once, and coverage is checked there, once: a vertex
+the order lacks, or an edge without a colour where a colour is needed,
+raises before any work.  Costs, on n nodes, m positions, height h, E
+edges: restrict O(nm + E), O(1) when every child is kept; pass_colour
 O(E), as each node's profile is numbered once from its own colours and
 its kept children's numbers; pass_order O(h nm log nm), a cone rank
-pattern per child and level; pass_lex O(C log C) per candidate subarray
-of C cells, over every axis order, sign vector and index set in turn.
+pattern per child and level; pass_lex O(C) per candidate subarray of C
+cells, walked in lex-key order and left at the first descent, over every
+axis order, sign vector and index set in turn.  The checks run on the
+lists too: the colour table reads one slice of the colour list per
+(kind, depth, position), O(E); the related families read every
+child-choice sequence as one slice of the rank list and compute its
+direction once per position, O(h nm) sequence entries, then test each
+pair from those; the direction table computes each (level, length,
+position) once, O(h nm) in all; and check_identity_permutation decides
+each (depth, position) with one sort of that depth's nodes.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
@@ -44,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -51,7 +61,7 @@ from .errors import InconsistencyError, PassStarvation, PreconditionError
 from .layout import EdgeColoring, LinearOrder
 from .product import (EdgeKind, NodeIndex, ProductGraph, PVertex, Tree, _name, boxslash_product,
                       edge_runs, level_starts, restrict_ids)
-from .sequences import Direction, rank_directions, related_ranks
+from .sequences import Direction, direction_bits, related_pair, single_direction
 
 
 @dataclass
@@ -81,15 +91,30 @@ class ColorTable:
 
     @classmethod
     def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
-        """Build the table, insisting every edge agrees with it."""
+        """Build the table, insisting every edge agrees with it.
+
+        The edges of one signature are one slice of the colour list: one
+        kind, the nodes of one depth, one position.  A clash names the
+        first edge, by id, whose colour differs from its signature's first.
+        """
         colors = coloring.colors_of(graph.edges)
+        degrees, m = graph.tree.spec.degrees, graph.path_len
+        starts = level_starts(degrees)
         entries: dict[tuple[int, int, EdgeKind], int] = {}
-        for e, (u, v, kind) in enumerate(graph.edges):
-            sig, c = cls.signature(u, v, kind), colors[e]
-            if entries.setdefault(sig, c) != c:
-                raise InconsistencyError(
-                    f"edges with signature {sig} use colours {entries[sig]} and {c}"
-                )
+        clashes = []
+        for kind, (first, width) in zip(EdgeKind, edge_runs(starts[-1], m)):
+            top = 0 if kind is EdgeKind.HORIZONTAL else 1
+            for depth in range(top, len(degrees) + 1):
+                lo, hi = first + starts[depth] * width, first + starts[depth + 1] * width
+                for p in range(1, width + 1):
+                    run = colors[lo + p - 1 : hi + p - 1 : width]
+                    entries[(depth, p, kind)] = run[0]
+                    if run.count(run[0]) != len(run):
+                        at = next(t for t, c in enumerate(run) if c != run[0])
+                        clashes.append((lo + p - 1 + at * width, (depth, p, kind), run[0]))
+        if clashes:
+            e, sig, c = min(clashes)  # edge ids differ, so the first edge wins
+            raise InconsistencyError(f"edges with signature {sig} use colours {c} and {colors[e]}")
         return cls(entries)
 
     def color_of(self, depth: int, pos: int, kind: EdgeKind) -> int:
@@ -178,30 +203,42 @@ class LexMonotoneWitness:
     index_sets: tuple[tuple[int, ...], ...]
 
 
-def _lex_key(cell, sigma, signs) -> tuple:
-    return tuple(
-        cell[axis] if signs[axis] is Direction.INC else -cell[axis]
-        for axis in sigma
-    )
-
-
-def _is_lex_monotone(values: Mapping, cells: list, sigma, signs) -> bool:
-    """Value order equals lex-key order: sorted by value, both strictly rise."""
-    ranked = sorted((values[c], _lex_key(c, sigma, signs)) for c in cells)
-    return all(x < y and kx < ky for (x, kx), (y, ky) in zip(ranked, ranked[1:]))
+def _rises(values: list, offsets: list) -> bool:
+    """Values strictly rise along the walk over the product of the
+    per-axis offset lists, the last axis fastest; the walk stops at the
+    first step that does not rise."""
+    *outer, inner = offsets
+    prev = -math.inf
+    for base in map(sum, itertools.product(*outer)):
+        for o in inner:
+            value = values[base + o]
+            if value <= prev:
+                return False
+            prev = value
+    return True
 
 
 def _search_lex(
-    dims: tuple[int, ...], values: Mapping, targets: tuple[int, ...]
+    dims: tuple[int, ...], values: list, targets: tuple[int, ...]
 ) -> Optional[LexMonotoneWitness]:
+    """The first lex-monotone subarray of targets[k] indices per axis k of
+    the array whose cells, in row-major order, hold the distinct numbers
+    ``values``: axis orders, then sign vectors (all INC first), then index
+    sets, each in itertools order.  A candidate is lex-monotone when its
+    values rise along its cells in lex-key order: axes taken in sigma
+    order, each read backwards on DEC."""
     axes = range(len(dims))
+    steps = [math.prod(dims[k + 1:]) for k in axes]
     for sigma in itertools.permutations(axes):
         for signs in itertools.product((Direction.INC, Direction.DEC), repeat=len(dims)):
             for index_sets in itertools.product(
                 *[itertools.combinations(range(dims[k]), targets[k]) for k in axes]
             ):
-                cells = list(itertools.product(*index_sets))
-                if _is_lex_monotone(values, cells, sigma, signs):
+                offsets = [[i * steps[k] for i in index_sets[k]] for k in sigma]
+                for offs, k in zip(offsets, sigma):
+                    if signs[k] is Direction.DEC:
+                        offs.reverse()
+                if _rises(values, offsets):
                     return LexMonotoneWitness(tuple(sigma), tuple(signs), tuple(index_sets))
     return None
 
@@ -284,8 +321,7 @@ class PassState:
 
     @functools.cached_property
     def order(self) -> LinearOrder:
-        vs, ranks = self.graph.vertices, self.ranks
-        return LinearOrder(vs[v] for v in sorted(range(len(vs)), key=ranks.__getitem__))
+        return LinearOrder.from_ranks(self.graph.vertices, self.ranks)
 
     @functools.cached_property
     def coloring(self) -> EdgeColoring:
@@ -454,8 +490,7 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
             for d, axis in zip(degrees, axes):
                 index = [i * d + c - 1 for i in index for c in axis]
             base = (p - 1) * starts[-1] + starts[level]
-            cells = itertools.product(*[range(d) for d in dims])
-            witness = _search_lex(dims, dict(zip(cells, [ranks[base + i] for i in index])), goal)
+            witness = _search_lex(dims, [ranks[base + i] for i in index], goal)
             if witness is None:
                 raise PassStarvation("lex", (level, p), dims, goal)
             witnesses[(level, p)] = witness
@@ -470,22 +505,31 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
 # ---------------------------------------------------------------------------
 # Direction extraction and its consistency checks.
 
-def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> set[Direction]:
-    """Directions of all child-choice sequences for (level i, length j,
-    pos p).  Varying the level-i choice of a depth-j node steps its id by
-    ``stride``, the number of choice combinations below level i."""
-    d, stride = degrees[i - 1], math.prod(degrees[i:j])
-    start, out = (p - 1) * starts[-1] + starts[j], set()
-    for b in range(starts[i] - starts[i - 1]):
-        for s in range(start + b * d * stride, start + (b * d + 1) * stride):
-            dirs = rank_directions(ranks[s : s + d * stride : stride])
-            if not dirs:
-                raise InconsistencyError(
-                    f"child sequence at level {i}, length {j}, position {p} "
-                    f"under {_name(degrees, starts[i - 1] + b)} is not monotone"
-                )
-            out |= dirs
-    return out
+def _child_sequences(degrees, starts, ranks, i: int, j: int, p: int) -> list[list]:
+    """Rank lists of the child-choice sequences for (level i, length j,
+    pos p), by first node id: varying the level-i choice of a depth-j
+    node steps its id by ``stride``, the number of choice combinations
+    below level i.  Sequence b * stride + s starts at the s-th node under
+    the b-th node of depth i - 1."""
+    stride = math.prod(degrees[i:j])
+    step = degrees[i - 1] * stride
+    start = (p - 1) * starts[-1] + starts[j]
+    return [ranks[x : x + step : stride]
+            for block in range(start, start + starts[j + 1] - starts[j], step)
+            for x in range(block, block + stride)]
+
+
+def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> int:
+    """Direction bits of all child-choice sequences for (level i, length j,
+    pos p), together; a sequence that is not monotone raises."""
+    bits = list(map(direction_bits, _child_sequences(degrees, starts, ranks, i, j, p)))
+    if 0 in bits:
+        under = bits.index(0) // math.prod(degrees[i:j])
+        raise InconsistencyError(
+            f"child sequence at level {i}, length {j}, position {p} "
+            f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
+        )
+    return functools.reduce(operator.or_, set(bits))
 
 
 def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> DirectionTable:
@@ -506,12 +550,12 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
     for i in range(1, height + 1):
         for j in range(i, height + 1):
             for p in range(1, graph.path_len + 1):
-                dirs = _observed_directions(degrees, starts, ranks, i, j, p)
-                if len(dirs) != 1:
+                direction = single_direction(_observed_directions(degrees, starts, ranks, i, j, p))
+                if direction is None:
                     raise InconsistencyError(
                         f"witnesses disagree at level {i}, length {j}, position {p}"
                     )
-                entries[(i, j, p)] = dirs.pop()
+                entries[(i, j, p)] = direction
     return DirectionTable(height, graph.path_len, entries)
 
 
@@ -522,32 +566,45 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
     first differing child choice, read in the direction the table gives
     that level.  Equivalent to every level's axis permutation being the
     identity.  Violations are reported, not raised.
+
+    ``checked`` counts the pairs of same-depth nodes times the
+    positions.  Each (depth, position) is decided by one sort: with every
+    level's direction known, the pairs all hold exactly when the ranks
+    rise along the nodes sorted by their expected first-difference key,
+    each choice negated on a DEC level.  Pairs are listed, in node and
+    then position order, only where that walk falls or a level's
+    direction is ambiguous.
     """
     degrees, m = graph.tree.spec.degrees, graph.path_len
     ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
-    violations, checked, cache = [], 0, {}
-    for depth in range(1, graph.tree.height + 1):
-        at_depth = enumerate(graph.tree.nodes_at_depth(depth), start=starts[depth])
-        for (x, a), (y, b) in itertools.combinations(at_depth, 2):
-            t = next(k for k in range(depth) if a.path[k] != b.path[k])
-            for p in range(1, m + 1):
-                key = (t + 1, depth, p)
-                if key not in cache:
-                    try:
-                        dirs = _observed_directions(degrees, starts, ranks, *key)
-                    except InconsistencyError:
-                        dirs = set()
-                    cache[key] = dirs
-                dirs = cache[key]
-                checked += 1
-                if len(dirs) != 1:
-                    violations.append(("ambiguous-direction",) + key)
+    violations, checked = [], 0
+    for depth in range(1, len(degrees) + 1):
+        nodes = graph.tree.nodes_at_depth(depth)
+        checked += math.comb(len(nodes), 2) * m
+        found = []  # (x, y, p, violation), x < y index nodes
+        for p in range(1, m + 1):
+            dirs = []  # per level; no two nodes first differ at a one-child level
+            for i in range(1, depth + 1):
+                try:
+                    bits = _observed_directions(degrees, starts, ranks, i, depth, p)
+                except InconsistencyError:
+                    bits = 0
+                dirs.append(single_direction(bits) if degrees[i - 1] > 1 else Direction.INC)
+            at = ranks[(p - 1) * starts[-1] + starts[depth] : (p - 1) * starts[-1] + starts[depth + 1]]
+            if None not in dirs:
+                signs = [1 if d is Direction.INC else -1 for d in dirs]
+                walk = sorted(range(len(nodes)), key=lambda x: [c * s for c, s in zip(nodes[x].path, signs)])
+                if all(map(operator.lt, map(at.__getitem__, walk), map(at.__getitem__, walk[1:]))):
                     continue
-                (d,) = dirs
-                smaller_first = (a.path[t] < b.path[t]) != (d is Direction.DEC)
-                shift = (p - 1) * starts[-1]
-                if (ranks[shift + x] < ranks[shift + y]) != smaller_first:
-                    violations.append((str(a), str(b), p, d.value))
+            for x, y in itertools.combinations(range(len(nodes)), 2):
+                a, b = nodes[x], nodes[y]
+                t = next(k for k in range(depth) if a.path[k] != b.path[k])
+                d = dirs[t]
+                if d is None:
+                    found.append((x, y, p, ("ambiguous-direction", t + 1, depth, p)))
+                elif (at[x] < at[y]) != (d is Direction.INC):
+                    found.append((x, y, p, (str(a), str(b), p, d.value)))
+        violations += [v for *_, v in sorted(found, key=lambda f: f[:3])]
     return CheckReport(violations, checked)
 
 
@@ -599,43 +656,58 @@ def check_related_sequence_families(
     extension at the next position (diagonal), and against itself at
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
+
+    Every sequence read is a slice of the rank list and its pairing
+    edges a slice of the colour list.  The extension by child v of
+    sequence q at depth j is sequence q * degrees[j] + v - 1 at depth
+    j + 1, so each sequence's directions are computed once per position,
+    and each table colour is looked up once.
     """
     degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
     ranks, colors = order.ranks_of(graph.vertices), coloring.colors_of(graph.edges, full=False)
     height, starts = len(degrees), level_starts(degrees)
-    n = starts[-1]
-    vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(n, m)))
+    vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
+    # The table colour of each (row, kind) per position, in the order the checks first read them.
+    wants = {}
+    for depth in range(1, height + 1):
+        for kind, row, end in ((EdgeKind.VERTICAL, depth + 1, m + 1), (EdgeKind.DIAGONAL, depth + 1, m),
+                               (EdgeKind.HORIZONTAL, depth, m)):
+            if row <= height:
+                wants[kind, row] = [table.color_of(row, p, kind) for p in range(1, end)]
     violations, checked = [], 0
     for star in range(1, height + 1):
         d = degrees[star - 1]
+        # seqs[depth][p - 1][q] and its direction bits, q = b * stride + s.
+        seqs = {depth: [_child_sequences(degrees, starts, ranks, star, depth, p) for p in range(1, m + 1)]
+                for depth in range(star, height + 1)}
+        bits = {depth: [list(map(direction_bits, at_p)) for at_p in by_p] for depth, by_p in seqs.items()}
         for b, prefix in enumerate(range(starts[star - 1], starts[star])):
             for depth in range(star, height + 1):
                 stride = math.prod(degrees[star:depth])
                 tails = itertools.product(*[range(1, g + 1) for g in degrees[star:depth]])
                 for s, tail in enumerate(tails):
-                    first = starts[depth] + b * d * stride + s
-                    base = range(first, first + d * stride, stride)
+                    q, first = b * stride + s, starts[depth] + b * d * stride + s
+                    base = (seqs[depth], bits[depth], q, first, stride)
                     # (label, sequence, shape, position shift of base, positions)
                     shapes = []
                     if depth < height:
-                        shift = starts[depth + 1] - starts[depth] * degrees[depth] - 1
-                        for v in range(1, degrees[depth] + 1):
-                            extended = [shift + x * degrees[depth] + v for x in base]
+                        g = degrees[depth]
+                        for v in range(1, g + 1):
+                            extended = (seqs[depth + 1], bits[depth + 1], q * g + v - 1,
+                                        starts[depth + 1] + (first - starts[depth]) * g + v - 1, stride * g)
                             shapes.append(((tail, v), extended, vertical, 0, m + 1))
                             shapes.append(((tail, v), extended, diagonal, 1, m))
                     shapes.append(((tail,), base, horizontal, 1, m))
-                    for label, seq, (kind, edge0, width), up, end in shapes:
-                        row = depth if kind is EdgeKind.HORIZONTAL else depth + 1
+                    for label, (seq_a, bits_a, qa, x, step), (kind, edge0, width), up, end in shapes:
+                        want = wants[kind, depth if kind is EdgeKind.HORIZONTAL else depth + 1]
+                        step *= width
+                        checked += end - 1
                         for p in range(1, end):
-                            checked += 1
-                            a_at, b_at = (p - 1) * n, (p - 1 + up) * n
-                            got = related_ranks(
-                                [ranks[x + a_at] for x in seq],
-                                [ranks[x + b_at] for x in base],
-                                [colors[edge0 + x * width + p - 1] for x in seq],
-                            )
-                            want = table.color_of(row, p, kind)
-                            if got is None or got[1] != want:
+                            e = edge0 + x * width + p - 1
+                            got = related_pair(bits_a[p - 1][qa], bits[depth][p - 1 + up][q],
+                                               seq_a[p - 1][qa], seqs[depth][p - 1 + up][q],
+                                               colors[e : e + d * step : step])
+                            if got is None or got[1] != want[p - 1]:
                                 violations.append((kind.value, str(nodes[prefix]), *label, p))
     return CheckReport(violations, checked)
 
@@ -672,7 +744,9 @@ def run_passes(
     returned: the colour table is built (raising on any clash), child
     symmetry is checked exhaustively, and the related-sequence check
     ties both to the table.  The direction table is extracted when every
-    surviving level keeps at least two children, else left None.
+    surviving level keeps at least two children, else left None.  The
+    final order is built from the state's rank list, and gives each check
+    that list back without a lookup per vertex.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():

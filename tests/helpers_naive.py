@@ -439,6 +439,104 @@ def naive_related_families(degrees, m, rank, colour, table):
 
 
 # ---------------------------------------------------------------------------
+# Colour and direction tables (used against passes.ColorTable.from_layout,
+# extract_direction_table and check_identity_permutation).  Vertices,
+# colours and rank are as above.
+
+def naive_color_table(degrees, m, colour):
+    """("entries", {(depth, position, kind): colour}) when every edge's
+    colour is a function of its signature: the deeper endpoint's depth,
+    the smaller position and the kind.  Otherwise ("missing", edge) for
+    the first edge without a colour, or ("clash", signature, first
+    colour, other colour) for the first edge whose colour differs from
+    the first one of its signature.  Edges are taken in the package's
+    edge order: vertical, horizontal, diagonal, then the deeper node
+    breadth first, then the position."""
+    def kind(edge):
+        (a, i), (b, j) = edge
+        return "horizontal" if a == b else "vertical" if i == j else "diagonal"
+
+    kinds = ("vertical", "horizontal", "diagonal")
+    edges = sorted(naive_product_edges(degrees, m),
+                   key=lambda e: (kinds.index(kind(e)), len(e[0][0]), e[0][0], e[0][1]))
+    for edge in edges:
+        if frozenset(edge) not in colour:
+            return ("missing", edge)
+    entries = {}
+    for edge in edges:
+        (a, i), (b, j) = edge
+        sig = (max(len(a), len(b)), min(i, j), kind(edge))
+        c = colour[frozenset(edge)]
+        if entries.setdefault(sig, c) != c:
+            return ("clash", sig, entries[sig], c)
+    return ("entries", entries)
+
+
+def _naive_child_directions(degrees, rank, i, j, p):
+    """The directions of every sequence that varies the level-i choice of
+    a depth-j address at position p, each a set of "inc"/"dec"."""
+    out = []
+    for prefix in itertools.product(*[range(1, degrees[k] + 1) for k in range(i - 1)]):
+        for tail in itertools.product(*[range(1, degrees[k] + 1) for k in range(i, j)]):
+            ranks = [rank[(prefix + (c,) + tail, p)] for c in range(1, degrees[i - 1] + 1)]
+            dirs = set()
+            if all(x < y for x, y in zip(ranks, ranks[1:])):
+                dirs.add("inc")
+            if all(x > y for x, y in zip(ranks, ranks[1:])):
+                dirs.add("dec")
+            out.append(dirs)
+    return out
+
+
+def naive_direction_table(degrees, m, rank):
+    """{(i, j, p): "inc" or "dec"} for 1 <= i <= j <= height: the one
+    direction of every child-choice sequence of that entry.  Raises
+    ValueError(("not monotone", i, j, p)) or ValueError(("disagree", i,
+    j, p)) at the first entry, in (i, j, p) order, where a sequence is
+    not monotone or the sequences do not share exactly one direction."""
+    h, table = len(degrees), {}
+    for i in range(1, h + 1):
+        for j in range(i, h + 1):
+            for p in range(1, m + 1):
+                sets = _naive_child_directions(degrees, rank, i, j, p)
+                if set() in sets:
+                    raise ValueError(("not monotone", i, j, p))
+                union = set().union(*sets)
+                if len(union) != 1:
+                    raise ValueError(("disagree", i, j, p))
+                table[(i, j, p)] = union.pop()
+    return table
+
+
+def naive_identity_permutation(degrees, m, rank):
+    """(violations, checked) of the first-difference rule, pair by pair.
+
+    For every depth, every two addresses a before b of that depth (in
+    lexicographic order) and every position p, let level t be the first
+    where they differ.  The sequences of entry (t, depth, p) must share
+    exactly one direction d, else ("ambiguous-direction", t, depth, p)
+    is a violation; and a@p must come before b@p exactly when d is
+    "inc", else (a, b, p, d) is one, addresses dotted.
+    """
+    violations, checked = [], 0
+    for depth in range(1, len(degrees) + 1):
+        nodes = list(itertools.product(*[range(1, degrees[k] + 1) for k in range(depth)]))
+        for a, b in itertools.combinations(nodes, 2):
+            t = next(k for k in range(depth) if a[k] != b[k]) + 1
+            for p in range(1, m + 1):
+                checked += 1
+                sets = _naive_child_directions(degrees, rank, t, depth, p)
+                union = set().union(*sets)
+                if set() in sets or len(union) != 1:
+                    violations.append(("ambiguous-direction", t, depth, p))
+                    continue
+                (d,) = union
+                if (rank[(a, p)] < rank[(b, p)]) != (d == "inc"):
+                    violations.append((".".join(map(str, a)), ".".join(map(str, b)), p, d))
+    return violations, checked
+
+
+# ---------------------------------------------------------------------------
 # Hex grids (used against hexgrid).  A colouring is a list of rows of
 # 0/1; cell (i, j) is 1-based, row 1 on top, and touches the cells at the
 # six offsets below.

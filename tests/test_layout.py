@@ -51,6 +51,16 @@ def test_linear_order_basics():
         LinearOrder("aa")
 
 
+def test_linear_order_from_ranks_hands_its_places_back():
+    vertices = tuple("abcd")
+    order = LinearOrder.from_ranks(vertices, [30, 5, 12, 7])
+    assert list(order) == ["b", "d", "c", "a"]
+    assert order.ranks_of(vertices) == [3, 0, 2, 1] == order.ranks_of(list(vertices))
+    assert [order.rank(v) for v in vertices] == [3, 0, 2, 1]
+    with pytest.raises(ValueError, match="^vertex 'q' not in order$"):
+        order.ranks_of(("a", "q"))
+
+
 def test_edge_coloring_basics():
     coloring = EdgeColoring({(1, 2): 0, (3, 4): 2})
     assert coloring.k == 3

@@ -39,6 +39,9 @@ from boxslash.product import level_starts
 from helpers_naive import (
     brute_longest_monotone,
     naive_child_symmetry,
+    naive_color_table,
+    naive_direction_table,
+    naive_identity_permutation,
     naive_lex_monotone,
     naive_lex_search,
     naive_related_families,
@@ -73,6 +76,12 @@ def grid_case(rows):
     return (2, 2), {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}, (2, 2)
 
 
+def search(dims, cells, targets):
+    """passes._search_lex on an array given by cell, read in row-major order."""
+    flat = [cells[c] for c in itertools.product(*[range(d) for d in dims])]
+    return passes._search_lex(dims, flat, targets)
+
+
 def witness_holds(cells, witness):
     """The witness's subarray is lex-monotone, by the oracle's test."""
     kept = list(itertools.product(*witness.index_sets))
@@ -88,7 +97,7 @@ def test_lex_subarray_agrees_with_monotone_search():
         longest = brute_longest_monotone(values)
         for target in range(2, n + 1):
             dims, cells, targets = lex_case(values, target)
-            witness = passes._search_lex(dims, cells, targets)
+            witness = search(dims, cells, targets)
             assert (witness is None) == (target > longest)
             if witness is not None:
                 assert witness_holds(cells, witness)
@@ -100,7 +109,7 @@ def test_guarantee_length_always_succeeds():
     for _ in range(40):
         values = rng.sample(range(100), 10)
         dims, cells, targets = lex_case(values, 4)
-        witness = passes._search_lex(dims, cells, targets)
+        witness = search(dims, cells, targets)
         assert witness is not None and witness_holds(cells, witness)
 
 
@@ -109,7 +118,7 @@ def test_lex_subarray_two_dimensions():
     for _ in range(10):
         flat = rng.sample(range(1000), 100)
         cells = dict(zip(itertools.product(range(10), range(10)), flat))
-        witness = passes._search_lex((10, 10), cells, (2, 2))
+        witness = search((10, 10), cells, (2, 2))
         assert witness is not None
         assert tuple(len(s) for s in witness.index_sets) == (2, 2)
         assert witness_holds(cells, witness)
@@ -117,8 +126,10 @@ def test_lex_subarray_two_dimensions():
 
 @pytest.mark.parametrize("sign", [Direction.INC, Direction.DEC])
 def test_verify_lex_monotone_rejects_repeated_values(sign):
-    # Equal values order neither way, so no lex key can match them.
-    assert not passes._is_lex_monotone({(0,): 1, (1,): 1}, [(0,), (1,)], (0,), (sign,))
+    # Equal values order neither way, so no walk in lex-key order rises.
+    walk = [0, 1] if sign is Direction.INC else [1, 0]
+    assert not passes._rises([1, 1], [walk])
+    assert passes._rises([1, 2], [[0, 1]]) and not passes._rises([1, 2], [[1, 0]])
 
 
 def as_triple(witness):
@@ -157,7 +168,7 @@ def lex_arrays(draw):
 @example(case=lex_case([1, 2], 3))  # a target past the side: None
 def test_search_lex_matches_the_brute_force_oracle(case):
     dims, values, targets = case
-    got = passes._search_lex(dims, values, targets)
+    got = search(dims, values, targets)
     assert as_triple(got) == naive_lex_search(dims, values, targets)
 
 
@@ -387,9 +398,24 @@ def test_pass_lex_starves_on_scrambled_order():
     assert err.value.stage == "lex"
     assert err.value.level == (1, 1)
     assert (err.value.available, err.value.wanted) == ((3,), (3,))
+    # Level 1 states the Erdos-Szekeres length: (3-1)^2+1 = 5 > 3 children.
     assert str(err.value) == (
         "lex: level 1, position 1: the rank array has shape 3 "
-        "and no lex-monotone subarray of shape 3"
+        "and no lex-monotone subarray of shape 3; Erdos-Szekeres guarantees "
+        "a monotone run of 3 from (t-1)^2+1 = 5 entries"
+    )
+
+
+def test_pass_lex_starvation_states_no_bound_above_level_1():
+    # Level 1 rises; the 2x2 level-2 array [[0, 1], [3, 2]] has no
+    # lex-monotone 2x2 subarray under any axis order or signs.
+    g = boxslash_product((2, 2), 1)
+    order = order_of(["r@1", "1@1", "2@1", "1.1@1", "1.2@1", "2.2@1", "2.1@1"])
+    with pytest.raises(PassStarvation) as err:
+        pass_lex(state_of(g, order))
+    assert str(err.value) == (
+        "lex: level 2, position 1: the rank array has shape 2x2 "
+        "and no lex-monotone subarray of shape 2x2"
     )
 
 
@@ -717,6 +743,88 @@ def test_check_related_sequence_families_matches_the_oracle(degrees, m):
         assert report.checked == checked
         found += len(violations)
     assert found > 0
+
+
+def table_layouts(g, rng):
+    """oracle_layouts, then the final state of run_passes on the first
+    three, whose direction tables hold (and mix inc and dec)."""
+    layouts = oracle_layouts(g, rng)
+    finals = []
+    for order, coloring in layouts[:3]:
+        result = run_passes(g, order, coloring, lex_targets=2)
+        finals.append((result.graph, result.order, result.coloring))
+    return [(g, *layout) for layout in layouts] + finals
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_color_table_matches_the_oracle(degrees, m):
+    rng = random.Random(f"colour table {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    outcomes = set()
+    for graph, order, coloring in table_layouts(g, rng):
+        shape = graph.tree.spec.degrees
+        want = naive_color_table(shape, m, layout_data(graph, order, coloring)[1])
+        outcomes.add(want[0])
+        if want[0] == "entries":
+            table = ColorTable.from_layout(graph, coloring)
+            assert {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()} == want[1]
+        elif want[0] == "missing":
+            u, v = (f"{'.'.join(map(str, node)) or 'r'}@{i}" for node, i in want[1])
+            with pytest.raises(ValueError, match=rf"^edge {re.escape(u)} -- {re.escape(v)} has no colour$"):
+                ColorTable.from_layout(graph, coloring)
+        else:
+            _, (d, p, kind), first, other = want
+            with pytest.raises(InconsistencyError) as err:
+                ColorTable.from_layout(graph, coloring)
+            assert str(err.value) == (
+                f"edges with signature {(d, p, EdgeKind(kind))} use colours {first} and {other}")
+    assert {"entries", "clash"} <= outcomes
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_extract_direction_table_matches_the_oracle(degrees, m):
+    rng = random.Random(f"direction table {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    outcomes = set()
+    for graph, order, coloring in table_layouts(g, rng):
+        shape = graph.tree.spec.degrees
+        if min(shape) < 2:
+            with pytest.raises(PreconditionError):
+                extract_direction_table(graph, order)
+            continue
+        try:
+            want = naive_direction_table(shape, m, layout_data(graph, order, coloring)[0])
+        except ValueError as exc:
+            problem, i, j, p = exc.args[0]
+            outcomes.add(problem)
+            at = f"level {i}, length {j}, position {p}"
+            message = f"^witnesses disagree at {at}$" if problem == "disagree" else (
+                rf"^child sequence at {at} under [r0-9.]+ is not monotone$")
+            with pytest.raises(InconsistencyError, match=message):
+                extract_direction_table(graph, order)
+        else:
+            outcomes.update(want.values())
+            table = extract_direction_table(graph, order)
+            assert {key: d.value for key, d in table.entries.items()} == want
+    if min(degrees) >= 2:
+        assert {"inc", "dec"} <= outcomes
+    if min(degrees) >= 2 and len(g.tree) > 3:  # (2,) has one sequence per entry, of two
+        assert outcomes & {"not monotone", "disagree"}
+
+
+@pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
+def test_check_identity_permutation_matches_the_pairwise_oracle(degrees, m):
+    rng = random.Random(f"identity {degrees} {m}")
+    g = boxslash_product(degrees, m)
+    found = 0
+    for graph, order, coloring in table_layouts(g, rng):
+        report = check_identity_permutation(graph, order)
+        rank = layout_data(graph, order, coloring)[0]
+        assert (report.violations, report.checked) == (
+            naive_identity_permutation(graph.tree.spec.degrees, m, rank))
+        found += len(report.violations)
+    if len(g.tree) > 3:  # two nodes of (2,) compare as their own sequence does
+        assert found > 0
 
 
 @pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)

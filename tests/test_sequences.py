@@ -3,15 +3,22 @@
 import random
 
 from boxslash import Direction, RelatedKind
-from boxslash.sequences import rank_directions, related_ranks
+from boxslash.sequences import DEC_BIT, INC_BIT, direction_bits, related_pair, single_direction
 from helpers_naive import naive_is_related
 
 
+def related_ranks(ranks_a, ranks_b, colors):
+    """related_pair of two sequences given by their ranks alone."""
+    return related_pair(direction_bits(ranks_a), direction_bits(ranks_b), ranks_a, ranks_b, colors)
+
+
 def test_direction_set_and_is_monotone():
-    assert rank_directions([2, 5, 9]) == frozenset((Direction.INC,))
-    assert rank_directions([9, 5, 2]) == frozenset((Direction.DEC,))
-    assert rank_directions([2, 9, 5]) == frozenset()
-    assert rank_directions([4]) == frozenset((Direction.INC, Direction.DEC))
+    assert direction_bits([2, 5, 9]) == INC_BIT
+    assert direction_bits([9, 5, 2]) == DEC_BIT
+    assert direction_bits([2, 9, 5]) == direction_bits([5, 2, 9]) == 0
+    assert direction_bits([4]) == INC_BIT | DEC_BIT
+    assert direction_bits([]) == INC_BIT | DEC_BIT
+    assert [single_direction(b) for b in range(4)] == [None, Direction.INC, Direction.DEC, None]
     assert Direction.INC.opposite is Direction.DEC
 
 
