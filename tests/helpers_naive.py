@@ -473,8 +473,9 @@ def naive_color_table(degrees, m, colour):
 
 
 def _naive_child_directions(degrees, rank, i, j, p):
-    """The directions of every sequence that varies the level-i choice of
-    a depth-j address at position p, each a set of "inc"/"dec"."""
+    """(prefix, directions) of every sequence that varies the level-i
+    choice of a depth-j address at position p: the address above level
+    i, dotted, and a set of "inc"/"dec"."""
     out = []
     for prefix in itertools.product(*[range(1, degrees[k] + 1) for k in range(i - 1)]):
         for tail in itertools.product(*[range(1, degrees[k] + 1) for k in range(i, j)]):
@@ -484,24 +485,26 @@ def _naive_child_directions(degrees, rank, i, j, p):
                 dirs.add("inc")
             if all(x > y for x, y in zip(ranks, ranks[1:])):
                 dirs.add("dec")
-            out.append(dirs)
+            out.append((".".join(map(str, prefix)) or "r", dirs))
     return out
 
 
 def naive_direction_table(degrees, m, rank):
     """{(i, j, p): "inc" or "dec"} for 1 <= i <= j <= height: the one
     direction of every child-choice sequence of that entry.  Raises
-    ValueError(("not monotone", i, j, p)) or ValueError(("disagree", i,
-    j, p)) at the first entry, in (i, j, p) order, where a sequence is
-    not monotone or the sequences do not share exactly one direction."""
+    ValueError(("not monotone", i, j, p, prefix)) or ValueError(("disagree",
+    i, j, p)) at the first entry, in (i, j, p) order, where a sequence is
+    not monotone (the first, by prefix then tail) or the sequences do not
+    share exactly one direction."""
     h, table = len(degrees), {}
     for i in range(1, h + 1):
         for j in range(i, h + 1):
             for p in range(1, m + 1):
-                sets = _naive_child_directions(degrees, rank, i, j, p)
-                if set() in sets:
-                    raise ValueError(("not monotone", i, j, p))
-                union = set().union(*sets)
+                found = _naive_child_directions(degrees, rank, i, j, p)
+                for prefix, dirs in found:
+                    if not dirs:
+                        raise ValueError(("not monotone", i, j, p, prefix))
+                union = set().union(*[dirs for _, dirs in found])
                 if len(union) != 1:
                     raise ValueError(("disagree", i, j, p))
                 table[(i, j, p)] = union.pop()
@@ -525,7 +528,7 @@ def naive_identity_permutation(degrees, m, rank):
             t = next(k for k in range(depth) if a[k] != b[k]) + 1
             for p in range(1, m + 1):
                 checked += 1
-                sets = _naive_child_directions(degrees, rank, t, depth, p)
+                sets = [dirs for _, dirs in _naive_child_directions(degrees, rank, t, depth, p)]
                 union = set().union(*sets)
                 if set() in sets or len(union) != 1:
                     violations.append(("ambiguous-direction", t, depth, p))

@@ -493,6 +493,23 @@ def test_extract_direction_table_rejects_non_monotone():
         extract_direction_table(g, order_of(["r@1", "1@1", "3@1", "2@1"]))
 
 
+def test_extract_direction_table_names_the_first_non_monotone_sequence():
+    # Under node 2, the level-2 sequence 2.1.2, 2.2.2, 2.3.2 at position 1
+    # is not monotone; every entry before (2, 3, 1) holds.
+    g = boxslash_product((2, 3, 2), 1)
+    names = [str(v) for v in canonical_order(g)]
+    a, b = names.index("2.2.2@1"), names.index("2.3.2@1")
+    names[a], names[b] = names[b], names[a]
+    order = order_of(names)
+    rank = {vkey(v): r for r, v in enumerate(order)}
+    with pytest.raises(ValueError) as naive:
+        naive_direction_table((2, 3, 2), 1, rank)
+    assert naive.value.args[0] == ("not monotone", 2, 3, 1, "2")
+    with pytest.raises(InconsistencyError, match=(
+            r"^child sequence at level 2, length 3, position 1 under 2 is not monotone$")):
+        extract_direction_table(g, order)
+
+
 def test_check_identity_permutation_canonical():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
@@ -760,8 +777,13 @@ def table_layouts(g, rng):
 def test_color_table_matches_the_oracle(degrees, m):
     rng = random.Random(f"colour table {degrees} {m}")
     g = boxslash_product(degrees, m)
+    queues = three_queue_layout(g)[1]
+    # A few edges recoloured, so that clashes sit on several signatures.
+    recoloured = [(g, canonical_order(g), EdgeColoring(
+        {(u, v): rng.randrange(3) if rng.random() < rate else queues.color(u, v) for u, v, _ in g.edges},
+        k=3)) for rate in (0.03, 0.1, 0.3)]
     outcomes = set()
-    for graph, order, coloring in table_layouts(g, rng):
+    for graph, order, coloring in table_layouts(g, rng) + recoloured:
         shape = graph.tree.spec.degrees
         want = naive_color_table(shape, m, layout_data(graph, order, coloring)[1])
         outcomes.add(want[0])
@@ -795,11 +817,11 @@ def test_extract_direction_table_matches_the_oracle(degrees, m):
         try:
             want = naive_direction_table(shape, m, layout_data(graph, order, coloring)[0])
         except ValueError as exc:
-            problem, i, j, p = exc.args[0]
+            problem, i, j, p, *prefix = exc.args[0]
             outcomes.add(problem)
             at = f"level {i}, length {j}, position {p}"
             message = f"^witnesses disagree at {at}$" if problem == "disagree" else (
-                rf"^child sequence at {at} under [r0-9.]+ is not monotone$")
+                rf"^child sequence at {at} under {re.escape(prefix[0])} is not monotone$")
             with pytest.raises(InconsistencyError, match=message):
                 extract_direction_table(graph, order)
         else:
