@@ -318,6 +318,22 @@ def test_hex_analyze_output_matches_the_oracles(tmp_path, capsys, branch, rows, 
     assert ("skipped" if "skipped" in dichotomy else dichotomy["witness"]) == branch
 
 
+@pytest.mark.parametrize(
+    "branch, options",
+    [("skipped", []), ("top_cells", ["--s", "1", "--long-length", "2"]),
+     ("long_boundary", ["--s", "6", "--long-length", "2"])],
+)
+def test_hex_analyze_output_is_byte_identical_to_the_saved_document(branch, options, capsys):
+    # The saved documents are the output of the tracer that listed every
+    # boundary edge as a tuple and verified lines pair by pair.  Each
+    # grid has open lines leaving all four sides; the skipped one has
+    # three closed lines, the long-boundary one four.
+    argv = ["hex", "analyze", "--coloring", str(DATA / f"hex_{branch}_coloring.json"), *options]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = (DATA / f"hex_{branch}_analyze.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
 def test_hex_analyze_rejects_a_wrong_size(tmp_path, capsys):
     path = _write(tmp_path, "hex.json", {"n": 4, "m": 3, "chi": CHI_3X3})
     assert cli.main(["hex", "analyze", "--coloring", path]) == cli.EXIT_USAGE
