@@ -519,17 +519,15 @@ def _child_sequences(degrees, starts, ranks, i: int, j: int, p: int) -> list[lis
             for x in range(block, block + stride)]
 
 
-def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> int:
-    """Direction bits of all child-choice sequences for (level i, length j,
-    pos p), together; a sequence that is not monotone raises."""
-    bits = list(map(direction_bits, _child_sequences(degrees, starts, ranks, i, j, p)))
-    if 0 in bits:
-        under = bits.index(0) // math.prod(degrees[i:j])
-        raise InconsistencyError(
-            f"child sequence at level {i}, length {j}, position {p} "
-            f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
-        )
-    return functools.reduce(operator.or_, set(bits))
+def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> list[int]:
+    """Direction bits of each child-choice sequence for (level i, length j,
+    pos p), in `_child_sequences` order; 0 marks one that is not monotone."""
+    return list(map(direction_bits, _child_sequences(degrees, starts, ranks, i, j, p)))
+
+
+def _joint_direction(bits: list[int]) -> Optional[Direction]:
+    """The one direction all sequences share, else None."""
+    return None if 0 in bits else single_direction(functools.reduce(operator.or_, set(bits)))
 
 
 def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> DirectionTable:
@@ -550,7 +548,14 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
     for i in range(1, height + 1):
         for j in range(i, height + 1):
             for p in range(1, graph.path_len + 1):
-                direction = single_direction(_observed_directions(degrees, starts, ranks, i, j, p))
+                bits = _observed_directions(degrees, starts, ranks, i, j, p)
+                if 0 in bits:
+                    under = bits.index(0) // math.prod(degrees[i:j])
+                    raise InconsistencyError(
+                        f"child sequence at level {i}, length {j}, position {p} "
+                        f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
+                    )
+                direction = _joint_direction(bits)
                 if direction is None:
                     raise InconsistencyError(
                         f"witnesses disagree at level {i}, length {j}, position {p}"
@@ -585,11 +590,8 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
         for p in range(1, m + 1):
             dirs = []  # per level; no two nodes first differ at a one-child level
             for i in range(1, depth + 1):
-                try:
-                    bits = _observed_directions(degrees, starts, ranks, i, depth, p)
-                except InconsistencyError:
-                    bits = 0
-                dirs.append(single_direction(bits) if degrees[i - 1] > 1 else Direction.INC)
+                bits = _observed_directions(degrees, starts, ranks, i, depth, p)
+                dirs.append(_joint_direction(bits) if degrees[i - 1] > 1 else Direction.INC)
             at = ranks[(p - 1) * starts[-1] + starts[depth] : (p - 1) * starts[-1] + starts[depth + 1]]
             if None not in dirs:
                 signs = [1 if d is Direction.INC else -1 for d in dirs]

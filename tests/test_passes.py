@@ -33,7 +33,7 @@ from boxslash import (
     run_passes,
     three_queue_layout,
 )
-from boxslash import passes
+from boxslash import passes, product
 from boxslash.passes import restrict
 from boxslash.product import level_starts
 from helpers_naive import (
@@ -523,6 +523,21 @@ def test_check_identity_permutation_violation():
     report = check_identity_permutation(g, order)
     assert not report.ok
     assert ("1.1", "2.2", 1, "inc") in report.violations
+
+
+def test_check_identity_permutation_names_no_node_on_a_shuffled_order(monkeypatch):
+    # Only extract_direction_table words the non-monotone error, and
+    # naming its node builds the whole tree; the check reads the bits.
+    g = boxslash_product((3, 3, 3), 6)
+    order = LinearOrder(random.Random(6).sample(list(g.vertices), len(g.vertices)))
+    calls = []
+    build_tree = product.build_tree
+    monkeypatch.setattr(product, "build_tree", lambda spec: calls.append(spec) or build_tree(spec))
+    assert not check_identity_permutation(g, order).ok
+    assert calls == []
+    with pytest.raises(InconsistencyError, match="is not monotone$"):
+        extract_direction_table(g, order)
+    assert len(calls) == 1
 
 
 def test_check_direction_consistency():
