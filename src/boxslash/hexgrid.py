@@ -9,16 +9,19 @@ off the top row, decides the top-cells-or-long-line dichotomy, and
 reads the layers of a direction table as colorings.
 
 A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read
-by integer index; a line keeps its dual walk as corner numbers and
-builds DualVertex objects only when `walk` is read.  For N cells and P
-boundary pairs: `trace_boundary` makes N-order code comparisons, one
-per grid edge, and builds tuples only for the P edges whose cells
-differ; `BoundaryLine.verify` is linear in the line's length;
-`monochromatic_spanning_path` and `top_or_long` flood O(N) cells of the
-table framed by a border; `maximal_boundaries` reads two corners per
-line, then compares the T top boundaries pairwise, O(T^2).  The
-analyses that need the lines take them as an argument, so `hex analyze`
-traces each coloring once.
+by integer index, and caches that table framed by a border of 2s, the
+padded table every walk and flood reads.  A traced line keeps its two
+sides as padded indices and builds cell pairs, corner numbers and
+DualVertex objects only when `pairs`, `corners` or `walk` is read.
+For N cells and P boundary pairs: `trace_boundary` finds the boundary
+edges in three XORs of N-byte integers and takes O(1) steps per pair,
+one color comparison each; `BoundaryLine.verify` decides a traced line
+in a few C-level passes over its sides, and lists a failing line pair
+by pair, linear in its length either way; `monochromatic_spanning_path`
+and `top_or_long` flood O(N) cells of the padded table;
+`maximal_boundaries` reads two corners per line, then compares the T
+top boundaries pairwise, O(T^2).  The analyses that need the lines take
+them as an argument, so `hex analyze` traces each coloring once.
 
 The dichotomy is the last stage of the paper's argument built here.
 Below is the smallest input each stage needs, for k stack pages and
@@ -59,7 +62,7 @@ stops at the dichotomy and holds no code for them.
 from __future__ import annotations
 
 import itertools
-import re
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,6 +123,20 @@ class HexColoring:
             raise ShapeError(f"{len(self.table)} colors for a {grid.rows}x{grid.cols} grid")
         if self.table.translate(None, b"\x00\x01"):
             raise ShapeError("color table holds a code other than 0 or 1")
+
+    @cached_property
+    def _padded(self) -> bytes:
+        """The table framed by a border of 2s, rows cols + 2 wide.
+
+        Cell (i, j) sits at i * (cols + 2) + j, so a step to a neighbour
+        adds di * (cols + 2) + dj; border cells match no color, so the
+        floods and walks never test bounds.
+        """
+        cols = self.grid.cols
+        table = self.table
+        border = b"\x02" * (cols + 2)
+        inner = b"\x02\x02".join(table[k : k + cols] for k in range(0, len(table), cols))
+        return border + b"\x02" + inner + b"\x02" + border
 
     def color(self, cell: Cell) -> Direction:
         i, j = cell
@@ -198,6 +215,30 @@ def _dual_vertex(corner: int, width: int) -> DualVertex:
 # ---------------------------------------------------------------------------
 # Boundary lines.
 
+# Translation keeping only byte 1: the XOR of two codes is 1 exactly when
+# they are 0 and 1; a border code 2 gives 2 or 3, or 0 against a border.
+_ONLY_ONE = bytes((0, 1)) + bytes(254)
+
+
+def _steps(width: int) -> tuple[int, ...]:
+    """The six neighbour steps in the padded table, turning around a cell.
+
+    Steps k and k + 1 (mod 6) lead to two neighbours that touch each
+    other, and step k is step k - 1 plus step k + 1.
+    """
+    return (1, 1 - width, -width, -1, width - 1, width)
+
+
+def _corner(cells, width: int) -> int:
+    """The corner number (see `_dual_vertex`) of a triangle of padded cells."""
+    lo, mid, hi = sorted(cells)
+    if mid == lo + 1:  # (d, c, -): cells hi - width, hi - width + 1 and hi
+        anchor, sign = hi, 0
+    else:  # (d, c, +): cells mid - width + 1, mid and mid + 1
+        anchor, sign = mid, 1
+    return (anchor - anchor // width) * 2 + sign
+
+
 class BoundaryLine:
     """One separating walk, stored as oriented cell pairs plus the dual walk.
 
@@ -207,22 +248,62 @@ class BoundaryLine:
     cols + 1) and built as DualVertex objects on first read.  It has one
     more vertex than there are pairs (equal counts for a closed line,
     where the last vertex joins back to the first).
+
+    A traced line keeps its two sides as lists of padded-table indices
+    (see `HexColoring._padded`) and builds `pairs` and `corners` from
+    them on first read; a line built from cell pairs keeps what it was
+    given.
     """
 
     def __init__(self, grid: HexGrid, pairs: Sequence[tuple[Cell, Cell]], corners: Sequence[int],
                  closed: bool, color_a: Direction, color_b: Direction):
         if not pairs:
             raise ValueError("a boundary line needs at least one pair")
-        self.grid = grid
         self.pairs = tuple(pairs)
         self.corners = tuple(corners)
+        self._init(grid, None, None, closed, color_a, color_b)
+
+    def _init(self, grid, side_a, side_b, closed, color_a, color_b) -> None:
+        self.grid = grid
+        self._side_a = side_a
+        self._side_b = side_b
         self.closed = closed
         self.color_a = color_a
         self.color_b = color_b
 
+    @classmethod
+    def _traced(cls, grid: HexGrid, side_a: list[int], side_b: list[int], ends: tuple[int, int | None],
+                closed: bool, color_a: Direction, color_b: Direction) -> "BoundaryLine":
+        """A line from its sides as padded indices and its first and last
+        corner (None for a closed line, whose walk ends where it began)."""
+        line = cls.__new__(cls)
+        line._init(grid, side_a, side_b, closed, color_a, color_b)
+        line._first_corner, line._last_corner = ends
+        return line
+
     @property
     def length(self) -> int:
-        return len(self.pairs)
+        return len(self.pairs if self._side_a is None else self._side_a)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[Cell, Cell], ...]:
+        width = self.grid.cols + 2
+        return tuple((divmod(x, width), divmod(y, width)) for x, y in zip(self._side_a, self._side_b))
+
+    @cached_property
+    def corners(self) -> tuple[int, ...]:
+        # Consecutive crossings are two sides of the triangle between them.
+        a, b, width = self._side_a, self._side_b, self.grid.cols + 2
+        middle = [_corner({a[t], b[t], a[t + 1], b[t + 1]}, width) for t in range(len(a) - 1)]
+        last = () if self.closed else (self._last_corner,)
+        return (self._first_corner, *middle, *last)
+
+    @property
+    def _ends(self) -> tuple[int, int]:
+        """The first and last corner of an open line's walk."""
+        if self._side_a is None or self.closed:
+            return self.corners[0], self.corners[-1]
+        return self._first_corner, self._last_corner
 
     @cached_property
     def walk(self) -> tuple[DualVertex, ...]:
@@ -232,9 +313,46 @@ class BoundaryLine:
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
 
-        A cell outside the grid is a pair-shape violation and, having no
-        color, a sides one.
+        A traced line checked against a coloring of its own shape is
+        first decided whole; only a line that fails, or any other, is
+        listed pair by pair.  A cell outside the grid is a pair-shape
+        violation and, having no color, a sides one.
         """
+        if self._side_a is not None and coloring.grid == self.grid and self._sound(coloring._padded):
+            return []
+        return self._violations(coloring)
+
+    def _sound(self, padded: bytes) -> bool:
+        """Whether the padded sides hold all four invariants, in passes over whole lists.
+
+        Every a cell is at least a row inside the table and every pair
+        differs by a neighbour step, so every b cell is in the table too.
+        Colors are counted, so every cell is inside the grid; then two
+        cells are neighbours exactly when their indices differ by a
+        neighbour step, as a row is two cells wider than the grid.  Once
+        every a cell holds color_a and every b cell color_b, a pair can
+        only repeat in its own orientation, so the set of pairs finds
+        every repeat.
+        """
+        a, b = self._side_a, self._side_b
+        n, width = len(a), self.grid.cols + 2
+        if self.color_a == self.color_b or n < 2:
+            return False
+        if not set(map(operator.sub, a, b)) <= set(_steps(width)):
+            return False
+        if min(a) < width or max(a) >= len(padded) - width:
+            return False
+        code_a, code_b = self.color_a is Direction.DEC, self.color_b is Direction.DEC
+        if (operator.itemgetter(*a)(padded).count(code_a) != n
+                or operator.itemgetter(*b)(padded).count(code_b) != n):
+            return False
+        a_next, b_next = (a[1:] + a[:1], b[1:] + b[:1]) if self.closed else (a[1:], b[1:])
+        if any(map(operator.eq, map(operator.eq, a, a_next), map(operator.eq, b, b_next))):
+            return False
+        return len(set(zip(a, b))) == n
+
+    def _violations(self, coloring: HexColoring) -> list[str]:
+        """`verify`'s list, made pair by pair."""
         out = []
         if self.color_a == self.color_b:
             out.append("sides: the two side colors are equal")
@@ -273,86 +391,106 @@ class BoundaryLine:
 def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
     """Decompose the boundary subgraph into its separating lines.
 
-    Every grid edge is crossed by one dual edge.  Going down the table's
-    rows, the pass compares the two cells of each grid edge and keeps
-    the edge only when they differ, as a tuple (minus corner, plus
-    corner, deeper-or-left cell, other cell, that cell's code), with
-    cells as table indices and corners numbered by `_dual_vertex`'s
-    formula.  Edges are numbered per row, vertical crossings then
-    diagonal ones, and then every horizontal crossing.  Walks start at
-    the degree-one corners in (depth, sign, col) order, then at the
-    lowest unused edge of each closed line, and always leave a corner by
-    its lowest unused edge.
+    Every grid edge is crossed by one dual edge, and it is a boundary
+    edge when its two cells differ.  Three shifted XORs of the padded
+    table (see `HexColoring._padded`) flag the boundary edges by their
+    deeper or left cell: vertical, to the cell above; diagonal, to the
+    cell above and right; horizontal, to the cell on the right.  Edges
+    are numbered per row, vertical crossings then diagonal ones, and
+    then every horizontal crossing.
+
+    A walk crosses one edge into a grid triangle.  `HexColoring` holds
+    only codes 0 and 1, and a triangle in two colors has zero or two
+    unequal sides, so no corner has more than two boundary edges and
+    none needs its degree checked.  One color comparison with the
+    triangle's third cell picks the side to leave by; a triangle with a
+    border cell has only the one side, and ends an open line.  Crossing
+    an edge clears its flag.  Open lines start at the border corners
+    with one boundary edge, in (depth, sign, col) order: the top cuts,
+    then per row the right and left sides, then the bottom.  Closed
+    lines start at the minus corner of the lowest unused edge, always
+    vertical or diagonal, since a line never crosses two horizontal
+    edges in a row; `bytearray.find` gives it.  The a side holds the
+    color of the deeper or left cell of a line's first edge.
     """
     grid = coloring.grid
-    table = coloring.table
-    cols = grid.cols
-    width = cols + 1
-    cells = list(itertools.product(range(1, grid.rows + 1), range(1, cols + 1)))
-    edges = []
-    horizontal = []
-    above = None
-    for i in range(1, grid.rows + 1):
-        k = (i - 1) * cols - 1  # cell (i, j) is table[k + j]
-        row = table[k + 1 : k + 1 + cols]
-        base = 2 * width * i
-        if above is not None:
-            for j, (low, high) in enumerate(zip(row, above), start=1):
-                if low != high:
-                    edges.append((base + 2 * j, base + 2 * j - 1, k + j, k + j - cols, low))
-            for j, (low, high) in enumerate(zip(row, above[1:]), start=1):
-                if low != high:
-                    edges.append((base + 2 * j, base + 2 * j + 1, k + j, k + j + 1 - cols, low))
-        below = base + 2 * width
-        for j, (left, right) in enumerate(zip(row, row[1:]), start=1):
-            if left != right:
-                horizontal.append((below + 2 * j, base + 2 * j + 1, k + j, k + j + 1, left))
-        above = row
-    edges += horizontal
+    rows, cols = grid.rows, grid.cols
+    padded = coloring._padded
+    width, size = cols + 2, len(padded)
 
-    # A grid triangle has zero or two unequal sides, so a corner has at
-    # most two edges, and its edge numbers' sum minus one is the other.
-    size = 2 * width * (grid.rows + 2)
-    link = [0] * size
-    degree = bytearray(size)
-    for idx, edge in enumerate(edges):
-        link[edge[0]] += idx
-        degree[edge[0]] += 1
-        link[edge[1]] += idx
-        degree[edge[1]] += 1
-    if max(degree) > 2:
-        corner = degree.index(max(degree))
-        raise InconsistencyError(f"dual vertex {_dual_vertex(corner, width)} has boundary degree {degree[corner]}")
-    used = bytearray(len(edges))
+    def unequal(shift: int) -> bytes:
+        # Byte k is 1 when cells k and k + shift are both grid cells and differ.
+        head = int.from_bytes(padded[: size - shift], "big")
+        tail = int.from_bytes(padded[shift:], "big")
+        return (head ^ tail).to_bytes(size - shift, "big").translate(_ONLY_ONE)
+
+    vertical = bytearray(bytes(width) + unequal(width))
+    diagonal = bytearray(bytes(width - 1) + unequal(width - 1))
+    horizontal = bytearray(unequal(1))
+    steps = _steps(width)
+    third = steps[1:] + steps[:1]
+    # Moving p to the third cell turns the step p -> q back by one;
+    # moving q there turns it on by one.
+    turn_p, turn_q = (5, 0, 1, 2, 3, 4), (1, 2, 3, 4, 5, 0)
+    # Edge (p, p + steps[k]) is flagged at flags[k][p + flag_at[k]].
+    flags = (horizontal, diagonal, vertical) * 2
+    flag_at = (0, 0, 0, *steps[3:])
     lines = []
 
-    def follow(current: int, idx: int, closed: bool) -> None:
-        code_a = edges[idx][4]
-        corners = [current]
-        pairs = []
+    def follow(p: int, q: int, k: int, a_is_p: bool, closed: bool) -> None:
+        # The walk has just crossed from cell p to cell q = p + steps[k]
+        # into the triangle whose third cell is p + steps[k + 1].
+        first = _corner((p, q, p + steps[k - 1]), width)
+        flags[k][p + flag_at[k]] = 0
+        side_p, side_q = [p], [q]
+        code = padded[p]
         while True:
-            used[idx] = 1
-            minus, plus, x, y, code_x = edges[idx]
-            current = plus if minus == current else minus
-            corners.append(current)
-            pairs.append((cells[x], cells[y]) if code_x == code_a else (cells[y], cells[x]))
-            if degree[current] != 2:
+            t = p + third[k]
+            c = padded[t]
+            if c == code:
+                p = t
+                k = turn_p[k]
+            elif c == 2:
                 break
-            idx = link[current] - idx
-            if used[idx]:
+            else:
+                q = t
+                k = turn_q[k]
+            row = flags[k]
+            e = p + flag_at[k]
+            if not row[e]:  # back at the first edge of a closed line
                 break
-        if closed:
-            corners.pop()
-        lines.append(BoundaryLine(grid, pairs, corners, closed, _COLORS[code_a], _COLORS[1 - code_a]))
+            row[e] = 0
+            side_p.append(p)
+            side_q.append(q)
+        last = None if closed else _corner((p, q, t), width)
+        a, b = (side_p, side_q) if a_is_p else (side_q, side_p)
+        code_a = padded[a[0]]
+        lines.append(BoundaryLine._traced(grid, a, b, (first, last), closed,
+                                          _COLORS[code_a], _COLORS[1 - code_a]))
 
-    ends = [found.start() for found in re.finditer(b"\x01", degree)]
-    for corner in sorted(ends, key=lambda corner: (corner // (2 * width), corner & 1, corner)):
-        if not used[link[corner]]:
-            follow(corner, link[corner], False)
-    idx = used.find(0)
-    while idx >= 0:
-        follow(edges[idx][0], idx, True)
-        idx = used.find(0, idx + 1)
+    for x in range(width + 1, width + cols):  # corner (1, c, +) at the top cut c
+        if horizontal[x]:
+            follow(x + 1, x, 3, False, False)
+    for d in range(2, rows + 1):
+        x = d * width + cols  # corner (d, cols, -) on the right
+        if vertical[x]:
+            follow(x, x - width, 2, True, False)
+        x = d * width + 1  # corner (d, 0, +) on the left
+        if vertical[x]:
+            follow(x - width, x, 5, False, False)
+    for x in range(rows * width + 1, rows * width + cols):  # corner (rows + 1, c, -)
+        if horizontal[x]:
+            follow(x, x + 1, 0, True, False)
+    for base in range(2 * width, (rows + 1) * width, width):
+        while True:
+            x = vertical.find(1, base, base + width)
+            if x >= 0:
+                follow(x, x - width, 2, True, True)
+                continue
+            x = diagonal.find(1, base, base + width)
+            if x < 0:
+                break
+            follow(x - width + 1, x, 4, False, True)
     return lines
 
 
@@ -398,7 +536,7 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
         if line.closed:
             continue
         # The top corner (1, x, +) is numbered (width + x) * 2 + 1.
-        ends = (line.corners[0], line.corners[-1])
+        ends = line._ends
         top_cols = sorted((end >> 1) - width for end in ends if end & 1 and width <= end >> 1 < 2 * width)
         if len(top_cols) == 2:
             tops.append(TopBoundary(top_cols[0], top_cols[1], line))
@@ -444,20 +582,6 @@ class SpanningPath:
     extent: tuple[int, int]
 
 
-def _padded(coloring: HexColoring) -> tuple[bytes, int]:
-    """The table framed by a border of 2s, and its width cols + 2.
-
-    Cell (i, j) sits at i * width + j, so a step to a neighbour adds
-    di * width + dj; border cells match no color, so the floods below
-    never test bounds.
-    """
-    cols = coloring.grid.cols
-    table = coloring.table
-    border = b"\x02" * (cols + 2)
-    inner = b"\x02\x02".join(table[k : k + cols] for k in range(0, len(table), cols))
-    return border + b"\x02" + inner + b"\x02" + border, cols + 2
-
-
 def _flood(padded: bytes, width: int, sources: Sequence[int], parent: list[int]):
     """Breadth-first over the cells of the sources' color, in visiting order.
 
@@ -489,7 +613,7 @@ def monochromatic_spanning_path(coloring: HexColoring) -> SpanningPath:
     colors means the coloring data is corrupt.
     """
     grid = coloring.grid
-    padded, width = _padded(coloring)
+    padded, width = coloring._padded, grid.cols + 2
     plans = (
         (0, "columns", [i * width + 1 for i in range(1, grid.rows + 1)], (1, grid.cols)),
         (1, "rows", [width + j for j in range(1, grid.cols + 1)], (1, grid.rows)),
@@ -557,7 +681,7 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence
         )
     # Only a component that holds a row-1 cell can be the witness; each
     # is flooded from its leftmost row-1 cell, left to right.
-    padded, width = _padded(coloring)
+    padded, width = coloring._padded, grid.cols + 2
     seen = [0] * len(padded)
     for start in range(width + 1, width + grid.cols + 1):
         if seen[start]:

@@ -615,6 +615,93 @@ def naive_boundary_lines(chi):
     return lines
 
 
+def naive_traced_lines(chi):
+    """trace_boundary's lines, in its order, by its docstring's rules.
+
+    Each line is (pairs, walk, closed, colour_a, colour_b): pairs of
+    cells, a side first; the walk as (depth, col, sign) corners; the
+    colours as "inc"/"dec".  Corner (d, c, -1) is the triangle of cells
+    (d, c), (d-1, c), (d-1, c+1) and (d, c, +1) that of (d, c),
+    (d, c+1), (d-1, c+1).  Every grid edge is listed per row, vertical
+    then diagonal crossings, then every horizontal one, as (minus
+    corner, plus corner, deeper-or-left cell, other cell).  Walks start
+    at the corners with one boundary edge in (depth, sign, col) order,
+    then at the minus corner of the lowest unused edge, and leave each
+    corner by its lowest unused edge.  The a side takes the colour of
+    the deeper-or-left cell of a line's first edge.
+    """
+    n, m = len(chi), len(chi[0])
+    edges = []
+    for i in range(2, n + 1):
+        edges += [((i, j, -1), (i, j - 1, 1), (i, j), (i - 1, j)) for j in range(1, m + 1)]
+        edges += [((i, j, -1), (i, j, 1), (i, j), (i - 1, j + 1)) for j in range(1, m)]
+    for i in range(1, n + 1):
+        edges += [((i + 1, j, -1), (i, j, 1), (i, j), (i, j + 1)) for j in range(1, m)]
+    edges = [e for e in edges if hex_colour(chi, e[2]) != hex_colour(chi, e[3])]
+    at = {}
+    for idx, (minus, plus, _, _) in enumerate(edges):
+        at.setdefault(minus, []).append(idx)
+        at.setdefault(plus, []).append(idx)
+    used = set()
+    lines = []
+
+    def follow(corner, closed):
+        colour_a = hex_colour(chi, edges[min(set(at[corner]) - used)][2])
+        walk, pairs = [corner], []
+        while set(at[corner]) - used:
+            idx = min(set(at[corner]) - used)
+            used.add(idx)
+            minus, plus, x, y = edges[idx]
+            corner = plus if corner == minus else minus
+            walk.append(corner)
+            pairs.append((x, y) if hex_colour(chi, x) == colour_a else (y, x))
+        if closed:
+            walk.pop()
+        names = ("inc", "dec")
+        lines.append((tuple(pairs), tuple(walk), closed, names[colour_a], names[1 - colour_a]))
+
+    ends = sorted((c for c in at if len(at[c]) == 1), key=lambda c: (c[0], c[2], c[1]))
+    for corner in ends:
+        if at[corner][0] not in used:
+            follow(corner, False)
+    for idx in range(len(edges)):
+        if idx not in used:
+            follow(edges[idx][0], True)
+    return lines
+
+
+def naive_line_violations(chi, pairs, closed, colour_a, colour_b):
+    """BoundaryLine.verify's messages for a line of cell pairs, colours
+    "inc"/"dec", checked against the colouring chi, in its order: equal
+    side colours; then per pair, wrong colours (or a cell outside the
+    grid) and cells that are not neighbours (or outside); then each step
+    between consecutive pairs (and, on a closed line of two or more
+    pairs, from the last to the first) not sharing exactly one side;
+    then each pair repeating an earlier one, in either orientation."""
+    n, m = len(chi), len(chi[0])
+    codes = {"inc": 0, "dec": 1}
+    out = []
+    if colour_a == colour_b:
+        out.append("sides: the two side colors are equal")
+    for t, (a, b) in enumerate(pairs):
+        inside = all(1 <= i <= n and 1 <= j <= m for i, j in (a, b))
+        if not (inside and hex_colour(chi, a) == codes[colour_a] and hex_colour(chi, b) == codes[colour_b]):
+            out.append(f"sides: pair {t} colors are not (a={colour_a}, b={colour_b})")
+        if not (inside and b in hex_neighbours(chi, a)):
+            out.append(f"pair-shape: pair {t} cells {a} and {b} are not grid-adjacent")
+    steps = [(t, t + 1) for t in range(len(pairs) - 1)]
+    if closed and len(pairs) > 1:
+        steps.append((len(pairs) - 1, 0))
+    for t, u in steps:
+        same_sides = [pairs[t][side] == pairs[u][side] for side in (0, 1)]
+        if same_sides.count(True) != 1:
+            out.append(f"step: pairs {t} and {t + 1} must share exactly one side")
+    for t, pair in enumerate(pairs):
+        if any(set(pair) == set(earlier) for earlier in pairs[:t]):
+            out.append(f"duplicate: pair {t} repeats an earlier pair")
+    return out
+
+
 def hex_spans(chi, colour, axis):
     """Whether cells of `colour` join column 1 to the last column
     (axis "columns") or row 1 to the last row (axis "rows"), by BFS."""

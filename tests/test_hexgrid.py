@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxslash import (
     BoundaryLine,
@@ -30,18 +30,35 @@ from boxslash import (
 )
 
 from helpers_naive import (
+    hex_cells,
     hex_colour,
     hex_neighbours,
     hex_spans,
     naive_boundary_lines,
     naive_boundary_preservation,
     naive_direction_layer,
+    naive_line_violations,
     naive_top_boundaries,
+    naive_traced_lines,
 )
 
 
 def line_key(line):
     return frozenset(frozenset(p) for p in line.pairs)
+
+
+def as_tuples(lines):
+    """Lines as (pairs, walk as (depth, col, sign), closed, color_a, color_b)."""
+    return [
+        (
+            line.pairs,
+            tuple((v.depth, v.col, v.sign) for v in line.walk),
+            line.closed,
+            line.color_a.value,
+            line.color_b.value,
+        )
+        for line in lines
+    ]
 
 
 # Every grid of at most 10 cells, plus the two squarest of 12 cells
@@ -58,6 +75,7 @@ def check_against_oracles(chi):
     traced = {(line_key(line), line.closed) for line in lines}
     assert len(traced) == len(lines)
     assert traced == set(naive_boundary_lines(chi))
+    assert as_tuples(lines) == naive_traced_lines(chi)
 
     n, m = len(chi), len(chi[0])
     assert cut_points(coloring) == [x for x in range(1, m) if chi[0][x - 1] != chi[0][x]]
@@ -138,18 +156,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("chi, expected", FROZEN)
 def test_trace_boundary_frozen_output(chi, expected):
-    lines = trace_boundary(HexColoring.from_matrix(chi))
-    got = [
-        (
-            line.pairs,
-            tuple((v.depth, v.col, v.sign) for v in line.walk),
-            line.closed,
-            line.color_a.value,
-            line.color_b.value,
-        )
-        for line in lines
-    ]
-    assert got == expected
+    assert as_tuples(trace_boundary(HexColoring.from_matrix(chi))) == expected
 
 
 def test_the_analyses_use_the_lines_they_are_given():
@@ -191,6 +198,78 @@ def test_verify_reports_a_cell_outside_the_grid():
     line = BoundaryLine(coloring.grid, [((0, 1), (1, 1))], [2, 7], False, Direction.INC, Direction.DEC)
     problems = line.verify(coloring)
     assert [problem.split(":")[0] for problem in problems] == ["sides", "pair-shape"]
+
+
+DAMAGES = ("flip", "repeat", "drop", "far cell", "outside cell", "shifted", "equal colours", "other shape")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_of_a_damaged_traced_line_matches_the_oracle(data):
+    # One traced line, damaged one way in its padded sides, so verify
+    # decides it on the whole-list checks before it lists anything.
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    flips = data.draw(st.randoms(use_true_random=False))
+    chi = [[flips.randrange(2) for _ in range(cols)] for _ in range(rows)]
+    coloring = HexColoring.from_matrix(chi)
+    lines = trace_boundary(coloring)
+    assume(lines)
+    line = data.draw(st.sampled_from(lines))
+    pairs, colours = list(line.pairs), [line.color_a, line.color_b]
+    t = data.draw(st.integers(0, len(pairs) - 1))
+    damage = data.draw(st.sampled_from(DAMAGES))
+    if damage == "flip":
+        pairs[t] = pairs[t][::-1]
+    elif damage == "repeat":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pairs[t])
+    elif damage == "drop":
+        assume(0 < t < len(pairs) - 1)
+        del pairs[t]
+    elif damage in ("far cell", "outside cell"):
+        side = data.draw(st.integers(0, 1))
+        other = pairs[t][1 - side]
+        if damage == "far cell":
+            cells = [c for c in hex_cells(chi) if c not in hex_neighbours(chi, other)]
+        else:  # rows -1 and rows + 2 lie outside the padded table
+            cells = [(i, j) for i in range(-1, rows + 3) for j in range(cols + 2)
+                     if not (1 <= i <= rows and 1 <= j <= cols)]
+        pair = list(pairs[t])
+        pair[side] = data.draw(st.sampled_from(cells))
+        pairs[t] = tuple(pair)
+    elif damage == "shifted":  # by the padded table's length, either way
+        shift = data.draw(st.sampled_from((-rows - 2, rows + 2)))
+        pairs = [((i1 + shift, j1), (i2 + shift, j2)) for (i1, j1), (i2, j2) in pairs]
+    elif damage == "equal colours":
+        colours[1] = colours[0]
+    against = chi
+    if damage == "other shape":
+        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda s: s != (rows, cols)))
+        against = [[flips.randrange(2) for _ in range(shape[1])] for _ in range(shape[0])]
+    width = cols + 2
+    side_a, side_b = ([i * width + j for i, j in side] for side in zip(*pairs))
+    damaged = BoundaryLine._traced(coloring.grid, side_a, side_b, (line.corners[0], line.corners[-1]),
+                                   line.closed, *colours)
+    assert damaged.pairs == tuple(pairs)
+    want = naive_line_violations(against, pairs, line.closed, colours[0].value, colours[1].value)
+    assert damaged.verify(HexColoring.from_matrix(against)) == want
+
+
+def test_verify_reports_equal_side_colours_on_a_one_colour_line():
+    # Sides (1, 1), (2, 1) and (1, 2), (1, 2) at padded width 4: every
+    # other check holds.
+    coloring = HexColoring.from_matrix([[0, 0], [0, 0]])
+    line = BoundaryLine._traced(coloring.grid, [5, 9], [6, 6], (13, 10), False, Direction.INC, Direction.INC)
+    assert line.verify(coloring) == ["sides: the two side colors are equal"]
+
+
+def test_verify_decides_whole_lines_on_their_own_shape_only():
+    # The 2x5 table holds, at this 2x4 line's padded indices, the colors
+    # its a and b sides need; its cells there do not.
+    chi, other = [[0, 0, 1, 0], [1, 0, 0, 1]], [[0, 0, 0, 1, 1], [0, 1, 1, 0, 0]]
+    lines = trace_boundary(HexColoring.from_matrix(chi))
+    line = next(line for line in lines if line.pairs == (((2, 4), (1, 4)), ((2, 4), (2, 3))))
+    want = naive_line_violations(other, line.pairs, line.closed, line.color_a.value, line.color_b.value)
+    assert want and line.verify(HexColoring.from_matrix(other)) == want
 
 
 @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 4), (-1, 2), (2, -1)])
