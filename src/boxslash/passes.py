@@ -549,13 +549,13 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
         for j in range(i, height + 1):
             for p in range(1, graph.path_len + 1):
                 bits = _observed_directions(degrees, starts, ranks, i, j, p)
-                if 0 in bits:
+                direction = _joint_direction(bits)
+                if direction is None and 0 in bits:
                     under = bits.index(0) // math.prod(degrees[i:j])
                     raise InconsistencyError(
                         f"child sequence at level {i}, length {j}, position {p} "
                         f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
                     )
-                direction = _joint_direction(bits)
                 if direction is None:
                     raise InconsistencyError(
                         f"witnesses disagree at level {i}, length {j}, position {p}"
