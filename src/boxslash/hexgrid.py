@@ -336,6 +336,7 @@ class BoundaryLine:
         """
         a, b = self._side_a, self._side_b
         n, width = len(a), self.grid.cols + 2
+        # One pair is left to the pair loop: itemgetter of one index returns no tuple.
         if self.color_a == self.color_b or n < 2:
             return False
         if not set(map(operator.sub, a, b)) <= set(_steps(width)):
