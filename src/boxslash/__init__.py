@@ -69,7 +69,6 @@ from .hexgrid import (
     TopBoundaries,
     TopBoundary,
     TopCellsWitness,
-    boundary_preservation_check,
     cut_points,
     direction_layer,
     maximal_boundaries,

@@ -8,20 +8,21 @@ verifies their structural invariants, classifies the boundaries hanging
 off the top row, decides the top-cells-or-long-line dichotomy, and
 reads the layers of a direction table as colorings.
 
-A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read
-by integer index, and caches that table framed by a border of 2s, the
-padded table every walk and flood reads.  A traced line keeps its two
-sides as padded indices and builds cell pairs, corner numbers and
-DualVertex objects only when `pairs`, `corners` or `walk` is read.
-For N cells and P boundary pairs: `trace_boundary` finds the boundary
-edges in three XORs of N-byte integers and takes O(1) steps per pair,
-one color comparison each; `BoundaryLine.verify` decides a traced line
-in a few C-level passes over its sides, and lists a failing line pair
-by pair, linear in its length either way; `monochromatic_spanning_path`
-and `top_or_long` flood O(N) cells of the padded table;
-`maximal_boundaries` reads two corners per line, then compares the T
-top boundaries pairwise, O(T^2).  The analyses that need the lines take
-them as an argument, so `hex analyze` traces each coloring once.
+A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read by
+integer index, and caches that table framed by a border of 2s, the
+padded table every walk and flood reads.  A boundary line keeps its two
+sides as padded indices and its walk's end corners, and builds cell
+pairs, corner numbers and DualVertex objects only when `pairs`,
+`corners` or `walk` is read.  For N cells and P boundary pairs:
+`trace_boundary` finds the boundary edges in three XORs of N-byte
+integers and takes O(1) steps per pair, one color comparison each;
+`BoundaryLine.verify` decides a line of its coloring's shape in a few
+C-level passes over its sides, and lists a failing line pair by pair,
+linear in its length either way; `monochromatic_spanning_path` and
+`top_or_long` flood O(N) cells of the padded table; `maximal_boundaries`
+reads two corners per line, then compares the T top boundaries pairwise,
+O(T^2).  The analyses that need the lines take them as an argument, so
+`hex analyze` traces each coloring once.
 
 The dichotomy is the last stage of the paper's argument built here.
 Below is the smallest input each stage needs, for k stack pages and
@@ -69,8 +70,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError, ShapeError, SizeLimitError
-from .passes import CheckReport, DirectionTable
-from .product import EdgeKind
+from .passes import DirectionTable
 from .sequences import Direction
 
 Cell = tuple[int, int]
@@ -94,19 +94,6 @@ class HexGrid:
     def valid(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= self.rows and 1 <= j <= self.cols
-
-    def h_edges(self) -> list[tuple[Cell, Cell, EdgeKind]]:
-        """All grid edges, deeper (or leftmost) cell first."""
-        out = []
-        for i in range(1, self.rows + 1):
-            for j in range(1, self.cols + 1):
-                if i + 1 <= self.rows:
-                    out.append(((i + 1, j), (i, j), EdgeKind.VERTICAL))
-                if j + 1 <= self.cols:
-                    out.append(((i, j), (i, j + 1), EdgeKind.HORIZONTAL))
-                if i + 1 <= self.rows and j + 1 <= self.cols:
-                    out.append(((i + 1, j), (i, j + 1), EdgeKind.DIAGONAL))
-        return out
 
 
 class HexColoring:
@@ -240,50 +227,31 @@ def _corner(cells, width: int) -> int:
 
 
 class BoundaryLine:
-    """One separating walk, stored as oriented cell pairs plus the dual walk.
+    """One separating walk, stored as its two sides plus the dual walk.
 
     Pair t is (a_t, b_t): the cells on the two sides of the t-th crossed
     grid edge, the a side holding color_a everywhere along the line.
-    The walk is kept as corner numbers (see `_dual_vertex`, with width
-    cols + 1) and built as DualVertex objects on first read.  It has one
-    more vertex than there are pairs (equal counts for a closed line,
-    where the last vertex joins back to the first).
-
-    A traced line keeps its two sides as lists of padded-table indices
-    (see `HexColoring._padded`) and builds `pairs` and `corners` from
-    them on first read; a line built from cell pairs keeps what it was
-    given.
+    The sides are lists of padded-table indices (see
+    `HexColoring._padded`); `pairs` holds them as cells.  The walk is
+    kept as corner numbers (see `_dual_vertex`, with width cols + 1) and
+    built as DualVertex objects on first read.  It has one more vertex
+    than there are pairs (equal counts for a closed line, where the last
+    vertex joins back to the first).  The corners between two crossings
+    follow from the sides, so a line is given only its first corner and
+    its last, None for a closed line.
     """
 
-    def __init__(self, grid: HexGrid, pairs: Sequence[tuple[Cell, Cell]], corners: Sequence[int],
+    def __init__(self, grid: HexGrid, side_a: list[int], side_b: list[int], first: int, last: int | None,
                  closed: bool, color_a: Direction, color_b: Direction):
-        if not pairs:
+        if not side_a:
             raise ValueError("a boundary line needs at least one pair")
-        self.pairs = tuple(pairs)
-        self.corners = tuple(corners)
-        self._init(grid, None, None, closed, color_a, color_b)
-
-    def _init(self, grid, side_a, side_b, closed, color_a, color_b) -> None:
-        self.grid = grid
-        self._side_a = side_a
-        self._side_b = side_b
-        self.closed = closed
-        self.color_a = color_a
-        self.color_b = color_b
-
-    @classmethod
-    def _traced(cls, grid: HexGrid, side_a: list[int], side_b: list[int], ends: tuple[int, int | None],
-                closed: bool, color_a: Direction, color_b: Direction) -> "BoundaryLine":
-        """A line from its sides as padded indices and its first and last
-        corner (None for a closed line, whose walk ends where it began)."""
-        line = cls.__new__(cls)
-        line._init(grid, side_a, side_b, closed, color_a, color_b)
-        line._first_corner, line._last_corner = ends
-        return line
+        self.grid, self._side_a, self._side_b, self.closed = grid, side_a, side_b, closed
+        self._first_corner, self._last_corner = first, last
+        self.color_a, self.color_b = color_a, color_b
 
     @property
     def length(self) -> int:
-        return len(self.pairs if self._side_a is None else self._side_a)
+        return len(self._side_a)
 
     @cached_property
     def pairs(self) -> tuple[tuple[Cell, Cell], ...]:
@@ -298,13 +266,6 @@ class BoundaryLine:
         last = () if self.closed else (self._last_corner,)
         return (self._first_corner, *middle, *last)
 
-    @property
-    def _ends(self) -> tuple[int, int]:
-        """The first and last corner of an open line's walk."""
-        if self._side_a is None or self.closed:
-            return self.corners[0], self.corners[-1]
-        return self._first_corner, self._last_corner
-
     @cached_property
     def walk(self) -> tuple[DualVertex, ...]:
         width = self.grid.cols + 1
@@ -313,12 +274,12 @@ class BoundaryLine:
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
 
-        A traced line checked against a coloring of its own shape is
-        first decided whole; only a line that fails, or any other, is
-        listed pair by pair.  A cell outside the grid is a pair-shape
+        A line checked against a coloring of its own shape is first
+        decided whole; only a line that fails, or one checked against
+        another shape, is listed pair by pair.  A cell outside the grid is a pair-shape
         violation and, having no color, a sides one.
         """
-        if self._side_a is not None and coloring.grid == self.grid and self._sound(coloring._padded):
+        if coloring.grid == self.grid and self._sound(coloring._padded):
             return []
         return self._violations(coloring)
 
@@ -466,8 +427,7 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
         last = None if closed else _corner((p, q, t), width)
         a, b = (side_p, side_q) if a_is_p else (side_q, side_p)
         code_a = padded[a[0]]
-        lines.append(BoundaryLine._traced(grid, a, b, (first, last), closed,
-                                          _COLORS[code_a], _COLORS[1 - code_a]))
+        lines.append(BoundaryLine(grid, a, b, first, last, closed, _COLORS[code_a], _COLORS[1 - code_a]))
 
     for x in range(width + 1, width + cols):  # corner (1, c, +) at the top cut c
         if horizontal[x]:
@@ -537,7 +497,7 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
         if line.closed:
             continue
         # The top corner (1, x, +) is numbered (width + x) * 2 + 1.
-        ends = line._ends
+        ends = (line._first_corner, line._last_corner)
         top_cols = sorted((end >> 1) - width for end in ends if end & 1 and width <= end >> 1 < 2 * width)
         if len(top_cols) == 2:
             tops.append(TopBoundary(top_cols[0], top_cols[1], line))
@@ -724,26 +684,3 @@ def direction_layer(table: DirectionTable, layer: int) -> HexColoring:
         for row in range(layer, table.height + 1)
     ])
 
-
-def boundary_preservation_check(table: DirectionTable) -> CheckReport:
-    """Check that layer boundaries persist one layer up, equalities one down.
-
-    For adjacent layers, a grid-edge pair of the deeper-rooted layer and
-    its shift in the other layer must agree on equal-versus-unequal in
-    the one direction the propagation rules promise: unequal pairs away
-    from the first row stay unequal in the next layer, equivalently
-    equal pairs there were already equal one layer back.
-    """
-    violations = []
-    checked = 0
-    for layer in range(1, table.height):
-        low = direction_layer(table, layer)
-        high = direction_layer(table, layer + 1)
-        for a, b, kind in low.grid.h_edges():
-            if a[0] < 2 or b[0] < 2:
-                continue
-            checked += 1
-            shifted_a, shifted_b = (a[0] - 1, a[1]), (b[0] - 1, b[1])
-            if low.color(a) != low.color(b) and high.color(shifted_a) == high.color(shifted_b):
-                violations.append((layer, a, b, kind.value))
-    return CheckReport(violations, checked)

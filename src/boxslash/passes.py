@@ -28,12 +28,14 @@ pattern per child and level; pass_lex O(C) per candidate subarray of C
 cells, walked in lex-key order and left at the first descent, over every
 axis order, sign vector and index set in turn.  The checks run on the
 lists too: the colour table reads one slice of the colour list per
-(kind, depth, position), O(E); the related families read every
-child-choice sequence as one slice of the rank list and compute its
-direction once per position, O(h nm) sequence entries, then test each
-pair from those; the direction table computes each (level, length,
-position) once, O(h nm) in all; and check_identity_permutation decides
-each (depth, position) with one sort of that depth's nodes.
+(kind, depth, position), O(E).  Every child-choice sequence is one
+slice of the rank list, and its directions are computed once per
+position, O(h nm) sequence entries in all; run_passes lists them once,
+a level at a time, and the direction table reads the bits the related
+families read.  The related families test each pair from those, the
+direction table reads each (level, length, position) once, and
+check_identity_permutation decides each (depth, position) with one
+sort of that depth's nodes.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
@@ -505,24 +507,32 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
 # ---------------------------------------------------------------------------
 # Direction extraction and its consistency checks.
 
-def _child_sequences(degrees, starts, ranks, i: int, j: int, p: int) -> list[list]:
-    """Rank lists of the child-choice sequences for (level i, length j,
-    pos p), by first node id: varying the level-i choice of a depth-j
-    node steps its id by ``stride``, the number of choice combinations
-    below level i.  Sequence b * stride + s starts at the s-th node under
-    the b-th node of depth i - 1."""
-    stride = math.prod(degrees[i:j])
-    step = degrees[i - 1] * stride
-    start = (p - 1) * starts[-1] + starts[j]
-    return [ranks[x : x + step : stride]
-            for block in range(start, start + starts[j + 1] - starts[j], step)
-            for x in range(block, block + stride)]
+def _sequence_families(degrees, ranks, m: int):
+    """Every child-choice sequence, listed once for all the checks.  Per
+    level i it yields a dict from each length j to the rank lists
+    seqs[p - 1][q] and their direction bits bits[p - 1][q], 0 for one
+    not monotone; one level's rank lists are held at a time.  Varying
+    the level-i choice of a depth-j node steps its id by ``stride``, the
+    number of choice combinations below level i, so sequence
+    q = b * stride + s starts at the s-th node under the b-th node of
+    depth i - 1."""
+    starts = level_starts(degrees)
+    n = starts[-1]
+    for i in range(1, len(degrees) + 1):
+        family = {}
+        for j in range(i, len(degrees) + 1):
+            stride = math.prod(degrees[i:j])
+            step = degrees[i - 1] * stride
+            firsts = [x for block in range(starts[j], starts[j + 1], step)
+                      for x in range(block, block + stride)]
+            seqs = [[ranks[o + x : o + x + step : stride] for x in firsts] for o in range(0, m * n, n)]
+            family[j] = seqs, [list(map(direction_bits, at_p)) for at_p in seqs]
+        yield family
 
 
-def _observed_directions(degrees, starts, ranks, i: int, j: int, p: int) -> list[int]:
-    """Direction bits of each child-choice sequence for (level i, length j,
-    pos p), in `_child_sequences` order; 0 marks one that is not monotone."""
-    return list(map(direction_bits, _child_sequences(degrees, starts, ranks, i, j, p)))
+def _family_bits(families) -> dict:
+    """The direction bits of `_sequence_families`, by (level, length)."""
+    return {(i, j): bits for i, family in enumerate(families, start=1) for j, (_, bits) in family.items()}
 
 
 def _joint_direction(bits: list[int]) -> Optional[Direction]:
@@ -537,31 +547,33 @@ def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> Directio
     non-monotone witness) raises InconsistencyError, which signals that
     the lex pass did not actually succeed on this order.
     """
-    degrees, height = graph.tree.spec.degrees, graph.tree.height
+    degrees = graph.tree.spec.degrees
     if any(d < 2 for d in degrees):
         bad = [lvl for lvl, d in enumerate(degrees) if d < 2]
         raise PreconditionError(
             f"directions need at least two children per level; levels {bad} are thinner"
         )
-    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
-    entries = {}
-    for i in range(1, height + 1):
-        for j in range(i, height + 1):
-            for p in range(1, graph.path_len + 1):
-                bits = _observed_directions(degrees, starts, ranks, i, j, p)
-                direction = _joint_direction(bits)
-                if direction is None and 0 in bits:
-                    under = bits.index(0) // math.prod(degrees[i:j])
-                    raise InconsistencyError(
-                        f"child sequence at level {i}, length {j}, position {p} "
-                        f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
-                    )
-                if direction is None:
-                    raise InconsistencyError(
-                        f"witnesses disagree at level {i}, length {j}, position {p}"
-                    )
-                entries[(i, j, p)] = direction
-    return DirectionTable(height, graph.path_len, entries)
+    m = graph.path_len
+    bits = _family_bits(_sequence_families(degrees, order.ranks_of(graph.vertices), m))
+    return _direction_table(degrees, m, bits)
+
+
+def _direction_table(degrees, m: int, observed: dict) -> DirectionTable:
+    """`extract_direction_table` on the `_family_bits` of its order."""
+    starts, entries = level_starts(degrees), {}
+    for (i, j), bits_by_p in observed.items():
+        for p, bits in enumerate(bits_by_p, start=1):
+            direction = _joint_direction(bits)
+            if direction is None and 0 in bits:
+                under = bits.index(0) // math.prod(degrees[i:j])
+                raise InconsistencyError(
+                    f"child sequence at level {i}, length {j}, position {p} "
+                    f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
+                )
+            if direction is None:
+                raise InconsistencyError(f"witnesses disagree at level {i}, length {j}, position {p}")
+            entries[(i, j, p)] = direction
+    return DirectionTable(len(degrees), m, entries)
 
 
 def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> CheckReport:
@@ -582,6 +594,7 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
     """
     degrees, m = graph.tree.spec.degrees, graph.path_len
     ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
+    observed = _family_bits(_sequence_families(degrees, ranks, m))
     violations, checked = [], 0
     for depth in range(1, len(degrees) + 1):
         nodes = graph.tree.nodes_at_depth(depth)
@@ -590,7 +603,7 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
         for p in range(1, m + 1):
             dirs = []  # per level; no two nodes first differ at a one-child level
             for i in range(1, depth + 1):
-                bits = _observed_directions(degrees, starts, ranks, i, depth, p)
+                bits = observed[i, depth][p - 1]
                 dirs.append(_joint_direction(bits) if degrees[i - 1] > 1 else Direction.INC)
             at = ranks[(p - 1) * starts[-1] + starts[depth] : (p - 1) * starts[-1] + starts[depth + 1]]
             if None not in dirs:
@@ -616,32 +629,26 @@ def check_direction_consistency(table: DirectionTable) -> CheckReport:
     (a) equal directions across lengths propagate one level up;
     (b) the same across a length/position diagonal; (c) the same across
     adjacent positions.  Returns every violating triple.
+
+    On the grids of `hexgrid.direction_layer`: a boundary edge of layer
+    k - 1 below row 1 stays one row up in layer k.  Violation (kind, k,
+    i, p) is the layer-(k - 1) edge at row r = i - k + 2: vertical
+    (r + 1, p)-(r, p), horizontal (r, p)-(r, p + 1), diagonal
+    (r + 1, p)-(r, p + 1).
     """
-    violations = []
-    checked = 0
+    violations, checked = [], 0
     n, m = table.height, table.path_len
     get = table.direction
     for k in range(2, n + 1):
         for i in range(k, n + 1):
             for p in range(1, m + 1):
-                if i + 1 <= n:
-                    checked += 1
-                    if get(k, i + 1, p) == get(k, i, p) and get(k - 1, i + 1, p) != get(
-                        k - 1, i, p
-                    ):
-                        violations.append(("vertical", k, i, p))
-                if i + 1 <= n and p + 1 <= m:
-                    checked += 1
-                    if get(k, i + 1, p) == get(k, i, p + 1) and get(
-                        k - 1, i + 1, p
-                    ) != get(k - 1, i, p + 1):
-                        violations.append(("diagonal", k, i, p))
-                if p + 1 <= m:
-                    checked += 1
-                    if get(k, i, p) == get(k, i, p + 1) and get(k - 1, i, p) != get(
-                        k - 1, i, p + 1
-                    ):
-                        violations.append(("horizontal", k, i, p))
+                # Each rule compares entries (i + di, p) and (i, p + dp) of levels k and k - 1.
+                for kind, di, dp in (("vertical", 1, 0), ("diagonal", 1, 1), ("horizontal", 0, 1)):
+                    if i + di <= n and p + dp <= m:
+                        checked += 1
+                        x, y = (i + di, p), (i, p + dp)
+                        if get(k, *x) == get(k, *y) and get(k - 1, *x) != get(k - 1, *y):
+                            violations.append((kind, k, i, p))
     return CheckReport(violations, checked)
 
 
@@ -665,8 +672,16 @@ def check_related_sequence_families(
     j + 1, so each sequence's directions are computed once per position,
     and each table colour is looked up once.
     """
-    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
+    degrees, m = graph.tree.spec.degrees, graph.path_len
     ranks, colors = order.ranks_of(graph.vertices), coloring.colors_of(graph.edges, full=False)
+    return _related_families(graph, colors, table, _sequence_families(degrees, ranks, m))[0]
+
+
+def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
+                      families) -> tuple[CheckReport, dict]:
+    """`check_related_sequence_families` on the colour list and the
+    `_sequence_families` of its order, and the `_family_bits` it read."""
+    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
     height, starts = len(degrees), level_starts(degrees)
     vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
     # The table colour of each (row, kind) per position, in the order the checks first read them.
@@ -676,26 +691,24 @@ def check_related_sequence_families(
                                (EdgeKind.HORIZONTAL, depth, m)):
             if row <= height:
                 wants[kind, row] = [table.color_of(row, p, kind) for p in range(1, end)]
-    violations, checked = [], 0
-    for star in range(1, height + 1):
+    violations, checked, observed = [], 0, {}
+    for star, family in enumerate(families, start=1):
+        observed.update(((star, j), bits) for j, (_, bits) in family.items())
         d = degrees[star - 1]
-        # seqs[depth][p - 1][q] and its direction bits, q = b * stride + s.
-        seqs = {depth: [_child_sequences(degrees, starts, ranks, star, depth, p) for p in range(1, m + 1)]
-                for depth in range(star, height + 1)}
-        bits = {depth: [list(map(direction_bits, at_p)) for at_p in by_p] for depth, by_p in seqs.items()}
         for b, prefix in enumerate(range(starts[star - 1], starts[star])):
             for depth in range(star, height + 1):
+                seqs, bits = family[depth]
                 stride = math.prod(degrees[star:depth])
                 tails = itertools.product(*[range(1, g + 1) for g in degrees[star:depth]])
                 for s, tail in enumerate(tails):
                     q, first = b * stride + s, starts[depth] + b * d * stride + s
-                    base = (seqs[depth], bits[depth], q, first, stride)
+                    base = (seqs, bits, q, first, stride)
                     # (label, sequence, shape, position shift of base, positions)
                     shapes = []
                     if depth < height:
                         g = degrees[depth]
                         for v in range(1, g + 1):
-                            extended = (seqs[depth + 1], bits[depth + 1], q * g + v - 1,
+                            extended = (*family[depth + 1], q * g + v - 1,
                                         starts[depth + 1] + (first - starts[depth]) * g + v - 1, stride * g)
                             shapes.append(((tail, v), extended, vertical, 0, m + 1))
                             shapes.append(((tail, v), extended, diagonal, 1, m))
@@ -706,12 +719,12 @@ def check_related_sequence_families(
                         checked += end - 1
                         for p in range(1, end):
                             e = edge0 + x * width + p - 1
-                            got = related_pair(bits_a[p - 1][qa], bits[depth][p - 1 + up][q],
-                                               seq_a[p - 1][qa], seqs[depth][p - 1 + up][q],
+                            got = related_pair(bits_a[p - 1][qa], bits[p - 1 + up][q],
+                                               seq_a[p - 1][qa], seqs[p - 1 + up][q],
                                                colors[e : e + d * step : step])
                             if got is None or got[1] != want[p - 1]:
                                 violations.append((kind.value, str(nodes[prefix]), *label, p))
-    return CheckReport(violations, checked)
+    return CheckReport(violations, checked), observed
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +758,11 @@ def run_passes(
     property is verified once, on the final state, which is what is
     returned: the colour table is built (raising on any clash), child
     symmetry is checked exhaustively, and the related-sequence check
-    ties both to the table.  The direction table is extracted when every
-    surviving level keeps at least two children, else left None.  The
-    final order is built from the state's rank list, and gives each check
-    that list back without a lookup per vertex.
+    ties both to the table.  The direction table is extracted, from the
+    direction bits the related check read, when every surviving level
+    keeps at least two children, else left None.  The final order is
+    built from the state's rank list, and gives each check that list
+    back without a lookup per vertex.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():
@@ -761,11 +775,12 @@ def run_passes(
     final_graph, final_order, final_coloring = state.graph, state.order, state.coloring
     color_table = ColorTable.from_layout(final_graph, final_coloring)
     order_report = check_child_symmetry(final_graph, final_order)
-    related_report = check_related_sequence_families(
-        final_graph, final_order, final_coloring, color_table
-    )
-    if all(d >= 2 for d in final_graph.tree.spec.degrees):
-        direction_table = extract_direction_table(final_graph, final_order)
+    degrees, m = state.degrees, state.path_len
+    families = _sequence_families(degrees, final_order.ranks_of(final_graph.vertices), m)
+    colors = final_coloring.colors_of(final_graph.edges, full=False)
+    related_report, observed = _related_families(final_graph, colors, color_table, families)
+    if all(d >= 2 for d in degrees):
+        direction_table = _direction_table(degrees, m, observed)
     else:
         direction_table = None
     return PipelineResult(final_graph, state.node_map, final_order, final_coloring, color_table,

@@ -767,7 +767,7 @@ def naive_dichotomy_branch(chi, s, long_length):
 
 # ---------------------------------------------------------------------------
 # Direction-table layers (used against hexgrid.direction_layer and
-# boundary_preservation_check).  A table is a DirectionTable.to_json()
+# passes.check_direction_consistency).  A table is a DirectionTable.to_json()
 # document: height, path_len and entries "i,j,p" -> "inc" or "dec".
 
 def naive_direction_layer(table, layer):

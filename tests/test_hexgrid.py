@@ -17,8 +17,8 @@ from boxslash import (
     HexColoring,
     InconsistencyError,
     ShapeError,
-    boundary_preservation_check,
     boxslash_product,
+    check_direction_consistency,
     cut_points,
     direction_layer,
     maximal_boundaries,
@@ -195,9 +195,17 @@ def test_from_matrix_reads_zero_one_and_directions():
 
 def test_verify_reports_a_cell_outside_the_grid():
     coloring = HexColoring.from_matrix([[0, 1], [1, 0]])
-    line = BoundaryLine(coloring.grid, [((0, 1), (1, 1))], [2, 7], False, Direction.INC, Direction.DEC)
+    # Cells (0, 1) and (1, 1) at padded width 4.
+    line = BoundaryLine(coloring.grid, [1], [5], 2, 7, False, Direction.INC, Direction.DEC)
+    assert line.pairs == (((0, 1), (1, 1)),) and line.corners == (2, 7)
     problems = line.verify(coloring)
     assert [problem.split(":")[0] for problem in problems] == ["sides", "pair-shape"]
+
+
+def test_a_line_needs_a_pair():
+    coloring = HexColoring.from_matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="at least one pair"):
+        BoundaryLine(coloring.grid, [], [], 2, 7, False, Direction.INC, Direction.DEC)
 
 
 DAMAGES = ("flip", "repeat", "drop", "far cell", "outside cell", "shifted", "equal colours", "other shape")
@@ -247,8 +255,8 @@ def test_verify_of_a_damaged_traced_line_matches_the_oracle(data):
         against = [[flips.randrange(2) for _ in range(shape[1])] for _ in range(shape[0])]
     width = cols + 2
     side_a, side_b = ([i * width + j for i, j in side] for side in zip(*pairs))
-    damaged = BoundaryLine._traced(coloring.grid, side_a, side_b, (line.corners[0], line.corners[-1]),
-                                   line.closed, *colours)
+    damaged = BoundaryLine(coloring.grid, side_a, side_b, line.corners[0], line.corners[-1],
+                           line.closed, *colours)
     assert damaged.pairs == tuple(pairs)
     want = naive_line_violations(against, pairs, line.closed, colours[0].value, colours[1].value)
     assert damaged.verify(HexColoring.from_matrix(against)) == want
@@ -258,7 +266,7 @@ def test_verify_reports_equal_side_colours_on_a_one_colour_line():
     # Sides (1, 1), (2, 1) and (1, 2), (1, 2) at padded width 4: every
     # other check holds.
     coloring = HexColoring.from_matrix([[0, 0], [0, 0]])
-    line = BoundaryLine._traced(coloring.grid, [5, 9], [6, 6], (13, 10), False, Direction.INC, Direction.INC)
+    line = BoundaryLine(coloring.grid, [5, 9], [6, 6], 13, 10, False, Direction.INC, Direction.INC)
     assert line.verify(coloring) == ["sides: the two side colors are equal"]
 
 
@@ -279,18 +287,29 @@ def test_color_rejects_cells_outside_the_grid(cell):
         coloring.color(cell)
 
 
+def layer_edge(kind, k, i, p):
+    """A direction-consistency violation as the oracle's layer-grid edge:
+    entries (k - 1, i, p) and (k - 1, i + 1, p) sit in rows r = i - k + 2
+    and r + 1 of layer k - 1."""
+    r = i - k + 2
+    ends = {"vertical": ((r + 1, p), (r, p)), "horizontal": ((r, p), (r, p + 1)),
+            "diagonal": ((r + 1, p), (r, p + 1))}
+    return (k - 1, frozenset(ends[kind]), kind)
+
+
 def check_link_stage(table):
-    """direction_layer and boundary_preservation_check against the oracles."""
+    """direction_layer against its oracle, and check_direction_consistency
+    against the boundary-preservation oracle on the layer grids."""
     doc = table.to_json()
     for layer in range(1, table.height + 1):
         coloring = direction_layer(table, layer)
         assert (coloring.grid.rows, coloring.grid.cols) == (table.height + 1 - layer, table.path_len)
         assert coloring.to_json()["chi"] == naive_direction_layer(doc, layer)
-    report = boundary_preservation_check(table)
+    report = check_direction_consistency(table)
     violations, checked = naive_boundary_preservation(doc)
     assert report.checked == checked
     assert len(report.violations) == len(violations)
-    assert {(layer, frozenset((a, b)), kind) for layer, a, b, kind in report.violations} == violations
+    assert {layer_edge(*v) for v in report.violations} == violations
     return report
 
 
@@ -305,7 +324,7 @@ def test_link_stage_matches_the_oracles_on_a_pipeline_table():
     entries = dict(table.entries)
     entries[(1, 2, 1)] = Direction.DEC
     report = check_link_stage(DirectionTable(2, 4, entries))
-    assert report.violations == [(1, (2, 1), (2, 2), "horizontal")]
+    assert report.violations == [("horizontal", 2, 2, 1)]
 
 
 def test_link_stage_matches_the_oracles_on_random_tables():
