@@ -105,23 +105,30 @@ def cmd_layout(args) -> int:
     return EXIT_OK
 
 
+def _product_layout(graph: ProductGraph, doc: dict):
+    """The order and colouring of a layout document on a product, which
+    must order exactly its vertices and colour only its edges."""
+    order, coloring = layout_from_json(doc, parse_vertex=PVertex.parse)
+    vertices = set(graph.vertices)
+    stray = next((v for v in order if v not in vertices), None)
+    if stray is not None:
+        raise ValueError(f"order has vertex {stray}, which is not in the graph")
+    if len(order) < len(graph):
+        missing = next(v for v in graph.vertices if v not in order)
+        raise ValueError(f"order misses vertex {missing} of the graph")
+    pairs = set(graph.edge_pairs())
+    for key in doc["colors"]:
+        u, v = map(PVertex.parse, key.partition("--")[::2])
+        if (u, v) not in pairs and (v, u) not in pairs:
+            raise ValueError(f"colour key {key!r} is not an edge of the graph")
+    return order, coloring
+
+
 def cmd_validate(args) -> int:
     doc = _load_doc(args.layout)
     if "graph" in doc:
         graph = ProductGraph.from_descriptor(doc["graph"])
-        order, coloring = layout_from_json(doc, parse_vertex=PVertex.parse)
-        vertices = set(graph.vertices)
-        stray = next((v for v in order if v not in vertices), None)
-        if stray is not None:
-            raise ValueError(f"order has vertex {stray}, which is not in the graph")
-        if len(order) < len(graph):
-            missing = next(v for v in graph.vertices if v not in order)
-            raise ValueError(f"order misses vertex {missing} of the graph")
-        pairs = set(graph.edge_pairs())
-        for key in doc["colors"]:
-            u, v = map(PVertex.parse, key.partition("--")[::2])
-            if (u, v) not in pairs and (v, u) not in pairs:
-                raise ValueError(f"colour key {key!r} is not an edge of the graph")
+        order, coloring = _product_layout(graph, doc)
         edges = graph.edges
     else:
         order, coloring = layout_from_json(doc, parse_vertex=str)
@@ -157,7 +164,7 @@ def _report_doc(report) -> dict:
 
 def cmd_passes_run(args) -> int:
     graph = ProductGraph.from_descriptor(_load_doc(args.graph))
-    order, coloring = layout_from_json(_load_doc(args.layout), parse_vertex=PVertex.parse)
+    order, coloring = _product_layout(graph, _load_doc(args.layout))
     targets = args.target_degrees
     result = run_passes(
         graph, order, coloring, colour_targets=targets, order_targets=targets, lex_targets=targets

@@ -95,7 +95,7 @@ class TreeSpec:
         object.__setattr__(self, "degrees", degrees)
         if len(degrees) < 1:
             raise ValueError("degree sequence needs at least one level")
-        if not all(isinstance(d, int) and d >= 1 for d in degrees):
+        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in degrees):
             raise ValueError(f"degrees must be positive integers: {degrees!r}")
 
     @property

@@ -163,6 +163,30 @@ def test_validate_and_passes_run_name_a_missing_colour_alike(product_files, tmp_
         assert capsys.readouterr().err == "error: edge 2@1 -- r@1 has no colour\n"
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["order"].append("3@1"), "order has vertex 3@1, which is not in the graph"),
+        (lambda doc: doc["order"].remove("2.1@2"), "order misses vertex 2.1@2 of the graph"),
+        (lambda doc: doc["colors"].update({"r@1--1.1@2": 0}),
+         "colour key 'r@1--1.1@2' is not an edge of the graph"),
+    ],
+    ids=["stray", "missing", "non-edge"],
+)
+def test_validate_and_passes_run_reject_a_layout_off_the_product_alike(
+    product_files, tmp_path, capsys, edit, message
+):
+    doc = json.loads(Path(product_files[-1]).read_text())
+    edit(doc)
+    layout = _write(tmp_path, "off.json", doc)
+    for argv in (["validate", "--queue", "--layout", layout],
+                 ["passes", "run", "--graph", product_files[1], "--layout", layout]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 @pytest.fixture
 def k4_file(tmp_path):
     edges = [[u, v] for u in range(4) for v in range(u + 1, 4)]
@@ -399,6 +423,8 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
          "tree_degrees must be a list of integers, got 5"),
         (VALIDATE, {"graph": {"tree_degrees": [1], "path_len": [1]}, "order": [], "colors": {}},
          "path_len must be an integer, got [1]"),
+        (["passes", "run", "--graph", DOC, "--layout", DOC], {"tree_degrees": [True, 2], "path_len": 2},
+         "degrees must be positive integers: (True, 2)"),
         (VALIDATE, {"order": ["a", "b", "c", "d"], "colors": {"a--c": -1, "b--d": 0}, "k": 1},
          "edge ('a', 'c') has a negative colour -1"),
         (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": 0}, "k": 3.9},
@@ -409,7 +435,7 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
          "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "colour-null",
          "vertex-int", "graph-list", "edges-null", "edge-int", "degrees-int",
-         "path-len-list", "colour-negative", "k-float", "k-bool"],
+         "path-len-list", "degrees-bool", "colour-negative", "k-float", "k-bool"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
     path = _write(tmp_path, "doc.json", doc)

@@ -143,6 +143,14 @@ def test_tree_structure():
         TreeSpec((2, 0))
 
 
+@pytest.mark.parametrize("degrees", [(True, 2), (True,)])
+def test_tree_spec_rejects_boolean_degrees(degrees):
+    with pytest.raises(ValueError, match="degrees must be positive integers"):
+        TreeSpec(degrees)
+    with pytest.raises(ValueError, match="degrees must be positive integers"):
+        ProductGraph.from_descriptor({"tree_degrees": list(degrees), "path_len": 2})
+
+
 def test_descriptor_roundtrip():
     g = boxslash_product((3, 2), 2)
     doc = g.descriptor()
