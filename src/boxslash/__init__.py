@@ -38,10 +38,7 @@ from .solver import (
     queue_number,
     stack_number,
 )
-from .sequences import (
-    Direction,
-    RelatedKind,
-)
+from .sequences import Direction
 from .passes import (
     CheckReport,
     ColorTable,
@@ -61,7 +58,6 @@ from .passes import (
 )
 from .hexgrid import (
     BoundaryLine,
-    DualVertex,
     HexColoring,
     HexGrid,
     LongBoundaryWitness,

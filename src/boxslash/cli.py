@@ -140,10 +140,8 @@ def cmd_validate(args) -> int:
         print(f"valid {kind} layout: {len(edges)} edges, {len(order)} vertices")
         return EXIT_OK
     for violation in report.violations[:20]:
-        print(
-            f"violation: color {violation.color} edges "
-            f"{violation.edge_a} and {violation.edge_b} {violation.relation.value}"
-        )
+        a, b = ("--".join(map(str, edge)) for edge in (violation.edge_a, violation.edge_b))
+        print(f"violation: color {violation.color} edges {a} and {b} {violation.relation.value}")
     print(f"invalid {kind} layout: {len(report.violations)} violating pairs")
     return EXIT_INVALID
 

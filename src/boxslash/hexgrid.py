@@ -12,16 +12,15 @@ A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read by
 integer index, and caches that table framed by a border of 2s, the
 padded table every walk and flood reads.  A boundary line keeps its two
 sides as padded indices and its walk's end corners, and builds cell
-pairs, corner numbers and DualVertex objects only when `pairs`,
-`corners` or `walk` is read.  For N cells and P boundary pairs:
-`trace_boundary` finds the boundary edges in three XORs of N-byte
-integers and takes O(1) steps per pair, one color comparison each;
-`BoundaryLine.verify` decides a line of its coloring's shape in a few
-C-level passes over its sides, and lists a failing line pair by pair,
-linear in its length either way; `monochromatic_spanning_path` and
-`top_or_long` flood O(N) cells of the padded table; `maximal_boundaries`
-reads two corners per line, then compares the T top boundaries pairwise,
-O(T^2).  The analyses that need the lines take them as an argument, so
+pairs and corner numbers only when `pairs` or `corners` is read.  For N
+cells and P boundary pairs: `trace_boundary` finds the boundary edges in
+three XORs of N-byte integers and takes O(1) steps per pair, one color
+comparison each; `BoundaryLine.verify` decides a line of its coloring's
+shape in a few C-level passes over its sides, and lists a failing line
+pair by pair, linear in its length either way;
+`monochromatic_spanning_path` and `top_or_long` flood O(N) cells of the
+padded table; `maximal_boundaries` reads two corners per line, then
+compares the T top boundaries pairwise, O(T^2).  The analyses that need the lines take them as an argument, so
 `hex analyze` traces each coloring once.
 
 The dichotomy is the last stage of the paper's argument built here.
@@ -174,32 +173,6 @@ class HexColoring:
 
 
 # ---------------------------------------------------------------------------
-# The dual graph.
-
-@dataclass(frozen=True)
-class DualVertex:
-    """Corner of the dual graph; sign -1 or +1 picks one of two triangles.
-
-    Corner (d, c, -1) is the triangle of cells (d, c), (d-1, c) and
-    (d-1, c+1); corner (d, c, +1) that of (d, c), (d, c+1) and
-    (d-1, c+1).  Corners whose triangle leaves the grid lie on its border.
-    """
-
-    depth: int
-    col: int
-    sign: int
-
-    def __str__(self) -> str:
-        return f"({self.depth},{self.col},{'-' if self.sign < 0 else '+'})"
-
-
-def _dual_vertex(corner: int, width: int) -> DualVertex:
-    """The corner numbered ((depth * width) + col) * 2 + (sign > 0)."""
-    place = corner >> 1
-    return DualVertex(place // width, place % width, 1 if corner & 1 else -1)
-
-
-# ---------------------------------------------------------------------------
 # Boundary lines.
 
 # Translation keeping only byte 1: the XOR of two codes is 1 exactly when
@@ -217,7 +190,14 @@ def _steps(width: int) -> tuple[int, ...]:
 
 
 def _corner(cells, width: int) -> int:
-    """The corner number (see `_dual_vertex`) of a triangle of padded cells."""
+    """The corner number of a triangle of padded cells, rows `width` wide.
+
+    A corner of the dual graph is a grid triangle (depth, col, sign):
+    sign -1 is the triangle of cells (d, c), (d-1, c) and (d-1, c+1),
+    sign +1 that of (d, c), (d, c+1) and (d-1, c+1); corners whose
+    triangle leaves the grid lie on its border.  Its number is
+    ((depth * (cols + 1)) + col) * 2 + (sign > 0).
+    """
     lo, mid, hi = sorted(cells)
     if mid == lo + 1:  # (d, c, -): cells hi - width, hi - width + 1 and hi
         anchor, sign = hi, 0
@@ -233,12 +213,11 @@ class BoundaryLine:
     grid edge, the a side holding color_a everywhere along the line.
     The sides are lists of padded-table indices (see
     `HexColoring._padded`); `pairs` holds them as cells.  The walk is
-    kept as corner numbers (see `_dual_vertex`, with width cols + 1) and
-    built as DualVertex objects on first read.  It has one more vertex
-    than there are pairs (equal counts for a closed line, where the last
-    vertex joins back to the first).  The corners between two crossings
-    follow from the sides, so a line is given only its first corner and
-    its last, None for a closed line.
+    `corners`, its corner numbers (see `_corner`).  It has one more
+    corner than there are pairs (equal counts for a closed line, where
+    the last corner joins back to the first).  The corners between two
+    crossings follow from the sides, so a line is given only its first
+    corner and its last, None for a closed line.
     """
 
     def __init__(self, grid: HexGrid, side_a: list[int], side_b: list[int], first: int, last: int | None,
@@ -265,11 +244,6 @@ class BoundaryLine:
         middle = [_corner({a[t], b[t], a[t + 1], b[t + 1]}, width) for t in range(len(a) - 1)]
         last = () if self.closed else (self._last_corner,)
         return (self._first_corner, *middle, *last)
-
-    @cached_property
-    def walk(self) -> tuple[DualVertex, ...]:
-        width = self.grid.cols + 1
-        return tuple(_dual_vertex(corner, width) for corner in self.corners)
 
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
@@ -484,7 +458,8 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
     `lines` is `trace_boundary(coloring)`.  Every top cut is an endpoint
     of exactly one line.  Lines joining two cuts x < y form intervals
     that must nest or stay disjoint, and the top colors just outside a
-    boundary must agree; either failing raises InconsistencyError.
+    boundary must agree; either failing raises InconsistencyError.  Two
+    maximal intervals cannot nest, so they are disjoint.
     Lines leaving a cut but ending at some other border are reported in
     `flagged` and take no further part.
     """
@@ -519,9 +494,6 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
     maximal = [
         tb for tb in tops if not any(out.left < tb.left and tb.right < out.right for out in tops)
     ]
-    for prev, nxt in zip(maximal, maximal[1:]):
-        if nxt.left <= prev.right:
-            raise InconsistencyError("maximal boundaries overlap")
     for tb in tops:
         outside_left = coloring.color((1, tb.left))
         outside_right = coloring.color((1, tb.right + 1))
@@ -540,7 +512,6 @@ class SpanningPath:
     cells: tuple[Cell, ...]
     color: Direction
     axis: str
-    extent: tuple[int, int]
 
 
 def _flood(padded: bytes, width: int, sources: Sequence[int], parent: list[int]):
@@ -576,17 +547,17 @@ def monochromatic_spanning_path(coloring: HexColoring) -> SpanningPath:
     grid = coloring.grid
     padded, width = coloring._padded, grid.cols + 2
     plans = (
-        (0, "columns", [i * width + 1 for i in range(1, grid.rows + 1)], (1, grid.cols)),
-        (1, "rows", [width + j for j in range(1, grid.cols + 1)], (1, grid.rows)),
+        (0, "columns", [i * width + 1 for i in range(1, grid.rows + 1)], grid.cols),
+        (1, "rows", [width + j for j in range(1, grid.cols + 1)], grid.rows),
     )
-    for code, axis, side, extent in plans:
+    for code, axis, side, far in plans:
         sources = [k for k in side if padded[k] == code]
         if not sources:
             continue
         parent = [0] * len(padded)
         goal = None
         for cur in _flood(padded, width, sources, parent):
-            if (cur % width if axis == "columns" else cur // width) == extent[1]:
+            if (cur % width if axis == "columns" else cur // width) == far:
                 goal = cur
                 break
         if goal is None:
@@ -597,9 +568,9 @@ def monochromatic_spanning_path(coloring: HexColoring) -> SpanningPath:
             path.append(divmod(at, width))
             at = parent[at]
         path.reverse()
-        if len(path) < extent[1]:
+        if len(path) < far:
             raise InconsistencyError("spanning path shorter than the spanned side")
-        return SpanningPath(tuple(path), _COLORS[code], axis, extent)
+        return SpanningPath(tuple(path), _COLORS[code], axis)
     raise InconsistencyError("neither color spans its axis")
 
 

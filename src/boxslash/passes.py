@@ -61,9 +61,9 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InconsistencyError, PassStarvation, PreconditionError
 from .layout import EdgeColoring, LinearOrder
-from .product import (EdgeKind, NodeIndex, ProductGraph, PVertex, Tree, _name, boxslash_product,
-                      edge_runs, level_starts, restrict_ids)
-from .sequences import Direction, direction_bits, related_pair, single_direction
+from .product import (EdgeKind, NodeIndex, ProductGraph, Tree, _name, boxslash_product, edge_runs,
+                      level_starts, restrict_ids)
+from .sequences import Direction, direction_bits, single_direction
 
 
 @dataclass
@@ -87,17 +87,15 @@ class ColorTable:
     def __init__(self, entries: Mapping[tuple[int, int, EdgeKind], int]):
         self.entries = dict(entries)
 
-    @staticmethod
-    def signature(u: PVertex, v: PVertex, kind: EdgeKind) -> tuple[int, int, EdgeKind]:
-        return (max(u.node.depth, v.node.depth), min(u.pos, v.pos), kind)
-
     @classmethod
     def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
         """Build the table, insisting every edge agrees with it.
 
-        The edges of one signature are one slice of the colour list: one
-        kind, the nodes of one depth, one position.  A clash names the
-        first edge, by id, whose colour differs from its signature's first.
+        An edge's signature is (the deeper end's depth, the smaller
+        position, its kind), and the edges of one signature are one slice
+        of the colour list: one kind, the nodes of one depth, one
+        position.  A clash names the first edge, by id, whose colour
+        differs from its signature's first.
         """
         colors = coloring.colors_of(graph.edges)
         degrees, m = graph.tree.spec.degrees, graph.path_len
@@ -597,7 +595,7 @@ def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> Check
     observed = _family_bits(_sequence_families(degrees, ranks, m))
     violations, checked = [], 0
     for depth in range(1, len(degrees) + 1):
-        nodes = graph.tree.nodes_at_depth(depth)
+        nodes = graph.tree.nodes[starts[depth] : starts[depth + 1]]
         checked += math.comb(len(nodes), 2) * m
         found = []  # (x, y, p, violation), x < y index nodes
         for p in range(1, m + 1):
@@ -660,6 +658,14 @@ def check_related_sequence_families(
 ) -> CheckReport:
     """After the passes, child-choice sequences must pair up as related.
 
+    Two sequences of equal length, paired position by position, are
+    related when both are monotone (`sequences.direction_bits` is
+    nonzero), every pairing edge has the one colour, and every pair lies
+    on the same side: the first sequence's vertex is below the second's
+    throughout, or above it throughout.  The paper calls a related pair
+    bundled when the two run the same way and rainbow when they run
+    opposite ways; no check here needs that distinction.
+
     Three shapes are checked exhaustively: a sequence against its
     extension by one child (vertical pairing edges), against that
     extension at the next position (diagonal), and against itself at
@@ -719,10 +725,9 @@ def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
                         checked += end - 1
                         for p in range(1, end):
                             e = edge0 + x * width + p - 1
-                            got = related_pair(bits_a[p - 1][qa], bits[p - 1 + up][q],
-                                               seq_a[p - 1][qa], seqs[p - 1 + up][q],
-                                               colors[e : e + d * step : step])
-                            if got is None or got[1] != want[p - 1]:
+                            if not (bits_a[p - 1][qa] and bits[p - 1 + up][q]
+                                    and colors[e : e + d * step : step].count(want[p - 1]) == d
+                                    and len(set(map(operator.lt, seq_a[p - 1][qa], seqs[p - 1 + up][q]))) == 1):
                                 violations.append((kind.value, str(nodes[prefix]), *label, p))
     return CheckReport(violations, checked), observed
 

@@ -118,22 +118,18 @@ class Tree:
     """A balanced rooted tree with explicit node enumeration.
 
     Nodes are listed breadth first, which is also sorted order by
-    (depth, lexicographic address).
+    (depth, lexicographic address); depth k is the slice from
+    `level_starts(degrees)[k]` to the next start.
     """
 
     def __init__(self, spec: TreeSpec):
         self.spec = spec
         spec.vertex_count()
-        by_depth: list[tuple[NodeIndex, ...]] = [(ROOT,)]
+        nodes, level = [ROOT], [ROOT]
         for d in spec.degrees:
-            level = tuple(
-                node.child(v) for node in by_depth[-1] for v in range(1, d + 1)
-            )
-            by_depth.append(level)
-        self._by_depth = tuple(by_depth)
-        self.nodes: tuple[NodeIndex, ...] = tuple(
-            n for level in by_depth for n in level
-        )
+            level = [node.child(v) for node in level for v in range(1, d + 1)]
+            nodes += level
+        self.nodes: tuple[NodeIndex, ...] = tuple(nodes)
 
     @property
     def height(self) -> int:
@@ -144,11 +140,6 @@ class Tree:
 
     def __iter__(self) -> Iterator[NodeIndex]:
         return iter(self.nodes)
-
-    def nodes_at_depth(self, depth: int) -> tuple[NodeIndex, ...]:
-        if not 0 <= depth <= self.height:
-            return ()
-        return self._by_depth[depth]
 
 
 def build_tree(spec) -> Tree:
@@ -182,7 +173,10 @@ class PVertex:
         node_part, sep, pos_part = text.rpartition("@")
         if not sep:
             raise ValueError(f"bad vertex id {text!r}")
-        return cls(NodeIndex.parse(node_part), int(pos_part))
+        vertex = cls(NodeIndex.parse(node_part), int(pos_part))
+        if str(vertex) != text:  # only the spelling str writes: no 01@1, 1_0 or spaces
+            raise ValueError(f"bad vertex id {text!r}")
+        return vertex
 
 
 class EdgeKind(Enum):

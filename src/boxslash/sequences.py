@@ -1,19 +1,13 @@
-"""Monotone vertex sequences and the related pairs the passes check.
+"""Monotone vertex sequences and their directions.
 
 A sequence is given by the distinct ranks of its vertices in a linear
 order.  Its directions are read off its neighbours, once, as bits:
 `direction_bits` is the one definition of "monotone" that the passes'
-direction tables and related pairs use.  A pair of equal-length
-sequences is "related" when it is order consistent (pointwise on the
-same side), pointwise adjacent in a single colour, and both sequences
-are monotone.  Same direction makes the pair bundled, opposite
-directions make it rainbow-like.  `related_pair` classifies a pair from
-its directions, ranks and pairing colours, and
-`passes.check_related_sequence_families` reads those off its integer
-rank and colour lists, each sequence's directions once per position.
-The chains of related pairs that the paper builds on top of these need
-inputs far beyond the package's size limit; the size table in the
-`hexgrid` docstring gives the figures.
+direction tables and related pairs use.  The related pairs themselves
+are decided in `passes.check_related_sequence_families`, which states
+their definition.  The chains of related pairs that the paper builds on
+top of them need inputs far beyond the package's size limit; the size
+table in the `hexgrid` docstring gives the figures.
 
 A single-element sequence is monotone in both directions at once;
 direction_bits reports that as INC_BIT | DEC_BIT.
@@ -35,11 +29,6 @@ class Direction(Enum):
         return Direction.DEC if self is Direction.INC else Direction.INC
 
 
-class RelatedKind(Enum):
-    BUNDLED = "bundled"
-    RAINBOW = "rainbow"
-
-
 INC_BIT, DEC_BIT = 1, 2
 _SINGLE = (None, Direction.INC, Direction.DEC, None)
 
@@ -55,22 +44,3 @@ def direction_bits(ranks: Sequence) -> int:
 def single_direction(bits: int) -> Optional[Direction]:
     """The direction of a bit set that holds exactly one, else None."""
     return _SINGLE[bits]
-
-
-def related_pair(bits_a: int, bits_b: int, ranks_a: Sequence, ranks_b: Sequence,
-                 colors: Sequence) -> Optional[tuple[RelatedKind, int]]:
-    """Classify a pair as bundled or rainbow, with its pairing colour.
-
-    The two sequences are given by their direction bits, their ranks
-    (distinct, equal length) and the colour of each pairing edge, None
-    where there is none.  When both assignments are possible
-    (singletons) the bundled reading wins.
-    """
-    used = set(colors)
-    if not bits_a or not bits_b or len(used) != 1 or None in used:
-        return None
-    if len(set(map(lt, ranks_a, ranks_b))) != 1:
-        return None
-    # Two monotone sequences share a direction or run opposite ways.
-    return (RelatedKind.BUNDLED if bits_a & bits_b else RelatedKind.RAINBOW, *used)
-

@@ -301,8 +301,8 @@ def naive_child_symmetry(degrees, m, rank):
 
 
 # ---------------------------------------------------------------------------
-# Restriction and related sequence families (used against passes.restrict,
-# sequences.related_ranks and passes.check_related_sequence_families).  As
+# Restriction and related sequence families (used against passes.restrict
+# and passes.check_related_sequence_families).  As
 # above, a vertex is (path tuple, position); colour maps frozenset({u, v})
 # of an edge to its colour, and a table maps (depth, position, kind) to a
 # colour, where a kind is "vertical", "horizontal" or "diagonal".

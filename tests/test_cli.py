@@ -143,7 +143,8 @@ def test_validate_output_on_an_invalid_product_layout_is_byte_identical(
     tmp_path, capsys, check, one_colour, saved
 ):
     # The saved texts are the output of the validators that ranked edge
-    # pairs through the order; both run past the 20 violations printed.
+    # pairs through the order, each edge spelled as its colour key; both
+    # run past the 20 violations printed.
     assert cli.main(["layout", "--three-queue", "--degrees", "2,2", "--path", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     if one_colour:
@@ -151,6 +152,27 @@ def test_validate_output_on_an_invalid_product_layout_is_byte_identical(
     path = _write(tmp_path, "layout.json", doc)
     assert cli.main(["validate", check, "--layout", path]) == cli.EXIT_INVALID
     assert capsys.readouterr().out == (DATA / saved).read_text(encoding="utf-8")
+
+
+def test_validate_names_violating_edges_of_a_plain_graph_by_key(tmp_path, capsys):
+    doc = {"order": ["a", "b", "c", "d"], "colors": {"a--c": 0, "b--d": 0, "c--d": 0}}
+    assert cli.main(["validate", "--stack", "--layout", _write(tmp_path, "plain.json", doc)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().out == (
+        "violation: color 0 edges a--c and b--d cross\ninvalid stack layout: 1 violating pairs\n")
+
+
+def test_validate_rejects_a_vertex_id_that_str_would_not_write(tmp_path, capsys):
+    assert cli.main(["layout", "--three-queue", "--degrees", "2", "--path", "2"]) == 0
+    text = capsys.readouterr().out
+    for name in ("1", "2"):  # every non-root vertex, 1@1 as 01@1
+        text = text.replace(f'"{name}@', f'"0{name}@').replace(f'--{name}@', f'--0{name}@')
+    assert '"01@1"' in text
+    path = tmp_path / "layout.json"
+    path.write_text(text)
+    assert cli.main(["validate", "--queue", "--layout", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad vertex id '0")
 
 
 def test_validate_and_passes_run_name_a_missing_colour_alike(product_files, tmp_path, capsys):

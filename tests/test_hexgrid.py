@@ -47,12 +47,18 @@ def line_key(line):
     return frozenset(frozenset(p) for p in line.pairs)
 
 
+def corner_tuple(corner, cols):
+    """Corner number ((depth * (cols + 1)) + col) * 2 + (sign > 0) as (depth, col, sign)."""
+    depth, col = divmod(corner >> 1, cols + 1)
+    return (depth, col, 1 if corner & 1 else -1)
+
+
 def as_tuples(lines):
     """Lines as (pairs, walk as (depth, col, sign), closed, color_a, color_b)."""
     return [
         (
             line.pairs,
-            tuple((v.depth, v.col, v.sign) for v in line.walk),
+            tuple(corner_tuple(c, line.grid.cols) for c in line.corners),
             line.closed,
             line.color_a.value,
             line.color_b.value,

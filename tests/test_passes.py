@@ -179,10 +179,11 @@ def test_color_table_signature_and_layout():
     g = boxslash_product((2, 2), 2)
     order, coloring = three_queue_layout(g)
     table = ColorTable.from_layout(g, coloring)
-    u, v, kind = g.edges[0]
-    assert table.color_of(*ColorTable.signature(u, v, kind)) == coloring.color(u, v)
-    sig = ColorTable.signature(pv("1.2@1"), pv("1@1"), EdgeKind.VERTICAL)
-    assert sig == (2, 1, EdgeKind.VERTICAL)
+    # An edge's key: the deeper end's depth, the smaller position, the kind.
+    for u, v, kind in g.edges:
+        key = (max(u.node.depth, v.node.depth), min(u.pos, v.pos), kind)
+        assert table.color_of(*key) == coloring.color(u, v)
+    assert table.color_of(2, 1, EdgeKind.VERTICAL) == coloring.color(pv("1.2@1"), pv("1@1"))
     with pytest.raises(ValueError):
         table.color_of(9, 9, EdgeKind.VERTICAL)
     doc = table.to_json()

@@ -1,5 +1,7 @@
 """Tree-times-path generator: counts, ids, ordering, restriction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,13 @@ def test_vertex_ids_roundtrip():
         NodeIndex.parse("1.x.2")
 
 
+@pytest.mark.parametrize("text", ["01@1", "1@1_0", "1_2@1", " 1@1", "1@1 ", "1@+2", "r@01", "1.01@1"])
+def test_vertex_ids_parse_only_as_str_writes_them(text):
+    with pytest.raises(ValueError) as caught:
+        PVertex.parse(text)
+    assert str(caught.value) == f"bad vertex id {text!r}"
+
+
 def test_vertex_enumeration_is_position_major_bfs():
     g = boxslash_product((2,), 2)
     names = [str(v) for v in g.vertices]
@@ -129,14 +138,14 @@ def test_tree_structure():
     tree = build_tree((2, 3))
     assert tree.height == 2
     assert len(tree) == 1 + 2 + 6
-    assert tree.nodes_at_depth(0) == (ROOT,)
-    assert len(tree.nodes_at_depth(2)) == 6
-    assert tree.nodes_at_depth(2)[:3] == (
+    assert level_starts((2, 3)) == [0, 1, 3, 9]
+    assert tree.nodes[:1] == (ROOT,)
+    assert tree.nodes[3:6] == (
         NodeIndex((1, 1)),
         NodeIndex((1, 2)),
         NodeIndex((1, 3)),
     )
-    assert tree.nodes_at_depth(3) == ()
+    assert len(tree.nodes[3:9]) == 6
     with pytest.raises(ValueError):
         TreeSpec(())
     with pytest.raises(ValueError):
@@ -231,7 +240,8 @@ def test_integer_ids_index_the_vertices_and_edges(degrees, m):
     n = len(nodes)
     assert starts[-1] == n
     for depth in range(len(degrees) + 1):
-        assert nodes[starts[depth] : starts[depth + 1]] == g.tree.nodes_at_depth(depth)
+        choices = itertools.product(*(range(1, d + 1) for d in degrees[:depth]))
+        assert nodes[starts[depth] : starts[depth + 1]] == tuple(map(NodeIndex, choices))
     for x, node in enumerate(nodes):
         assert [g.vertices[(p - 1) * n + x] for p in range(1, m + 1)] == [
             PVertex(node, p) for p in range(1, m + 1)
