@@ -117,10 +117,9 @@ def _product_layout(graph: ProductGraph, doc: dict):
         missing = next(v for v in graph.vertices if v not in order)
         raise ValueError(f"order misses vertex {missing} of the graph")
     pairs = set(graph.edge_pairs())
-    for key in doc["colors"]:
-        u, v = map(PVertex.parse, key.partition("--")[::2])
+    for (u, v), _ in coloring.edges():  # each key once, as first spelt, in document order
         if (u, v) not in pairs and (v, u) not in pairs:
-            raise ValueError(f"colour key {key!r} is not an edge of the graph")
+            raise ValueError(f"colour key '{u}--{v}' is not an edge of the graph")
     return order, coloring
 
 

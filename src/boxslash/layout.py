@@ -40,26 +40,18 @@ class PairRelation(Enum):
 
 
 class LinearOrder:
-    """A total order on a finite vertex set, held as rank lookup."""
+    """A total order on a finite vertex set, held as one rank map."""
 
     def __init__(self, vertices: Iterable[Vertex]):
         self._seq = tuple(vertices)
         self._rank = {v: i for i, v in enumerate(self._seq)}
         if len(self._rank) != len(self._seq):
             raise ValueError("duplicate vertices in order")
-        self._listed, self._listed_ranks = None, None
 
     @classmethod
     def from_ranks(cls, vertices: Sequence[Vertex], ranks: list) -> "LinearOrder":
-        """vertices ordered by ranks (distinct numbers); ranks_of on this very
-        sequence gives their places without a lookup (a list not to be changed)."""
-        by_rank = sorted(range(len(vertices)), key=ranks.__getitem__)
-        self = cls(map(vertices.__getitem__, by_rank))
-        places = [0] * len(by_rank)
-        for place, v in enumerate(by_rank):
-            places[v] = place
-        self._listed, self._listed_ranks = vertices, places
-        return self
+        """vertices sorted by ranks, one distinct number per vertex."""
+        return cls(map(vertices.__getitem__, sorted(range(len(vertices)), key=ranks.__getitem__)))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -82,8 +74,6 @@ class LinearOrder:
 
     def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
         """The rank of each vertex; the first one outside the order raises."""
-        if vertices is self._listed:
-            return self._listed_ranks
         ranks = list(map(self._rank.get, vertices))
         if None in ranks:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
@@ -103,6 +93,8 @@ class EdgeColoring:
     def __init__(self, colors: Mapping, k: int | None = None):
         self._edges, self._colors, self._index = [], [], None
         for e, c in colors.items():
+            if isinstance(e, PVertex):  # a tuple, but one vertex, not an edge
+                raise ValueError(f"edge key {e!r} is a vertex, not a vertex pair")
             if isinstance(e, frozenset) and len(e) != 2:
                 raise ValueError(f"self-loop edge key {e!r}")
             u, v = e
@@ -227,6 +219,8 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     edges = []
     for e in graph:
         try:
+            if isinstance(e, PVertex):  # a tuple, but one vertex, not a pair
+                raise ValueError
             u, v = e
         except (TypeError, ValueError):
             raise ValueError(f"graph item {e!r} is not a vertex pair") from None
@@ -409,11 +403,11 @@ def try_color(masks: list[int], k: int, counter: list[int] | None = None):
     return None
 
 
-def fewest_colours(masks: list[int], below: int, counter: list[int] | None = None):
+def fewest_colours(masks: list[int], below: int):
     """try_color's assignment for the first k = 1, 2, ... below ``below``
     that succeeds, which uses exactly k colours; None when none does."""
     for k in range(1, below):
-        assignment = try_color(masks, k, counter)
+        assignment = try_color(masks, k)
         if assignment is not None:
             return assignment
     return None

@@ -16,10 +16,10 @@ PassState holds a rank per vertex id, a colour per edge id and the
 current id of each input node; restrict() maps a pass's choice of
 children to the old ids of the new nodes and re-indexes both lists.
 Graph, order and colouring objects are built from the lists when first
-read, by run_passes once; the order built from the rank list hands the
-checks their ranks without a lookup.  Each public check reads its
-objects into lists once, and coverage is checked there, once: a vertex
-the order lacks, or an edge without a colour where a colour is needed,
+read, by run_passes once, and its checks read the ranks back from the
+order, one lookup per vertex.  Each public check reads its objects
+into lists once, and coverage is checked there, once: a vertex the
+order lacks, or an edge without a colour where a colour is needed,
 raises before any work.  Costs, on n nodes, m positions, height h, E
 edges: restrict O(nm + E), O(1) when every child is kept; pass_colour
 O(E), as each node's profile is numbered once from its own colours and
@@ -766,8 +766,7 @@ def run_passes(
     ties both to the table.  The direction table is extracted, from the
     direction bits the related check read, when every surviving level
     keeps at least two children, else left None.  The final order is
-    built from the state's rank list, and gives each check that list
-    back without a lookup per vertex.
+    built from the state's rank list.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():

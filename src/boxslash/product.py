@@ -1,8 +1,10 @@
 """Balanced rooted trees, paths, and their one-diagonal strong product.
 
 Tree nodes are addressed by arrays of 1-based child choices.  An address
-renders as a dotted string ("1.2.2", the root as "r"), and a product
-vertex as "<node>@<path position>", for example "1.2.2@3" or "r@1".
+is the tuple (path,) and a product vertex the tuple (node, position), so
+both hash and compare as plain tuples.  An address renders as a dotted
+string ("1.2.2", the root as "r"), and a product vertex as
+"<node>@<path position>", for example "1.2.2@3" or "r@1".
 
 The product of a tree T and a path on m vertices has vertex set
 (node, position) and three kinds of edges:
@@ -24,11 +26,12 @@ as laid out by `edge_runs`, and `edge_ends` lists its endpoints' ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import mul
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ShapeError, SizeLimitError
 
@@ -36,22 +39,16 @@ from .errors import ShapeError, SizeLimitError
 VERTEX_LIMIT = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class NodeIndex:
+class NodeIndex(namedtuple("NodeIndex", "path")):
     """Tree-node address: the sequence of child choices from the root."""
 
-    path: tuple[int, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        path = tuple(self.path)
-        object.__setattr__(self, "path", path)
+    def __new__(cls, path: Iterable[int] = ()):
+        path = tuple(path)
         if not all(isinstance(v, int) and v >= 1 for v in path):
             raise ValueError(f"child choices must be positive integers: {path!r}")
-        object.__setattr__(self, "_hash", hash((path,)))
-
-    def __hash__(self) -> int:  # the dataclass hash, computed once
-        return self._hash
+        return super().__new__(cls, path)
 
     @property
     def depth(self) -> int:
@@ -149,19 +146,11 @@ def build_tree(spec) -> Tree:
     return Tree(spec)
 
 
-@dataclass(frozen=True, slots=True)
-class PVertex:
+class PVertex(NamedTuple):
     """Product vertex: a tree node at a path position (1-based)."""
 
     node: NodeIndex
     pos: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.node, self.pos)))
-
-    def __hash__(self) -> int:  # the dataclass hash, computed once
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.node}@{self.pos}"

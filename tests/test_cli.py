@@ -124,6 +124,12 @@ def test_validate_rejects_colour_keys_outside_the_graph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: colour key 'r@1--1@2' is not an edge of the graph\n"
+    # Two spellings of one non-edge: the first in the document is named.
+    edges = {key: c for key, c in doc["colors"].items() if key not in ("r@1--1@2", "1.1@9--r@1")}
+    for first, second in (("r@1--1@2", "1@2--r@1"), ("1@2--r@1", "r@1--1@2")):
+        path = _write(tmp_path, "layout.json", {**doc, "colors": {**edges, first: 0, second: 1}})
+        assert cli.main(["validate", "--queue", "--layout", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: colour key '{first}' is not an edge of the graph\n"
 
 
 def test_validate_the_three_queue_layout(product_files, capsys):

@@ -11,6 +11,7 @@ from boxslash import (
     EdgeColoring,
     EdgeKind,
     LinearOrder,
+    PVertex,
     PairRelation,
     boxslash_product,
     canonical_order,
@@ -51,7 +52,7 @@ def test_linear_order_basics():
         LinearOrder("aa")
 
 
-def test_linear_order_from_ranks_hands_its_places_back():
+def test_linear_order_from_ranks_sorts_by_rank():
     vertices = tuple("abcd")
     order = LinearOrder.from_ranks(vertices, [30, 5, 12, 7])
     assert list(order) == ["b", "d", "c", "a"]
@@ -97,6 +98,13 @@ def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
     bulk = EdgeColoring.from_lists([(1, 2), (3, 4), (2, 1)], [0, 1, 2], 3)
     assert (bulk.get(1, 2), bulk.get(2, 1), len(bulk)) == (2, 2, 2)
     assert dict(bulk.edges()) == {(1, 2): 2, (3, 4): 1}
+
+
+def test_edge_coloring_rejects_a_vertex_key():
+    # A product vertex unpacks as (node, pos), which is no edge.
+    vertex = PVertex.parse("1@2")
+    with pytest.raises(ValueError, match=rf"^edge key {re.escape(repr(vertex))} is a vertex, not a vertex pair$"):
+        EdgeColoring({vertex: 0})
 
 
 def test_edge_coloring_accepts_frozenset_keys():
@@ -443,7 +451,10 @@ def test_layout_json_roundtrip():
 
 def test_graph_items_must_be_vertex_pairs():
     # The old (vertices, edges) reading is gone: both entries are items.
-    for graph, item in [(([1, 2, 3], []), "[1, 2, 3]"), ([(1, 2), (1, 2, 3)], "(1, 2, 3)"), ([(1, 2), 5], "5")]:
+    # A product vertex is a tuple (node, pos), but one vertex, not an edge.
+    vertex = PVertex.parse("1@2")
+    for graph, item in [(([1, 2, 3], []), "[1, 2, 3]"), ([(1, 2), (1, 2, 3)], "(1, 2, 3)"), ([(1, 2), 5], "5"),
+                        ([vertex, PVertex.parse("r@2")], repr(vertex))]:
         with pytest.raises(ValueError, match=rf"graph item {re.escape(item)} is not a vertex pair"):
             graph_vertices_edges(graph)
     assert graph_vertices_edges(iter([(1, 2), [2, 3]])) == ([1, 2, 3], [(1, 2), (2, 3)])

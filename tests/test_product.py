@@ -226,11 +226,13 @@ def test_restrict_subtree_errors_name_the_node():
 
 
 def test_hashes_equal_the_dataclass_hash():
-    # Each is computed once, but has the value the dataclass gave, so
-    # sets and frozensets of nodes and vertices iterate as before.
+    # A node is the tuple (path,) and a vertex the tuple (node, pos), so
+    # each hashes to the value the frozen dataclass gave, and sets and
+    # frozensets of nodes and vertices iterate as before.
     for node in build_tree((2, 3)).nodes:
-        assert hash(node) == hash((node.path,))
-        assert hash(PVertex(node, 3)) == hash((node, 3))
+        vertex = PVertex(node, 3)
+        assert node == (node.path,) and hash(node) == hash((node.path,))
+        assert vertex == (node, 3) and hash(vertex) == hash((node, 3))
 
 
 @pytest.mark.parametrize("degrees, m", [((2,), 1), ((3, 2), 3), ((1, 2, 2), 2)])
