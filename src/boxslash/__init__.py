@@ -5,7 +5,6 @@ from .errors import (
     BoxslashError,
     InconsistencyError,
     PassStarvation,
-    PreconditionError,
     ShapeError,
     SizeLimitError,
 )
@@ -48,9 +47,6 @@ from .passes import (
     PipelineResult,
     check_child_symmetry,
     check_direction_consistency,
-    check_identity_permutation,
-    check_related_sequence_families,
-    extract_direction_table,
     pass_colour,
     pass_lex,
     pass_order,

@@ -15,10 +15,6 @@ class ShapeError(BoxslashError, ValueError):
     """A subtree restriction would break the uniform level degrees."""
 
 
-class PreconditionError(BoxslashError, ValueError):
-    """An input lacks a property the operation needs, such as two children per level."""
-
-
 class InconsistencyError(BoxslashError, RuntimeError):
     """An internal consistency check failed where theory says it cannot.
 

@@ -79,9 +79,6 @@ class LinearOrder:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
         return ranks
 
-    def reversed(self) -> "LinearOrder":
-        return LinearOrder(reversed(self._seq))
-
 
 _PAIR = operator.itemgetter(slice(2))  # an edge's endpoints, from (u, v) or (u, v, kind)
 
@@ -93,11 +90,9 @@ class EdgeColoring:
     def __init__(self, colors: Mapping, k: int | None = None):
         self._edges, self._colors, self._index = [], [], None
         for e, c in colors.items():
-            if isinstance(e, PVertex):  # a tuple, but one vertex, not an edge
-                raise ValueError(f"edge key {e!r} is a vertex, not a vertex pair")
             if isinstance(e, frozenset) and len(e) != 2:
                 raise ValueError(f"self-loop edge key {e!r}")
-            u, v = e
+            u, v = _vertex_pair(e, "edge key {!r} is a vertex, not a vertex pair")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             if isinstance(c, bool) or not hasattr(c, "__index__"):
@@ -216,16 +211,21 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
             raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
     if isinstance(graph, ProductGraph):
         return list(graph.vertices), list(graph.edge_pairs())
-    edges = []
-    for e in graph:
-        try:
-            if isinstance(e, PVertex):  # a tuple, but one vertex, not a pair
-                raise ValueError
-            u, v = e
-        except (TypeError, ValueError):
-            raise ValueError(f"graph item {e!r} is not a vertex pair") from None
-        edges.append((u, v))
+    edges = [_vertex_pair(e, "graph item {!r} is not a vertex pair") for e in graph]
     return list(dict.fromkeys(w for e in edges for w in e)), edges
+
+
+def _vertex_pair(item, message: str) -> EdgePair:
+    """The two ends of an edge given as a pair.  A string, a product
+    vertex (a tuple, but one vertex) or anything that does not unpack to
+    exactly two values raises ValueError(message.format(item))."""
+    try:
+        if isinstance(item, (str, bytes, PVertex)):
+            raise TypeError
+        u, v = item
+    except (TypeError, ValueError):
+        raise ValueError(message.format(item)) from None
+    return u, v
 
 
 def _check_key_ids(ids: Iterable[str]) -> None:

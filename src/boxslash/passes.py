@@ -17,25 +17,22 @@ current id of each input node; restrict() maps a pass's choice of
 children to the old ids of the new nodes and re-indexes both lists.
 Graph, order and colouring objects are built from the lists when first
 read, by run_passes once, and its checks read the ranks back from the
-order, one lookup per vertex.  Each public check reads its objects
-into lists once, and coverage is checked there, once: a vertex the
-order lacks, or an edge without a colour where a colour is needed,
-raises before any work.  Costs, on n nodes, m positions, height h, E
-edges: restrict O(nm + E), O(1) when every child is kept; pass_colour
-O(E), as each node's profile is numbered once from its own colours and
-its kept children's numbers; pass_order O(h nm log nm), a cone rank
-pattern per child and level; pass_lex O(C) per candidate subarray of C
-cells, walked in lex-key order and left at the first descent, over every
-axis order, sign vector and index set in turn.  The checks run on the
-lists too: the colour table reads one slice of the colour list per
-(kind, depth, position), O(E).  Every child-choice sequence is one
-slice of the rank list, and its directions are computed once per
-position, O(h nm) sequence entries in all; run_passes lists them once,
-a level at a time, and the direction table reads the bits the related
-families read.  The related families test each pair from those, the
-direction table reads each (level, length, position) once, and
-check_identity_permutation decides each (depth, position) with one
-sort of that depth's nodes.
+order, one lookup per vertex.  Objects are read into lists once, and
+coverage is checked there, once: a vertex the order lacks, or an edge
+without a colour where a colour is needed, raises before any work.
+Costs, on n nodes, m positions, height h, E edges: restrict O(nm + E),
+O(1) when every child is kept; pass_colour O(E), as each node's profile
+is numbered once from its own colours and its kept children's numbers;
+pass_order O(h nm log nm), a cone rank pattern per child and level;
+pass_lex O(C) per candidate subarray of C cells, walked in lex-key order
+and left at the first descent, over every axis order, sign vector and
+index set in turn.  The checks run on the lists too: the colour table
+reads one slice of the colour list per (kind, depth, position), O(E).
+Every child-choice sequence is one slice of the rank list, and its
+directions are computed once per position, O(h nm) sequence entries in
+all; run_passes lists them once, a level at a time.  The related
+families test each pair from those, and the direction table reads the
+bits the related families read, each (level, length, position) once.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
@@ -59,7 +56,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import InconsistencyError, PassStarvation, PreconditionError
+from .errors import InconsistencyError, PassStarvation
 from .layout import EdgeColoring, LinearOrder
 from .product import (EdgeKind, NodeIndex, ProductGraph, Tree, _name, boxslash_product, edge_runs,
                       level_starts, restrict_ids)
@@ -528,97 +525,28 @@ def _sequence_families(degrees, ranks, m: int):
         yield family
 
 
-def _family_bits(families) -> dict:
-    """The direction bits of `_sequence_families`, by (level, length)."""
-    return {(i, j): bits for i, family in enumerate(families, start=1) for j, (_, bits) in family.items()}
-
-
-def _joint_direction(bits: list[int]) -> Optional[Direction]:
-    """The one direction all sequences share, else None."""
-    return None if 0 in bits else single_direction(functools.reduce(operator.or_, set(bits)))
-
-
-def extract_direction_table(graph: ProductGraph, order: LinearOrder) -> DirectionTable:
-    """Read the per-(level, length, position) direction off the order.
-
-    Every witness sequence for an entry must agree; disagreement (or a
-    non-monotone witness) raises InconsistencyError, which signals that
-    the lex pass did not actually succeed on this order.
-    """
-    degrees = graph.tree.spec.degrees
-    if any(d < 2 for d in degrees):
-        bad = [lvl for lvl, d in enumerate(degrees) if d < 2]
-        raise PreconditionError(
-            f"directions need at least two children per level; levels {bad} are thinner"
-        )
-    m = graph.path_len
-    bits = _family_bits(_sequence_families(degrees, order.ranks_of(graph.vertices), m))
-    return _direction_table(degrees, m, bits)
-
-
 def _direction_table(degrees, m: int, observed: dict) -> DirectionTable:
-    """`extract_direction_table` on the `_family_bits` of its order."""
+    """The per-(level, length, position) direction, from the direction
+    bits of every child-choice sequence by (level, length).
+
+    Every sequence of an entry must run the one way; a sequence that is
+    not monotone, or two that disagree, raise InconsistencyError, which
+    signals that the lex pass did not actually succeed on this order.
+    """
     starts, entries = level_starts(degrees), {}
     for (i, j), bits_by_p in observed.items():
         for p, bits in enumerate(bits_by_p, start=1):
-            direction = _joint_direction(bits)
-            if direction is None and 0 in bits:
+            if 0 in bits:
                 under = bits.index(0) // math.prod(degrees[i:j])
                 raise InconsistencyError(
                     f"child sequence at level {i}, length {j}, position {p} "
                     f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
                 )
+            direction = single_direction(functools.reduce(operator.or_, set(bits)))
             if direction is None:
                 raise InconsistencyError(f"witnesses disagree at level {i}, length {j}, position {p}")
             entries[(i, j, p)] = direction
     return DirectionTable(len(degrees), m, entries)
-
-
-def check_identity_permutation(graph: ProductGraph, order: LinearOrder) -> CheckReport:
-    """Verify the first-difference comparison rule on same-depth nodes.
-
-    Two same-depth addresses at one position must compare by their
-    first differing child choice, read in the direction the table gives
-    that level.  Equivalent to every level's axis permutation being the
-    identity.  Violations are reported, not raised.
-
-    ``checked`` counts the pairs of same-depth nodes times the
-    positions.  Each (depth, position) is decided by one sort: with every
-    level's direction known, the pairs all hold exactly when the ranks
-    rise along the nodes sorted by their expected first-difference key,
-    each choice negated on a DEC level.  Pairs are listed, in node and
-    then position order, only where that walk falls or a level's
-    direction is ambiguous.
-    """
-    degrees, m = graph.tree.spec.degrees, graph.path_len
-    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
-    observed = _family_bits(_sequence_families(degrees, ranks, m))
-    violations, checked = [], 0
-    for depth in range(1, len(degrees) + 1):
-        nodes = graph.tree.nodes[starts[depth] : starts[depth + 1]]
-        checked += math.comb(len(nodes), 2) * m
-        found = []  # (x, y, p, violation), x < y index nodes
-        for p in range(1, m + 1):
-            dirs = []  # per level; no two nodes first differ at a one-child level
-            for i in range(1, depth + 1):
-                bits = observed[i, depth][p - 1]
-                dirs.append(_joint_direction(bits) if degrees[i - 1] > 1 else Direction.INC)
-            at = ranks[(p - 1) * starts[-1] + starts[depth] : (p - 1) * starts[-1] + starts[depth + 1]]
-            if None not in dirs:
-                signs = [1 if d is Direction.INC else -1 for d in dirs]
-                walk = sorted(range(len(nodes)), key=lambda x: [c * s for c, s in zip(nodes[x].path, signs)])
-                if all(map(operator.lt, map(at.__getitem__, walk), map(at.__getitem__, walk[1:]))):
-                    continue
-            for x, y in itertools.combinations(range(len(nodes)), 2):
-                a, b = nodes[x], nodes[y]
-                t = next(k for k in range(depth) if a.path[k] != b.path[k])
-                d = dirs[t]
-                if d is None:
-                    found.append((x, y, p, ("ambiguous-direction", t + 1, depth, p)))
-                elif (at[x] < at[y]) != (d is Direction.INC):
-                    found.append((x, y, p, (str(a), str(b), p, d.value)))
-        violations += [v for *_, v in sorted(found, key=lambda f: f[:3])]
-    return CheckReport(violations, checked)
 
 
 def check_direction_consistency(table: DirectionTable) -> CheckReport:
@@ -650,12 +578,8 @@ def check_direction_consistency(table: DirectionTable) -> CheckReport:
     return CheckReport(violations, checked)
 
 
-def check_related_sequence_families(
-    graph: ProductGraph,
-    order: LinearOrder,
-    coloring: EdgeColoring,
-    table: ColorTable,
-) -> CheckReport:
+def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
+                      families) -> tuple[CheckReport, dict]:
     """After the passes, child-choice sequences must pair up as related.
 
     Two sequences of equal length, paired position by position, are
@@ -672,21 +596,15 @@ def check_related_sequence_families(
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
 
-    Every sequence read is a slice of the rank list and its pairing
-    edges a slice of the colour list.  The extension by child v of
-    sequence q at depth j is sequence q * degrees[j] + v - 1 at depth
-    j + 1, so each sequence's directions are computed once per position,
-    and each table colour is looked up once.
+    The sequences are the `_sequence_families` of the order, so each
+    one read is a slice of the rank list, and its pairing edges are a
+    slice of ``colors``, the colour list (None where an edge has none).
+    The extension by child v of sequence q at depth j is sequence
+    q * degrees[j] + v - 1 at depth j + 1, so each sequence's directions
+    are computed once per position, and each table colour is looked up
+    once.  Returns the report and the direction bits it read, by
+    (level, length).
     """
-    degrees, m = graph.tree.spec.degrees, graph.path_len
-    ranks, colors = order.ranks_of(graph.vertices), coloring.colors_of(graph.edges, full=False)
-    return _related_families(graph, colors, table, _sequence_families(degrees, ranks, m))[0]
-
-
-def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
-                      families) -> tuple[CheckReport, dict]:
-    """`check_related_sequence_families` on the colour list and the
-    `_sequence_families` of its order, and the `_family_bits` it read."""
     degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
     height, starts = len(degrees), level_starts(degrees)
     vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
@@ -763,10 +681,12 @@ def run_passes(
     property is verified once, on the final state, which is what is
     returned: the colour table is built (raising on any clash), child
     symmetry is checked exhaustively, and the related-sequence check
-    ties both to the table.  The direction table is extracted, from the
-    direction bits the related check read, when every surviving level
-    keeps at least two children, else left None.  The final order is
-    built from the state's rank list.
+    (`_related_families`) ties both to the table.  The direction table
+    is read from the direction bits the related check read
+    (`_direction_table`, which raises InconsistencyError on a sequence
+    that is not monotone or an entry whose sequences disagree) when
+    every surviving level keeps at least two children, else left None.
+    The final order is built from the state's rank list.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():

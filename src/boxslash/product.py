@@ -54,12 +54,6 @@ class NodeIndex(namedtuple("NodeIndex", "path")):
     def depth(self) -> int:
         return len(self.path)
 
-    @property
-    def parent(self) -> "NodeIndex | None":
-        if not self.path:
-            return None
-        return NodeIndex(self.path[:-1])
-
     def child(self, choice: int) -> "NodeIndex":
         return NodeIndex(self.path + (choice,))
 

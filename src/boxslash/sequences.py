@@ -4,8 +4,8 @@ A sequence is given by the distinct ranks of its vertices in a linear
 order.  Its directions are read off its neighbours, once, as bits:
 `direction_bits` is the one definition of "monotone" that the passes'
 direction tables and related pairs use.  The related pairs themselves
-are decided in `passes.check_related_sequence_families`, which states
-their definition.  The chains of related pairs that the paper builds on
+are decided in `passes._related_families`, which states their
+definition.  The chains of related pairs that the paper builds on
 top of them need inputs far beyond the package's size limit; the size
 table in the `hexgrid` docstring gives the figures.
 

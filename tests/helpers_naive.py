@@ -302,7 +302,7 @@ def naive_child_symmetry(degrees, m, rank):
 
 # ---------------------------------------------------------------------------
 # Restriction and related sequence families (used against passes.restrict
-# and passes.check_related_sequence_families).  As
+# and passes._related_families, the related check of run_passes).  As
 # above, a vertex is (path tuple, position); colour maps frozenset({u, v})
 # of an edge to its colour, and a table maps (depth, position, kind) to a
 # colour, where a kind is "vertical", "horizontal" or "diagonal".
@@ -440,8 +440,10 @@ def naive_related_families(degrees, m, rank, colour, table):
 
 # ---------------------------------------------------------------------------
 # Colour and direction tables (used against passes.ColorTable.from_layout,
-# extract_direction_table and check_identity_permutation).  Vertices,
-# colours and rank are as above.
+# passes._direction_table and run_passes: where every final level
+# branches, naive_identity_permutation finds nothing exactly when the lex
+# witnesses keep every axis order).  Vertices, colours and rank are as
+# above.
 
 def naive_color_table(degrees, m, colour):
     """("entries", {(depth, position, kind): colour}) when every edge's

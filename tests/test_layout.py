@@ -44,7 +44,7 @@ def int_order(n):
 def test_linear_order_basics():
     order = LinearOrder("badc")
     assert order.rank("b") == 0
-    assert list(order.reversed()) == ["c", "d", "a", "b"]
+    assert list(LinearOrder(reversed(order.vertices))) == ["c", "d", "a", "b"]
     assert "q" not in order
     with pytest.raises(ValueError):
         order.rank("q")
@@ -105,6 +105,13 @@ def test_edge_coloring_rejects_a_vertex_key():
     vertex = PVertex.parse("1@2")
     with pytest.raises(ValueError, match=rf"^edge key {re.escape(repr(vertex))} is a vertex, not a vertex pair$"):
         EdgeColoring({vertex: 0})
+
+
+@pytest.mark.parametrize("key", ["ab", b"ab", 5, ("a", "b", "c")])
+def test_edge_coloring_rejects_a_key_that_is_not_a_vertex_pair(key):
+    # A string unpacks into its characters, which are no edge either.
+    with pytest.raises(ValueError, match=rf"^edge key {re.escape(repr(key))} is a vertex, not a vertex pair$"):
+        EdgeColoring({key: 0})
 
 
 def test_edge_coloring_accepts_frozenset_keys():
@@ -451,10 +458,11 @@ def test_layout_json_roundtrip():
 
 def test_graph_items_must_be_vertex_pairs():
     # The old (vertices, edges) reading is gone: both entries are items.
-    # A product vertex is a tuple (node, pos), but one vertex, not an edge.
+    # A product vertex is a tuple (node, pos), but one vertex, not an edge,
+    # and a string unpacks into characters.
     vertex = PVertex.parse("1@2")
     for graph, item in [(([1, 2, 3], []), "[1, 2, 3]"), ([(1, 2), (1, 2, 3)], "(1, 2, 3)"), ([(1, 2), 5], "5"),
-                        ([vertex, PVertex.parse("r@2")], repr(vertex))]:
+                        ([vertex, PVertex.parse("r@2")], repr(vertex)), (["ab", "bc"], "'ab'")]:
         with pytest.raises(ValueError, match=rf"graph item {re.escape(item)} is not a vertex pair"):
             graph_vertices_edges(graph)
     assert graph_vertices_edges(iter([(1, 2), [2, 3]])) == ([1, 2, 3], [(1, 2), (2, 3)])

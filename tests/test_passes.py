@@ -18,15 +18,11 @@ from boxslash import (
     NodeIndex,
     PassStarvation,
     PassState,
-    PreconditionError,
     PVertex,
     boxslash_product,
     canonical_order,
     check_child_symmetry,
     check_direction_consistency,
-    check_identity_permutation,
-    check_related_sequence_families,
-    extract_direction_table,
     pass_colour,
     pass_lex,
     pass_order,
@@ -365,7 +361,7 @@ def test_check_child_symmetry_matches_the_pairwise_oracle():
     for degrees, m in shapes:
         g = boxslash_product(degrees, m)
         canonical = canonical_order(g)
-        for order in (canonical, canonical.reversed(), swapped(canonical, rng)):
+        for order in (canonical, LinearOrder(reversed(canonical.vertices)), swapped(canonical, rng)):
             assert_child_symmetry_matches_oracle(g, order)
 
 
@@ -471,27 +467,55 @@ def test_pass_lex_finds_the_oracle_witnesses_on_scrambled_products():
 
 
 # ---------------------------------------------------------------------------
-# Direction extraction and checks.
+# Direction extraction and checks.  run_passes reads the child-choice
+# sequences once (passes._sequence_families) and hands them to the related
+# check (passes._related_families), whose direction bits then make the
+# direction table (passes._direction_table); these helpers run the same
+# kernels on any layout.
+
+def sequence_families(graph, order):
+    return passes._sequence_families(graph.tree.spec.degrees, order.ranks_of(graph.vertices), graph.path_len)
+
+
+def direction_table(graph, order):
+    """passes._direction_table on the direction bits of the order's sequences."""
+    bits = {(i, j): bits for i, family in enumerate(sequence_families(graph, order), start=1)
+            for j, (_, bits) in family.items()}
+    return passes._direction_table(graph.tree.spec.degrees, graph.path_len, bits)
+
+
+def related_report(graph, order, coloring, table):
+    """passes._related_families's report on the order's sequences."""
+    colors = coloring.colors_of(graph.edges, full=False)
+    return passes._related_families(graph, colors, table, sequence_families(graph, order))[0]
+
+
+def identity_sigma(witnesses):
+    """Every lex witness keeps the axes in their own order."""
+    return all(w.sigma == tuple(range(len(w.sigma))) for w in witnesses.values())
+
 
 def test_extract_direction_table_canonical_and_reversed():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
-    table = extract_direction_table(g, order)
+    table = direction_table(g, order)
     assert set(table.entries.values()) == {Direction.INC}
-    reverse = extract_direction_table(g, order.reversed())
+    reverse = direction_table(g, LinearOrder(reversed(order.vertices)))
     assert set(reverse.entries.values()) == {Direction.DEC}
 
 
 def test_extract_direction_table_preconditions():
+    # Directions need two children per level: on a thinner final state
+    # run_passes leaves the table out.
     g = boxslash_product((1,), 1)
-    with pytest.raises(PreconditionError):
-        extract_direction_table(g, canonical_order(g))
+    result = run_passes(g, *three_queue_layout(g))
+    assert result.direction_table is None and result.related_report.ok
 
 
 def test_extract_direction_table_rejects_non_monotone():
     g = boxslash_product((3,), 1)
     with pytest.raises(InconsistencyError):
-        extract_direction_table(g, order_of(["r@1", "1@1", "3@1", "2@1"]))
+        direction_table(g, order_of(["r@1", "1@1", "3@1", "2@1"]))
 
 
 def test_extract_direction_table_names_the_first_non_monotone_sequence():
@@ -508,36 +532,45 @@ def test_extract_direction_table_names_the_first_non_monotone_sequence():
     assert naive.value.args[0] == ("not monotone", 2, 3, 1, "2")
     with pytest.raises(InconsistencyError, match=(
             r"^child sequence at level 2, length 3, position 1 under 2 is not monotone$")):
-        extract_direction_table(g, order)
+        direction_table(g, order)
 
 
 def test_check_identity_permutation_canonical():
+    # The first-difference rule holds on canonical and reversed orders, and
+    # the lex pass keeps every axis order there.
     g = boxslash_product((2, 2), 2)
-    order = canonical_order(g)
-    assert check_identity_permutation(g, order).ok
-    assert check_identity_permutation(g, order.reversed()).ok
+    order, coloring = three_queue_layout(g)
+    for layout in (order, LinearOrder(reversed(order.vertices))):
+        assert naive_identity_permutation((2, 2), 2, layout_data(g, layout, coloring)[0])[0] == []
+        assert identity_sigma(run_passes(g, layout, coloring).lex_witnesses)
 
 
 def test_check_identity_permutation_violation():
+    # Depth-2 nodes sort by their level-2 choice first: the lex pass swaps
+    # the axes, and 1.1 and 2.2 break the first-difference rule.
     g = boxslash_product((2, 2), 1)
     order = order_of(["r@1", "1@1", "2@1", "1.2@1", "2.2@1", "1.1@1", "2.1@1"])
-    report = check_identity_permutation(g, order)
-    assert not report.ok
-    assert ("1.1", "2.2", 1, "inc") in report.violations
+    result = run_passes(g, order, three_queue_layout(g)[1])
+    assert result.lex_witnesses[(2, 1)].sigma == (1, 0)
+    violations, _ = naive_identity_permutation((2, 2), 1, layout_data(g, result.order, result.coloring)[0])
+    assert ("1.1", "2.2", 1, "inc") in violations
 
 
 def test_check_identity_permutation_names_no_node_on_a_shuffled_order(monkeypatch):
-    # Only extract_direction_table words the non-monotone error, and
-    # naming its node builds the whole tree; the check reads the bits.
+    # Naming a node builds the whole tree.  Only the direction table's
+    # non-monotone error does, once; listing the sequences and the related
+    # check name nodes from the built graph.
     g = boxslash_product((3, 3, 3), 6)
     order = LinearOrder(random.Random(6).sample(list(g.vertices), len(g.vertices)))
+    coloring = three_queue_layout(g)[1]
+    table = ColorTable.from_layout(g, coloring)
     calls = []
     build_tree = product.build_tree
     monkeypatch.setattr(product, "build_tree", lambda spec: calls.append(spec) or build_tree(spec))
-    assert not check_identity_permutation(g, order).ok
+    assert not related_report(g, order, coloring, table).ok
     assert calls == []
     with pytest.raises(InconsistencyError, match="is not monotone$"):
-        extract_direction_table(g, order)
+        direction_table(g, order)
     assert len(calls) == 1
 
 
@@ -557,14 +590,14 @@ def test_check_related_sequence_families():
     order = canonical_order(g)
     _, coloring = three_queue_layout(g)
     table = ColorTable.from_layout(g, coloring)
-    report = check_related_sequence_families(g, order, coloring, table)
+    report = related_report(g, order, coloring, table)
     assert report.ok and report.checked > 0
 
     tampered_entries = {
         sig: (c + 1) % 3 for sig, c in table.entries.items()
     }
     tampered = ColorTable(tampered_entries)
-    report = check_related_sequence_families(g, order, coloring, tampered)
+    report = related_report(g, order, coloring, tampered)
     assert not report.ok
 
 
@@ -635,9 +668,10 @@ def test_run_passes_canonical_identity():
     assert result.related_report.ok
     assert set(result.direction_table.entries.values()) == {Direction.INC}
     assert check_direction_consistency(result.direction_table).ok
-    assert check_identity_permutation(result.graph, result.order).ok
+    rank = layout_data(result.graph, result.order, result.coloring)[0]
+    assert naive_identity_permutation((2, 2), 2, rank)[0] == []
 
-    reversed_result = run_passes(g, order.reversed(), coloring)
+    reversed_result = run_passes(g, LinearOrder(reversed(order.vertices)), coloring)
     assert set(reversed_result.direction_table.entries.values()) == {Direction.DEC}
 
 
@@ -715,7 +749,7 @@ def oracle_layouts(g, rng):
             damaged[(u, v)] = rng.randrange(3) if roll > 0.9 else coloring.color(u, v)
     return [
         (order, coloring),
-        (order.reversed(), coloring),
+        (LinearOrder(reversed(order.vertices)), coloring),
         scrambled_layout(g, rng),
         (shuffled, coloring),
         (swapped(order, rng), EdgeColoring(damaged, k=3)),
@@ -769,7 +803,7 @@ def test_check_related_sequence_families_matches_the_oracle(degrees, m):
     entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
     found = 0
     for order, coloring in oracle_layouts(g, rng):
-        report = check_related_sequence_families(g, order, coloring, table)
+        report = related_report(g, order, coloring, table)
         rank, colour = layout_data(g, order, coloring)
         violations, checked = naive_related_families(degrees, m, rank, colour, entries)
         assert report.violations == violations
@@ -826,9 +860,7 @@ def test_extract_direction_table_matches_the_oracle(degrees, m):
     outcomes = set()
     for graph, order, coloring in table_layouts(g, rng):
         shape = graph.tree.spec.degrees
-        if min(shape) < 2:
-            with pytest.raises(PreconditionError):
-                extract_direction_table(graph, order)
+        if min(shape) < 2:  # run_passes reads no directions off a one-child level
             continue
         try:
             want = naive_direction_table(shape, m, layout_data(graph, order, coloring)[0])
@@ -839,10 +871,10 @@ def test_extract_direction_table_matches_the_oracle(degrees, m):
             message = f"^witnesses disagree at {at}$" if problem == "disagree" else (
                 rf"^child sequence at {at} under {re.escape(prefix[0])} is not monotone$")
             with pytest.raises(InconsistencyError, match=message):
-                extract_direction_table(graph, order)
+                direction_table(graph, order)
         else:
             outcomes.update(want.values())
-            table = extract_direction_table(graph, order)
+            table = direction_table(graph, order)
             assert {key: d.value for key, d in table.entries.items()} == want
     if min(degrees) >= 2:
         assert {"inc", "dec"} <= outcomes
@@ -852,17 +884,27 @@ def test_extract_direction_table_matches_the_oracle(degrees, m):
 
 @pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
 def test_check_identity_permutation_matches_the_pairwise_oracle(degrees, m):
+    # On a final state whose levels all branch, same-depth nodes compare by
+    # their first differing choice exactly when every lex witness keeps the
+    # axes in order: with two or more indices per axis, one axis order and
+    # one sign vector make the array rise.  A transposed order sorts nodes
+    # by their last choice first.
     rng = random.Random(f"identity {degrees} {m}")
     g = boxslash_product(degrees, m)
-    found = 0
-    for graph, order, coloring in table_layouts(g, rng):
-        report = check_identity_permutation(graph, order)
-        rank = layout_data(graph, order, coloring)[0]
-        assert (report.violations, report.checked) == (
-            naive_identity_permutation(graph.tree.spec.degrees, m, rank))
-        found += len(report.violations)
-    if len(g.tree) > 3:  # two nodes of (2,) compare as their own sequence does
-        assert found > 0
+    queues = three_queue_layout(g)[1]
+    transposed = LinearOrder(sorted(g.vertices, key=lambda v: (v.pos, v.node.depth, v.node.path[::-1])))
+    outcomes = set()
+    for order, coloring in oracle_layouts(g, rng)[:3] + [(transposed, queues)]:
+        result = run_passes(g, order, coloring, lex_targets=2)
+        final = result.graph.tree.spec.degrees
+        if min(final) < 2:
+            continue
+        rank = layout_data(result.graph, result.order, result.coloring)[0]
+        holds = naive_identity_permutation(final, m, rank)[0] == []
+        assert holds == identity_sigma(result.lex_witnesses)
+        outcomes.add(holds)
+    if min(degrees) >= 2:
+        assert outcomes == ({True, False} if len(degrees) > 1 else {True})
 
 
 @pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
@@ -889,6 +931,11 @@ def test_run_passes_final_state_matches_the_oracles(degrees, m):
         )
         naive, checked = naive_child_symmetry(final, m, rank)
         assert result.order_report.checked == checked and result.order_report.ok == (not naive)
+        if min(final) >= 2:
+            want = naive_direction_table(final, m, rank)
+            assert {key: d.value for key, d in result.direction_table.entries.items()} == want
+        else:
+            assert result.direction_table is None
 
 
 def test_run_passes_accepts_an_order_with_extra_vertices():
@@ -921,9 +968,9 @@ def test_malformed_layouts_name_vertices_and_edges_as_the_cli_writes_them():
     with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):
         check_child_symmetry(g, rootless)
     with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):
-        extract_direction_table(g, rootless)
+        run_passes(g, rootless, coloring)
     with pytest.raises(ValueError, match=r"^vertex 2@1 not in order$"):
-        extract_direction_table(g, LinearOrder(v for v in order if v != pv("2@1")))
+        run_passes(g, LinearOrder(v for v in order if v != pv("2@1")), coloring)
     for u, v in [(pv("1.1@1"), pv("1@1")), (pv("r@1"), pv("r@2"))]:
         partial = EdgeColoring({e: c for e, c in coloring.edges() if set(e) != {u, v}}, k=3)
         message = rf"^edge {re.escape(str(u))} -- {re.escape(str(v))} has no colour$"

@@ -85,7 +85,7 @@ def test_edges_are_child_first():
         if kind is EdgeKind.HORIZONTAL:
             assert u.node == v.node and v.pos == u.pos + 1
         else:
-            assert u.node.parent == v.node
+            assert u.node.path[:-1] == v.node.path
             if kind is EdgeKind.VERTICAL:
                 assert u.pos == v.pos
             else:
@@ -127,11 +127,9 @@ def test_edge_endpoints_are_the_graph_vertices():
 def test_node_index_algebra():
     a = NodeIndex((1, 2))
     assert a.depth == 2
-    assert a.parent == NodeIndex((1,))
     assert a.child(3) == NodeIndex((1, 2, 3))
     with pytest.raises(ValueError):
         NodeIndex((0,))
-    assert ROOT.parent is None
 
 
 def test_tree_structure():
