@@ -90,10 +90,6 @@ class HexGrid:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one row and one column")
 
-    def valid(self, cell: Cell) -> bool:
-        i, j = cell
-        return 1 <= i <= self.rows and 1 <= j <= self.cols
-
 
 class HexColoring:
     """Two-coloring of a HexGrid as one row-major table of cell codes.
@@ -126,7 +122,7 @@ class HexColoring:
 
     def color(self, cell: Cell) -> Direction:
         i, j = cell
-        if not self.grid.valid(cell):
+        if not (1 <= i <= self.grid.rows and 1 <= j <= self.grid.cols):
             raise KeyError(f"cell {(i, j)} is outside the {self.grid.rows}x{self.grid.cols} grid")
         return _COLORS[self.table[(i - 1) * self.grid.cols + j - 1]]
 

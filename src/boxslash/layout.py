@@ -66,12 +66,6 @@ class LinearOrder:
     def __contains__(self, v: Vertex) -> bool:
         return v in self._rank
 
-    def rank(self, v: Vertex) -> int:
-        try:
-            return self._rank[v]
-        except KeyError:
-            raise ValueError(f"vertex {v!r} not in order") from None
-
     def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
         """The rank of each vertex; the first one outside the order raises."""
         ranks = list(map(self._rank.get, vertices))
@@ -103,7 +97,9 @@ class EdgeColoring:
             self._edges.append((u, v))
             self._colors.append(c)
         used = max(self._lookup().values(), default=-1) + 1
-        self.k = used if k is None else int(k)
+        if k is not None and (isinstance(k, bool) or not hasattr(k, "__index__")):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        self.k = used if k is None else operator.index(k)
         if self.k < used:
             raise ValueError(f"k={k} too small for {used} colours in use")
 
@@ -121,18 +117,6 @@ class EdgeColoring:
                 index[(v, u) if (v, u) in index else (u, v)] = c
         return self._index
 
-    def __len__(self) -> int:
-        return len(self._lookup())
-
-    def __contains__(self, e) -> bool:
-        u, v = e
-        return self.get(u, v) is not None
-
-    def color(self, u: Vertex, v: Vertex) -> int:
-        if (c := self.get(u, v)) is None:
-            raise ValueError(f"edge {u!r} -- {v!r} has no colour")
-        return c
-
     def get(self, u: Vertex, v: Vertex):
         index = self._lookup()
         return index.get((u, v), index.get((v, u)))
@@ -140,10 +124,10 @@ class EdgeColoring:
     def edges(self) -> Iterator[tuple[EdgePair, int]]:
         return iter(self._lookup().items())
 
-    def colors_of(self, edges: Sequence, full: bool = True) -> list:
-        """Each edge's colour; a missing one raises, or is None without ``full``.
-        A colouring built on this very sequence gives its own list (not to be
-        changed); any other is read by one lookup per edge, misses retried reversed."""
+    def colors_of(self, edges: Sequence) -> list:
+        """Each edge's colour; the first edge without one raises.  A colouring
+        built on this very sequence gives its own list (not to be changed); any
+        other is read by one lookup per edge, misses retried reversed."""
         if self._edges is edges:
             colors = self._colors
         else:
@@ -151,7 +135,7 @@ class EdgeColoring:
             colors = list(map(get, map(_PAIR, edges)))
             if None in colors:
                 colors = [get((e[1], e[0])) if c is None else c for e, c in zip(edges, colors)]
-        if full and None in colors:
+        if None in colors:
             u, v = _PAIR(edges[colors.index(None)])
             raise ValueError(f"edge {_text(u)} -- {_text(v)} has no colour")
         return colors

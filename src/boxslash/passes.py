@@ -120,9 +120,6 @@ class ColorTable:
         except KeyError:
             raise ValueError(f"no table entry for {(depth, pos, kind)}") from None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def to_json(self) -> dict:
         return {
             "entries": {
@@ -598,7 +595,7 @@ def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
 
     The sequences are the `_sequence_families` of the order, so each
     one read is a slice of the rank list, and its pairing edges are a
-    slice of ``colors``, the colour list (None where an edge has none).
+    slice of ``colors``, the colour list.
     The extension by child v of sequence q at depth j is sequence
     q * degrees[j] + v - 1 at depth j + 1, so each sequence's directions
     are computed once per position, and each table colour is looked up
@@ -686,11 +683,13 @@ def run_passes(
     (`_direction_table`, which raises InconsistencyError on a sequence
     that is not monotone or an entry whose sequences disagree) when
     every surviving level keeps at least two children, else left None.
-    The final order is built from the state's rank list.
+    The related check reads the final state's rank and colour lists as
+    they are, since it compares ranks only by ``<``; the returned order
+    is built from the rank list.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():
-        _resolve_targets(targets, graph.tree.height, stage)
+        _resolve_targets(targets, len(graph.tree.spec.degrees), stage)
     state = PassState.initial(graph, order, coloring)
     state = pass_colour(state, colour_targets)
     state = pass_order(state, order_targets)
@@ -700,9 +699,8 @@ def run_passes(
     color_table = ColorTable.from_layout(final_graph, final_coloring)
     order_report = check_child_symmetry(final_graph, final_order)
     degrees, m = state.degrees, state.path_len
-    families = _sequence_families(degrees, final_order.ranks_of(final_graph.vertices), m)
-    colors = final_coloring.colors_of(final_graph.edges, full=False)
-    related_report, observed = _related_families(final_graph, colors, color_table, families)
+    families = _sequence_families(degrees, state.ranks, m)
+    related_report, observed = _related_families(final_graph, state.colors, color_table, families)
     if all(d >= 2 for d in degrees):
         direction_table = _direction_table(degrees, m, observed)
     else:

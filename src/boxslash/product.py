@@ -50,10 +50,6 @@ class NodeIndex(namedtuple("NodeIndex", "path")):
             raise ValueError(f"child choices must be positive integers: {path!r}")
         return super().__new__(cls, path)
 
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
     def child(self, choice: int) -> "NodeIndex":
         return NodeIndex(self.path + (choice,))
 
@@ -89,10 +85,6 @@ class TreeSpec:
         if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in degrees):
             raise ValueError(f"degrees must be positive integers: {degrees!r}")
 
-    @property
-    def height(self) -> int:
-        return len(self.degrees)
-
     def vertex_count(self) -> int:
         total, width = 1, 1
         for d in self.degrees:
@@ -122,22 +114,13 @@ class Tree:
             nodes += level
         self.nodes: tuple[NodeIndex, ...] = tuple(nodes)
 
-    @property
-    def height(self) -> int:
-        return self.spec.height
-
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __iter__(self) -> Iterator[NodeIndex]:
-        return iter(self.nodes)
 
-
-def build_tree(spec) -> Tree:
-    """Build a balanced tree from a TreeSpec or a plain degree sequence."""
-    if not isinstance(spec, TreeSpec):
-        spec = TreeSpec(tuple(spec))
-    return Tree(spec)
+def build_tree(degrees) -> Tree:
+    """Build a balanced tree from its degree sequence."""
+    return Tree(TreeSpec(degrees))
 
 
 class PVertex(NamedTuple):
@@ -241,11 +224,9 @@ class ProductGraph:
         return "\n".join(lines)
 
 
-def boxslash_product(tree, path_len: int) -> ProductGraph:
-    """Product of a balanced tree (spec, degree list, or Tree) and a path."""
-    if isinstance(tree, Tree):
-        return ProductGraph(tree, path_len)
-    return ProductGraph(build_tree(tree), path_len)
+def boxslash_product(degrees, path_len: int) -> ProductGraph:
+    """Product of the balanced tree of a degree sequence and a path."""
+    return ProductGraph(build_tree(degrees), path_len)
 
 
 def level_starts(degrees) -> list[int]:

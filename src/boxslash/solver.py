@@ -89,6 +89,8 @@ def _check_size(vertices) -> None:
 
 
 def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
+    if upper_limit is not None and type(upper_limit) is not int:
+        raise ValueError(f"upper_limit must be an integer, got {upper_limit!r}")
     if upper_limit is not None and upper_limit < 1:
         raise ValueError(f"upper_limit must be at least 1, got {upper_limit}")
     if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
@@ -106,7 +108,8 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
     # The incumbent: page counts at or above it are not worth finding.
     best = (len(edges) if upper_limit is None else min(upper_limit, len(edges))) + 1
     n = len(vertices)
-    pairs = [(start.rank(u), start.rank(v)) for u, v in edges]
+    flat = start.ranks_of([w for e in edges for w in e])
+    pairs = list(zip(flat[0::2], flat[1::2]))
     floor = -(-len({frozenset(e) for e in pairs}) // (2 * n - 3))
     winner = assignment = None
     expired = False

@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every name the package exports is read by one of its modules."""
+and every name the package exports, and every member its classes define,
+is read by one of its modules."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,32 @@ def test_every_export_is_read_by_a_package_module():
     read = set().union(*(names_read((PACKAGE / module).read_text(encoding="utf-8")) for module in MODULES))
     # direction_layer waits for the end-to-end path of ROADMAP item 1, which reads it.
     assert [name for name in exported if name not in read] == ["direction_layer"]
+
+
+def unread_members(sources: list[str]) -> list[str]:
+    """Methods and properties, dunders aside, that a class in ``sources``
+    defines and that no source reads as an attribute, as Class.member.
+
+    Members match by name alone, so the scan cannot tell two classes'
+    members of one name apart: a read of ``x.color`` counts for
+    ``HexColoring.color`` and for any other class's ``color``, and the
+    same holds for ``to_json``."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{cls.name}.{f.name}" for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__")) and f.name not in read]
+
+
+def test_the_scan_finds_an_unread_member():
+    source = ("class A:\n    def f(self): ...\n    def g(self): ...\n    def __len__(self): ...\n"
+              "    @property\n    def h(self): ...\nA().g()\n")
+    assert unread_members([source]) == ["A.f", "A.h"]
+
+
+def test_every_class_member_is_read_by_a_package_module():
+    sources = [(PACKAGE / module).read_text(encoding="utf-8") for module in MODULES]
+    assert unread_members(sources) == [
+        "BoundaryLine.corners",  # the tracer-order oracle in tests/test_hexgrid.py compares against it
+        "Direction.opposite",  # bench/checks.py flips a direction table entry with it
+    ]

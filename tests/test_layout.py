@@ -43,11 +43,11 @@ def int_order(n):
 
 def test_linear_order_basics():
     order = LinearOrder("badc")
-    assert order.rank("b") == 0
+    assert order.ranks_of(["b"]) == [0]
     assert list(LinearOrder(reversed(order.vertices))) == ["c", "d", "a", "b"]
     assert "q" not in order
     with pytest.raises(ValueError):
-        order.rank("q")
+        order.ranks_of(["q"])
     with pytest.raises(ValueError):
         LinearOrder("aa")
 
@@ -57,7 +57,6 @@ def test_linear_order_from_ranks_sorts_by_rank():
     order = LinearOrder.from_ranks(vertices, [30, 5, 12, 7])
     assert list(order) == ["b", "d", "c", "a"]
     assert order.ranks_of(vertices) == [3, 0, 2, 1] == order.ranks_of(list(vertices))
-    assert [order.rank(v) for v in vertices] == [3, 0, 2, 1]
     with pytest.raises(ValueError, match="^vertex 'q' not in order$"):
         order.ranks_of(("a", "q"))
 
@@ -65,11 +64,13 @@ def test_linear_order_from_ranks_sorts_by_rank():
 def test_edge_coloring_basics():
     coloring = EdgeColoring({(1, 2): 0, (3, 4): 2})
     assert coloring.k == 3
-    assert coloring.color(2, 1) == 0
+    assert (coloring.get(2, 1), coloring.get(4, 3)) == (0, 2)
     assert coloring.get(1, 3) is None
-    assert (4, 3) in coloring and (1, 3) not in coloring
-    with pytest.raises(ValueError):
-        coloring.color(1, 3)
+    with pytest.raises(ValueError, match="^edge 1 -- 3 has no colour$"):
+        coloring.colors_of([(1, 2), (1, 3)])
+    # No membership test: a string would unpack as an edge of its letters.
+    with pytest.raises(TypeError):
+        "ab" in EdgeColoring({("a", "b"): 0})
     with pytest.raises(ValueError):
         EdgeColoring({(1, 1): 0})
     with pytest.raises(ValueError):
@@ -86,7 +87,14 @@ def test_edge_coloring_rejects_non_integer_colours():
         with pytest.raises(ValueError, match=r"edge \(1, 2\) has a non-integer colour"):
             EdgeColoring({(1, 2): c})
     index_like = type("IndexLike", (), {"__index__": lambda self: 2})()
-    assert EdgeColoring({(1, 2): index_like}).color(1, 2) == 2
+    assert EdgeColoring({(1, 2): index_like}).get(1, 2) == 2
+
+
+@pytest.mark.parametrize("k", [3.9, True, "3"])
+def test_edge_coloring_rejects_a_non_integer_k(k):
+    # As with colours: a float is not truncated, a bool not counted, a string not parsed.
+    with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(k))}$"):
+        EdgeColoring({("a", "b"): 0}, k=k)
 
 
 def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
@@ -94,9 +102,9 @@ def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
     # stored once, so it counts once.
     for second in ((1, 2), (2, 1), frozenset((1, 2))):
         coloring = EdgeColoring({(1, 2): 0, (3, 4): 1, second: 2})
-        assert (coloring.color(1, 2), coloring.color(2, 1), len(coloring), coloring.k) == (2, 2, 2, 3)
+        assert (coloring.get(1, 2), coloring.get(2, 1), len(dict(coloring.edges())), coloring.k) == (2, 2, 2, 3)
     bulk = EdgeColoring.from_lists([(1, 2), (3, 4), (2, 1)], [0, 1, 2], 3)
-    assert (bulk.get(1, 2), bulk.get(2, 1), len(bulk)) == (2, 2, 2)
+    assert (bulk.get(1, 2), bulk.get(2, 1)) == (2, 2)
     assert dict(bulk.edges()) == {(1, 2): 2, (3, 4): 1}
 
 
@@ -116,8 +124,8 @@ def test_edge_coloring_rejects_a_key_that_is_not_a_vertex_pair(key):
 
 def test_edge_coloring_accepts_frozenset_keys():
     coloring = EdgeColoring({frozenset(("a", "b")): 1, ("b", "c"): 0})
-    assert (coloring.color("a", "b"), coloring.color("b", "a"), coloring.k) == (1, 1, 2)
-    assert ("b", "a") in coloring and ("a", "c") not in coloring
+    assert (coloring.get("a", "b"), coloring.get("b", "a"), coloring.k) == (1, 1, 2)
+    assert coloring.get("a", "c") is None
     with pytest.raises(ValueError, match="self-loop edge key"):
         EdgeColoring({frozenset(("a",)): 0})
 
@@ -133,8 +141,8 @@ def test_edge_coloring_round_trips_through_its_edges(build):
         "pages": lambda: stack_pages_for_order(g, order).colors,
     }[build]()
     again = EdgeColoring(dict(coloring.edges()), k=coloring.k)
-    assert again.k == coloring.k and len(again) == len(coloring) == len(g.edges)
-    assert all(again.color(u, v) == coloring.color(v, u) for u, v in g.edge_pairs())
+    assert again.k == coloring.k and len(dict(again.edges())) == len(dict(coloring.edges())) == len(g.edges)
+    assert again.colors_of(list(g.edge_pairs())) == coloring.colors_of([(v, u) for u, v in g.edge_pairs()])
 
 
 def test_one_colour_pairs_frozen_cases():
@@ -216,8 +224,8 @@ FROZEN_EDGES = [(0, 5), (0, 3), (5, 1), (2, 5), (1, 4), (4, 1), (2, 3), (3, 6), 
 @example(case=(FROZEN_EDGES, int_order(7), EdgeColoring({e: i % 2 for i, e in enumerate(FROZEN_EDGES)})))
 def test_kernels_match_reference(case):
     edges, order, coloring = case
-    position = {v: order.rank(v) for v in order}
-    colours = [coloring.color(*e) for e in edges]
+    position = {v: r for r, v in enumerate(order)}
+    colours = [coloring.get(*e) for e in edges]
     for check, conflict, rel in (
         (validate_stack_layout, edges_cross, PairRelation.CROSS),
         (validate_queue_layout, edges_nest, PairRelation.NEST),
@@ -247,11 +255,11 @@ def test_product_inputs_match_the_reference(degrees, m):
     rng.shuffle(shuffled)
     for vertices in (g.vertices, g.vertices[::-1], shuffled):
         order = LinearOrder(vertices)
-        position = {v: order.rank(v) for v in order}
+        position = {v: r for r, v in enumerate(order)}
         k = rng.randint(1, 3)
         drawn = EdgeColoring({e: rng.randrange(k) for e in edges}, k=k)
         for coloring in (drawn, three_queue_layout(g)[1]):
-            colours = [coloring.color(*e) for e in edges]
+            colours = [coloring.get(*e) for e in edges]
             for check, conflict in ((validate_stack_layout, edges_cross),
                                     (validate_queue_layout, edges_nest)):
                 report = check(g, order, coloring)
@@ -260,9 +268,9 @@ def test_product_inputs_match_the_reference(degrees, m):
         depths = naive_nesting_depths(edges, position)
         queues = queues_for_order(g, order)
         assert (queues.count, queues.exact) == (max(depths), True)
-        assert [queues.colors.color(*e) + 1 for e in edges] == depths
+        assert [queues.colors.get(*e) + 1 for e in edges] == depths
         pages = stack_pages_for_order(g, order)
-        page = [pages.colors.color(*e) for e in edges]
+        page = [pages.colors.get(*e) for e in edges]
         adjacency = conflict_adjacency(edges, position, edges_cross)
         assert all(page[i] != page[j] for i, adj in enumerate(adjacency) for j in adj)
         assert pages.exact and pages.count == min_pages_for_position(edges, position)
@@ -274,7 +282,7 @@ def test_canonical_order_is_position_major_then_depth():
     order = canonical_order(g)
     previous = None
     for v in order:
-        key = (v.pos, v.node.depth, v.node.path)
+        key = (v.pos, len(v.node.path), v.node.path)
         if previous is not None:
             assert previous < key
         previous = key
@@ -292,10 +300,10 @@ def test_three_queue_layout_is_a_valid_3_queue_layout(degrees, m):
     report = validate_queue_layout(g, order, coloring)
     assert report.valid, report.violations[:3]
     # Second route: the reference nesting test over all same-color pairs.
-    position = {v: order.rank(v) for v in order}
+    position = {v: r for r, v in enumerate(order)}
     edges = list(g.edge_pairs())
     for e, f in itertools.combinations(edges, 2):
-        if coloring.color(*e) == coloring.color(*f):
+        if coloring.get(*e) == coloring.get(*f):
             assert relation(e, f, position) != "nest"
 
 
@@ -319,7 +327,7 @@ def test_three_queue_layout_colors_follow_edge_kind():
     _, coloring = three_queue_layout(g)
     kind_colors = {}
     for u, v, kind in g.edges:
-        kind_colors.setdefault(kind, set()).add(coloring.color(u, v))
+        kind_colors.setdefault(kind, set()).add(coloring.get(u, v))
     assert all(len(used) == 1 for used in kind_colors.values())
     assert kind_colors[EdgeKind.VERTICAL] != kind_colors[EdgeKind.HORIZONTAL]
 
@@ -384,7 +392,7 @@ def test_stack_pages_for_order_matches_reference_per_component(monkeypatch):
         limit = rng.choice([0, 2, 4, 6])
         monkeypatch.setattr(layout, "EXACT_PAGE_LIMIT", limit)
         result = stack_pages_for_order(edges, order)
-        colours = [result.colors.color(*e) for e in edges]
+        colours = [result.colors.get(*e) for e in edges]
         count, exact = 0, True
         for comp, expected in _reference_stack_pages(edges, {v: v for v in range(start)}, limit):
             got = [colours[v] for v in comp]
@@ -452,8 +460,7 @@ def test_layout_json_roundtrip():
     assert set(doc) == {"order", "colors", "k"}
     order2, coloring2 = layout_from_json(doc)
     assert list(order2) == list(order)
-    for u, v in edges:
-        assert coloring2.color(u, v) == coloring.color(u, v)
+    assert coloring2.colors_of(edges) == coloring.colors_of(edges)
 
 
 def test_graph_items_must_be_vertex_pairs():

@@ -177,9 +177,9 @@ def test_color_table_signature_and_layout():
     table = ColorTable.from_layout(g, coloring)
     # An edge's key: the deeper end's depth, the smaller position, the kind.
     for u, v, kind in g.edges:
-        key = (max(u.node.depth, v.node.depth), min(u.pos, v.pos), kind)
-        assert table.color_of(*key) == coloring.color(u, v)
-    assert table.color_of(2, 1, EdgeKind.VERTICAL) == coloring.color(pv("1.2@1"), pv("1@1"))
+        key = (max(len(u.node.path), len(v.node.path)), min(u.pos, v.pos), kind)
+        assert table.color_of(*key) == coloring.get(u, v)
+    assert table.color_of(2, 1, EdgeKind.VERTICAL) == coloring.get(pv("1.2@1"), pv("1@1"))
     with pytest.raises(ValueError):
         table.color_of(9, 9, EdgeKind.VERTICAL)
     doc = table.to_json()
@@ -251,7 +251,7 @@ def test_pass_colour_keeps_the_larger_matching_bucket():
     assert result.node_map[NodeIndex((3,))] == NodeIndex((2,))
     assert NodeIndex((2,)) not in result.node_map
     for u, v, kind in result.graph.edges:
-        assert result.coloring.color(u, v) == 0
+        assert result.coloring.get(u, v) == 0
     table = ColorTable.from_layout(result.graph, result.coloring)
     assert table.color_of(1, 1, EdgeKind.VERTICAL) == 0
 
@@ -340,13 +340,13 @@ def swapped(order, rng):
 
 def assert_child_symmetry_matches_oracle(graph, order):
     report = check_child_symmetry(graph, order)
-    rank = {(v.node.path, v.pos): order.rank(v) for v in order}
+    rank = {(v.node.path, v.pos): r for r, v in enumerate(order)}
     naive, checked = naive_child_symmetry(graph.tree.spec.degrees, graph.path_len, rank)
     assert report.ok == (not naive)
     assert report.checked == checked
     assert set(report.violations) <= set(naive)
     # One entry per node that disagrees with the first node of its depth.
-    firsts = {".".join("1" * depth) for depth in range(1, graph.tree.height + 1)}
+    firsts = {".".join("1" * depth) for depth in range(1, len(graph.tree.spec.degrees) + 1)}
     from_first = dict.fromkeys((a, b) for a, b, *_ in naive if a in firsts)
     assert [(a, b) for a, b, *_ in report.violations] == list(from_first)
 
@@ -421,7 +421,7 @@ def test_pass_lex_truncates_to_target():
     scrambled = order_of(["r@1", "1@1", "3@1", "2@1"])
     result, _ = pass_lex(state_of(g, scrambled), targets=2)
     assert result.graph.tree.spec.degrees == (2,)
-    kept = tuple(sorted(n.path[0] for n in result.node_map if n.depth == 1))
+    kept = tuple(sorted(n.path[0] for n in result.node_map if len(n.path) == 1))
     assert kept == (1, 2)  # first combination scanned: ranks 1 < 3 already increase
     assert [str(v) for v in result.order] == ["r@1", "1@1", "2@1"]
 
@@ -431,12 +431,13 @@ def oracle_pass_lex(g, order, target):
     and the first (level, position) it finds none for, or None."""
     kept = [tuple(range(1, d + 1)) for d in g.tree.spec.degrees]
     witnesses = {}
-    for level in range(1, g.tree.height + 1):
+    rank = {v: r for r, v in enumerate(order)}
+    for level in range(1, len(kept) + 1):
         for p in range(1, g.path_len + 1):
             axes = kept[:level]
             dims = tuple(len(a) for a in axes)
             values = {
-                cell: order.rank(PVertex(NodeIndex(tuple(a[c] for a, c in zip(axes, cell))), p))
+                cell: rank[PVertex(NodeIndex(tuple(a[c] for a, c in zip(axes, cell))), p)]
                 for cell in itertools.product(*[range(d) for d in dims])
             }
             found = naive_lex_search(dims, values, tuple(min(target, d) for d in dims))
@@ -486,7 +487,7 @@ def direction_table(graph, order):
 
 def related_report(graph, order, coloring, table):
     """passes._related_families's report on the order's sequences."""
-    colors = coloring.colors_of(graph.edges, full=False)
+    colors = [coloring.get(u, v) for u, v, _ in graph.edges]  # None, which no colour matches, for a miss
     return passes._related_families(graph, colors, table, sequence_families(graph, order))[0]
 
 
@@ -611,7 +612,7 @@ def test_restrict_follows_the_node_map():
     assert [str(v) for v in kept.order] == ["r@1", "1@1", "r@2", "1@2"]
     old_edge = (pv("2@1"), pv("r@1"))
     new_edge = (pv("1@1"), pv("r@1"))
-    assert kept.coloring.color(*new_edge) == state.coloring.color(*old_edge)
+    assert kept.coloring.get(*new_edge) == state.coloring.get(*old_edge)
 
     # Two restrictions in a row compose their node maps.
     g = boxslash_product((3, 2), 2)
@@ -638,7 +639,7 @@ def test_restrict_follows_the_node_map():
         v for v in start.order if v.node in twice.node_map
     ]
     for u, v in twice.graph.edge_pairs():
-        assert twice.coloring.color(u, v) == start.coloring.color(original(u), original(v))
+        assert twice.coloring.get(u, v) == start.coloring.get(original(u), original(v))
     assert twice.coloring.k == start.coloring.k
 
 
@@ -726,14 +727,14 @@ def scrambled_layout(g, rng):
     special = [rng.randint(1, d) for d in degrees]
 
     def key(v):
-        return (v.pos, v.node.depth, tuple(perms[k][c - 1] for k, c in enumerate(v.node.path)))
+        return (v.pos, len(v.node.path), tuple(perms[k][c - 1] for k, c in enumerate(v.node.path)))
 
     _, queues = three_queue_layout(g)
     colors = {}
     for u, v, kind in g.edges:
         path = u.node.path
         own = kind is EdgeKind.HORIZONTAL and path and path[-1] == special[len(path) - 1]
-        colors[(u, v)] = 3 if own else queues.color(u, v)
+        colors[(u, v)] = 3 if own else queues.get(u, v)
     return LinearOrder(sorted(g.vertices, key=key)), EdgeColoring(colors, k=4)
 
 
@@ -746,7 +747,7 @@ def oracle_layouts(g, rng):
     for u, v, _ in g.edges:
         roll = rng.random()
         if roll > 0.1:
-            damaged[(u, v)] = rng.randrange(3) if roll > 0.9 else coloring.color(u, v)
+            damaged[(u, v)] = rng.randrange(3) if roll > 0.9 else coloring.get(u, v)
     return [
         (order, coloring),
         (LinearOrder(reversed(order.vertices)), coloring),
@@ -830,7 +831,7 @@ def test_color_table_matches_the_oracle(degrees, m):
     queues = three_queue_layout(g)[1]
     # A few edges recoloured, so that clashes sit on several signatures.
     recoloured = [(g, canonical_order(g), EdgeColoring(
-        {(u, v): rng.randrange(3) if rng.random() < rate else queues.color(u, v) for u, v, _ in g.edges},
+        {(u, v): rng.randrange(3) if rng.random() < rate else queues.get(u, v) for u, v, _ in g.edges},
         k=3)) for rate in (0.03, 0.1, 0.3)]
     outcomes = set()
     for graph, order, coloring in table_layouts(g, rng) + recoloured:
@@ -892,7 +893,7 @@ def test_check_identity_permutation_matches_the_pairwise_oracle(degrees, m):
     rng = random.Random(f"identity {degrees} {m}")
     g = boxslash_product(degrees, m)
     queues = three_queue_layout(g)[1]
-    transposed = LinearOrder(sorted(g.vertices, key=lambda v: (v.pos, v.node.depth, v.node.path[::-1])))
+    transposed = LinearOrder(sorted(g.vertices, key=lambda v: (v.pos, len(v.node.path), v.node.path[::-1])))
     outcomes = set()
     for order, coloring in oracle_layouts(g, rng)[:3] + [(transposed, queues)]:
         result = run_passes(g, order, coloring, lex_targets=2)
@@ -922,7 +923,7 @@ def test_run_passes_final_state_matches_the_oracles(degrees, m):
         ]
         for u, v in result.graph.edge_pairs():
             original = (PVertex(inverse[u.node], u.pos), PVertex(inverse[v.node], v.pos))
-            assert result.coloring.color(u, v) == coloring.color(*original)
+            assert result.coloring.get(u, v) == coloring.get(*original)
         final = result.graph.tree.spec.degrees
         rank, colour = layout_data(result.graph, result.order, result.coloring)
         entries = {(d, p, k.value): c for (d, p, k), c in result.color_table.entries.items()}
@@ -964,7 +965,7 @@ def test_malformed_layouts_name_vertices_and_edges_as_the_cli_writes_them():
     with pytest.raises(ValueError, match=r"^vertex 1\.2@2 not in order$"):
         run_passes(g, short, coloring)
     # Every check reads the whole order, the root included.
-    rootless = LinearOrder(v for v in order if v.node.depth)
+    rootless = LinearOrder(v for v in order if v.node.path)
     with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):
         check_child_symmetry(g, rootless)
     with pytest.raises(ValueError, match=r"^vertex r@1 not in order$"):

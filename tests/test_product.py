@@ -126,7 +126,7 @@ def test_edge_endpoints_are_the_graph_vertices():
 
 def test_node_index_algebra():
     a = NodeIndex((1, 2))
-    assert a.depth == 2
+    assert len(a.path) == 2
     assert a.child(3) == NodeIndex((1, 2, 3))
     with pytest.raises(ValueError):
         NodeIndex((0,))
@@ -134,7 +134,7 @@ def test_node_index_algebra():
 
 def test_tree_structure():
     tree = build_tree((2, 3))
-    assert tree.height == 2
+    assert len(tree.spec.degrees) == 2
     assert len(tree) == 1 + 2 + 6
     assert level_starts((2, 3)) == [0, 1, 3, 9]
     assert tree.nodes[:1] == (ROOT,)

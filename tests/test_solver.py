@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,13 @@ def test_upper_limit_below_one_is_rejected(limit):
     for solve in (stack_number, queue_number):
         with pytest.raises(ValueError, match="upper_limit must be at least 1"):
             solve(complete_graph(7), upper_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [2.5, True, "2"])
+def test_non_integer_upper_limit_is_rejected(limit):
+    for solve in (stack_number, queue_number):
+        with pytest.raises(ValueError, match=rf"^upper_limit must be an integer, got {re.escape(repr(limit))}$"):
+            solve(complete_graph(4), upper_limit=limit)
 
 
 def test_prefix_search_scores_fewer_nodes_than_orders():
