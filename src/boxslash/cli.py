@@ -252,7 +252,9 @@ def cmd_hex_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="boxslash",
         description="Tree-path products, their layouts, and the analyses on top.",
@@ -311,14 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call; parse_args keeps no state in it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InconsistencyError as exc:

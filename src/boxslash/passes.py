@@ -15,11 +15,12 @@ The pipeline runs on the integer ids of the `product` docstring.  A
 PassState holds a rank per vertex id, a colour per edge id and the
 current id of each input node; restrict() maps a pass's choice of
 children to the old ids of the new nodes and re-indexes both lists.
-Graph, order and colouring objects are built from the lists when first
-read, by run_passes once, and its checks read the ranks back from the
-order, one lookup per vertex.  Objects are read into lists once, and
-coverage is checked there, once: a vertex the order lacks, or an edge
-without a colour where a colour is needed, raises before any work.
+Lists are the pipeline's only form between its input and its result:
+PassState.initial reads the caller's order and colouring into lists
+once, checking coverage there (a vertex the order lacks, or an edge
+without a colour, raises before any work), and run_passes builds its
+result's objects from the final lists once.  The checks read lists too,
+and build a tree only to name what fails.
 Costs, on n nodes, m positions, height h, E edges: restrict O(nm + E),
 O(1) when every child is kept; pass_colour O(E), as each node's profile
 is numbered once from its own colours and its kept children's numbers;
@@ -53,12 +54,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InconsistencyError, PassStarvation
 from .layout import EdgeColoring, LinearOrder
-from .product import (EdgeKind, NodeIndex, ProductGraph, Tree, _name, boxslash_product, edge_runs,
+from .product import (EdgeKind, ProductGraph, _name, boxslash_product, build_tree, edge_runs,
                       level_starts, restrict_ids)
 from .sequences import Direction, direction_bits, single_direction
 
@@ -85,8 +86,8 @@ class ColorTable:
         self.entries = dict(entries)
 
     @classmethod
-    def from_layout(cls, graph: ProductGraph, coloring: EdgeColoring) -> "ColorTable":
-        """Build the table, insisting every edge agrees with it.
+    def from_colors(cls, degrees, path_len: int, colors: list) -> "ColorTable":
+        """Build the table from a colour per edge id; every edge must agree.
 
         An edge's signature is (the deeper end's depth, the smaller
         position, its kind), and the edges of one signature are one slice
@@ -94,9 +95,7 @@ class ColorTable:
         position.  A clash names the first edge, by id, whose colour
         differs from its signature's first.
         """
-        colors = coloring.colors_of(graph.edges)
-        degrees, m = graph.tree.spec.degrees, graph.path_len
-        starts = level_starts(degrees)
+        m, starts = path_len, level_starts(degrees)
         entries: dict[tuple[int, int, EdgeKind], int] = {}
         clashes = []
         for kind, (first, width) in zip(EdgeKind, edge_runs(starts[-1], m)):
@@ -296,9 +295,8 @@ class PassState:
     """Where the thinning pipeline stands: the product's ``degrees`` and
     ``path_len``, a rank per vertex id (any increasing numbers), one of
     ``k`` colours per edge id, and the current id of every node of the
-    input tree ``source`` (-1 once pruned).  ``graph``, ``order``,
-    ``coloring`` and ``node_map`` (input node to current address) are
-    built from them when first read; an initial state returns its inputs.
+    input tree (-1 once pruned).  Lists are never changed in place, as
+    the colour list may be the input colouring's own.
     """
 
     degrees: tuple[int, ...]
@@ -307,47 +305,24 @@ class PassState:
     colors: list
     k: int
     node_ids: list
-    source: Tree
-
-    @functools.cached_property
-    def graph(self) -> ProductGraph:
-        return boxslash_product(self.degrees, self.path_len)
-
-    @functools.cached_property
-    def order(self) -> LinearOrder:
-        return LinearOrder.from_ranks(self.graph.vertices, self.ranks)
-
-    @functools.cached_property
-    def coloring(self) -> EdgeColoring:
-        return EdgeColoring.from_lists(self.graph.edges, self.colors, self.k)
-
-    @functools.cached_property
-    def node_map(self) -> dict[NodeIndex, NodeIndex]:
-        nodes = self.graph.tree.nodes
-        return {old: nodes[x] for old, x in zip(self.source.nodes, self.node_ids) if x >= 0}
 
     @classmethod
     def initial(cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring) -> PassState:
-        colors = coloring.colors_of(graph.edges)
-        state = cls(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
-                    colors, coloring.k, list(range(len(graph.tree))), graph.tree)
-        vars(state).update(graph=graph, order=order, coloring=coloring)
-        return state
+        return cls(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
+                   coloring.colors_of(graph.edges), coloring.k, list(range(len(graph.tree))))
 
 
 def restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
     """Keep the given children (see restrict_ids) and carry the layout over.
 
     The rank and colour lists are re-indexed through the old ids of the
-    new nodes, and the node ids are composed with the renumbering.
+    new nodes, and the node ids are composed with the renumbering.  When
+    every child is kept, the state itself is returned.
     """
     degrees, old = restrict_ids(state.degrees, keep)
     m, n_old = state.path_len, len(state.ranks) // state.path_len
     if len(old) == n_old:
-        kept = replace(state)  # every child is kept: a built graph still fits
-        if "graph" in vars(state):
-            vars(kept)["graph"] = state.graph
-        return kept
+        return state
     vertex_ids = [x + t for t in range(0, m * n_old, n_old) for x in old]
     ranks = list(map(state.ranks.__getitem__, vertex_ids))
     edge_ids = [first + x * width + i
@@ -356,7 +331,7 @@ def restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
     colors = list(map(state.colors.__getitem__, edge_ids))
     new_id = dict(zip(old, range(len(old))))
     node_ids = [new_id.get(x, -1) for x in state.node_ids]
-    return PassState(degrees, m, ranks, colors, state.k, node_ids, state.source)
+    return PassState(degrees, m, ranks, colors, state.k, node_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +374,9 @@ def _cone_pattern(cone: list[int], ranks: list, n: int) -> tuple[int, ...]:
     return tuple(by_rank[r] for r in values)
 
 
-def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport:
-    """Exhaustively verify that comparisons transfer between same-depth nodes.
+def check_child_symmetry(degrees, path_len: int, ranks: list) -> CheckReport:
+    """Exhaustively verify that comparisons transfer between same-depth nodes,
+    on a rank per vertex id of the product of ``degrees`` and ``path_len``.
 
     A spot (x, i) is a descendant suffix x (child choices, possibly
     empty) at path position i.  For every two same-depth nodes a, b and
@@ -414,11 +390,11 @@ def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport
     ``checked`` counts the pairwise conditions this decides: per depth,
     C(nodes, 2) * C(spots, 2).  Each node b whose pattern differs from
     the first node a's is reported once, as (a, b, x, i, y, j) for the
-    spots (x, i) before (y, j) of a pair the two order differently.
+    spots (x, i) before (y, j) of a pair the two order differently; the
+    tree that names them is built on the first one.
     """
-    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
-    ranks, starts = order.ranks_of(graph.vertices), level_starts(degrees)
-    violations, checked = [], 0
+    m, starts = path_len, level_starts(degrees)
+    violations, checked, nodes = [], 0, None
     for depth in range(1, len(degrees) + 1):
         first, end = starts[depth], starts[depth + 1]
         cone = _cone(first, depth, {}, degrees, starts)
@@ -428,6 +404,7 @@ def check_child_symmetry(graph: ProductGraph, order: LinearOrder) -> CheckReport
             got = _cone_pattern(_cone(node, depth, {}, degrees, starts), ranks, starts[-1])
             if got == want:
                 continue
+            nodes = nodes or build_tree(degrees).nodes
             spots = range(len(want))
             k = next(s for s in spots if want[s] != got[s])
             other = next(s for s in spots if (want[s] < want[k]) != (got[s] < got[k]))
@@ -499,7 +476,7 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
 # ---------------------------------------------------------------------------
 # Direction extraction and its consistency checks.
 
-def _sequence_families(degrees, ranks, m: int):
+def _sequence_families(degrees, m: int, ranks: list):
     """Every child-choice sequence, listed once for all the checks.  Per
     level i it yields a dict from each length j to the rank lists
     seqs[p - 1][q] and their direction bits bits[p - 1][q], 0 for one
@@ -575,7 +552,7 @@ def check_direction_consistency(table: DirectionTable) -> CheckReport:
     return CheckReport(violations, checked)
 
 
-def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
+def _related_families(degrees, m: int, colors: list, table: ColorTable,
                       families) -> tuple[CheckReport, dict]:
     """After the passes, child-choice sequences must pair up as related.
 
@@ -593,17 +570,17 @@ def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
 
-    The sequences are the `_sequence_families` of the order, so each
-    one read is a slice of the rank list, and its pairing edges are a
-    slice of ``colors``, the colour list.
+    The sequences are the `_sequence_families` of the rank list, so each
+    one read is a slice of it, and its pairing edges are a slice of
+    ``colors``, the colour list; the tree that names a violation's prefix
+    is built on the first one.
     The extension by child v of sequence q at depth j is sequence
     q * degrees[j] + v - 1 at depth j + 1, so each sequence's directions
     are computed once per position, and each table colour is looked up
     once.  Returns the report and the direction bits it read, by
     (level, length).
     """
-    degrees, m, nodes = graph.tree.spec.degrees, graph.path_len, graph.tree.nodes
-    height, starts = len(degrees), level_starts(degrees)
+    height, starts, nodes = len(degrees), level_starts(degrees), None
     vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
     # The table colour of each (row, kind) per position, in the order the checks first read them.
     wants = {}
@@ -643,6 +620,7 @@ def _related_families(graph: ProductGraph, colors: list, table: ColorTable,
                             if not (bits_a[p - 1][qa] and bits[p - 1 + up][q]
                                     and colors[e : e + d * step : step].count(want[p - 1]) == d
                                     and len(set(map(operator.lt, seq_a[p - 1][qa], seqs[p - 1 + up][q]))) == 1):
+                                nodes = nodes or build_tree(degrees).nodes
                                 violations.append((kind.value, str(nodes[prefix]), *label, p))
     return CheckReport(violations, checked), observed
 
@@ -675,17 +653,17 @@ def run_passes(
 
     All three target sets are checked before any work.  The passes
     thread a single PassState and do not check their own work.  Every
-    property is verified once, on the final state, which is what is
-    returned: the colour table is built (raising on any clash), child
-    symmetry is checked exhaustively, and the related-sequence check
-    (`_related_families`) ties both to the table.  The direction table
-    is read from the direction bits the related check read
-    (`_direction_table`, which raises InconsistencyError on a sequence
-    that is not monotone or an entry whose sequences disagree) when
-    every surviving level keeps at least two children, else left None.
-    The related check reads the final state's rank and colour lists as
-    they are, since it compares ranks only by ``<``; the returned order
-    is built from the rank list.
+    property is verified once, on the final state's lists: the colour
+    table is built (raising on any clash), child symmetry is checked
+    exhaustively, and the related-sequence check (`_related_families`)
+    ties both to the table.  The direction table is read from the
+    direction bits the related check read (`_direction_table`, which
+    raises InconsistencyError on a sequence that is not monotone or an
+    entry whose sequences disagree) when every surviving level keeps at
+    least two children, else left None.  The checks compare ranks only
+    within a cone or a sequence, so the state's sparse ranks serve as
+    they are.  The result's graph is the input graph when nothing was
+    pruned; its order, colouring and node map are built from the lists.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():
@@ -695,15 +673,15 @@ def run_passes(
     state = pass_order(state, order_targets)
     state, witnesses = pass_lex(state, lex_targets)
 
-    final_graph, final_order, final_coloring = state.graph, state.order, state.coloring
-    color_table = ColorTable.from_layout(final_graph, final_coloring)
-    order_report = check_child_symmetry(final_graph, final_order)
-    degrees, m = state.degrees, state.path_len
-    families = _sequence_families(degrees, state.ranks, m)
-    related_report, observed = _related_families(final_graph, state.colors, color_table, families)
-    if all(d >= 2 for d in degrees):
-        direction_table = _direction_table(degrees, m, observed)
-    else:
-        direction_table = None
-    return PipelineResult(final_graph, state.node_map, final_order, final_coloring, color_table,
+    degrees, m, ranks, colors = state.degrees, state.path_len, state.ranks, state.colors
+    color_table = ColorTable.from_colors(degrees, m, colors)
+    order_report = check_child_symmetry(degrees, m, ranks)
+    families = _sequence_families(degrees, m, ranks)
+    related_report, observed = _related_families(degrees, m, colors, color_table, families)
+    direction_table = _direction_table(degrees, m, observed) if all(d >= 2 for d in degrees) else None
+    final = graph if degrees == graph.tree.spec.degrees else boxslash_product(degrees, m)
+    nodes = final.tree.nodes
+    node_map = {old: nodes[x] for old, x in zip(graph.tree.nodes, state.node_ids) if x >= 0}
+    return PipelineResult(final, node_map, LinearOrder.from_ranks(final.vertices, ranks),
+                          EdgeColoring.from_lists(final.edges, colors, state.k), color_table,
                           direction_table, order_report, witnesses, related_report)

@@ -46,7 +46,7 @@ class NodeIndex(namedtuple("NodeIndex", "path")):
 
     def __new__(cls, path: Iterable[int] = ()):
         path = tuple(path)
-        if not all(isinstance(v, int) and v >= 1 for v in path):
+        if not all(type(v) is int and v >= 1 for v in path):  # a bool would print as True
             raise ValueError(f"child choices must be positive integers: {path!r}")
         return super().__new__(cls, path)
 
@@ -208,8 +208,6 @@ class ProductGraph:
             raise ValueError("descriptor needs tree_degrees and path_len")
         if not isinstance(degrees, (list, tuple)):
             raise ValueError(f"tree_degrees must be a list of integers, got {degrees!r}")
-        if not isinstance(path_len, int) or isinstance(path_len, bool):
-            raise ValueError(f"path_len must be an integer, got {path_len!r}")
         return boxslash_product(degrees, path_len)
 
     def to_dot(self) -> str:
@@ -226,6 +224,8 @@ class ProductGraph:
 
 def boxslash_product(degrees, path_len: int) -> ProductGraph:
     """Product of the balanced tree of a degree sequence and a path."""
+    if not isinstance(path_len, int) or isinstance(path_len, bool):
+        raise ValueError(f"path_len must be an integer, got {path_len!r}")
     return ProductGraph(build_tree(degrees), path_len)
 
 

@@ -1,6 +1,7 @@
 """Tree-times-path generator: counts, ids, ordering, restriction."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +149,24 @@ def test_tree_structure():
         TreeSpec(())
     with pytest.raises(ValueError):
         TreeSpec((2, 0))
+
+
+@pytest.mark.parametrize("path", [(True, 2), (2, True), (True,)])
+def test_node_index_rejects_boolean_choices(path):
+    # Otherwise (True, 2) would print as True.2, which parse rejects.
+    with pytest.raises(ValueError, match=r"^child choices must be positive integers: "):
+        NodeIndex(path)
+
+
+@pytest.mark.parametrize("path_len", [True, 2.5, "3"])
+def test_product_rejects_a_path_length_that_is_no_integer(path_len):
+    # A product on path_len True would write a descriptor that
+    # from_descriptor rejects; the other two once raised TypeError.
+    message = rf"^path_len must be an integer, got {re.escape(repr(path_len))}$"
+    with pytest.raises(ValueError, match=message):
+        boxslash_product((2,), path_len)
+    with pytest.raises(ValueError, match=message):
+        ProductGraph.from_descriptor({"tree_degrees": [2], "path_len": path_len})
 
 
 @pytest.mark.parametrize("degrees", [(True, 2), (True,)])
