@@ -164,6 +164,8 @@ class ProductGraph:
     """Product of a balanced tree and a path, with kind-labelled edges."""
 
     def __init__(self, tree: Tree, path_len: int):
+        if not isinstance(path_len, int) or isinstance(path_len, bool):
+            raise ValueError(f"path_len must be an integer, got {path_len!r}")
         if path_len < 1:
             raise ValueError("path length must be at least 1")
         if len(tree) * path_len > VERTEX_LIMIT:
@@ -224,8 +226,6 @@ class ProductGraph:
 
 def boxslash_product(degrees, path_len: int) -> ProductGraph:
     """Product of the balanced tree of a degree sequence and a path."""
-    if not isinstance(path_len, int) or isinstance(path_len, bool):
-        raise ValueError(f"path_len must be an integer, got {path_len!r}")
     return ProductGraph(build_tree(degrees), path_len)
 
 

@@ -29,12 +29,16 @@ in every completion.
 A prefix is pruned only when its bound reaches the incumbent, so no
 order under it could have replaced the incumbent: the incumbents, and
 with them the witness order and colouring, are those of a scan of every
-order in sequence.  The search stops once the incumbent meets the
-density bound ceil(E / (2n - 3)), E counting distinct edges, since a
-page or a queue holds at most 2n - 3 of them (Heath & Rosenberg 1992).
-What stays exponential: the number of prefixes where the bounds are
-weak (stack layouts of more than three pages are never pruned), and
-the colouring search at each complete order.
+order in sequence.  The search stops once the incumbent meets a floor,
+E counting distinct edges: ceil(E / (2n - 3)), since a page or a queue
+holds at most 2n - 3 of them (Heath & Rosenberg 1992); for stacks also
+ceil((E - n) / (n - 3)), since k pages hold at most n + k(n - 3) edges,
+and 3 when a K5 or K3,3 minor shows the graph non-planar, since
+two-page graphs are planar (both Bernhart & Kainen 1979).  What stays
+exponential: the number of prefixes where the bounds are weak (stack
+layouts of more than three pages are never pruned, so a graph whose
+stack number exceeds both 3 and its floor is searched in full), and the
+colouring search at each complete order.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import SizeLimitError
 from .layout import (
@@ -110,7 +115,7 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
     n = len(vertices)
     flat = start.ranks_of([w for e in edges for w in e])
     pairs = list(zip(flat[0::2], flat[1::2]))
-    floor = -(-len({frozenset(e) for e in pairs}) // (2 * n - 3))
+    floor = _floor(n, pairs, kind == "stack")
     winner = assignment = None
     expired = False
     explored = 0
@@ -308,6 +313,46 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, d
     except _Stop:
         pass
     return best, winner, assignment, expired, counter[0]
+
+
+def _floor(n: int, pairs: list, stack: bool) -> int:
+    """A lower bound on the pages (``stack``) or queues of the graph on
+    vertices 0..n-1 with edges ``pairs``; see the module docstring."""
+    distinct = len({frozenset(e) for e in pairs})
+    floor = -(-distinct // (2 * n - 3))
+    if not stack:
+        return floor
+    if distinct > n:  # so n > 3: k pages hold at most n + k(n - 3) edges
+        floor = max(floor, -(-(distinct - n) // (n - 3)))
+    return 3 if floor < 3 and _nonplanar(n, pairs) else floor
+
+
+def _nonplanar(n: int, pairs: list) -> bool:
+    """True when the graph has a K5 or K3,3 minor; False proves nothing.
+
+    Vertices of degree at most 1 are deleted and those of degree 2
+    smoothed (their two neighbours joined) until none is left, each step
+    taking a minor.  Then it looks for five mutually adjacent vertices,
+    or three with three common neighbours, over bitmask adjacency."""
+    adj = [0] * n
+    for a, b in pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    todo = list(range(n))
+    while todo:
+        v = todo.pop()
+        ends = adj[v]
+        if ends and ends.bit_count() <= 2:
+            adj[v] = 0
+            near = [u for u in range(n) if ends >> u & 1]
+            for u in near:
+                adj[u] = (adj[u] ^ 1 << v) | (ends ^ 1 << u)
+            todo += near
+    rich = [v for v in range(n) if adj[v].bit_count() >= 3]
+    if any((adj[a] & adj[b] & adj[c]).bit_count() >= 3 for a, b, c in combinations(rich, 3)):
+        return True
+    four = [v for v in rich if adj[v].bit_count() >= 4]
+    return any(all(adj[a] >> b & 1 for a, b in combinations(q, 2)) for q in combinations(four, 5))
 
 
 def _pages_lower_bound(masks: list[int], crossings: int, straddled: list, below: int) -> int:

@@ -169,6 +169,15 @@ def test_product_rejects_a_path_length_that_is_no_integer(path_len):
         ProductGraph.from_descriptor({"tree_degrees": [2], "path_len": path_len})
 
 
+@pytest.mark.parametrize("path_len", [True, 2.5, "3"])
+def test_product_graph_checks_its_own_path_length(path_len):
+    # The constructor is exported: True once gave a descriptor that
+    # from_descriptor rejects, and 2.5 and "3" a bare TypeError.
+    message = rf"^path_len must be an integer, got {re.escape(repr(path_len))}$"
+    with pytest.raises(ValueError, match=message):
+        ProductGraph(build_tree((2,)), path_len)
+
+
 @pytest.mark.parametrize("degrees", [(True, 2), (True,)])
 def test_tree_spec_rejects_boolean_degrees(degrees):
     with pytest.raises(ValueError, match="degrees must be positive integers"):

@@ -15,6 +15,7 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
+from boxslash.solver import _nonplanar
 from helpers_naive import (
     _vertices_of,
     complete_graph,
@@ -103,8 +104,15 @@ def test_size_limit():
         queue_number(complete_graph(11))
 
 
+#: Eight vertices and 15 edges that need three pages, though neither the
+#: edge counts nor a K5 or K3,3 found after smoothing shows it: the
+#: search goes on past the deadline check.
+THREE_PAGES_UNPROVEN = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 6), (1, 7), (2, 3),
+                        (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6), (5, 7)]
+
+
 def test_expired_budget_degrades_to_a_bound():
-    result = stack_number(complete_graph(8), budget_ms=0.0)
+    result = stack_number(THREE_PAGES_UNPROVEN, budget_ms=0.0)
     assert not result.exact
     assert result.value >= 3  # any bound must sit at or above the optimum
     assert validate_stack_layout(result.edges, result.order, result.coloring).valid
@@ -114,7 +122,8 @@ def test_expired_budget_keeps_the_incumbent():
     # With no budget the deadline check after 63 units ends the search,
     # and each unit covers at least one order of the scan: the result is
     # no worse than the best of its first 63 orders.  It is exact only
-    # when it meets the density bound, ceil(E / (2n - 3)) = 2 here.
+    # when it meets the search's floor, which is at least the density
+    # bound, ceil(E / (2n - 3)) = 2 here.
     rng = random.Random(5)
     pool = list(itertools.combinations(range(7), 2))
     for _ in range(6):
@@ -129,9 +138,73 @@ def test_expired_budget_keeps_the_incumbent():
             scanned = itertools.islice(naive_orders(vertices, pin_first), 63)
             best = min(per_order(edges, {v: i for i, v in enumerate(p)}) for p in scanned)
             assert result.value <= best
-            assert result.exact == (result.value == 2)
+            if result.exact:
+                naive_number = naive_stack_number if pin_first else naive_queue_number
+                assert result.value == naive_number(edges)
+            if result.value == 2:
+                assert result.exact
             assert result.coloring.k == result.value
             assert check(edges, result.order, result.coloring).valid
+
+
+def test_complete_graph_is_exact_before_the_deadline():
+    # K8 has more than n + 3(n - 3) = 23 edges, so its floor is four
+    # pages, and the first order meets it before the first deadline check.
+    result = stack_number(complete_graph(8), budget_ms=0.0)
+    assert (result.value, result.exact) == (4, True)
+    assert validate_stack_layout(result.edges, result.order, result.coloring).valid
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_complete_graphs_stop_at_the_edge_count_floor(n):
+    # K_n needs ceil(n / 2) pages (Bernhart & Kainen 1979), which is its
+    # floor, so the search ends at the first optimal order.
+    result = stack_number(complete_graph(n))
+    assert (result.value, result.exact) == (-(-n // 2), True)
+    assert validate_stack_layout(result.edges, result.order, result.coloring).valid
+    assert result.nodes_explored < 100
+
+
+def test_nonplanarity_certificate_fires_on_kuratowski_minors():
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    assert _nonplanar(5, complete_graph(5))
+    assert _nonplanar(6, k33)
+    # One edge subdivided by vertex 6, and one pendant vertex 5.
+    assert _nonplanar(7, [e for e in k33 if e != (0, 3)] + [(0, 6), (6, 3)])
+    assert _nonplanar(6, complete_graph(5) + [(4, 5)])
+    assert not _nonplanar(4, complete_graph(4))
+    assert not _nonplanar(6, [e for e in k33 if e != (0, 3)])
+
+
+def test_nonplanarity_certificate_never_fires_on_a_planar_graph():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2411)
+    fired = 0
+    for _ in range(2000):
+        n = rng.randrange(5, 11)
+        pool = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pool, rng.randrange(n, min(3 * n, len(pool)) + 1))
+        planar, _ = nx.check_planarity(nx.Graph(edges))
+        if _nonplanar(n, edges):
+            assert not planar, edges
+            fired += 1
+    assert fired > 100  # the draw reaches non-planar graphs the certificate finds
+
+
+def test_non_planar_graphs_agree_with_the_reference():
+    # The certificate lifts these floors to three pages; a false floor
+    # would stop the search at a non-optimal order.
+    rng = random.Random(2412)
+    seen = 0
+    while seen < 8:
+        n = rng.randrange(6, 8)
+        edges = rng.sample(list(itertools.combinations(range(n), 2)), rng.randrange(9, 16))
+        if not _nonplanar(n, edges):
+            continue
+        seen += 1
+        result = stack_number(edges)
+        assert (result.value, result.exact) == (naive_stack_number(edges), True), edges
+        assert validate_stack_layout(edges, result.order, result.coloring).valid
 
 
 def test_upper_limit_cap_degrades_to_a_bound():
