@@ -33,12 +33,14 @@ order in sequence.  The search stops once the incumbent meets a floor,
 E counting distinct edges: ceil(E / (2n - 3)), since a page or a queue
 holds at most 2n - 3 of them (Heath & Rosenberg 1992); for stacks also
 ceil((E - n) / (n - 3)), since k pages hold at most n + k(n - 3) edges,
-and 3 when a K5 or K3,3 minor shows the graph non-planar, since
-two-page graphs are planar (both Bernhart & Kainen 1979).  What stays
-exponential: the number of prefixes where the bounds are weak (stack
-layouts of more than three pages are never pruned, so a graph whose
-stack number exceeds both 3 and its floor is searched in full), and the
-colouring search at each complete order.
+and 3 when the graph is not planar, since two-page graphs are planar
+(both Bernhart & Kainen 1979).  Planarity is tested exactly, and only
+when the stack incumbent first reaches 3 above the edge-count floors:
+the one moment its answer can end the search.  What stays exponential:
+the number of prefixes where the bounds are weak (stack layouts of more
+than three pages are never pruned, so a graph whose stack number
+exceeds its floor is searched in full when that number exceeds 3 or the
+graph is planar), and the colouring search at each complete order.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import SizeLimitError
 from .layout import (
@@ -116,12 +117,19 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
     flat = start.ranks_of([w for e in edges for w in e])
     pairs = list(zip(flat[0::2], flat[1::2]))
     floor = _floor(n, pairs, kind == "stack")
+
+    def settled(k):
+        # Whether no order has fewer than k pages or queues.  Planarity
+        # settles only k == 3, and is asked at most once: the incumbent
+        # falls, and a search capped at 3 finds only smaller counts.
+        return k <= floor or kind == "stack" and k == 3 and _nonplanar(n, pairs)
+
     winner = assignment = None
     expired = False
     explored = 0
-    if floor < best:
+    if not settled(best):
         best, winner, assignment, expired, explored = _branch_and_bound(
-            n, pairs, kind == "stack", best, floor, deadline
+            n, pairs, kind == "stack", best, settled, deadline
         )
     if winner is None or expired:
         # Not a proven minimum: the input order's count bounds it too,
@@ -131,7 +139,10 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
             return fallback
     order = LinearOrder(vertices[i] for i in winner)
     if kind == "stack":
-        colors = EdgeColoring(dict(zip(edges, assignment)), k=best)
+        # The colouring EdgeColoring's checked constructor would build from
+        # this dict, without checking what the search produced.
+        colors = dict(zip(edges, assignment))
+        colors = EdgeColoring.from_lists(list(colors), list(colors.values()), best)
     else:
         colors = queues_for_order(edges, order).colors
     return SolveResult(best, order, colors, not expired, explored, tuple(edges))
@@ -141,9 +152,10 @@ class _Stop(Exception):
     """Unwinds the search once the budget expires or the incumbent is optimal."""
 
 
-def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, deadline):
+def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, settled, deadline):
     """Depth-first search over order prefixes for fewer than ``best``
-    pages (``stack``) or queues; see the module docstring.
+    pages (``stack``) or queues; see the module docstring.  It stops at
+    the first incumbent ``k`` for which ``settled(k)`` holds.
 
     Returns (best, winner, assignment, expired, explored): the final
     incumbent, its order as a tuple of vertex indices (None when no
@@ -205,7 +217,7 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, d
         nonlocal best, winner
         if depth[0] < best:
             best, winner = depth[0], tuple(seq)
-            if best <= floor:
+            if settled(best):
                 raise _Stop
 
     def stack_extend(v, d, state):
@@ -250,7 +262,7 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, d
             found = try_color(masks, k, counter)
             if found is not None:
                 best, winner, assignment = k, tuple(seq), found
-                if best <= floor:
+                if settled(best):
                     raise _Stop
                 return
 
@@ -317,42 +329,271 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, floor: int, d
 
 def _floor(n: int, pairs: list, stack: bool) -> int:
     """A lower bound on the pages (``stack``) or queues of the graph on
-    vertices 0..n-1 with edges ``pairs``; see the module docstring."""
+    vertices 0..n-1 with edges ``pairs``, from its edge count; see the
+    module docstring."""
     distinct = len({frozenset(e) for e in pairs})
     floor = -(-distinct // (2 * n - 3))
-    if not stack:
-        return floor
-    if distinct > n:  # so n > 3: k pages hold at most n + k(n - 3) edges
+    if stack and distinct > n:  # so n > 3: k pages hold at most n + k(n - 3) edges
         floor = max(floor, -(-(distinct - n) // (n - 3)))
-    return 3 if floor < 3 and _nonplanar(n, pairs) else floor
+    return floor
 
 
 def _nonplanar(n: int, pairs: list) -> bool:
-    """True when the graph has a K5 or K3,3 minor; False proves nothing.
+    """Whether the graph on vertices 0..n-1 with edges ``pairs`` is not
+    planar; exact, so False proves the graph planar.
 
     Vertices of degree at most 1 are deleted and those of degree 2
-    smoothed (their two neighbours joined) until none is left, each step
-    taking a minor.  Then it looks for five mutually adjacent vertices,
-    or three with three common neighbours, over bitmask adjacency."""
+    smoothed (their two neighbours joined) until none is left, which
+    keeps planarity either way.  Fewer than 9 edges left is planar, since
+    K3,3 has 9 and K5 10; otherwise each biconnected block of what is
+    left is tested on its own, a graph being planar exactly when its
+    blocks are."""
     adj = [0] * n
     for a, b in pairs:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    todo = list(range(n))
+    todo = (1 << n) - 1
     while todo:
-        v = todo.pop()
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
         ends = adj[v]
-        if ends and ends.bit_count() <= 2:
+        rest = ends & (ends - 1)  # ends without its lowest neighbour
+        if ends and not rest & (rest - 1):  # degree 1 or 2
             adj[v] = 0
-            near = [u for u in range(n) if ends >> u & 1]
-            for u in near:
-                adj[u] = (adj[u] ^ 1 << v) | (ends ^ 1 << u)
-            todo += near
-    rich = [v for v in range(n) if adj[v].bit_count() >= 3]
-    if any((adj[a] & adj[b] & adj[c]).bit_count() >= 3 for a, b, c in combinations(rich, 3)):
+            todo |= ends
+            low = ends ^ rest
+            u = low.bit_length() - 1
+            if rest:
+                w = rest.bit_length() - 1
+                adj[u] = adj[u] ^ bit | rest
+                adj[w] = adj[w] ^ bit | low
+            else:
+                adj[u] ^= bit
+    if sum(map(int.bit_count, adj)) < 18:
+        return False
+    return not all(_planar_block(adj, block) for block in _blocks(adj))
+
+
+def _blocks(adj: list) -> list[int]:
+    """The vertex sets, as bitmasks, of the biconnected blocks of the
+    graph with adjacency masks ``adj``: depth-first search with low
+    points, on a loop."""
+    n = len(adj)
+    order = [-1] * n
+    low = [0] * n
+    blocks = []
+    t = 0
+    left_over = sum(1 << v for v in range(n) if adj[v])
+    while left_over:
+        root = (left_over & -left_over).bit_length() - 1
+        order[root] = low[root] = t
+        t += 1
+        seen = 1 << root
+        stack = [root]
+        path = [root]
+        left = [adj[root]]  # the neighbours each path vertex has still to try
+        while True:
+            v = path[-1]
+            rest = left[-1]
+            if rest:
+                bit = rest & -rest
+                left[-1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if seen & bit:
+                    if order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    seen |= bit
+                    order[w] = low[w] = t
+                    t += 1
+                    stack.append(w)
+                    path.append(w)
+                    left.append(adj[w] ^ 1 << v)
+                continue
+            path.pop()
+            left.pop()
+            if not path:
+                break
+            u = path[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= order[u]:
+                block = 1 << u
+                while True:
+                    x = stack.pop()
+                    block |= 1 << x
+                    if x == v:
+                        break
+                blocks.append(block)
+        left_over &= ~seen
+    return blocks
+
+
+def _planar_block(adj: list, block: int) -> bool:
+    """Whether the biconnected block with vertex set ``block`` (a bitmask)
+    of the graph with adjacency masks ``adj`` is planar.
+
+    Blocks are settled by their counts when they can be: fewer than 9
+    edges is planar, more than 3n - 6 is not, and so is anything on five
+    vertices or fewer but K5.  The rest goes to the path-addition test
+    of Demoucron, Malgrange & Pertuiset (1964).  It embeds a cycle, then
+    grows the embedding one path at a time.  A fragment is an edge
+    between embedded vertices, or a component of the vertices not yet
+    embedded with the edges that attach it; it fits in a face whose
+    boundary holds all its attachments.  Each step takes a fragment that
+    fits in one face only (any fragment when there is none), and draws a
+    path of it between two of its attachments across that face, which
+    splits the face in two.  The block is planar exactly when no fragment
+    is ever left without a face.  Faces are vertex lists in boundary
+    order, each with its bitmask; only the chosen fragment is split into
+    new fragments, and only the fragments that fit the split face are
+    checked again."""
+    g = [a & block if block >> v & 1 else 0 for v, a in enumerate(adj)]
+    twice = sum(map(int.bit_count, g))
+    size = block.bit_count()
+    if twice < 18:
         return True
-    four = [v for v in rich if adj[v].bit_count() >= 4]
-    return any(all(adj[a] >> b & 1 for a, b in combinations(q, 2)) for q in combinations(four, 5))
+    if twice > 6 * size - 12 or size < 6:
+        return twice <= 6 * size - 12
+    # The cycle: walk on to an unvisited neighbour while there is one,
+    # then close the walk at its earliest neighbour.
+    v = (block & -block).bit_length() - 1
+    walk = [v]
+    placed = 1 << v
+    while step := g[v] & ~placed:
+        placed |= step & -step
+        v = (step & -step).bit_length() - 1
+        walk.append(v)
+    for i, w in enumerate(walk):
+        if g[v] >> w & 1:
+            break
+    cycle = walk[i:]
+    placed = 0
+    for w in cycle:
+        placed |= 1 << w
+    faces = [cycle, cycle[::-1]]
+    masks = [placed, placed]
+    # Each fragment is [its faces as a bitmask over face indices,
+    # its attachments, its vertices not yet embedded].
+    frags = []
+    _new_fragments(g, cycle[-1:] + cycle + cycle[:1], block & ~placed, placed, masks, frags)
+    parent = [0] * len(g)
+    while frags:
+        pick = 0
+        for i, frag in enumerate(frags):
+            fit = frag[0]
+            if not fit & (fit - 1):
+                if not fit:
+                    return False
+                pick = i
+                break
+        fit, att, body = frags.pop(pick)
+        f = (fit & -fit).bit_length() - 1
+        low = att & -att
+        a = low.bit_length() - 1
+        route = []  # the path's inner vertices, from b's end to a's
+        if body:
+            # Breadth-first from a through the body to another attachment.
+            ends = att ^ low
+            frontier = reached = g[a] & body
+            x = frontier
+            while x:
+                bit = x & -x
+                x ^= bit
+                parent[bit.bit_length() - 1] = a
+            b = -1
+            while b < 0:
+                x, frontier = frontier, 0
+                while x:
+                    bit = x & -x
+                    x ^= bit
+                    y = bit.bit_length() - 1
+                    hit = g[y] & ends
+                    if hit:
+                        b = (hit & -hit).bit_length() - 1
+                        break
+                    new = g[y] & body & ~reached
+                    reached |= new
+                    frontier |= new
+                    while new:
+                        bit = new & -new
+                        new ^= bit
+                        parent[bit.bit_length() - 1] = y
+            while y != a:
+                route.append(y)
+                y = parent[y]
+        else:
+            b = (att ^ low).bit_length() - 1
+        face = faces[f]
+        i = face.index(a)
+        j = face.index(b)
+        if i < j:
+            one, two = face[i:j + 1], face[j:] + face[:i + 1]
+        else:
+            one, two = face[i:] + face[:j + 1], face[j:i + 1]
+        fresh = 0
+        for y in route:
+            fresh |= 1 << y
+        m1 = fresh
+        for y in one:
+            m1 |= 1 << y
+        m2 = masks[f] & ~m1 | low | 1 << b | fresh
+        faces[f], masks[f] = one + route, m1
+        faces.append(two + route[::-1])
+        masks.append(m2)
+        fbit, gbit = 1 << f, 1 << len(faces) - 1
+        for frag in frags:
+            fit, att = frag[0], frag[1]
+            if fit & fbit:
+                fit ^= fbit
+                if att & m1 == att:
+                    fit |= fbit
+                if att & m2 == att:
+                    fit |= gbit
+                frag[0] = fit
+        if body:
+            placed |= fresh
+            _new_fragments(g, [b] + route + [a], body & ~fresh, placed, masks, frags)
+    return True
+
+
+def _new_fragments(g, path, rest, placed, masks, frags) -> None:
+    """Append to ``frags`` what embedding the vertices of ``path[1:-1]``
+    leaves of their fragment: the edges from them to embedded vertices
+    off the path, one fragment each, and the components of ``rest``,
+    each with the embedded vertices it is attached to."""
+    new = []
+    fresh = 0
+    for y in path[1:-1]:
+        fresh |= 1 << y
+    for i in range(1, len(path) - 1):
+        y = path[i]
+        chords = g[y] & placed & ~(1 << path[i - 1] | 1 << path[i + 1] | fresh & ((1 << y) - 1))
+        while chords:
+            bit = chords & -chords
+            chords ^= bit
+            new.append((1 << y | bit, 0))
+    while rest:
+        comp = frontier = rest & -rest
+        near = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= g[bit.bit_length() - 1]
+            near |= reach
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        new.append((near & placed, comp))
+    for att, body in new:
+        fit = 0
+        for f, mask in enumerate(masks):
+            if att & mask == att:
+                fit |= 1 << f
+        frags.append([fit, att, body])
 
 
 def _pages_lower_bound(masks: list[int], crossings: int, straddled: list, below: int) -> int:
