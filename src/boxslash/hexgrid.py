@@ -162,6 +162,8 @@ class HexColoring:
         for key in ("n", "m"):
             if type(doc.get(key)) is not int:
                 raise ShapeError(f"grid size {key!r} must be an integer, got {doc.get(key)!r}")
+        if "chi" not in doc:
+            raise ShapeError("coloring document has no 'chi' matrix")
         out = cls.from_matrix(doc["chi"])
         if out.grid.rows != doc["n"] or out.grid.cols != doc["m"]:
             raise ShapeError("declared grid size disagrees with the color matrix")

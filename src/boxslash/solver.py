@@ -34,7 +34,8 @@ E counting distinct edges: ceil(E / (2n - 3)), since a page or a queue
 holds at most 2n - 3 of them (Heath & Rosenberg 1992); for stacks also
 ceil((E - n) / (n - 3)), since k pages hold at most n + k(n - 3) edges,
 and 3 when the graph is not planar, since two-page graphs are planar
-(both Bernhart & Kainen 1979).  Planarity is tested exactly, and only
+(both Bernhart & Kainen 1979).  Planarity is decided exactly, as one
+GF(2) system by the Hanani–Tutte theorem (see ``_nonplanar``), and only
 when the stack incumbent first reaches 3 above the edge-count floors:
 the one moment its answer can end the search.  What stays exponential:
 the number of prefixes where the bounds are weak (stack layouts of more
@@ -53,6 +54,7 @@ from .errors import SizeLimitError
 from .layout import (
     EdgeColoring,
     LinearOrder,
+    _sweep,
     graph_vertices_edges,
     layout_to_json,
     queues_for_order,
@@ -344,10 +346,25 @@ def _nonplanar(n: int, pairs: list) -> bool:
 
     Vertices of degree at most 1 are deleted and those of degree 2
     smoothed (their two neighbours joined) until none is left, which
-    keeps planarity either way.  Fewer than 9 edges left is planar, since
-    K3,3 has 9 and K5 10; otherwise each biconnected block of what is
-    left is tested on its own, a graph being planar exactly when its
-    blocks are."""
+    keeps planarity either way.  What is left with fewer than 9 edges or
+    6 vertices is planar unless it is K5, since K3,3 has 9 edges on 6
+    vertices; with more than 3n - 6 edges on n vertices it is not.
+
+    The rest is the Hanani–Tutte theorem (Hanani 1934; Tutte, "Toward a
+    theory of crossing numbers", JCT 1970; Schaefer, "Hanani–Tutte and
+    related results", 2013): a graph is planar exactly when some drawing
+    of it has every two independent edges (sharing no end) cross an even
+    number of times.  Drawn with its vertices on a circle in index order,
+    two independent edges cross once exactly when their ends interleave.
+    Moving edge e across a vertex v off e flips the crossing parity of e
+    with every edge at v independent of e.  Such moves reach every
+    drawing's parities: move the vertices to their places, each passing
+    over edges, then deform each edge into its new curve, as the plane is
+    simply connected; other crossings of independent edges come and go in
+    twos.  So the graph is planar exactly when the circle's parities are
+    a sum of moves over GF(2): when the system with one unknown per move
+    and one equation per independent pair has a solution.  Elimination
+    decides it, failing when a row reduces to 0 = 1."""
     adj = [0] * n
     for a, b in pairs:
         adj[a] |= 1 << b
@@ -370,230 +387,32 @@ def _nonplanar(n: int, pairs: list) -> bool:
                 adj[w] = adj[w] ^ bit | low
             else:
                 adj[u] ^= bit
-    if sum(map(int.bit_count, adj)) < 18:
-        return False
-    return not all(_planar_block(adj, block) for block in _blocks(adj))
-
-
-def _blocks(adj: list) -> list[int]:
-    """The vertex sets, as bitmasks, of the biconnected blocks of the
-    graph with adjacency masks ``adj``: depth-first search with low
-    points, on a loop."""
-    n = len(adj)
-    order = [-1] * n
-    low = [0] * n
-    blocks = []
-    t = 0
-    left_over = sum(1 << v for v in range(n) if adj[v])
-    while left_over:
-        root = (left_over & -left_over).bit_length() - 1
-        order[root] = low[root] = t
-        t += 1
-        seen = 1 << root
-        stack = [root]
-        path = [root]
-        left = [adj[root]]  # the neighbours each path vertex has still to try
-        while True:
-            v = path[-1]
-            rest = left[-1]
-            if rest:
-                bit = rest & -rest
-                left[-1] = rest ^ bit
-                w = bit.bit_length() - 1
-                if seen & bit:
-                    if order[w] < low[v]:
-                        low[v] = order[w]
-                else:
-                    seen |= bit
-                    order[w] = low[w] = t
-                    t += 1
-                    stack.append(w)
-                    path.append(w)
-                    left.append(adj[w] ^ 1 << v)
-                continue
-            path.pop()
-            left.pop()
-            if not path:
-                break
-            u = path[-1]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= order[u]:
-                block = 1 << u
-                while True:
-                    x = stack.pop()
-                    block |= 1 << x
-                    if x == v:
-                        break
-                blocks.append(block)
-        left_over &= ~seen
-    return blocks
-
-
-def _planar_block(adj: list, block: int) -> bool:
-    """Whether the biconnected block with vertex set ``block`` (a bitmask)
-    of the graph with adjacency masks ``adj`` is planar.
-
-    Blocks are settled by their counts when they can be: fewer than 9
-    edges is planar, more than 3n - 6 is not, and so is anything on five
-    vertices or fewer but K5.  The rest goes to the path-addition test
-    of Demoucron, Malgrange & Pertuiset (1964).  It embeds a cycle, then
-    grows the embedding one path at a time.  A fragment is an edge
-    between embedded vertices, or a component of the vertices not yet
-    embedded with the edges that attach it; it fits in a face whose
-    boundary holds all its attachments.  Each step takes a fragment that
-    fits in one face only (any fragment when there is none), and draws a
-    path of it between two of its attachments across that face, which
-    splits the face in two.  The block is planar exactly when no fragment
-    is ever left without a face.  Faces are vertex lists in boundary
-    order, each with its bitmask; only the chosen fragment is split into
-    new fragments, and only the fragments that fit the split face are
-    checked again."""
-    g = [a & block if block >> v & 1 else 0 for v, a in enumerate(adj)]
-    twice = sum(map(int.bit_count, g))
-    size = block.bit_count()
-    if twice < 18:
+    size, k = sum(map(int.bit_count, adj)) // 2, n - adj.count(0)
+    if size < 9 or k < 6:
+        return size == 10  # K5
+    if size > 3 * k - 6:
         return True
-    if twice > 6 * size - 12 or size < 6:
-        return twice <= 6 * size - 12
-    # The cycle: walk on to an unvisited neighbour while there is one,
-    # then close the walk at its earliest neighbour.
-    v = (block & -block).bit_length() - 1
-    walk = [v]
-    placed = 1 << v
-    while step := g[v] & ~placed:
-        placed |= step & -step
-        v = (step & -step).bit_length() - 1
-        walk.append(v)
-    for i, w in enumerate(walk):
-        if g[v] >> w & 1:
-            break
-    cycle = walk[i:]
-    placed = 0
-    for w in cycle:
-        placed |= 1 << w
-    faces = [cycle, cycle[::-1]]
-    masks = [placed, placed]
-    # Each fragment is [its faces as a bitmask over face indices,
-    # its attachments, its vertices not yet embedded].
-    frags = []
-    _new_fragments(g, cycle[-1:] + cycle + cycle[:1], block & ~placed, placed, masks, frags)
-    parent = [0] * len(g)
-    while frags:
-        pick = 0
-        for i, frag in enumerate(frags):
-            fit = frag[0]
-            if not fit & (fit - 1):
-                if not fit:
-                    return False
-                pick = i
-                break
-        fit, att, body = frags.pop(pick)
-        f = (fit & -fit).bit_length() - 1
-        low = att & -att
-        a = low.bit_length() - 1
-        route = []  # the path's inner vertices, from b's end to a's
-        if body:
-            # Breadth-first from a through the body to another attachment.
-            ends = att ^ low
-            frontier = reached = g[a] & body
-            x = frontier
-            while x:
-                bit = x & -x
-                x ^= bit
-                parent[bit.bit_length() - 1] = a
-            b = -1
-            while b < 0:
-                x, frontier = frontier, 0
-                while x:
-                    bit = x & -x
-                    x ^= bit
-                    y = bit.bit_length() - 1
-                    hit = g[y] & ends
-                    if hit:
-                        b = (hit & -hit).bit_length() - 1
-                        break
-                    new = g[y] & body & ~reached
-                    reached |= new
-                    frontier |= new
-                    while new:
-                        bit = new & -new
-                        new ^= bit
-                        parent[bit.bit_length() - 1] = y
-            while y != a:
-                route.append(y)
-                y = parent[y]
-        else:
-            b = (att ^ low).bit_length() - 1
-        face = faces[f]
-        i = face.index(a)
-        j = face.index(b)
-        if i < j:
-            one, two = face[i:j + 1], face[j:] + face[:i + 1]
-        else:
-            one, two = face[i:] + face[:j + 1], face[j:i + 1]
-        fresh = 0
-        for y in route:
-            fresh |= 1 << y
-        m1 = fresh
-        for y in one:
-            m1 |= 1 << y
-        m2 = masks[f] & ~m1 | low | 1 << b | fresh
-        faces[f], masks[f] = one + route, m1
-        faces.append(two + route[::-1])
-        masks.append(m2)
-        fbit, gbit = 1 << f, 1 << len(faces) - 1
-        for frag in frags:
-            fit, att = frag[0], frag[1]
-            if fit & fbit:
-                fit ^= fbit
-                if att & m1 == att:
-                    fit |= fbit
-                if att & m2 == att:
-                    fit |= gbit
-                frag[0] = fit
-        if body:
-            placed |= fresh
-            _new_fragments(g, [b] + route + [a], body & ~fresh, placed, masks, frags)
-    return True
-
-
-def _new_fragments(g, path, rest, placed, masks, frags) -> None:
-    """Append to ``frags`` what embedding the vertices of ``path[1:-1]``
-    leaves of their fragment: the edges from them to embedded vertices
-    off the path, one fragment each, and the components of ``rest``,
-    each with the embedded vertices it is attached to."""
-    new = []
-    fresh = 0
-    for y in path[1:-1]:
-        fresh |= 1 << y
-    for i in range(1, len(path) - 1):
-        y = path[i]
-        chords = g[y] & placed & ~(1 << path[i - 1] | 1 << path[i + 1] | fresh & ((1 << y) - 1))
-        while chords:
-            bit = chords & -chords
-            chords ^= bit
-            new.append((1 << y | bit, 0))
-    while rest:
-        comp = frontier = rest & -rest
-        near = 0
-        while frontier:
-            reach = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                reach |= g[bit.bit_length() - 1]
-            near |= reach
-            frontier = reach & rest & ~comp
-            comp |= frontier
-        rest &= ~comp
-        new.append((near & placed, comp))
-    for att, body in new:
-        fit = 0
-        for f, mask in enumerate(masks):
-            if att & mask == att:
-                fit |= 1 << f
-        frags.append([fit, att, body])
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
+    # Pair {i, j} of edges, i < j, is bit i * size + j.  On the circle,
+    # vertex v has rank v, and the pairs crossing once interleave.
+    drawn = sum(1 << (i * size + j if i < j else j * size + i)
+                for i, hits in _sweep(*zip(*edges), True) for j in hits)
+    # The row of independent pair {f, i}: the moves that flip it, edge e
+    # across v as bit e * n + v + 1, and its parity as bit 0.  Rows are
+    # reduced by those kept before, and kept under their leading bit.
+    rows = {}
+    for i, (a, b) in enumerate(edges):
+        for f, (u, w) in enumerate(edges[:i]):
+            if a != u and a != w and b != u and b != w:
+                x = (drawn >> (f * size + i) & 1 | 2 << i * n + u | 2 << i * n + w
+                     | 2 << f * n + a | 2 << f * n + b)
+                while row := rows.get(x.bit_length() - 1):
+                    x ^= row
+                if x == 1:
+                    return True
+                if x:
+                    rows[x.bit_length() - 1] = x
+    return False
 
 
 def _pages_lower_bound(masks: list[int], crossings: int, straddled: list, below: int) -> int:

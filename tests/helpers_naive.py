@@ -198,6 +198,26 @@ def naive_queue_number(edges):
     return _best_over_orders(edges, min_queues_for_position)
 
 
+def naive_two_pages(edges):
+    """Whether some vertex order lays ``edges`` out on two pages: the
+    first order whose crossing graph is 2-colourable ends the scan.
+
+    Crossings depend only on the cyclic order, so the first vertex stays
+    in front.  On at most 10 vertices this is planarity.  Two-page graphs
+    are planar, and a Hamiltonian planar graph has two pages (Bernhart &
+    Kainen 1979), as have its subgraphs.  A planar graph on at least 3
+    vertices is a subgraph of a triangulation on the same vertices, and
+    every triangulation on at most 10 vertices is Hamiltonian: the
+    Goldner-Harary graph, on 11, is the smallest that is not."""
+    vertices = _vertices_of(edges)
+    for perm in itertools.permutations(vertices[1:]):
+        position = {v: i for i, v in enumerate(vertices[:1] + list(perm))}
+        adj = conflict_adjacency(edges, position, edges_cross)
+        if _colorable(adj, sorted(range(len(adj)), key=lambda v: -len(adj[v])), 2):
+            return True
+    return False
+
+
 def complete_graph(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

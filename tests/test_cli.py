@@ -439,6 +439,7 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
         (HEX, {"n": 2.5, "m": 2, "chi": [[0, 1], [1, 0]]},
          "grid size 'n' must be an integer, got 2.5"),
         (HEX, {"n": 1, "m": True, "chi": [[0]]}, "grid size 'm' must be an integer, got True"),
+        (HEX, {"n": 1, "m": 1}, "coloring document has no 'chi' matrix"),
         (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": None}},
          "colour of edge 'a--b' must be an integer, got None"),
         (VALIDATE, {"graph": ONE_NODE, "order": [1], "colors": {}},
@@ -461,7 +462,7 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
          "layout 'k' must be an integer, got True"),
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
-         "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "colour-null",
+         "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "hex-no-chi", "colour-null",
          "vertex-int", "graph-list", "edges-null", "edge-int", "degrees-int",
          "path-len-list", "degrees-bool", "colour-negative", "k-float", "k-bool"],
 )

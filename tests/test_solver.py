@@ -26,6 +26,7 @@ from helpers_naive import (
     naive_orders,
     naive_queue_number,
     naive_stack_number,
+    naive_two_pages,
     star_graph,
 )
 
@@ -192,6 +193,27 @@ def test_nonplanarity_certificate_fires_on_kuratowski_minors():
                           (4, 5), (0, 4), (4, 6), (1, 6), (2, 6)])
     # K3,3 with edge 0--3 subdivided by vertex 6, which is also joined to 1.
     assert _nonplanar(7, [e for e in k33 if e != (0, 3)] + [(0, 6), (6, 3), (6, 1)])
+    # The Petersen graph is 3-regular, so nothing is smoothed away.
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert _nonplanar(10, petersen)
+    # The 8-cycle with two apexes: planar, with exactly 3n - 6 = 24 edges.
+    bipyramid = [(i, (i + 1) % 8) for i in range(8)] + [(a, i) for a in (8, 9) for i in range(8)]
+    assert not _nonplanar(10, bipyramid)
+
+
+def test_nonplanarity_agrees_with_a_two_page_search():
+    # Without networkx: on at most 10 vertices, planar means two pages.
+    rng = random.Random(2601)
+    fired = 0
+    for n, count in ((6, 40), (7, 20)):
+        for _ in range(count):
+            pool = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pool, rng.randrange(9, 3 * n - 5))
+            nonplanar = _nonplanar(n, edges)
+            assert nonplanar == (not naive_two_pages(edges)), edges
+            fired += nonplanar
+    assert 10 < fired < 50  # both answers are well represented
 
 
 def test_nonplanarity_certificate_is_exact():
@@ -204,7 +226,7 @@ def test_nonplanarity_certificate_is_exact():
             pool = list(itertools.combinations(range(n), 2))
             edges = rng.sample(pool, rng.randrange(n, min(3 * n, len(pool)) + 1))
         else:
-            # Two graphs that share vertex k, so that blocks meet at a cut vertex.
+            # Two graphs that share vertex k, which joins them at a cut vertex.
             k = rng.randrange(2, n - 2)
             edges = []
             for part in (range(k + 1), range(k, n)):
