@@ -12,7 +12,10 @@ class SizeLimitError(BoxslashError, ValueError):
 
 
 class ShapeError(BoxslashError, ValueError):
-    """A subtree restriction would break the uniform level degrees."""
+    """An input has the wrong shape: a subtree restriction with an empty
+    child selection or one that would break the uniform level degrees,
+    or a hex colouring (table, matrix or document) that is ragged,
+    mis-sized, lacks its matrix or holds a colour other than 0 or 1."""
 
 
 class InconsistencyError(BoxslashError, RuntimeError):

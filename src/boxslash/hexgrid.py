@@ -149,14 +149,6 @@ class HexColoring:
                 table.append(value in (1, Direction.DEC))
         return cls(HexGrid(rows, cols), table)
 
-    def to_json(self) -> dict:
-        rows, cols = self.grid.rows, self.grid.cols
-        return {
-            "n": rows,
-            "m": cols,
-            "chi": [list(self.table[k : k + cols]) for k in range(0, rows * cols, cols)],
-        }
-
     @classmethod
     def from_json(cls, doc: Mapping) -> "HexColoring":
         for key in ("n", "m"):

@@ -18,6 +18,10 @@ queue count (the largest rainbow, Heath & Rosenberg 1992), come from
 patience sorting.  ``stack_pages_for_order`` costs O(E log E +
 crossings) plus an exact search on each crossing-conflict component of
 at most ``EXACT_PAGE_LIMIT`` edges.
+
+The solver's stack search colours its conflict graphs (adjacency
+bitmasks) here too: by ``fewest_colours``, which runs ``try_color`` for
+k upward from ``colours_lower_bound``.
 """
 
 from __future__ import annotations
@@ -338,60 +342,97 @@ def try_color(masks: list[int], k: int, counter: list[int] | None = None):
     """Backtracking k-colouring of a conflict graph given as adjacency masks.
 
     Vertices are picked by saturation (count of distinct neighbour
-    colours), ties by degree.  Colour symmetry is broken by allowing at
-    most one fresh colour per step.  Returns an assignment list or None.
+    colours, a bitmask per vertex), ties by degree, then by index.
+    Colour symmetry is broken by allowing at most one fresh colour per
+    step.  ``counter[0]`` gains one per search node.  Returns an
+    assignment list or None.
     """
     n = len(masks)
     if n == 0:
         return []
     if k <= 0:
         return None
-    colors = [-1] * n
-    neighbor_used: list[set[int]] = [set() for _ in range(n)]
+    colors = [0] * n
+    seen = [0] * n  # bit c of seen[v]: an uncoloured v has a neighbour of colour c
     degrees = [m.bit_count() for m in masks]
+    width = max(degrees) + 1
 
-    def rec(assigned: int, max_used: int) -> bool:
+    def rec(left: int, top: int) -> bool:
+        # left: the uncoloured vertices; top: the largest colour used.
         if counter is not None:
             counter[0] += 1
-        if assigned == n:
+        if not left:
             return True
-        best, best_key = -1, None
-        for v in range(n):
-            if colors[v] == -1:
-                key = (len(neighbor_used[v]), degrees[v])
-                if best_key is None or key > best_key:
-                    best, best_key = v, key
-        v = best
-        limit = min(max_used + 2, k)
-        for c in range(limit):
-            if c in neighbor_used[v]:
-                continue
-            colors[v] = c
-            touched = []
-            mask = masks[v]
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if c not in neighbor_used[w]:
-                    neighbor_used[w].add(c)
-                    touched.append(w)
-            if rec(assigned + 1, max(max_used, c)):
+        key, todo = -1, left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            w = low.bit_length() - 1
+            at = seen[w].bit_count() * width + degrees[w]
+            if at > key:
+                v, key = w, at
+        left ^= 1 << v
+        saved = seen[:]
+        free = ~seen[v] & ((1 << min(top + 2, k)) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            todo = masks[v] & left
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                seen[low.bit_length() - 1] |= bit
+            colors[v] = c = bit.bit_length() - 1
+            if rec(left, max(top, c)):
                 return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_used[w].remove(c)
+            seen[:] = saved
         return False
 
-    if rec(0, -1):
-        return list(colors)
-    return None
+    return colors if rec((1 << n) - 1, -1) else None
 
 
-def fewest_colours(masks: list[int], below: int):
-    """try_color's assignment for the first k = 1, 2, ... below ``below``
-    that succeeds, which uses exactly k colours; None when none does."""
-    for k in range(1, below):
-        assignment = try_color(masks, k)
+def colours_lower_bound(masks: list[int], below: int, straddled: Sequence[int] = ()) -> int:
+    """A lower bound on the colours of a conflict graph: ``masks`` plus
+    one vertex adjacent to each set in ``straddled``, none of them empty.
+    0 without vertices, 1 without edges; otherwise 2, raised to 3 when
+    ``below`` exceeds 2 and it has an odd cycle (tested breadth-first
+    over bitmasks)."""
+    if not straddled and not any(masks):
+        return min(len(masks), 1)
+    if below <= 2:
+        return 2
+    adj = list(masks) + list(straddled)
+    for k, group in enumerate(straddled, len(masks)):
+        bit = 1 << k
+        while group:
+            low = group & -group
+            adj[low.bit_length() - 1] |= bit
+            group ^= low
+    todo = (1 << len(adj)) - 1
+    while todo:
+        side = todo & -todo
+        todo ^= side
+        other, frontier = 0, side
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if reach & side:
+                return 3
+            frontier = reach & todo
+            todo ^= frontier
+            side, other = other | frontier, side
+    return 2
+
+
+def fewest_colours(masks: list[int], below: int, counter: list[int] | None = None):
+    """try_color's assignment for the first k below ``below`` that
+    succeeds, trying k upward from ``colours_lower_bound``; it uses
+    exactly k colours.  None when none does."""
+    for k in range(colours_lower_bound(masks, below), below):
+        assignment = try_color(masks, k, counter)
         if assignment is not None:
             return assignment
     return None

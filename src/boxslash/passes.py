@@ -175,14 +175,6 @@ class DirectionTable:
             },
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "DirectionTable":
-        entries = {}
-        for key, value in doc["entries"].items():
-            i, j, p = (int(part) for part in key.split(","))
-            entries[(i, j, p)] = Direction(value)
-        return cls(int(doc["height"]), int(doc["path_len"]), entries)
-
 
 # ---------------------------------------------------------------------------
 # Lex-monotone subarrays.

@@ -164,15 +164,7 @@ class ProductGraph:
     """Product of a balanced tree and a path, with kind-labelled edges."""
 
     def __init__(self, tree: Tree, path_len: int):
-        if not isinstance(path_len, int) or isinstance(path_len, bool):
-            raise ValueError(f"path_len must be an integer, got {path_len!r}")
-        if path_len < 1:
-            raise ValueError("path length must be at least 1")
-        if len(tree) * path_len > VERTEX_LIMIT:
-            raise SizeLimitError(
-                f"product would have {len(tree) * path_len} vertices, "
-                f"limit is {VERTEX_LIMIT}"
-            )
+        _product_size(len(tree), path_len)
         self.tree = tree
         self.path_len = path_len
         m = path_len
@@ -202,15 +194,8 @@ class ProductGraph:
 
     @classmethod
     def from_descriptor(cls, doc: Mapping) -> "ProductGraph":
-        if not isinstance(doc, Mapping):
-            raise ValueError(f"graph descriptor must be an object, got {type(doc).__name__}")
-        degrees = doc.get("tree_degrees")
-        path_len = doc.get("path_len")
-        if degrees is None or path_len is None:
-            raise ValueError("descriptor needs tree_degrees and path_len")
-        if not isinstance(degrees, (list, tuple)):
-            raise ValueError(f"tree_degrees must be a list of integers, got {degrees!r}")
-        return boxslash_product(degrees, path_len)
+        descriptor_size(doc)
+        return boxslash_product(doc["tree_degrees"], doc["path_len"])
 
     def to_dot(self) -> str:
         lines = ["graph product {"]
@@ -222,6 +207,32 @@ class ProductGraph:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _product_size(nodes: int, path_len) -> int:
+    """Vertices of the product of a ``nodes``-node tree and a path, checked."""
+    if not isinstance(path_len, int) or isinstance(path_len, bool):
+        raise ValueError(f"path_len must be an integer, got {path_len!r}")
+    if path_len < 1:
+        raise ValueError("path length must be at least 1")
+    if nodes * path_len > VERTEX_LIMIT:
+        raise SizeLimitError(f"product would have {nodes * path_len} vertices, limit is {VERTEX_LIMIT}")
+    return nodes * path_len
+
+
+def descriptor_size(doc: Mapping) -> int:
+    """Vertices of the product a descriptor describes, counted without
+    building it.  A descriptor that ``from_descriptor`` refuses raises
+    here as it does there."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"graph descriptor must be an object, got {type(doc).__name__}")
+    degrees = doc.get("tree_degrees")
+    path_len = doc.get("path_len")
+    if degrees is None or path_len is None:
+        raise ValueError("descriptor needs tree_degrees and path_len")
+    if not isinstance(degrees, (list, tuple)):
+        raise ValueError(f"tree_degrees must be a list of integers, got {degrees!r}")
+    return _product_size(TreeSpec(degrees).vertex_count(), path_len)
 
 
 def boxslash_product(degrees, path_len: int) -> ProductGraph:

@@ -21,10 +21,11 @@ in every completion.
   into a rainbow around every closed edge right of lj.
 * Stack: the fixed crossings are the closed-closed pairs plus the
   closed edges straddling an open edge's left end.  The search asks
-  only what is cheap to ask of this conflict graph: whether it has an
-  edge (one page) and an odd cycle (two pages), so it prunes while the
-  incumbent is 2 or 3.  At a complete order the same test skips the
-  colour counts it rules out before the colouring search.
+  only what is cheap to ask of this conflict graph, by
+  ``layout.colours_lower_bound``: whether it has an edge (one page) and
+  an odd cycle (two pages), so it prunes while the incumbent is 2 or 3.
+  A complete order's pages are ``layout.fewest_colours`` of its
+  crossing graph, which starts at the same bound.
 
 A prefix is pruned only when its bound reaches the incumbent, so no
 order under it could have replaced the incumbent: the incumbents, and
@@ -55,12 +56,14 @@ from .layout import (
     EdgeColoring,
     LinearOrder,
     _sweep,
+    colours_lower_bound,
+    fewest_colours,
     graph_vertices_edges,
     layout_to_json,
     queues_for_order,
     stack_pages_for_order,
-    try_color,
 )
+from .product import descriptor_size
 
 #: Exhaustive search refuses graphs with more vertices than this.
 EXHAUSTIVE_VERTEX_LIMIT = 10
@@ -88,11 +91,10 @@ class SolveResult:
         return doc
 
 
-def _check_size(vertices) -> None:
-    if len(vertices) > EXHAUSTIVE_VERTEX_LIMIT:
+def _check_size(count: int) -> None:
+    if count > EXHAUSTIVE_VERTEX_LIMIT:
         raise SizeLimitError(
-            f"exhaustive search is limited to {EXHAUSTIVE_VERTEX_LIMIT} vertices, "
-            f"got {len(vertices)}"
+            f"exhaustive search is limited to {EXHAUSTIVE_VERTEX_LIMIT} vertices, got {count}"
         )
 
 
@@ -103,8 +105,11 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
         raise ValueError(f"upper_limit must be at least 1, got {upper_limit}")
     if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
         raise ValueError(f"budget_ms must be a finite number at least 0, got {budget_ms}")
+    if isinstance(graph, dict) and ("graph" in graph or "tree_degrees" in graph):
+        # A product descriptor is refused by its count, before its product is built.
+        _check_size(descriptor_size(graph.get("graph", graph)))
     vertices, edges = graph_vertices_edges(graph)
-    _check_size(vertices)
+    _check_size(len(vertices))
     start = LinearOrder(vertices)
     if not edges:
         return SolveResult(0, start, EdgeColoring({}), True, 0, ())
@@ -133,12 +138,13 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
         best, winner, assignment, expired, explored = _branch_and_bound(
             n, pairs, kind == "stack", best, settled, deadline
         )
-    if winner is None or expired:
-        # Not a proven minimum: the input order's count bounds it too,
-        # and whichever bound is lower is returned.
-        fallback = _fallback(start, edges, kind, explored)
-        if winner is None or fallback.value < best:
-            return fallback
+    if winner is None:
+        # No order beats the cap: the input order's count is the bound
+        # returned.  A search cut by the deadline has a winner no worse
+        # than that count, since the input order is scored first and is
+        # pruned only when its count exceeds the cap.
+        result = (stack_pages_for_order if kind == "stack" else queues_for_order)(edges, start)
+        return SolveResult(result.count, start, result.colors, False, explored, tuple(edges))
     order = LinearOrder(vertices[i] for i in winner)
     if kind == "stack":
         # The colouring EdgeColoring's checked constructor would build from
@@ -226,7 +232,7 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, settled, dead
         # masks: closed-closed crossings, bit j of masks[i] set when
         # edges i and j cross; cover[r]: the closed edges (c, e) with
         # c < r < e.  A new closed edge (c, d) crosses exactly cover[c].
-        masks, cover, crossings = state
+        masks, cover = state
         new_masks, new_cover = masks, cover
         for i, u in incident[v]:
             c = rank[u]
@@ -238,7 +244,6 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, settled, dead
                 if new_masks is masks:
                     new_masks = masks[:]
                 new_masks[i] |= hit
-                crossings += hit.bit_count()
                 while hit:
                     low = hit & -hit
                     new_masks[low.bit_length() - 1] |= bit
@@ -248,25 +253,22 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, settled, dead
                     new_cover = cover[:]
                 for r in range(c + 1, d):
                     new_cover[r] |= bit
-        return new_masks, new_cover, crossings
+        return new_masks, new_cover
 
     def stack_bound(state, d, rest):
         if best > 3:
             return 0
-        masks, cover, crossings = state
+        masks, cover = state
         straddled = [cover[r] for r in range(d) if cover[r] and neighbours[seq[r]] & rest]
-        return _pages_lower_bound(masks, crossings, straddled, best)
+        return colours_lower_bound(masks, best, straddled)
 
     def stack_score(state):
         nonlocal best, winner, assignment
-        masks, _, crossings = state
-        for k in range(_pages_lower_bound(masks, crossings, [], best), best):
-            found = try_color(masks, k, counter)
-            if found is not None:
-                best, winner, assignment = k, tuple(seq), found
-                if settled(best):
-                    raise _Stop
-                return
+        found = fewest_colours(state[0], best, counter)
+        if found is not None:
+            best, winner, assignment = max(found) + 1, tuple(seq), found
+            if settled(best):
+                raise _Stop
 
     extend, bound, score = (
         (stack_extend, stack_bound, stack_score) if stack
@@ -321,7 +323,7 @@ def _branch_and_bound(n: int, pairs: list, stack: bool, best: int, settled, dead
             seq.pop()
             rank[w] = -1
 
-    root = ([0] * len(pairs), [0] * n, 0) if stack else [0] * (n + 1)
+    root = ([0] * len(pairs), [0] * n) if stack else [0] * (n + 1)
     try:
         expand(first, ((1 << n) - 1) >> first << first, root)
     except _Stop:
@@ -415,53 +417,6 @@ def _nonplanar(n: int, pairs: list) -> bool:
     return False
 
 
-def _pages_lower_bound(masks: list[int], crossings: int, straddled: list, below: int) -> int:
-    """A lower bound on the pages of a conflict graph: ``masks``, holding
-    ``crossings`` edges, plus one vertex adjacent to each nonempty set in
-    ``straddled``.  1 when it has no edge; otherwise 2, raised to 3 when
-    ``below`` exceeds 2 and it has an odd cycle (tested breadth-first
-    over bitmasks)."""
-    if not crossings and not straddled:
-        return 1
-    if below <= 2:
-        return 2
-    adj = list(masks) + list(straddled)
-    for k, group in enumerate(straddled, len(masks)):
-        bit = 1 << k
-        while group:
-            low = group & -group
-            adj[low.bit_length() - 1] |= bit
-            group ^= low
-    todo = 0
-    for i, mask in enumerate(adj):
-        if mask:
-            todo |= 1 << i
-    while todo:
-        side = todo & -todo
-        todo ^= side
-        other, frontier = 0, side
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            if reach & side:
-                return 3
-            frontier = reach & todo
-            todo ^= frontier
-            side, other = other | frontier, side
-    return 2
-
-
-def _fallback(order: LinearOrder, edges, kind: str, explored: int) -> SolveResult:
-    if kind == "stack":
-        result = stack_pages_for_order(edges, order)
-    else:
-        result = queues_for_order(edges, order)
-    return SolveResult(result.count, order, result.colors, False, explored, tuple(edges))
-
-
 def stack_number(graph, upper_limit: int | None = None, budget_ms: float | None = None) -> SolveResult:
     """Minimum stack pages over all vertex orders.
 
@@ -469,8 +424,8 @@ def stack_number(graph, upper_limit: int | None = None, budget_ms: float | None 
     ``upper_limit`` (at least 1) caps the page counts searched for.  When
     no order fits within the cap, the result is an upper bound from the
     input order with exact=False.  When the budget expires, it is the
-    lower of that bound and the best layout found before the deadline,
-    again with exact=False.
+    best layout found before the deadline, again with exact=False; the
+    input order is scored first, so it is never worse than that bound.
     """
     return _solve(graph, upper_limit, budget_ms, "stack")
 

@@ -127,6 +127,40 @@ def chromatic_number(adj):
             return k
 
 
+def naive_dsatur(adj, k):
+    """(assignment or None, nodes) of layout.try_color's search for a
+    k-colouring of an adjacency-set list, spelled out with sets: the next
+    vertex is the uncoloured one with the most distinct neighbour colours,
+    ties to the larger degree, then the lower index; its colours are
+    tried upward, at most one above the largest in use.  Each call of the
+    search is a node."""
+    n = len(adj)
+    if n == 0:
+        return [], 0
+    if k <= 0:
+        return None, 0
+    colours = [None] * n
+    nodes = 0
+
+    def place():
+        nonlocal nodes
+        nodes += 1
+        free = [v for v in range(n) if colours[v] is None]
+        if not free:
+            return True
+        v = max(free, key=lambda v: (len({colours[w] for w in adj[v]} - {None}), len(adj[v]), -v))
+        top = max((c for c in colours if c is not None), default=-1)
+        for c in range(min(top + 2, k)):
+            if all(colours[w] != c for w in adj[v]):
+                colours[v] = c
+                if place():
+                    return True
+                colours[v] = None
+        return False
+
+    return (colours if place() else None), nodes
+
+
 def conflict_adjacency(edges, position, conflict):
     adj = [set() for _ in edges]
     for i in range(len(edges)):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from boxslash import cli, layout_from_json, validate_queue_layout, validate_stack_layout
+from boxslash import ProductGraph, cli, layout_from_json, validate_queue_layout, validate_stack_layout
 
 from helpers_naive import (
     hex_colour,
@@ -283,6 +283,18 @@ def test_solve_rejects_an_id_its_edge_keys_cannot_give_back(tmp_path, capsys):
                             "it contains '--' or ends in '-'\n")
 
 
+def test_solve_refuses_a_large_descriptor_before_building_it(tmp_path, capsys, monkeypatch):
+    def build(self, tree, path_len):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(ProductGraph, "__init__", build)
+    path = _write(tmp_path, "graph.json", {"tree_degrees": [999], "path_len": 1000})
+    assert cli.main(["solve", "--stack", "--graph", path]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive search is limited to 10 vertices, got 1000000\n"
+
+
 def test_main_keeps_no_parsed_state_between_calls(k4_file, capsys):
     assert cli.main(["solve", "--queue", "--limit", "1", "--graph", k4_file]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -448,6 +460,12 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
          "graph descriptor must be an object, got list"),
         (SOLVE, {"edges": None}, "graph 'edges' must be a list of vertex pairs"),
         (SOLVE, {"edges": [1]}, "graph 'edges' must be a list of vertex pairs"),
+        # Counted before the exhaustive limit, these keep the product's own errors.
+        (SOLVE, {"tree_degrees": [999], "path_len": 1001},
+         "product would have 1001000 vertices, limit is 1000000"),
+        (SOLVE, {"tree_degrees": [1000, 1000], "path_len": 1},
+         "tree (1000, 1000) exceeds the 1000000 vertex limit"),
+        (SOLVE, {"graph": {"tree_degrees": [1], "path_len": "3"}}, "path_len must be an integer, got '3'"),
         (VALIDATE, {"graph": {"tree_degrees": 5, "path_len": 2}, "order": [], "colors": {}},
          "tree_degrees must be a list of integers, got 5"),
         (VALIDATE, {"graph": {"tree_degrees": [1], "path_len": [1]}, "order": [], "colors": {}},
@@ -463,7 +481,8 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
          "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "hex-no-chi", "colour-null",
-         "vertex-int", "graph-list", "edges-null", "edge-int", "degrees-int",
+         "vertex-int", "graph-list", "edges-null", "edge-int", "solve-product-limit",
+         "solve-tree-limit", "solve-path-len-str", "degrees-int",
          "path-len-list", "degrees-bool", "colour-negative", "k-float", "k-bool"],
 )
 def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):

@@ -309,8 +309,10 @@ def check_link_stage(table):
     doc = table.to_json()
     for layer in range(1, table.height + 1):
         coloring = direction_layer(table, layer)
-        assert (coloring.grid.rows, coloring.grid.cols) == (table.height + 1 - layer, table.path_len)
-        assert coloring.to_json()["chi"] == naive_direction_layer(doc, layer)
+        rows, cols = table.height + 1 - layer, table.path_len
+        assert (coloring.grid.rows, coloring.grid.cols) == (rows, cols)
+        chi = [list(coloring.table[k : k + cols]) for k in range(0, rows * cols, cols)]
+        assert chi == naive_direction_layer(doc, layer)
     report = check_direction_consistency(table)
     violations, checked = naive_boundary_preservation(doc)
     assert report.checked == checked

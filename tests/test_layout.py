@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,7 @@ from helpers_naive import (
     edges_nest,
     min_pages_for_position,
     min_queues_for_position,
+    naive_dsatur,
     naive_nesting_depths,
     naive_violations,
     relation,
@@ -407,6 +409,63 @@ def test_stack_pages_for_order_matches_reference_per_component(monkeypatch):
         assert (result.count, result.exact, result.colors.k) == (count, exact, count)
         assert validate_stack_layout(edges, order, result.colors).valid
     assert seen_exact > 20 and seen_greedy > 20
+
+
+def random_conflict_graph(rng, n):
+    """Adjacency sets on n shuffled vertices, cut into parts that share
+    no edge: each a random graph, a cycle (odd or even) or a clique."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    adj, start = [set() for _ in range(n)], 0
+    while start < n:
+        part = labels[start : start + rng.randint(1, n - start)]
+        shape = rng.choice(["random", "cycle", "clique"])
+        if shape == "cycle" and len(part) >= 3:
+            pairs = zip(part, part[1:] + part[:1])
+        elif shape == "clique":
+            pairs = itertools.combinations(part, 2)
+        else:
+            p = rng.random()
+            pairs = [e for e in itertools.combinations(part, 2) if rng.random() < p]
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
+        start += len(part)
+    return adj
+
+
+def test_colouring_matches_the_chromatic_number_and_the_set_search():
+    # try_color makes the set-based search's picks, colours and nodes.  The
+    # bound decides an edge and, when ``below`` exceeds 2, an odd cycle, so
+    # it is the chromatic number capped at 2 or 3; fewest_colours finds
+    # exactly the chromatic number when it is below ``below``.  A straddle
+    # group is one more vertex, adjacent to each vertex of the group.
+    rng = random.Random(27)
+    chis = Counter()
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        adj = random_conflict_graph(rng, n)
+        masks = [sum(1 << w for w in nbrs) for nbrs in adj]
+        chi = chromatic_number(adj)
+        chis[chi] += 1
+        for k in range(n + 2):
+            counter = [0]
+            assert (layout.try_color(masks, k, counter), counter[0]) == naive_dsatur(adj, k)
+        for below in range(n + 2):
+            assert layout.colours_lower_bound(masks, below) == min(chi, 3 if below > 2 else 2)
+            found = layout.fewest_colours(masks, below)
+            if chi >= below:
+                assert found is None
+                continue
+            assert all(found[v] != found[w] for v in range(n) for w in adj[v])
+            assert sorted(set(found)) == list(range(chi))
+        groups = [g for g in (rng.getrandbits(n) for _ in range(rng.randint(0, 3))) if g]
+        wider = [nbrs | {n + k for k, g in enumerate(groups) if g >> v & 1} for v, nbrs in enumerate(adj)]
+        wider += [{v for v in range(n) if g >> v & 1} for g in groups]
+        chi = chromatic_number(wider)
+        for below in range(1, 5):
+            assert layout.colours_lower_bound(masks, below, groups) == min(chi, 3 if below > 2 else 2)
+    assert chis[0] and chis[1] > 10 and chis[2] > 30 and chis[3] > 30 and chis[4] > 10
 
 
 def test_queues_for_order_matches_reference():

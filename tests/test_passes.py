@@ -230,11 +230,14 @@ def test_direction_table_domain():
 
 
 def test_direction_table_json_roundtrip():
+    # The document, read back as the naive oracles read it (entries
+    # "i,j,p" -> direction value), rebuilds the same table.
     table = full_table(2, 3)
     doc = table.to_json()
-    again = DirectionTable.from_json(doc)
+    entries = {tuple(map(int, key.split(","))): Direction(value) for key, value in doc["entries"].items()}
+    again = DirectionTable(doc["height"], doc["path_len"], entries)
     assert again.entries == table.entries
-    assert again.height == 2 and again.path_len == 3
+    assert (doc["height"], doc["path_len"]) == (again.height, again.path_len) == (2, 3)
 
 
 # ---------------------------------------------------------------------------

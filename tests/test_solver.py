@@ -8,10 +8,14 @@ import re
 import pytest
 
 from boxslash import (
+    LinearOrder,
+    ProductGraph,
     SizeLimitError,
     boxslash_product,
     queue_number,
+    queues_for_order,
     stack_number,
+    stack_pages_for_order,
     validate_queue_layout,
     validate_stack_layout,
 )
@@ -105,6 +109,23 @@ def test_size_limit():
         queue_number(complete_graph(11))
 
 
+BIG = {"tree_degrees": [999], "path_len": 1000}
+
+
+@pytest.mark.parametrize("doc", [BIG, {"graph": BIG}], ids=["descriptor", "under-graph"])
+def test_a_descriptor_is_refused_before_its_product_is_built(monkeypatch, doc):
+    # Building (999)x1000, a million vertices, took seconds and 500 MB.
+    assert stack_number({"graph": {"tree_degrees": [1], "path_len": 3}}).value == 1
+
+    def build(self, tree, path_len):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(ProductGraph, "__init__", build)
+    for solve in (stack_number, queue_number):
+        with pytest.raises(SizeLimitError, match=r"^exhaustive search is limited to 10 vertices, got 1000000$"):
+            solve(doc)
+
+
 #: K4,5 needs four pages.  Its edge counts give a floor of 2 and its
 #: non-planarity one of 3, so no floor settles it: only the full search
 #: (168,741 nodes) proves the optimum, far past the first deadline check.
@@ -116,6 +137,22 @@ def test_expired_budget_degrades_to_a_bound():
     assert not result.exact
     assert result.value >= 4  # any bound must sit at or above the optimum
     assert validate_stack_layout(result.edges, result.order, result.coloring).valid
+
+
+def test_expired_budget_returns_the_incumbent_not_the_input_order():
+    # Both searches stop at their 64th unit with an incumbent of 2, where
+    # the input order needs 3: the incumbent is what comes back.
+    stack_edges = [(2, 7), (6, 7), (3, 5), (5, 6), (1, 5), (2, 4), (4, 7), (0, 1), (1, 2), (0, 6)]
+    queue_edges = [(5, 6), (1, 5), (0, 4), (1, 6), (3, 5), (2, 5), (1, 4), (3, 4), (3, 6), (4, 5), (0, 5)]
+    for solve, per_order, check, edges in (
+        (stack_number, stack_pages_for_order, validate_stack_layout, stack_edges),
+        (queue_number, queues_for_order, validate_queue_layout, queue_edges),
+    ):
+        start = LinearOrder(dict.fromkeys(w for e in edges for w in e))
+        assert per_order(edges, start).count == 3
+        result = solve(edges, budget_ms=0.0)
+        assert (result.value, result.exact, result.coloring.k) == (2, False, 2)
+        assert check(edges, result.order, result.coloring).valid
 
 
 def test_expired_budget_keeps_the_incumbent():
