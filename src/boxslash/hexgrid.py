@@ -2,26 +2,26 @@
 
 Cells live on an n-by-m grid, row 1 at the top, and each cell touches
 six neighbours: the four axis ones plus the two anti-diagonal ones.
-A two-coloring of the cells induces boundary lines: walks in the dual
-graph that separate unequal colors.  This module traces those lines,
-verifies their structural invariants, classifies the boundaries hanging
-off the top row, decides the top-cells-or-long-line dichotomy, and
-reads the layers of a direction table as colorings.
+A two-coloring of the cells induces boundary lines: runs of crossed
+grid edges that separate unequal colors.  This module traces those
+lines, verifies their structural invariants, classifies the boundaries
+hanging off the top row, decides the top-cells-or-long-line dichotomy,
+and reads the layers of a direction table as colorings.
 
 A coloring is one row-major table of 0 (INC) and 1 (DEC) codes, read by
 integer index, and caches that table framed by a border of 2s, the
-padded table every walk and flood reads.  A boundary line keeps its two
-sides as padded indices and its walk's end corners, and builds cell
-pairs and corner numbers only when `pairs` or `corners` is read.  For N
-cells and P boundary pairs: `trace_boundary` finds the boundary edges in
-three XORs of N-byte integers and takes O(1) steps per pair, one color
-comparison each; `BoundaryLine.verify` decides a line of its coloring's
-shape in a few C-level passes over its sides, and lists a failing line
-pair by pair, linear in its length either way;
-`monochromatic_spanning_path` and `top_or_long` flood O(N) cells of the
-padded table; `maximal_boundaries` reads two corners per line, then
-compares the T top boundaries pairwise, O(T^2).  The analyses that need the lines take them as an argument, so
-`hex analyze` traces each coloring once.
+padded table every trace and flood reads.  A boundary line keeps its
+two sides as padded indices and its two end corners, and builds cell
+pairs only when `pairs` is read.  For N cells and P boundary pairs:
+`trace_boundary` finds the boundary edges in three XORs of N-byte
+integers and takes O(1) steps per pair, one color comparison each;
+`BoundaryLine.verify` decides a line of its coloring's shape in a few
+C-level passes over its sides, and lists a failing line pair by pair,
+linear in its length either way; `monochromatic_spanning_path` and
+`top_or_long` flood O(N) cells of the padded table;
+`maximal_boundaries` reads two corners per line, then compares the T
+top boundaries pairwise, O(T^2).  The analyses that need the lines take
+them as an argument, so `hex analyze` traces each coloring once.
 
 The dichotomy is the last stage of the paper's argument built here.
 Below is the smallest input each stage needs, for k stack pages and
@@ -197,25 +197,24 @@ def _corner(cells, width: int) -> int:
 
 
 class BoundaryLine:
-    """One separating walk, stored as its two sides plus the dual walk.
+    """One separating line, stored as its two sides and its two end corners.
 
     Pair t is (a_t, b_t): the cells on the two sides of the t-th crossed
     grid edge, the a side holding color_a everywhere along the line.
     The sides are lists of padded-table indices (see
-    `HexColoring._padded`); `pairs` holds them as cells.  The walk is
-    `corners`, its corner numbers (see `_corner`).  It has one more
-    corner than there are pairs (equal counts for a closed line, where
-    the last corner joins back to the first).  The corners between two
-    crossings follow from the sides, so a line is given only its first
-    corner and its last, None for a closed line.
+    `HexColoring._padded`); `pairs` holds them as cells.  Consecutive
+    pairs are two sides of one grid triangle, so the sides fix every
+    corner the line passes between its ends, and a line keeps only the
+    corner numbers (see `_corner`) of its first corner and of its last,
+    None for a closed line, whose last pair joins back to its first.
     """
 
     def __init__(self, grid: HexGrid, side_a: list[int], side_b: list[int], first: int, last: int | None,
-                 closed: bool, color_a: Direction, color_b: Direction):
+                 color_a: Direction, color_b: Direction):
         if not side_a:
             raise ValueError("a boundary line needs at least one pair")
-        self.grid, self._side_a, self._side_b, self.closed = grid, side_a, side_b, closed
-        self._first_corner, self._last_corner = first, last
+        self.grid, self._side_a, self._side_b = grid, side_a, side_b
+        self.first_corner, self.last_corner, self.closed = first, last, last is None
         self.color_a, self.color_b = color_a, color_b
 
     @property
@@ -226,14 +225,6 @@ class BoundaryLine:
     def pairs(self) -> tuple[tuple[Cell, Cell], ...]:
         width = self.grid.cols + 2
         return tuple((divmod(x, width), divmod(y, width)) for x, y in zip(self._side_a, self._side_b))
-
-    @cached_property
-    def corners(self) -> tuple[int, ...]:
-        # Consecutive crossings are two sides of the triangle between them.
-        a, b, width = self._side_a, self._side_b, self.grid.cols + 2
-        middle = [_corner({a[t], b[t], a[t + 1], b[t + 1]}, width) for t in range(len(a) - 1)]
-        last = () if self.closed else (self._last_corner,)
-        return (self._first_corner, *middle, *last)
 
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
@@ -294,10 +285,7 @@ class BoundaryLine:
                 and table[(i2 - 1) * cols + j2 - 1] == code_b
             ):
                 out.append(f"sides: pair {t} colors are not (a={self.color_a.value}, b={self.color_b.value})")
-            # The six neighbour offsets are the steps in {-1, 0, 1}^2 other
-            # than (0, 0), (1, 1) and (-1, -1).
-            di, dj = i1 - i2, j1 - j2
-            if not (inside and -1 <= di <= 1 and -1 <= dj <= 1 and di != dj):
+            if not (inside and (i1 - i2, j1 - j2) in NEIGHBOR_OFFSETS):
                 out.append(f"pair-shape: pair {t} cells {(i1, j1)} and {(i2, j2)} are not grid-adjacent")
         steps = list(zip(range(len(pairs) - 1), pairs, pairs[1:]))
         if self.closed and len(pairs) > 1:
@@ -334,10 +322,16 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
     an edge clears its flag.  Open lines start at the border corners
     with one boundary edge, in (depth, sign, col) order: the top cuts,
     then per row the right and left sides, then the bottom.  Closed
-    lines start at the minus corner of the lowest unused edge, always
-    vertical or diagonal, since a line never crosses two horizontal
-    edges in a row; `bytearray.find` gives it.  The a side holds the
-    color of the deeper or left cell of a line's first edge.
+    lines start, row by row, at the minus corner of the row's first
+    unused vertical edge, which `bytearray.find` gives.  Every closed
+    line has one in its highest row D of vertical and diagonal edges:
+    the triangle above one of its diagonal edges there, cells (D, j),
+    (D - 1, j) and (D - 1, j + 1), is left either by the vertical edge
+    of row D or by a horizontal edge into row D - 1, and the triangle
+    across that edge is left by a vertical or diagonal edge of row
+    D - 1, or lies on the border, where only open lines end.  The a
+    side holds the color of the deeper or left cell of a line's first
+    edge.
     """
     grid = coloring.grid
     rows, cols = grid.rows, grid.cols
@@ -363,7 +357,7 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
     flag_at = (0, 0, 0, *steps[3:])
     lines = []
 
-    def follow(p: int, q: int, k: int, a_is_p: bool, closed: bool) -> None:
+    def follow(p: int, q: int, k: int, a_is_p: bool) -> None:
         # The walk has just crossed from cell p to cell q = p + steps[k]
         # into the triangle whose third cell is p + steps[k + 1].
         first = _corner((p, q, p + steps[k - 1]), width)
@@ -376,7 +370,7 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
             if c == code:
                 p = t
                 k = turn_p[k]
-            elif c == 2:
+            elif c == 2:  # the border: the end of an open line
                 break
             else:
                 q = t
@@ -388,34 +382,29 @@ def trace_boundary(coloring: HexColoring) -> list[BoundaryLine]:
             row[e] = 0
             side_p.append(p)
             side_q.append(q)
-        last = None if closed else _corner((p, q, t), width)
+        last = _corner((p, q, t), width) if c == 2 else None
         a, b = (side_p, side_q) if a_is_p else (side_q, side_p)
         code_a = padded[a[0]]
-        lines.append(BoundaryLine(grid, a, b, first, last, closed, _COLORS[code_a], _COLORS[1 - code_a]))
+        lines.append(BoundaryLine(grid, a, b, first, last, _COLORS[code_a], _COLORS[1 - code_a]))
 
     for x in range(width + 1, width + cols):  # corner (1, c, +) at the top cut c
         if horizontal[x]:
-            follow(x + 1, x, 3, False, False)
+            follow(x + 1, x, 3, False)
     for d in range(2, rows + 1):
         x = d * width + cols  # corner (d, cols, -) on the right
         if vertical[x]:
-            follow(x, x - width, 2, True, False)
+            follow(x, x - width, 2, True)
         x = d * width + 1  # corner (d, 0, +) on the left
         if vertical[x]:
-            follow(x - width, x, 5, False, False)
+            follow(x - width, x, 5, False)
     for x in range(rows * width + 1, rows * width + cols):  # corner (rows + 1, c, -)
         if horizontal[x]:
-            follow(x, x + 1, 0, True, False)
+            follow(x, x + 1, 0, True)
     for base in range(2 * width, (rows + 1) * width, width):
-        while True:
-            x = vertical.find(1, base, base + width)
-            if x >= 0:
-                follow(x, x - width, 2, True, True)
-                continue
-            x = diagonal.find(1, base, base + width)
-            if x < 0:
-                break
-            follow(x - width + 1, x, 4, False, True)
+        x = vertical.find(1, base, base + width)
+        while x >= 0:
+            follow(x, x - width, 2, True)
+            x = vertical.find(1, x + 1, base + width)
     return lines
 
 
@@ -462,7 +451,7 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
         if line.closed:
             continue
         # The top corner (1, x, +) is numbered (width + x) * 2 + 1.
-        ends = (line._first_corner, line._last_corner)
+        ends = (line.first_corner, line.last_corner)
         top_cols = sorted((end >> 1) - width for end in ends if end & 1 and width <= end >> 1 < 2 * width)
         if len(top_cols) == 2:
             tops.append(TopBoundary(top_cols[0], top_cols[1], line))

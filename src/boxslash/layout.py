@@ -88,8 +88,6 @@ class EdgeColoring:
     def __init__(self, colors: Mapping, k: int | None = None):
         self._edges, self._colors, self._index = [], [], None
         for e, c in colors.items():
-            if isinstance(e, frozenset) and len(e) != 2:
-                raise ValueError(f"self-loop edge key {e!r}")
             u, v = _vertex_pair(e, "edge key {!r} is a vertex, not a vertex pair")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
@@ -205,10 +203,11 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
 
 def _vertex_pair(item, message: str) -> EdgePair:
     """The two ends of an edge given as a pair.  A string, a product
-    vertex (a tuple, but one vertex) or anything that does not unpack to
-    exactly two values raises ValueError(message.format(item))."""
+    vertex (a tuple, but one vertex), a set (whose order follows the
+    string hash seed) or anything that does not unpack to exactly two
+    values raises ValueError(message.format(item))."""
     try:
-        if isinstance(item, (str, bytes, PVertex)):
+        if isinstance(item, (str, bytes, PVertex, set, frozenset)):
             raise TypeError
         u, v = item
     except (TypeError, ValueError):

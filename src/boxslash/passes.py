@@ -285,23 +285,22 @@ def _cone(x: int, depth: int, keep: Mapping, degrees, starts: list) -> list[int]
 @dataclass(frozen=True, eq=False)
 class PassState:
     """Where the thinning pipeline stands: the product's ``degrees`` and
-    ``path_len``, a rank per vertex id (any increasing numbers), one of
-    ``k`` colours per edge id, and the current id of every node of the
-    input tree (-1 once pruned).  Lists are never changed in place, as
-    the colour list may be the input colouring's own.
+    ``path_len``, a rank per vertex id (any increasing numbers), a
+    colour per edge id, and the current id of every node of the input
+    tree (-1 once pruned).  Lists are never changed in place, as the
+    colour list may be the input colouring's own.
     """
 
     degrees: tuple[int, ...]
     path_len: int
     ranks: list
     colors: list
-    k: int
     node_ids: list
 
     @classmethod
     def initial(cls, graph: ProductGraph, order: LinearOrder, coloring: EdgeColoring) -> PassState:
         return cls(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
-                   coloring.colors_of(graph.edges), coloring.k, list(range(len(graph.tree))))
+                   coloring.colors_of(graph.edges), list(range(len(graph.tree))))
 
 
 def restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
@@ -323,7 +322,7 @@ def restrict(state: PassState, keep: Mapping[int, Iterable[int]]) -> PassState:
     colors = list(map(state.colors.__getitem__, edge_ids))
     new_id = dict(zip(old, range(len(old))))
     node_ids = [new_id.get(x, -1) for x in state.node_ids]
-    return PassState(degrees, m, ranks, colors, state.k, node_ids)
+    return PassState(degrees, m, ranks, colors, node_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +654,8 @@ def run_passes(
     least two children, else left None.  The checks compare ranks only
     within a cone or a sequence, so the state's sparse ranks serve as
     they are.  The result's graph is the input graph when nothing was
-    pruned; its order, colouring and node map are built from the lists.
+    pruned; its order, colouring and node map are built from the lists,
+    the colouring with the input colouring's k.
     """
     stages = {"colour": colour_targets, "order": order_targets, "lex": lex_targets}
     for stage, targets in stages.items():
@@ -675,5 +675,5 @@ def run_passes(
     nodes = final.tree.nodes
     node_map = {old: nodes[x] for old, x in zip(graph.tree.nodes, state.node_ids) if x >= 0}
     return PipelineResult(final, node_map, LinearOrder.from_ranks(final.vertices, ranks),
-                          EdgeColoring.from_lists(final.edges, colors, state.k), color_table,
+                          EdgeColoring.from_lists(final.edges, colors, coloring.k), color_table,
                           direction_table, order_report, witnesses, related_report)

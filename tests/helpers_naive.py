@@ -674,11 +674,11 @@ def naive_boundary_lines(chi):
 def naive_traced_lines(chi):
     """trace_boundary's lines, in its order, by its docstring's rules.
 
-    Each line is (pairs, walk, closed, colour_a, colour_b): pairs of
-    cells, a side first; the walk as (depth, col, sign) corners; the
-    colours as "inc"/"dec".  Corner (d, c, -1) is the triangle of cells
-    (d, c), (d-1, c), (d-1, c+1) and (d, c, +1) that of (d, c),
-    (d, c+1), (d-1, c+1).  Every grid edge is listed per row, vertical
+    Each line is (pairs, first, last, colour_a, colour_b): pairs of
+    cells, a side first; the walk's first and last (depth, col, sign)
+    corners, last None on a closed line; the colours as "inc"/"dec".
+    Corner (d, c, -1) is the triangle of cells (d, c), (d-1, c),
+    (d-1, c+1) and (d, c, +1) that of (d, c), (d, c+1), (d-1, c+1).  Every grid edge is listed per row, vertical
     then diagonal crossings, then every horizontal one, as (minus
     corner, plus corner, deeper-or-left cell, other cell).  Walks start
     at the corners with one boundary edge in (depth, sign, col) order,
@@ -703,18 +703,15 @@ def naive_traced_lines(chi):
 
     def follow(corner, closed):
         colour_a = hex_colour(chi, edges[min(set(at[corner]) - used)][2])
-        walk, pairs = [corner], []
+        first, pairs = corner, []
         while set(at[corner]) - used:
             idx = min(set(at[corner]) - used)
             used.add(idx)
             minus, plus, x, y = edges[idx]
             corner = plus if corner == minus else minus
-            walk.append(corner)
             pairs.append((x, y) if hex_colour(chi, x) == colour_a else (y, x))
-        if closed:
-            walk.pop()
         names = ("inc", "dec")
-        lines.append((tuple(pairs), tuple(walk), closed, names[colour_a], names[1 - colour_a]))
+        lines.append((tuple(pairs), first, None if closed else corner, names[colour_a], names[1 - colour_a]))
 
     ends = sorted((c for c in at if len(at[c]) == 1), key=lambda c: (c[0], c[2], c[1]))
     for corner in ends:

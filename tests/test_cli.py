@@ -1,13 +1,25 @@
-"""The command line front end, called in process through main(argv)."""
+"""The command line front end, called in process through main(argv), and
+through `python -m` under two string hash seeds."""
 
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from boxslash import ProductGraph, cli, layout_from_json, validate_queue_layout, validate_stack_layout
+from boxslash import (
+    InconsistencyError,
+    ProductGraph,
+    cli,
+    layout_from_json,
+    validate_queue_layout,
+    validate_stack_layout,
+)
 
 from helpers_naive import (
     hex_colour,
@@ -295,6 +307,37 @@ def test_solve_refuses_a_large_descriptor_before_building_it(tmp_path, capsys, m
     assert captured.err == "error: exhaustive search is limited to 10 vertices, got 1000000\n"
 
 
+def test_solve_output_does_not_follow_the_hash_seed(tmp_path):
+    # A set of strings iterates in an order that moves with the hash
+    # seed; the order, keys and colours solved on string vertices must not.
+    edges = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"], ["b", "d"], ["d", "e"], ["e", "f"],
+             ["f", "a"], ["e", "b"]]
+    path = _write(tmp_path, "graph.json", {"edges": edges})
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "boxslash.cli", "solve", "--stack", "--graph", path],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["exact"] is True
+
+
+def test_documents_are_read_from_stdin(k4_file, product_files, capsys, monkeypatch):
+    # "-" names stdin, and so does a missing --layout.
+    layout = product_files[-1]
+    cases = [(["solve", "--queue", "--graph", k4_file], ["solve", "--queue", "--graph", "-"]),
+             (["validate", "--queue", "--layout", layout], ["validate", "--queue", "--layout", "-"]),
+             (["validate", "--queue", "--layout", layout], ["validate", "--queue"])]
+    for from_file, from_stdin in cases:
+        assert cli.main(from_file) == cli.EXIT_OK
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(from_file[-1]).read_text(encoding="utf-8")))
+        assert cli.main(from_stdin) == cli.EXIT_OK
+        assert capsys.readouterr().out == want
+
+
 def test_main_keeps_no_parsed_state_between_calls(k4_file, capsys):
     assert cli.main(["solve", "--queue", "--limit", "1", "--graph", k4_file]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -396,6 +439,36 @@ def test_hex_analyze_output_is_byte_identical_to_the_saved_document(branch, opti
     assert cli.main(argv) == cli.EXIT_OK
     want = (DATA / f"hex_{branch}_analyze.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
+
+
+def test_hex_analyze_reports_crossing_top_boundaries_and_goes_on(capsys, monkeypatch):
+    # The top-boundary analysis fails on its own: its error takes its
+    # place in the document, the rest is as before, and the exit is 1.
+    argv = ["hex", "analyze", "--coloring", str(DATA / "hex_top_cells_coloring.json"), "--s", "1",
+            "--long-length", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = json.loads(capsys.readouterr().out)
+
+    def crossing(coloring, lines):
+        raise InconsistencyError("boundaries (1,4) and (2,6) cross")
+
+    monkeypatch.setattr(cli, "maximal_boundaries", crossing)
+    assert cli.main(argv) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    want["top_boundaries"] = {"error": "boundaries (1,4) and (2,6) cross"}
+    assert (json.loads(captured.out), captured.err) == (want, "")
+
+
+def test_an_inconsistency_exits_1_with_its_own_line(tmp_path, capsys, monkeypatch):
+    # Corrupt data that a recheck finds is no usage error (exit 2).
+    def corrupt(*args):
+        raise InconsistencyError("grid is large enough yet has neither witness")
+
+    monkeypatch.setattr(cli, "top_or_long", corrupt)
+    path = _write(tmp_path, "hex.json", {"n": 3, "m": 3, "chi": CHI_3X3})
+    assert cli.main(["hex", "analyze", "--coloring", path]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "inconsistency: grid is large enough yet has neither witness\n")
 
 
 def test_hex_analyze_rejects_a_wrong_size(tmp_path, capsys):

@@ -49,17 +49,21 @@ def line_key(line):
 
 def corner_tuple(corner, cols):
     """Corner number ((depth * (cols + 1)) + col) * 2 + (sign > 0) as (depth, col, sign)."""
+    if corner is None:
+        return None
     depth, col = divmod(corner >> 1, cols + 1)
     return (depth, col, 1 if corner & 1 else -1)
 
 
 def as_tuples(lines):
-    """Lines as (pairs, walk as (depth, col, sign), closed, color_a, color_b)."""
+    """Lines as (pairs, first corner, last corner or None, color_a, color_b),
+    corners as (depth, col, sign).  Consecutive pairs are two sides of one
+    triangle, so the pairs and the two ends fix every corner between."""
     return [
         (
             line.pairs,
-            tuple(corner_tuple(c, line.grid.cols) for c in line.corners),
-            line.closed,
+            corner_tuple(line.first_corner, line.grid.cols),
+            corner_tuple(line.last_corner, line.grid.cols),
             line.color_a.value,
             line.color_b.value,
         )
@@ -123,26 +127,23 @@ def test_random_colorings_match_the_oracles(data):
     check_against_oracles(chi)
 
 
-# Exact tracer output: (pairs, walk as (depth, col, sign), closed, color_a, color_b).
+# Exact tracer output: (pairs, first corner, last corner or None, color_a, color_b).
 FROZEN = [
     (
         [[0, 1, 0], [1, 1, 0], [0, 0, 1]],
         [
             (
                 (((1, 1), (1, 2)), ((1, 1), (2, 1))),
-                ((1, 1, 1), (2, 1, -1), (2, 0, 1)),
-                False, "inc", "dec",
+                (1, 1, 1), (2, 0, 1), "inc", "dec",
             ),
             (
                 (((1, 2), (1, 3)), ((2, 2), (1, 3)), ((2, 2), (2, 3)), ((2, 2), (3, 2)),
                  ((2, 2), (3, 1)), ((2, 1), (3, 1))),
-                ((1, 2, 1), (2, 2, -1), (2, 2, 1), (3, 2, -1), (3, 1, 1), (3, 1, -1), (3, 0, 1)),
-                False, "dec", "inc",
+                (1, 2, 1), (3, 0, 1), "dec", "inc",
             ),
             (
                 (((3, 3), (2, 3)), ((3, 3), (3, 2))),
-                ((3, 3, -1), (3, 2, 1), (4, 2, -1)),
-                False, "dec", "inc",
+                (3, 3, -1), (4, 2, -1), "dec", "inc",
             ),
         ],
     ),
@@ -152,8 +153,7 @@ FROZEN = [
             (
                 (((2, 2), (1, 2)), ((2, 2), (2, 1)), ((2, 2), (3, 1)), ((2, 2), (3, 2)),
                  ((2, 2), (2, 3)), ((2, 2), (1, 3))),
-                ((2, 2, -1), (2, 1, 1), (3, 1, -1), (3, 1, 1), (3, 2, -1), (2, 2, 1)),
-                True, "dec", "inc",
+                (2, 2, -1), None, "dec", "inc",
             ),
         ],
     ),
@@ -202,8 +202,8 @@ def test_from_matrix_reads_zero_one_and_directions():
 def test_verify_reports_a_cell_outside_the_grid():
     coloring = HexColoring.from_matrix([[0, 1], [1, 0]])
     # Cells (0, 1) and (1, 1) at padded width 4.
-    line = BoundaryLine(coloring.grid, [1], [5], 2, 7, False, Direction.INC, Direction.DEC)
-    assert line.pairs == (((0, 1), (1, 1)),) and line.corners == (2, 7)
+    line = BoundaryLine(coloring.grid, [1], [5], 2, 7, Direction.INC, Direction.DEC)
+    assert line.pairs == (((0, 1), (1, 1)),) and not line.closed
     problems = line.verify(coloring)
     assert [problem.split(":")[0] for problem in problems] == ["sides", "pair-shape"]
 
@@ -211,7 +211,7 @@ def test_verify_reports_a_cell_outside_the_grid():
 def test_a_line_needs_a_pair():
     coloring = HexColoring.from_matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="at least one pair"):
-        BoundaryLine(coloring.grid, [], [], 2, 7, False, Direction.INC, Direction.DEC)
+        BoundaryLine(coloring.grid, [], [], 2, 7, Direction.INC, Direction.DEC)
 
 
 DAMAGES = ("flip", "repeat", "drop", "far cell", "outside cell", "shifted", "equal colours", "other shape")
@@ -261,18 +261,34 @@ def test_verify_of_a_damaged_traced_line_matches_the_oracle(data):
         against = [[flips.randrange(2) for _ in range(shape[1])] for _ in range(shape[0])]
     width = cols + 2
     side_a, side_b = ([i * width + j for i, j in side] for side in zip(*pairs))
-    damaged = BoundaryLine(coloring.grid, side_a, side_b, line.corners[0], line.corners[-1],
-                           line.closed, *colours)
+    damaged = BoundaryLine(coloring.grid, side_a, side_b, line.first_corner, line.last_corner, *colours)
     assert damaged.pairs == tuple(pairs)
     want = naive_line_violations(against, pairs, line.closed, colours[0].value, colours[1].value)
     assert damaged.verify(HexColoring.from_matrix(against)) == want
+
+
+def test_verify_steps_from_the_last_pair_of_a_closed_line_to_its_first():
+    # The closed line around two DEC cells, less its last pair: its last
+    # pair is now (2, 3), (1, 3), which shares no side with its first,
+    # (2, 2), (1, 2).  Every other step and pair holds.
+    chi = [[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0]]
+    coloring = HexColoring.from_matrix(chi)
+    [line] = trace_boundary(coloring)
+    pairs = line.pairs[:-1]
+    assert line.closed and (pairs[0], pairs[-1]) == (((2, 2), (1, 2)), ((2, 3), (1, 3)))
+    width = coloring.grid.cols + 2
+    side_a, side_b = ([i * width + j for i, j in side] for side in zip(*pairs))
+    damaged = BoundaryLine(coloring.grid, side_a, side_b, line.first_corner, None, line.color_a, line.color_b)
+    want = naive_line_violations(chi, pairs, True, "dec", "inc")
+    assert want == ["step: pairs 8 and 9 must share exactly one side"]
+    assert damaged.verify(coloring) == want
 
 
 def test_verify_reports_equal_side_colours_on_a_one_colour_line():
     # Sides (1, 1), (2, 1) and (1, 2), (1, 2) at padded width 4: every
     # other check holds.
     coloring = HexColoring.from_matrix([[0, 0], [0, 0]])
-    line = BoundaryLine(coloring.grid, [5, 9], [6, 6], 13, 10, False, Direction.INC, Direction.INC)
+    line = BoundaryLine(coloring.grid, [5, 9], [6, 6], 13, 10, Direction.INC, Direction.INC)
     assert line.verify(coloring) == ["sides: the two side colors are equal"]
 
 

@@ -100,9 +100,8 @@ def test_edge_coloring_rejects_a_non_integer_k(k):
 
 
 def test_edge_coloring_keeps_the_last_colour_of_an_edge_given_twice():
-    # In either direction, as a two-member set key did; the edge is
-    # stored once, so it counts once.
-    for second in ((1, 2), (2, 1), frozenset((1, 2))):
+    # In either direction; the edge is stored once, so it counts once.
+    for second in ((1, 2), (2, 1)):
         coloring = EdgeColoring({(1, 2): 0, (3, 4): 1, second: 2})
         assert (coloring.get(1, 2), coloring.get(2, 1), len(dict(coloring.edges())), coloring.k) == (2, 2, 2, 3)
     bulk = EdgeColoring.from_lists([(1, 2), (3, 4), (2, 1)], [0, 1, 2], 3)
@@ -124,12 +123,21 @@ def test_edge_coloring_rejects_a_key_that_is_not_a_vertex_pair(key):
         EdgeColoring({key: 0})
 
 
-def test_edge_coloring_accepts_frozenset_keys():
-    coloring = EdgeColoring({frozenset(("a", "b")): 1, ("b", "c"): 0})
+def test_set_edges_are_refused():
+    # A set of two strings iterates in an order that follows the string
+    # hash seed, and so would every edge direction, key and witness read
+    # from it.
+    for item in ({"a", "b"}, frozenset(("a", "b"))):
+        with pytest.raises(ValueError, match=rf"^graph item {re.escape(repr(item))} is not a vertex pair$"):
+            graph_vertices_edges([("b", "c"), item])
+    key = frozenset(("a", "b"))
+    with pytest.raises(ValueError, match=rf"^edge key {re.escape(repr(key))} is a vertex, not a vertex pair$"):
+        EdgeColoring({key: 1, ("b", "c"): 0})
+    coloring = EdgeColoring({("a", "b"): 1, ("b", "c"): 0})
     assert (coloring.get("a", "b"), coloring.get("b", "a"), coloring.k) == (1, 1, 2)
     assert coloring.get("a", "c") is None
-    with pytest.raises(ValueError, match="self-loop edge key"):
-        EdgeColoring({frozenset(("a",)): 0})
+    with pytest.raises(ValueError, match="^self-loop at 'a'$"):
+        EdgeColoring({("a", "a"): 0})
 
 
 @pytest.mark.parametrize("build", ["mapping", "three_queue", "queues", "pages"])
@@ -164,10 +172,8 @@ def test_validators_on_hand_built_layouts():
     crossing = EdgeColoring({(0, 2): 0, (1, 3): 0})
     report = validate_stack_layout(edges, order, crossing)
     assert not report.valid
-    assert len(report.violations) == 1
-    violation = report.violations[0]
-    assert violation.relation is PairRelation.CROSS
-    assert violation.color == 0
+    assert report.violations == [layout.Violation((0, 2), (1, 3), PairRelation.CROSS, 0)]
+    assert report.violations != [layout.Violation((0, 2), (1, 3), PairRelation.NEST, 0)]
     assert validate_queue_layout(edges, order, crossing).valid
 
     nesting = EdgeColoring({(0, 3): 0, (1, 2): 0})
@@ -212,7 +218,7 @@ def coloured_edge_lists(draw):
         )
     )
     k = draw(st.integers(min_value=1, max_value=3))
-    coloring = EdgeColoring({frozenset(e): draw(st.integers(0, k - 1)) for e in edges}, k=k)
+    coloring = EdgeColoring({tuple(sorted(e)): draw(st.integers(0, k - 1)) for e in edges}, k=k)
     return edges, order, coloring
 
 
