@@ -48,25 +48,20 @@ EXIT_USAGE = 2
 
 def _degrees(text: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad degree list {text!r}") from None
-    if not out or any(d < 1 for d in out):
-        raise argparse.ArgumentTypeError("degrees must be positive integers")
-    return out
 
 
 def _load_doc(path: str | None) -> dict:
-    """Read a JSON document, which every subcommand needs to be an object."""
-    if path is None or path == "-":
-        doc = json.load(sys.stdin)
+    """Read a JSON object from a file, or from stdin (so named) for no path or "-"."""
+    if path in (None, "-"):
+        path, doc = "stdin", json.load(sys.stdin)
     else:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     if not isinstance(doc, dict):
-        raise ValueError(
-            f"{path or 'stdin'}: expected a JSON object, got {type(doc).__name__}"
-        )
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -160,7 +155,8 @@ def _report_doc(report) -> dict:
 
 
 def cmd_passes_run(args) -> int:
-    graph = ProductGraph.from_descriptor(_load_doc(args.graph))
+    doc = _load_doc(args.graph)
+    graph = ProductGraph.from_descriptor(doc.get("graph", doc))  # gen's and layout's output too
     order, coloring = _product_layout(graph, _load_doc(args.layout))
     targets = args.target_degrees
     result = run_passes(

@@ -1,6 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types, and the rules for the numbers the package takes: ``integer`` and ``real``."""
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+
+def integer(value, name, low: int | None = None) -> int:
+    """``value`` as a plain int, else a ValueError: "<name> must be an
+    integer, got <value!r>", or "<name> must be at least <low>, got <value>".
+
+    What ``operator.index`` takes is an integer (an int, a numpy integer,
+    an object with ``__index__``); a bool, a float or a string is not.
+    ``name`` may be a function that returns it, called only to refuse:
+    a name per edge, made eagerly, costs more than the check.
+    """
+    try:
+        if isinstance(value, bool):  # an int, but True is no count
+            raise TypeError
+        value = operator.index(value)
+        if low is None or value >= low:
+            return value
+        rule = f"at least {low}, got {value}"
+    except TypeError:
+        rule = f"an integer, got {value!r}"
+    raise ValueError(f"{name() if callable(name) else name} must be {rule}")
+
+
+def real(value, name: str):
+    """``value`` if it is a finite real number at least 0 and, as for
+    ``integer``, no bool; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number at least 0, got {value!r}")
+    return value
 
 
 class BoxslashError(Exception):

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import InconsistencyError, ShapeError, SizeLimitError
+from .errors import InconsistencyError, ShapeError, SizeLimitError, integer
 from .passes import DirectionTable
 from .sequences import Direction
 
@@ -83,12 +83,14 @@ NEIGHBOR_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
 
 @dataclass(frozen=True)
 class HexGrid:
+    """rows x cols cells, each count at least 1 by ``errors.integer``."""
+
     rows: int
     cols: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid needs at least one row and one column")
+        for field in ("rows", "cols"):
+            object.__setattr__(self, field, integer(getattr(self, field), field, 1))
 
 
 class HexColoring:
@@ -151,13 +153,11 @@ class HexColoring:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "HexColoring":
-        for key in ("n", "m"):
-            if type(doc.get(key)) is not int:
-                raise ShapeError(f"grid size {key!r} must be an integer, got {doc.get(key)!r}")
+        n, m = (integer(doc.get(key), f"grid size {key!r}") for key in ("n", "m"))
         if "chi" not in doc:
             raise ShapeError("coloring document has no 'chi' matrix")
         out = cls.from_matrix(doc["chi"])
-        if out.grid.rows != doc["n"] or out.grid.cols != doc["m"]:
+        if (out.grid.rows, out.grid.cols) != (n, m):
             raise ShapeError("declared grid size disagrees with the color matrix")
         return out
 
@@ -577,12 +577,11 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence
     order is the witness.  Wide enough grids always provide one of the
     two.  The returned witness is re-verified before being handed back;
     a wide grid where both searches and the recheck come up empty is
-    inconsistent data.  Needs s >= 0 and long_length >= 1.
+    inconsistent data.  ``s`` and ``long_length`` are counts under
+    ``errors.integer``, at least 0 and 1.
     """
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    if long_length < 1:
-        raise ValueError(f"long_length must be at least 1, got {long_length}")
+    s = integer(s, "s", 0)
+    long_length = integer(long_length, "long_length", 1)
     grid = coloring.grid
     rows_needed, cols_needed = required_grid_size(s, long_length)
     if grid.rows < rows_needed or grid.cols < cols_needed:
@@ -625,8 +624,10 @@ def direction_layer(table: DirectionTable, layer: int) -> HexColoring:
     """Layer `layer` of a direction table viewed as a colored grid.
 
     Row r, column p of the grid holds entry (layer, layer + r - 1, p);
-    the grid has height + 1 - layer rows and path_len columns.
+    the grid has height + 1 - layer rows and path_len columns.  ``layer``
+    is a count under ``errors.integer``, from 1 to the table's height.
     """
+    layer = integer(layer, "layer")
     if not (1 <= layer <= table.height):
         raise ValueError(f"layer {layer} outside 1..{table.height}")
     return HexColoring.from_matrix([

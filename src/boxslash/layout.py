@@ -32,6 +32,7 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import integer
 from .product import EdgeKind, ProductGraph, PVertex, edge_ends
 
 Vertex = Hashable
@@ -91,19 +92,10 @@ class EdgeColoring:
             u, v = _vertex_pair(e, "edge key {!r} is a vertex, not a vertex pair")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            if isinstance(c, bool) or not hasattr(c, "__index__"):
-                raise ValueError(f"edge {e!r} has a non-integer colour {c!r}")
-            c = operator.index(c)
-            if c < 0:
-                raise ValueError(f"edge {e!r} has a negative colour {c}")
             self._edges.append((u, v))
-            self._colors.append(c)
+            self._colors.append(integer(c, lambda: f"colour of edge {e!r}", 0))
         used = max(self._lookup().values(), default=-1) + 1
-        if k is not None and (isinstance(k, bool) or not hasattr(k, "__index__")):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        self.k = used if k is None else operator.index(k)
-        if self.k < used:
-            raise ValueError(f"k={k} too small for {used} colours in use")
+        self.k = used if k is None else integer(k, "k", used)
 
     @classmethod
     def from_lists(cls, edges: Sequence, colors: list, k: int) -> "EdgeColoring":
@@ -562,10 +554,6 @@ def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOr
         u_text, sep, v_text = key.partition("--")
         if not sep:
             raise ValueError(f"bad edge key {key!r}")
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"colour of edge {key!r} must be an integer, got {c!r}")
-        colors[(parse_vertex(u_text), parse_vertex(v_text))] = c
+        colors[(parse_vertex(u_text), parse_vertex(v_text))] = integer(c, f"colour of edge {key!r}", 0)
     k = doc.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
-        raise ValueError(f"layout 'k' must be an integer, got {k!r}")
-    return order, EdgeColoring(colors, k=k)
+    return order, EdgeColoring(colors, k=None if k is None else integer(k, "layout 'k'"))

@@ -57,7 +57,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import InconsistencyError, PassStarvation
+from .errors import InconsistencyError, PassStarvation, integer
 from .layout import EdgeColoring, LinearOrder
 from .product import (EdgeKind, ProductGraph, _name, boxslash_product, build_tree, edge_runs,
                       level_starts, restrict_ids)
@@ -140,22 +140,14 @@ class DirectionTable:
     """
 
     def __init__(self, height: int, path_len: int, entries: Mapping):
-        self.height = height
-        self.path_len = path_len
+        self.height = height = integer(height, "height", 1)
+        self.path_len = path_len = integer(path_len, "path_len", 1)
         self.entries = dict(entries)
-        expected = {
-            (i, j, p)
-            for i in range(1, height + 1)
-            for j in range(i, height + 1)
-            for p in range(1, path_len + 1)
-        }
+        expected = {(i, j, p) for i in range(1, height + 1) for j in range(i, height + 1)
+                    for p in range(1, path_len + 1)}
         if set(self.entries) != expected:
-            missing = expected - set(self.entries)
-            extra = set(self.entries) - expected
-            raise ValueError(
-                f"direction table domain mismatch: missing {sorted(missing)[:4]}, "
-                f"extra {sorted(extra)[:4]}"
-            )
+            missing, extra = sorted(expected - set(self.entries)), sorted(set(self.entries) - expected)
+            raise ValueError(f"direction table domain mismatch: missing {missing[:4]}, extra {extra[:4]}")
         for key, value in self.entries.items():
             if not isinstance(value, Direction):
                 raise ValueError(f"entry {key} is not a Direction: {value!r}")
@@ -240,10 +232,8 @@ def _resolve_targets(targets, height: int, stage: str) -> list:
         levels = list(targets)
     if len(levels) != height:
         raise ValueError(f"need {height} per-level targets, got {len(levels)}")
-    for depth, t in enumerate(levels):
-        if t is not None and (not isinstance(t, int) or isinstance(t, bool) or t < 1):
-            raise ValueError(f"{stage} pass: level {depth} target {t!r} is not a positive integer")
-    return levels
+    return [None if t is None else integer(t, f"{stage} pass: level {depth} target", 1)
+            for depth, t in enumerate(levels)]
 
 
 def _prune_by_profiles(degrees, profile: Callable, levels: list, stage: str) -> dict:

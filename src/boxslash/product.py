@@ -33,7 +33,7 @@ from operator import mul
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ShapeError, SizeLimitError
+from .errors import ShapeError, SizeLimitError, integer
 
 #: Hard cap on product vertices; construction fails beyond this.
 VERTEX_LIMIT = 10**6
@@ -45,10 +45,7 @@ class NodeIndex(namedtuple("NodeIndex", "path")):
     __slots__ = ()
 
     def __new__(cls, path: Iterable[int] = ()):
-        path = tuple(path)
-        if not all(type(v) is int and v >= 1 for v in path):  # a bool would print as True
-            raise ValueError(f"child choices must be positive integers: {path!r}")
-        return super().__new__(cls, path)
+        return super().__new__(cls, tuple(integer(v, "child choice", 1) for v in path))
 
     def child(self, choice: int) -> "NodeIndex":
         return NodeIndex(self.path + (choice,))
@@ -78,12 +75,10 @@ class TreeSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        degrees = tuple(self.degrees)
+        degrees = tuple(integer(d, "degree", 1) for d in self.degrees)
         object.__setattr__(self, "degrees", degrees)
         if len(degrees) < 1:
             raise ValueError("degree sequence needs at least one level")
-        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in degrees):
-            raise ValueError(f"degrees must be positive integers: {degrees!r}")
 
     def vertex_count(self) -> int:
         total, width = 1, 1
@@ -164,10 +159,9 @@ class ProductGraph:
     """Product of a balanced tree and a path, with kind-labelled edges."""
 
     def __init__(self, tree: Tree, path_len: int):
-        _product_size(len(tree), path_len)
+        m = self.path_len = integer(path_len, "path_len", 1)
+        _product_size(len(tree), m)
         self.tree = tree
-        self.path_len = path_len
-        m = path_len
         self.vertices: tuple[PVertex, ...] = tuple(
             PVertex(node, i) for i in range(1, m + 1) for node in tree.nodes
         )
@@ -209,15 +203,11 @@ class ProductGraph:
         return "\n".join(lines)
 
 
-def _product_size(nodes: int, path_len) -> int:
-    """Vertices of the product of a ``nodes``-node tree and a path, checked."""
-    if not isinstance(path_len, int) or isinstance(path_len, bool):
-        raise ValueError(f"path_len must be an integer, got {path_len!r}")
-    if path_len < 1:
-        raise ValueError("path length must be at least 1")
-    if nodes * path_len > VERTEX_LIMIT:
-        raise SizeLimitError(f"product would have {nodes * path_len} vertices, limit is {VERTEX_LIMIT}")
-    return nodes * path_len
+def _product_size(nodes: int, m: int) -> int:
+    """Vertices of the product of a ``nodes``-node tree and an m-vertex path, capped."""
+    if nodes * m > VERTEX_LIMIT:
+        raise SizeLimitError(f"product would have {nodes * m} vertices, limit is {VERTEX_LIMIT}")
+    return nodes * m
 
 
 def descriptor_size(doc: Mapping) -> int:
@@ -227,12 +217,9 @@ def descriptor_size(doc: Mapping) -> int:
     if not isinstance(doc, Mapping):
         raise ValueError(f"graph descriptor must be an object, got {type(doc).__name__}")
     degrees = doc.get("tree_degrees")
-    path_len = doc.get("path_len")
-    if degrees is None or path_len is None:
-        raise ValueError("descriptor needs tree_degrees and path_len")
     if not isinstance(degrees, (list, tuple)):
         raise ValueError(f"tree_degrees must be a list of integers, got {degrees!r}")
-    return _product_size(TreeSpec(degrees).vertex_count(), path_len)
+    return _product_size(TreeSpec(degrees).vertex_count(), integer(doc.get("path_len"), "path_len", 1))
 
 
 def boxslash_product(degrees, path_len: int) -> ProductGraph:

@@ -47,11 +47,10 @@ graph is planar), and the colouring search at each complete order.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, integer, real
 from .layout import (
     EdgeColoring,
     LinearOrder,
@@ -99,12 +98,10 @@ def _check_size(count: int) -> None:
 
 
 def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
-    if upper_limit is not None and type(upper_limit) is not int:
-        raise ValueError(f"upper_limit must be an integer, got {upper_limit!r}")
-    if upper_limit is not None and upper_limit < 1:
-        raise ValueError(f"upper_limit must be at least 1, got {upper_limit}")
-    if budget_ms is not None and not (math.isfinite(budget_ms) and budget_ms >= 0):
-        raise ValueError(f"budget_ms must be a finite number at least 0, got {budget_ms}")
+    if upper_limit is not None:
+        upper_limit = integer(upper_limit, "upper_limit", 1)
+    if budget_ms is not None:
+        budget_ms = real(budget_ms, "budget_ms")
     if isinstance(graph, dict) and ("graph" in graph or "tree_degrees" in graph):
         # A product descriptor is refused by its count, before its product is built.
         _check_size(descriptor_size(graph.get("graph", graph)))

@@ -45,6 +45,20 @@ def product_files(tmp_path, capsys):
     return ["--graph", str(graph), "--layout", str(layout)]
 
 
+def test_passes_run_reads_the_graph_of_gen_and_of_layout_output(product_files, tmp_path, capsys):
+    # gen writes the descriptor under "graph", as layout does; solve and
+    # validate read both, and so does passes run.
+    assert cli.main(["passes", "run", *product_files]) == cli.EXIT_OK
+    want = capsys.readouterr().out
+    assert cli.main(["gen", "--degrees", "2,2", "--path", "2"]) == cli.EXIT_OK
+    gen = tmp_path / "gen.json"
+    gen.write_text(capsys.readouterr().out)
+    layout = product_files[-1]
+    for graph in (str(gen), layout):
+        assert cli.main(["passes", "run", "--graph", graph, "--layout", layout]) == cli.EXIT_OK
+        assert capsys.readouterr().out == want
+
+
 def test_passes_run_keeps_the_canonical_layout(product_files, capsys):
     assert cli.main(["passes", "run", *product_files]) == cli.EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -101,10 +115,10 @@ def test_gen_prints_the_product(capsys):
 
 
 def test_gen_rejects_a_zero_degree(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["gen", "--degrees", "0", "--path", "2"])
-    assert err.value.code == cli.EXIT_USAGE
-    assert "degrees must be positive" in capsys.readouterr().err
+    # The product checks its degrees, as every count, by errors.integer.
+    assert cli.main(["gen", "--degrees", "0", "--path", "2"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: degree must be at least 1, got 0\n")
 
 
 @pytest.mark.parametrize(
@@ -483,7 +497,7 @@ MONO_3X12 = {"n": 3, "m": 12, "chi": [[0] * 12] * 3}
 @pytest.mark.parametrize(
     "options, message",
     [
-        (["--s", "-1"], "s must be nonnegative, got -1"),
+        (["--s", "-1"], "s must be at least 0, got -1"),
         (["--s", "12", "--long-length", "0"], "long_length must be at least 1, got 0"),
         (["--long-length", "-1"], "long_length must be at least 1, got -1"),
     ],
@@ -544,22 +558,27 @@ ONE_NODE = {"tree_degrees": [1], "path_len": 1}
         (VALIDATE, {"graph": {"tree_degrees": [1], "path_len": [1]}, "order": [], "colors": {}},
          "path_len must be an integer, got [1]"),
         (["passes", "run", "--graph", DOC, "--layout", DOC], {"tree_degrees": [True, 2], "path_len": 2},
-         "degrees must be positive integers: (True, 2)"),
+         "degree must be an integer, got True"),
         (VALIDATE, {"order": ["a", "b", "c", "d"], "colors": {"a--c": -1, "b--d": 0}, "k": 1},
-         "edge ('a', 'c') has a negative colour -1"),
+         "colour of edge 'a--c' must be at least 0, got -1"),
         (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": 0}, "k": 3.9},
          "layout 'k' must be an integer, got 3.9"),
         (VALIDATE, {"order": ["a", "b"], "colors": {"a--b": 0}, "k": True},
          "layout 'k' must be an integer, got True"),
+        # Read from stdin, by "-" or by a missing --layout, the document has one name.
+        (["solve", "--stack", "--graph", "-"], [1], "error: stdin: expected a JSON object, got list"),
+        (["validate", "--stack"], [1], "error: stdin: expected a JSON object, got list"),
     ],
     ids=["validate-list", "passes-graph-list", "order-null", "colors-list",
          "hex-list", "hex-n-null", "hex-n-float", "hex-m-bool", "hex-no-chi", "colour-null",
          "vertex-int", "graph-list", "edges-null", "edge-int", "solve-product-limit",
          "solve-tree-limit", "solve-path-len-str", "degrees-int",
-         "path-len-list", "degrees-bool", "colour-negative", "k-float", "k-bool"],
+         "path-len-list", "degrees-bool", "colour-negative", "k-float", "k-bool",
+         "stdin-dash-list", "stdin-default-list"],
 )
-def test_malformed_documents_are_usage_errors(tmp_path, capsys, command, doc, message):
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, monkeypatch, command, doc, message):
     path = _write(tmp_path, "doc.json", doc)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert cli.main([path if arg == DOC else arg for arg in command]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

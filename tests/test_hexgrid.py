@@ -5,6 +5,7 @@ parameters."""
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -176,11 +177,31 @@ def test_the_analyses_use_the_lines_they_are_given():
         top_or_long(coloring, 1, 1, [])
 
 
-@pytest.mark.parametrize("s, long_length", [(-1, 1), (1, 0), (1, -1)])
+@pytest.mark.parametrize(
+    "s, long_length",
+    [(-1, 1), (1, 0), (1, -1), (True, 1), (1.5, 1), pytest.param("1", 1, id="text-1"),
+     (1, True), (1, 1.5), pytest.param(1, "1", id="1-text")],
+)
 def test_top_or_long_rejects_bad_parameters(s, long_length):
     coloring = HexColoring.from_matrix([[0] * 12] * 3)
-    with pytest.raises(ValueError, match="s must be nonnegative|long_length must be at least 1"):
+    name, value = ("long_length", long_length) if type(s) is int and s >= 0 else ("s", s)
+    bound = {"s": 0, "long_length": 1}[name]
+    message = f"at least {bound}, got {value}" if type(value) is int else f"an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{name} must be {re.escape(message)}$"):
         top_or_long(coloring, s, long_length, [])
+
+
+def test_top_or_long_skips_short_lines_for_the_first_long_one():
+    # Every column is a component with one top cell, so s = 1 finds no
+    # top-cells witness.  Cell (1, 1) stands alone: the line round it,
+    # traced first, has length 2, under long_length 3; the next one runs
+    # down between columns 2 and 3.
+    chi = [[j % 2 for j in range(1, 25)] for _ in range(3)]
+    chi[1][0] = chi[2][0] = 0
+    coloring = HexColoring.from_matrix(chi)
+    lines = trace_boundary(coloring)
+    assert [line.length for line in lines[:2]] == [2, 5]
+    assert top_or_long(coloring, 1, 3, lines).line is lines[1]
 
 
 @pytest.mark.parametrize(

@@ -151,10 +151,11 @@ def test_tree_structure():
         TreeSpec((2, 0))
 
 
-@pytest.mark.parametrize("path", [(True, 2), (2, True), (True,)])
+@pytest.mark.parametrize("path", [(True, 2), (2, True), (True,), (2.5,), ("3",)])
 def test_node_index_rejects_boolean_choices(path):
     # Otherwise (True, 2) would print as True.2, which parse rejects.
-    with pytest.raises(ValueError, match=r"^child choices must be positive integers: "):
+    bad = next(v for v in path if type(v) is not int)
+    with pytest.raises(ValueError, match=rf"^child choice must be an integer, got {re.escape(repr(bad))}$"):
         NodeIndex(path)
 
 
@@ -178,11 +179,13 @@ def test_product_graph_checks_its_own_path_length(path_len):
         ProductGraph(build_tree((2,)), path_len)
 
 
-@pytest.mark.parametrize("degrees", [(True, 2), (True,)])
+@pytest.mark.parametrize("degrees", [(True, 2), (True,), (2, 2.5), ("3",)])
 def test_tree_spec_rejects_boolean_degrees(degrees):
-    with pytest.raises(ValueError, match="degrees must be positive integers"):
+    bad = next(d for d in degrees if type(d) is not int)
+    message = rf"^degree must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         TreeSpec(degrees)
-    with pytest.raises(ValueError, match="degrees must be positive integers"):
+    with pytest.raises(ValueError, match=message):
         ProductGraph.from_descriptor({"tree_degrees": list(degrees), "path_len": 2})
 
 

@@ -420,10 +420,12 @@ def test_reversed_duplicate_edge_changes_nothing():
         assert check(edges, doubled.order, doubled.coloring).valid
 
 
-@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0, True, "5"])
 def test_bad_budgets_are_rejected(budget):
+    # True once ran as a 1 ms budget, and "5" raised a bare TypeError.
+    message = rf"^budget_ms must be a finite number at least 0, got {re.escape(repr(budget))}$"
     for solve in (stack_number, queue_number):
-        with pytest.raises(ValueError, match="budget_ms must be"):
+        with pytest.raises(ValueError, match=message):
             solve(complete_graph(8), budget_ms=budget)
 
 
