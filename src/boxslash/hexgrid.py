@@ -566,7 +566,9 @@ class LongBoundaryWitness:
 
 
 def required_grid_size(s: int, long_length: int) -> tuple[int, int]:
-    """Minimum (rows, cols) for the top-or-long dichotomy."""
+    """Minimum (rows, cols) for the top-or-long dichotomy.  ``s`` and
+    ``long_length`` are counts under ``errors.integer``, at least 0 and 1."""
+    s, long_length = integer(s, "s", 0), integer(long_length, "long_length", 1)
     return (long_length, 2 * (s + 2) * long_length + 2 * long_length)
 
 
@@ -577,13 +579,12 @@ def top_or_long(coloring: HexColoring, s: int, long_length: int, lines: Sequence
     order is the witness.  Wide enough grids always provide one of the
     two.  The returned witness is re-verified before being handed back;
     a wide grid where both searches and the recheck come up empty is
-    inconsistent data.  ``s`` and ``long_length`` are counts under
-    ``errors.integer``, at least 0 and 1.
+    inconsistent data.  ``s`` and ``long_length`` are checked as
+    `required_grid_size` checks them.
     """
-    s = integer(s, "s", 0)
-    long_length = integer(long_length, "long_length", 1)
     grid = coloring.grid
-    rows_needed, cols_needed = required_grid_size(s, long_length)
+    rows_needed, cols_needed = required_grid_size(s, long_length)  # which refuses a bad count
+    s, long_length = operator.index(s), operator.index(long_length)
     if grid.rows < rows_needed or grid.cols < cols_needed:
         raise SizeLimitError(
             f"grid is {grid.rows}x{grid.cols} but the dichotomy needs at least "

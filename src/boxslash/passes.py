@@ -24,16 +24,22 @@ and build a tree only to name what fails.
 Costs, on n nodes, m positions, height h, E edges: restrict O(nm + E),
 O(1) when every child is kept; pass_colour O(E), as each node's profile
 is numbered once from its own colours and its kept children's numbers;
-pass_order O(h nm log nm), a cone rank pattern per child and level;
+pass_order O(h nm log nm), a cone argsort per child and level;
 pass_lex O(C) per candidate subarray of C cells, walked in lex-key order
 and left at the first descent, over every axis order, sign vector and
-index set in turn.  The checks run on the lists too: the colour table
-reads one slice of the colour list per (kind, depth, position), O(E).
-Every child-choice sequence is one slice of the rank list, and its
-directions are computed once per position, O(h nm) sequence entries in
-all; run_passes lists them once, a level at a time.  The related
-families test each pair from those, and the direction table reads the
-bits the related families read, each (level, length, position) once.
+index set in turn.  The checks run on the lists too, and decide their
+verdicts in whole-list passes; what fails is listed only when a check
+does.  The colour table reads one slice of the colour list per (kind,
+depth, position), O(E), and so do the related families' pairing edges.
+Child symmetry sorts the spots of each depth's first cone by rank and
+compares, per pair of consecutive spots, the two rank-list slices that
+hold every node's copy, O(nm log nm) per depth.  The related families
+and the direction entries compare whole depth blocks of the rank list,
+each block at one position, O(h) passes per block, O(h nm) in all.
+Listing reads every child-choice sequence as one slice of the rank list
+and its directions once per position, O(h nm) sequence entries, a level
+at a time; each pair is tested from those, and the direction table
+reads the bits the listing read.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
@@ -61,7 +67,7 @@ from .errors import InconsistencyError, PassStarvation, integer
 from .layout import EdgeColoring, LinearOrder
 from .product import (EdgeKind, ProductGraph, _name, boxslash_product, build_tree, edge_runs,
                       level_starts, restrict_ids)
-from .sequences import Direction, direction_bits, single_direction
+from .sequences import Direction, direction_bits, single_direction, step_bits
 
 
 @dataclass
@@ -369,12 +375,48 @@ def check_child_symmetry(degrees, path_len: int, ranks: list) -> CheckReport:
     first node's of its depth.
 
     ``checked`` counts the pairwise conditions this decides: per depth,
-    C(nodes, 2) * C(spots, 2).  Each node b whose pattern differs from
-    the first node a's is reported once, as (a, b, x, i, y, j) for the
-    spots (x, i) before (y, j) of a pair the two order differently; the
-    tree that names them is built on the first one.
+    C(nodes, 2) * C(spots, 2).  The verdict is decided whole, over
+    slices of the rank list (`_symmetry_decided`); only when it fails
+    are the nodes listed (`_symmetry_listed`).  Each node b whose
+    pattern differs from the first node a's is reported once, as
+    (a, b, x, i, y, j) for the spots (x, i) before (y, j) of a pair the
+    two order differently; the tree that names them is built on the
+    first one.
     """
-    m, starts = path_len, level_starts(degrees)
+    return _symmetry_decided(degrees, path_len, ranks) or _symmetry_listed(degrees, path_len, ranks)
+
+
+def _symmetry_decided(degrees, m: int, ranks: list) -> Optional[CheckReport]:
+    """check_child_symmetry's report when every node of every depth has
+    the first node's pattern, else None.  The copy of the first node's
+    cone member c of depth k under the t-th node of its depth is
+    c + t * step, step being the product of the degrees between, so one
+    spot of every node of the depth is one slice of the rank list.  The
+    patterns agree exactly when, taking the first node's spots in rank
+    order, every slice lies wholly below the next."""
+    starts, height = level_starts(degrees), len(degrees)
+    n, checked = starts[-1], 0
+    for depth in range(1, height + 1):
+        count, step_of = starts[depth + 1] - starts[depth], {}
+        for k in range(depth, height + 1):  # the first node's cone, member id -> its step
+            step = math.prod(degrees[depth:k])
+            step_of.update(dict.fromkeys(range(starts[k], starts[k] + step), step))
+        checked += math.comb(count, 2) * math.comb(len(step_of) * m, 2)
+        if count < 2:
+            continue
+        below = None
+        for v in sorted((o + x for o in range(0, m * n, n) for x in step_of), key=ranks.__getitem__):
+            step = step_of[v % n]
+            spot = ranks[v : v + count * step : step]
+            if below is not None and not all(map(operator.lt, below, spot)):
+                return None
+            below = spot
+    return CheckReport([], checked)
+
+
+def _symmetry_listed(degrees, m: int, ranks: list) -> CheckReport:
+    """check_child_symmetry's report, node by node against the first of its depth."""
+    starts = level_starts(degrees)
     violations, checked, nodes = [], 0, None
     for depth in range(1, len(degrees) + 1):
         first, end = starts[depth], starts[depth + 1]
@@ -399,15 +441,17 @@ def check_child_symmetry(degrees, path_len: int, ranks: list) -> CheckReport:
 def pass_order(state: PassState, targets=None) -> PassState:
     """Thin the tree until sibling cones are order-isomorphic.
 
-    A child's profile is the relative rank pattern of its cone's
-    vertices in canonical positional enumeration.
+    A child's profile is the argsort of its cone's ranks in canonical
+    positional enumeration, equal exactly when their rank patterns are.
     """
     degrees, ranks = state.degrees, state.ranks
     levels = _resolve_targets(targets, len(degrees), "order")
     starts = level_starts(degrees)
+    n = starts[-1]
 
     def profile(x: int, depth: int, keep) -> tuple:
-        return _cone_pattern(_cone(x, depth, keep, degrees, starts), ranks, starts[-1])
+        values = [r for y in _cone(x, depth, keep, degrees, starts) for r in ranks[y::n]]
+        return tuple(sorted(range(len(values)), key=values.__getitem__))
 
     return restrict(state, _prune_by_profiles(degrees, profile, levels, "order"))
 
@@ -481,8 +525,9 @@ def _sequence_families(degrees, m: int, ranks: list):
 
 
 def _direction_table(degrees, m: int, observed: dict) -> DirectionTable:
-    """The per-(level, length, position) direction, from the direction
-    bits of every child-choice sequence by (level, length).
+    """The per-(level, length, position) direction, from direction bits
+    by (level, length): per position, those of every child-choice
+    sequence, or one bit set for all of them.
 
     Every sequence of an entry must run the one way; a sequence that is
     not monotone, or two that disagree, raise InconsistencyError, which
@@ -533,8 +578,8 @@ def check_direction_consistency(table: DirectionTable) -> CheckReport:
     return CheckReport(violations, checked)
 
 
-def _related_families(degrees, m: int, colors: list, table: ColorTable,
-                      families) -> tuple[CheckReport, dict]:
+def _related_families(degrees, m: int, ranks: list, colors: list,
+                      table: ColorTable) -> tuple[CheckReport, dict]:
     """After the passes, child-choice sequences must pair up as related.
 
     Two sequences of equal length, paired position by position, are
@@ -551,25 +596,98 @@ def _related_families(degrees, m: int, colors: list, table: ColorTable,
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
 
+    The verdict is decided whole, in passes over the rank list's depth
+    blocks (`_related_decided`), which also demand that the sequences
+    of every (level, length, position) run one way, as the direction
+    table does.  Only when that fails are the sequences listed one by
+    one (`_related_listed`).  Returns the report and the direction bits
+    read, by (level, length): per position, one bit set for the whole
+    entry when decided, or those of every sequence when listed.
+    """
+    # The table colour of each (kind, row) per position, in the order the checks first read them.
+    height, wants = len(degrees), {}
+    for depth in range(1, height + 1):
+        for kind, row, end in ((EdgeKind.VERTICAL, depth + 1, m + 1), (EdgeKind.DIAGONAL, depth + 1, m),
+                               (EdgeKind.HORIZONTAL, depth, m)):
+            if row <= height:
+                wants[kind, row] = [table.color_of(row, p, kind) for p in range(1, end)]
+    return (_related_decided(degrees, m, ranks, colors, wants)
+            or _related_listed(degrees, m, colors, wants, _sequence_families(degrees, m, ranks)))
+
+
+def _related_decided(degrees, m: int, ranks: list, colors: list,
+                     wants: dict) -> Optional[tuple[CheckReport, dict]]:
+    """_related_families's result when no pair fails and the sequences
+    of every (level, length, position) entry run one way, else None.
+
+    The pairing edges of a (kind, row, position) are one slice of the
+    colour list, which must hold the table's colour only.  Every rank
+    test is one pass over whole depth blocks, the ranks of the nodes of
+    depth j at one position.  Level i's sequences there step by
+    ``stride`` through runs of degrees[i - 1] * stride ids, so they all
+    rise exactly when each rank within a run is below the one a stride
+    on; likewise they all fall.  The pairs of a shape lie on one side
+    exactly when comparing its two lists gives one answer along every
+    sequence.  Every level's sequences are checked, and between them
+    they link every two nodes of a depth, so that answer must be one
+    for the whole block: for the horizontal shape, the block at p
+    against the block at p + 1; for the vertical and diagonal shapes
+    with child v, the v-th child of every node, at p, against the block
+    at p and at p + 1.
+    """
+    height, starts = len(degrees), level_starts(degrees)
+    n = starts[-1]
+    runs = dict(zip(EdgeKind, edge_runs(n, m)))
+    for (kind, row), want in wants.items():
+        first, width = runs[kind]
+        lo, hi = first + starts[row] * width, first + starts[row + 1] * width
+        for p, colour in enumerate(want):
+            edges = colors[lo + p : hi + p : width]
+            if edges.count(colour) != len(edges):
+                return None
+    blocks = [[ranks[o + starts[j] : o + starts[j + 1]] for o in range(0, m * n, n)]
+              for j in range(height + 1)]
+    observed = {}
+    for i in range(1, height + 1):
+        d = degrees[i - 1]
+        for j in range(i, height + 1):
+            stride = math.prod(degrees[i:j])
+            within = ([True] * (stride * (d - 1)) + [False] * stride) * (len(blocks[j][0]) // (d * stride))
+            observed[i, j] = []
+            for block in blocks[j]:
+                bits = step_bits(set(itertools.compress(map(operator.lt, block, block[stride:]), within)))
+                if not bits:
+                    return None
+                observed[i, j].append([bits])
+    for j in range(1, height + 1):
+        for p, block in enumerate(blocks[j]):
+            pairs = [(block, blocks[j][p + 1])] if p + 1 < m else []
+            if j < height:
+                g = degrees[j]
+                pairs += [(blocks[j + 1][p][v::g], base) for base in blocks[j][p:p + 2] for v in range(g)]
+            if any(len(set(map(operator.lt, a, b))) != 1 for a, b in pairs):
+                return None
+    # Level i has (nodes of depth j) / degrees[i - 1] sequences of length j, each in
+    # degrees[j] * (2m - 1) vertical and diagonal pairs (below the last depth) and m - 1 horizontal.
+    checked = sum((starts[j + 1] - starts[j]) // degrees[i - 1]
+                  * ((degrees[j] * (2 * m - 1) if j < height else 0) + m - 1)
+                  for i in range(1, height + 1) for j in range(i, height + 1))
+    return CheckReport([], checked), observed
+
+
+def _related_listed(degrees, m: int, colors: list, wants: dict, families) -> tuple[CheckReport, dict]:
+    """_related_families's result, sequence by sequence.
+
     The sequences are the `_sequence_families` of the rank list, so each
     one read is a slice of it, and its pairing edges are a slice of
     ``colors``, the colour list; the tree that names a violation's prefix
     is built on the first one.
     The extension by child v of sequence q at depth j is sequence
     q * degrees[j] + v - 1 at depth j + 1, so each sequence's directions
-    are computed once per position, and each table colour is looked up
-    once.  Returns the report and the direction bits it read, by
-    (level, length).
+    are computed once per position.
     """
     height, starts, nodes = len(degrees), level_starts(degrees), None
     vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
-    # The table colour of each (row, kind) per position, in the order the checks first read them.
-    wants = {}
-    for depth in range(1, height + 1):
-        for kind, row, end in ((EdgeKind.VERTICAL, depth + 1, m + 1), (EdgeKind.DIAGONAL, depth + 1, m),
-                               (EdgeKind.HORIZONTAL, depth, m)):
-            if row <= height:
-                wants[kind, row] = [table.color_of(row, p, kind) for p in range(1, end)]
     violations, checked, observed = [], 0, {}
     for star, family in enumerate(families, start=1):
         observed.update(((star, j), bits) for j, (_, bits) in family.items())
@@ -637,13 +755,15 @@ def run_passes(
     property is verified once, on the final state's lists: the colour
     table is built (raising on any clash), child symmetry is checked
     exhaustively, and the related-sequence check (`_related_families`)
-    ties both to the table.  The direction table is read from the
-    direction bits the related check read (`_direction_table`, which
-    raises InconsistencyError on a sequence that is not monotone or an
-    entry whose sequences disagree) when every surviving level keeps at
-    least two children, else left None.  The checks compare ranks only
-    within a cone or a sequence, so the state's sparse ranks serve as
-    they are.  The result's graph is the input graph when nothing was
+    ties both to the table.  Each check decides its verdict in
+    whole-list passes and lists failures only when there are some.  The
+    direction table is read from the direction bits the related check
+    read, one set per entry when it decided whole (`_direction_table`,
+    which raises InconsistencyError on a sequence that is not monotone
+    or an entry whose sequences disagree) when every surviving level
+    keeps at least two children, else left None.  The checks compare
+    ranks only within a cone or a sequence, so the state's sparse ranks
+    serve as they are.  The result's graph is the input graph when nothing was
     pruned; its order, colouring and node map are built from the lists,
     the colouring with the input colouring's k.
     """
@@ -658,8 +778,7 @@ def run_passes(
     degrees, m, ranks, colors = state.degrees, state.path_len, state.ranks, state.colors
     color_table = ColorTable.from_colors(degrees, m, colors)
     order_report = check_child_symmetry(degrees, m, ranks)
-    families = _sequence_families(degrees, m, ranks)
-    related_report, observed = _related_families(degrees, m, colors, color_table, families)
+    related_report, observed = _related_families(degrees, m, ranks, colors, color_table)
     direction_table = _direction_table(degrees, m, observed) if all(d >= 2 for d in degrees) else None
     final = graph if degrees == graph.tree.spec.degrees else boxslash_product(degrees, m)
     nodes = final.tree.nodes

@@ -259,10 +259,10 @@ def _name(degrees, x: int) -> str:
 def restrict_ids(degrees, keep: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], list[int]]:
     """Restrict a tree to a kept subtree, children renumbered per level.
 
-    ``keep`` maps a node id to the child numbers it retains; nodes
-    missing from the map keep every child.  The kept counts must be
-    uniform within each depth level, otherwise a ShapeError names the
-    level.  Returns the kept degrees, and the old id of every kept node
+    ``keep`` maps a node id to the child numbers it retains, integers
+    under ``errors.integer``; nodes missing from the map keep every
+    child.  The kept counts must be uniform within each depth level,
+    otherwise a ShapeError names the level.  Returns the kept degrees, and the old id of every kept node
     in the kept tree's breadth-first order.
     """
     starts, old, frontier, counts = level_starts(degrees), [0], [0], []
@@ -270,7 +270,13 @@ def restrict_ids(degrees, keep: Mapping[int, Iterable[int]]) -> tuple[tuple[int,
         next_frontier: list[int] = []
         for x in frontier:
             chosen = keep.get(x)
-            nums = tuple(range(1, d + 1) if chosen is None else sorted(set(chosen)))
+            if chosen is None:
+                nums = tuple(range(1, d + 1))
+            else:
+                chosen = tuple(chosen)
+                if set(map(type, chosen)) != {int}:  # plain ints, as the passes keep, skip the rule
+                    chosen = [integer(c, "child choice") for c in chosen]
+                nums = tuple(sorted(set(chosen)))
             if not nums:
                 raise ShapeError(f"empty child selection at node {_name(degrees, x)}")
             if nums[0] < 1 or nums[-1] > d:

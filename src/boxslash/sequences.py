@@ -2,8 +2,9 @@
 
 A sequence is given by the distinct ranks of its vertices in a linear
 order.  Its directions are read off its neighbours, once, as bits:
-`direction_bits` is the one definition of "monotone" that the passes'
-direction tables and related pairs use.  The related pairs themselves
+`step_bits`, on the set of neighbour comparisons that `direction_bits`
+makes, is the one definition of "monotone" that the passes' direction
+tables and related pairs use.  The related pairs themselves
 are decided in `passes._related_families`, which states their
 definition.  The chains of related pairs that the paper builds on
 top of them need inputs far beyond the package's size limit; the size
@@ -37,7 +38,12 @@ def direction_bits(ranks: Sequence) -> int:
     """Directions a sequence of distinct ranks is monotone in, from its
     neighbours: INC_BIT if none falls, DEC_BIT if none rises; both for a
     singleton, 0 for a sequence that is not monotone."""
-    steps = set(map(lt, ranks, ranks[1:]))
+    return step_bits(set(map(lt, ranks, ranks[1:])))
+
+
+def step_bits(steps) -> int:
+    """direction_bits of a sequence from the set of its neighbour
+    comparisons (a < b): ``True`` for a rise, ``False`` for a fall."""
     return (False not in steps) * INC_BIT | (True not in steps) * DEC_BIT
 
 

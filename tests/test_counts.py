@@ -19,10 +19,12 @@ from boxslash import (
     run_passes,
     stack_number,
     three_queue_layout,
+    required_grid_size,
     top_or_long,
     trace_boundary,
 )
 from boxslash.hexgrid import HexGrid
+from boxslash.product import restrict_ids
 
 
 class Index:
@@ -57,6 +59,7 @@ _DOC = {"order": ["a", "b"], "colors": {"a--b": 0}}
 COUNTS = {
     "NodeIndex": ("child choice", lambda v: NodeIndex((v,)).path[0], 2),
     "TreeSpec": ("degree", lambda v: TreeSpec((v,)).degrees[0], 2),
+    "restrict_ids": ("child choice", lambda v: restrict_ids((3,), {0: [v]})[1][1], 2),
     "boxslash_product": ("path_len", lambda v: boxslash_product((2,), v).path_len, 3),
     "EdgeColoring.colour": ("colour of edge ('a', 'b')",
                             lambda v: EdgeColoring({("a", "b"): v}).get("a", "b"), 2),
@@ -75,6 +78,8 @@ COUNTS = {
     "DirectionTable.height": ("height", lambda v: DirectionTable(v, 1, _table(2).entries).height, 2),
     "DirectionTable.path_len": ("path_len", lambda v: DirectionTable(1, v, _table(1, 2).entries).path_len, 2),
     "direction_layer": ("layer", lambda v: direction_layer(_table(3), v).grid.rows, 2),
+    "required_grid_size.s": ("s", lambda v: required_grid_size(v, 1)[1], 1),
+    "required_grid_size.long_length": ("long_length", lambda v: required_grid_size(1, v)[0], 3),
     "top_or_long.s": ("s", lambda v: len(top_or_long(_MONO, v, 1, []).cells), 1),
     "top_or_long.long_length": ("long_length", lambda v: top_or_long(
         c := HexColoring.from_matrix(_STRIPES), 1, v, trace_boundary(c)).line.length, 3),

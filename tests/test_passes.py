@@ -324,8 +324,7 @@ def test_checks_report_exact_violations_on_a_damaged_layout():
     symmetry = check_child_symmetry(state.degrees, state.path_len, state.ranks)
     assert (symmetry.violations, symmetry.checked) == ([("1", "2", (1,), 1, (2,), 1)], 21)
     table = color_table(g, queues)
-    families = passes._sequence_families(state.degrees, state.path_len, state.ranks)
-    related = passes._related_families(state.degrees, state.path_len, state.colors, table, families)[0]
+    related = passes._related_families(state.degrees, state.path_len, state.ranks, state.colors, table)[0]
     assert (related.violations, related.checked) == (
         [("vertical", "r", (), 2, 1), ("horizontal", "r", (1,), 1), ("horizontal", "2", (), 1)], 11)
     # The oracles agree.
@@ -490,11 +489,12 @@ def test_pass_lex_finds_the_oracle_witnesses_on_scrambled_products():
 
 
 # ---------------------------------------------------------------------------
-# Direction extraction and checks.  run_passes reads the child-choice
-# sequences once (passes._sequence_families) and hands them to the related
-# check (passes._related_families), whose direction bits then make the
-# direction table (passes._direction_table); these helpers run the same
-# kernels on any layout.
+# Direction extraction and checks.  run_passes's related check
+# (passes._related_families) decides in passes over whole depth blocks, or
+# lists the child-choice sequences (passes._sequence_families); the
+# direction bits it read then make the direction table
+# (passes._direction_table).  These helpers run the same kernels on any
+# layout, the table on every sequence's bits.
 
 def sequence_families(graph, order):
     return passes._sequence_families(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices))
@@ -510,8 +510,8 @@ def direction_table(graph, order):
 def related_report(graph, order, coloring, table):
     """passes._related_families's report on the order's sequences."""
     colors = [coloring.get(u, v) for u, v, _ in graph.edges]  # None, which no colour matches, for a miss
-    families = sequence_families(graph, order)
-    return passes._related_families(graph.tree.spec.degrees, graph.path_len, colors, table, families)[0]
+    return passes._related_families(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
+                                    colors, table)[0]
 
 
 def identity_sigma(witnesses):
@@ -628,6 +628,19 @@ def test_check_related_sequence_families():
     tampered = ColorTable(tampered_entries)
     report = related_report(g, order, coloring, tampered)
     assert not report.ok
+
+
+def test_check_related_sequence_families_finds_a_diagonal_pair_alone():
+    # Every shape but one holds: 1.1@1 lies below 1@2, but 2.1@1 above 2@2.
+    g = boxslash_product((2, 1), 2)
+    order = order_of(["r@1", "r@2", "1@1", "1.1@1", "1@2", "1.1@2", "2@1", "2@2", "2.1@1", "2.1@2"])
+    _, coloring = three_queue_layout(g)
+    table = color_table(g, coloring)
+    report = related_report(g, order, coloring, table)
+    assert report.violations == [("diagonal", "r", (), 1, 1)]
+    rank, colour = layout_data(g, order, coloring)
+    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
+    assert naive_related_families((2, 1), 2, rank, colour, entries) == (report.violations, report.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +887,25 @@ def test_color_table_matches_the_oracle(degrees, m):
     assert {"entries", "clash"} <= outcomes
 
 
+def assert_direction_table_matches_oracle(degrees, m, rank, build):
+    """build() makes the package's direction table, which must hold
+    naive_direction_table's entries, or raise InconsistencyError naming
+    the entry, and prefix, where the oracle finds a problem.  Returns
+    the oracle's directions, or its problem."""
+    try:
+        want = naive_direction_table(degrees, m, rank)
+    except ValueError as exc:
+        problem, i, j, p, *prefix = exc.args[0]
+        at = f"level {i}, length {j}, position {p}"
+        message = f"^witnesses disagree at {at}$" if problem == "disagree" else (
+            rf"^child sequence at {at} under {re.escape(prefix[0])} is not monotone$")
+        with pytest.raises(InconsistencyError, match=message):
+            build()
+        return {problem}
+    assert {key: d.value for key, d in build().entries.items()} == want
+    return set(want.values())
+
+
 @pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
 def test_extract_direction_table_matches_the_oracle(degrees, m):
     rng = random.Random(f"direction table {degrees} {m}")
@@ -883,20 +915,8 @@ def test_extract_direction_table_matches_the_oracle(degrees, m):
         shape = graph.tree.spec.degrees
         if min(shape) < 2:  # run_passes reads no directions off a one-child level
             continue
-        try:
-            want = naive_direction_table(shape, m, layout_data(graph, order, coloring)[0])
-        except ValueError as exc:
-            problem, i, j, p, *prefix = exc.args[0]
-            outcomes.add(problem)
-            at = f"level {i}, length {j}, position {p}"
-            message = f"^witnesses disagree at {at}$" if problem == "disagree" else (
-                rf"^child sequence at {at} under {re.escape(prefix[0])} is not monotone$")
-            with pytest.raises(InconsistencyError, match=message):
-                direction_table(graph, order)
-        else:
-            outcomes.update(want.values())
-            table = direction_table(graph, order)
-            assert {key: d.value for key, d in table.entries.items()} == want
+        rank = layout_data(graph, order, coloring)[0]
+        outcomes |= assert_direction_table_matches_oracle(shape, m, rank, lambda: direction_table(graph, order))
     if min(degrees) >= 2:
         assert {"inc", "dec"} <= outcomes
     if min(degrees) >= 2 and len(g.tree) > 3:  # (2,) has one sequence per entry, of two
@@ -958,6 +978,83 @@ def test_run_passes_final_state_matches_the_oracles(degrees, m):
             assert {key: d.value for key, d in result.direction_table.entries.items()} == want
         else:
             assert result.direction_table is None
+
+
+@st.composite
+def damaged_final_states(draw):
+    """The final state of run_passes on a canonical, reversed or scrambled
+    layout of a product of height at most 3 and at most 60 vertices, with
+    two ranks swapped or one edge recoloured, and its colour table."""
+    degrees, m = draw(st.sampled_from(small_shapes(60, 3)))
+    rng = draw(st.randoms(use_true_random=False))
+    g = boxslash_product(degrees, m)
+    order, coloring = three_queue_layout(g)
+    layouts = [(order, coloring), (LinearOrder(reversed(order.vertices)), coloring), scrambled_layout(g, rng)]
+    result = run_passes(g, *draw(st.sampled_from(layouts)), lex_targets=2)
+    ranks = result.order.ranks_of(result.graph.vertices)
+    colors = result.coloring.colors_of(result.graph.edges)
+    if draw(st.booleans()):
+        a, b = rng.sample(range(len(ranks)), 2)
+        ranks[a], ranks[b] = ranks[b], ranks[a]
+    elif colors:
+        e = rng.randrange(len(colors))
+        colors[e] = (colors[e] + rng.randint(1, 3)) % 4
+    state = PassState(result.graph.tree.spec.degrees, m, ranks, colors, [])
+    return state, result.color_table
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=damaged_final_states())
+def test_checks_match_the_oracles_on_damaged_final_states(case):
+    # Either a check is decided whole or its failures are listed; both
+    # must give the oracle's report, and the direction table its table
+    # or the error naming its first problem.
+    state, table = case
+    degrees, m, ranks = state.degrees, state.path_len, state.ranks
+    assert_child_symmetry_matches_oracle(degrees, m, ranks)
+    report, observed = passes._related_families(degrees, m, ranks, state.colors, table)
+    rank, colour = state_data(state)
+    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
+    assert (report.violations, report.checked) == naive_related_families(degrees, m, rank, colour, entries)
+    if min(degrees) >= 2:
+        assert_direction_table_matches_oracle(degrees, m, rank, lambda: passes._direction_table(degrees, m, observed))
+
+
+def test_related_check_holds_where_the_direction_table_finds_opposite_sequences():
+    # At one position no shape compares the last level's siblings, so
+    # with 1.1@1 and 1.2@1 swapped every related pair holds, yet the
+    # level-2 sequences under 1 and under 2 run opposite ways.
+    g = boxslash_product((2, 2), 1)
+    names = [str(v) for v in canonical_order(g)]
+    a, b = names.index("1.1@1"), names.index("1.2@1")
+    names[a], names[b] = names[b], names[a]
+    colors = three_queue_layout(g)[1].colors_of(g.edges)
+    table = ColorTable.from_colors((2, 2), 1, colors)
+    report, observed = passes._related_families((2, 2), 1, order_of(names).ranks_of(g.vertices), colors, table)
+    assert report.ok
+    with pytest.raises(InconsistencyError, match=r"^witnesses disagree at level 2, length 2, position 1$"):
+        passes._direction_table((2, 2), 1, observed)
+
+
+@pytest.mark.parametrize("degrees, m", [((5, 5), 8), ((3, 3, 3), 6), ((2, 9), 4), ((6,), 10), ((3, 1, 2), 4)])
+def test_run_passes_decides_passing_checks_without_listing(degrees, m, monkeypatch):
+    # Every check holds on these final states, and the whole-list
+    # deciders must see it: the per-node and per-sequence listing loops
+    # are not reached.
+    def listing(*args):
+        raise AssertionError("a check fell back on its listing loop")
+
+    monkeypatch.setattr(passes, "_symmetry_listed", listing)
+    monkeypatch.setattr(passes, "_related_listed", listing)
+    g = boxslash_product(degrees, m)
+    order, coloring = three_queue_layout(g)
+    reverse = LinearOrder(reversed(order.vertices))
+    for layout, targets in [((order, coloring), None), ((reverse, coloring), None),
+                            (scrambled_layout(g, random.Random(f"{degrees} {m}")), 2)]:
+        result = run_passes(g, *layout, lex_targets=targets)
+        assert result.order_report.ok and result.related_report.ok
+        final = result.graph.tree.spec.degrees
+        assert (result.direction_table is None) == (min(final) < 2)
 
 
 def test_run_passes_accepts_an_order_with_extra_vertices():
