@@ -11,13 +11,17 @@ Each entry point reads its inputs once into integer lists (``_spans``):
 each edge's lower and upper endpoint rank, by vertex id for a
 ProductGraph (``product.edge_ends``), and its colour, which a colouring
 built on the same edge sequence hands over as it is: no object per edge.
-The kernels then run in O(E log E) plus their output: the validators
-and the stack page count find each edge's partners with one sweep over
-rank spans (``_sweep``), and the nesting depths, whose maximum is the
-queue count (the largest rainbow, Heath & Rosenberg 1992), come from
-patience sorting.  ``stack_pages_for_order`` costs O(E log E +
-crossings) plus an exact search on each crossing-conflict component of
-at most ``EXACT_PAGE_LIMIT`` edges.
+An order built on the product's own vertex tuple (``canonical_order``)
+ranks each vertex by its id, with no lookup.  The kernels then run in
+O(E log E) plus their output: the validators decide a valid layout in
+one pass over the sorted spans, and only a failed one, like the stack
+page count, finds each edge's partners with one sweep over rank spans
+(``_sweep``); its pairs are ordered when the first is read.  The
+nesting depths, whose maximum is the queue count (the largest rainbow,
+Heath & Rosenberg 1992), come from patience sorting.
+``stack_pages_for_order`` costs O(E log E + crossings) plus an exact
+search on each crossing-conflict component of at most
+``EXACT_PAGE_LIMIT`` edges.
 
 The solver's stack search colours its conflict graphs (adjacency
 bitmasks) here too: by ``fewest_colours``, which runs ``try_color`` for
@@ -72,7 +76,10 @@ class LinearOrder:
         return v in self._rank
 
     def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
-        """The rank of each vertex; the first one outside the order raises."""
+        """The rank of each vertex; the first one outside the order raises.
+        The order's own vertex tuple is ranked without a lookup."""
+        if vertices is self._seq:
+            return list(range(len(self._seq)))
         ranks = list(map(self._rank.get, vertices))
         if None in ranks:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
@@ -144,13 +151,16 @@ class Violation:
 
 
 class _Violations(Sequence):
-    """Violating pairs as keys (colour * E + i) * E + j, i < j, each made a Violation when read."""
+    """Violating pairs, kept as the sweep's (i, partners) rows and counted
+    when made.  The first item read orders them by key (colour * E + i) * E + j,
+    i < j, and each becomes a Violation when read."""
 
-    def __init__(self, keys: list[int], edges: Sequence, colors: list, relation: PairRelation):
-        self._keys, self._edges, self._colors, self._relation = keys, edges, colors, relation
+    def __init__(self, rows: list, edges: Sequence, colors: list, relation: PairRelation):
+        self._rows, self._keys, self._edges, self._colors, self._relation = rows, None, edges, colors, relation
+        self._count = sum(len(hits) for _, hits in rows)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._count
 
     def __eq__(self, other) -> bool:
         return list(self) == other
@@ -158,6 +168,11 @@ class _Violations(Sequence):
     def __getitem__(self, at):
         if isinstance(at, slice):
             return [self[i] for i in range(*at.indices(len(self)))]
+        if self._keys is None:
+            n, colors = len(self._edges), self._colors
+            self._keys = sorted((colors[i] * n + i) * n + j if i < j else (colors[i] * n + j) * n + i
+                                for i, hits in self._rows for j in hits)
+            self._rows = None
         i, j = divmod(self._keys[at] % len(self._edges) ** 2, len(self._edges))
         return Violation(_PAIR(self._edges[i]), _PAIR(self._edges[j]), self._relation, self._colors[i])
 
@@ -225,8 +240,12 @@ def _spans(graph, order: LinearOrder, coloring: EdgeColoring | None = None):
     edges = graph.edges if isinstance(graph, ProductGraph) else graph_vertices_edges(graph)[1]
     colors = None if coloring is None else coloring.colors_of(edges)
     if isinstance(graph, ProductGraph):
-        ranks, ends = order.ranks_of(graph.vertices), edge_ends(graph.tree.spec.degrees, graph.path_len)
-        a, b = (list(map(ranks.__getitem__, ids)) for ids in ends)
+        ends = edge_ends(graph.tree.spec.degrees, graph.path_len)
+        if order.vertices is graph.vertices:  # ids are ranks
+            a, b = map(list, ends)
+        else:
+            ranks = order.ranks_of(graph.vertices)
+            a, b = (list(map(ranks.__getitem__, ids)) for ids in ends)
     else:
         flat = order.ranks_of([w for e in edges for w in e])
         a, b = flat[0::2], flat[1::2]
@@ -263,21 +282,47 @@ def _sweep(lo: list[int], hi: list[int], crossing: bool) -> Iterator[tuple[int, 
         ids.insert(end, i)
 
 
+def _nest_free(lo: list[int], hi: list[int]) -> bool:
+    """Whether no two spans nest.  Taken by left rank, narrowest first,
+    a nesting pair puts a right rank below the one before it."""
+    right = list(map(hi.__getitem__, _by_span(lo, hi, 1)))
+    return all(map(operator.le, right, right[1:]))
+
+
+def _cross_free(lo: list[int], hi: list[int]) -> bool:
+    """Whether no two spans cross.  Taken by left rank, widest first,
+    with a stack of the right ranks still open: a crossing pair puts the
+    top one strictly inside a later span."""
+    opened = [max(hi, default=0) + 1]  # beyond every span: never closed
+    for i in _by_span(lo, hi, -1):
+        a, b = lo[i], hi[i]
+        while opened[-1] <= a:
+            opened.pop()
+        if opened[-1] < b:
+            return False
+        opened.append(b)
+    return True
+
+
 def _validate(graph, order, coloring, forbidden: PairRelation) -> LayoutReport:
     """Every same-colour pair in the ``forbidden`` relation, by colour,
     then by input position of the pair's first and second edge.
 
     Every edge is ranked, so an edge with an endpoint outside the order
     raises ValueError.  Colour c's spans are shifted by c times the rank
-    range, so one sweep keeps colours apart.  O(E log E) plus the pairs.
+    range, so one pass keeps colours apart.  The layout is decided in one
+    pass over the sorted spans, O(E log E); only a failed one is swept to
+    list its pairs, O(E log E) plus the pairs, and they are ordered when
+    the first one is read.
     """
     edges, colors, lo, hi = _spans(graph, order, coloring)
-    n, r = len(edges), max(hi, default=0) + 1
+    r = max(hi, default=0) + 1
     lo, hi = ([c * r + x for c, x in zip(colors, xs)] for xs in (lo, hi))
-    found = _sweep(lo, hi, forbidden is PairRelation.CROSS)
-    keys = sorted((colors[i] * n + i) * n + j if i < j else (colors[i] * n + j) * n + i
-                  for i, hits in found for j in hits)
-    return LayoutReport(valid=not keys, violations=_Violations(keys, edges, colors, forbidden))
+    crossing = forbidden is PairRelation.CROSS
+    free = _cross_free(lo, hi) if crossing else _nest_free(lo, hi)
+    rows = [] if free else list(_sweep(lo, hi, crossing))
+    violations = _Violations(rows, edges, colors, forbidden)
+    return LayoutReport(valid=not violations, violations=violations)
 
 
 def validate_stack_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> LayoutReport:

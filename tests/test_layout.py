@@ -285,6 +285,67 @@ def test_product_inputs_match_the_reference(degrees, m):
         assert validate_stack_layout(g, order, pages.colors).valid
 
 
+DAMAGES = ("rank swap", "colour change")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validators_on_a_damaged_product_layout_match_the_reference(data):
+    # A canonical, reversed or shuffled order with the three-queue or a
+    # drawn colouring, damaged once.  The verdict and the count are read
+    # before any pair, so they come from the unordered rows.
+    degrees = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    g = boxslash_product(degrees, data.draw(st.integers(1, 5)))
+    edges = list(g.edge_pairs())
+    vertices = list(g.vertices)
+    way = data.draw(st.sampled_from(("canonical", "reversed", "shuffled")))
+    if way == "reversed":
+        vertices.reverse()
+    elif way == "shuffled":
+        data.draw(st.randoms(use_true_random=False)).shuffle(vertices)
+    if data.draw(st.booleans()):
+        colours = list(three_queue_layout(g)[1].colors_of(g.edges))
+    else:
+        k = data.draw(st.integers(1, 3))
+        colours = data.draw(st.lists(st.integers(0, k - 1), min_size=len(edges), max_size=len(edges)))
+    if data.draw(st.sampled_from(DAMAGES)) == "rank swap":
+        a, b = data.draw(st.lists(st.integers(0, len(vertices) - 1), min_size=2, max_size=2, unique=True))
+        vertices[a], vertices[b] = vertices[b], vertices[a]
+    else:
+        t = data.draw(st.integers(0, len(edges) - 1))
+        colours[t] = data.draw(st.integers(0, 3).filter(lambda c: c != colours[t]))
+    # The undamaged canonical order is the product's own vertex tuple.
+    order = canonical_order(g) if vertices == list(g.vertices) else LinearOrder(vertices)
+    coloring = EdgeColoring(dict(zip(edges, colours)))
+    position = {v: r for r, v in enumerate(vertices)}
+    for check, conflict, rel in ((validate_stack_layout, edges_cross, PairRelation.CROSS),
+                                 (validate_queue_layout, edges_nest, PairRelation.NEST)):
+        report = check(g, order, coloring)
+        valid, count = report.valid, len(report.violations)
+        expected = naive_violations(edges, colours, position, conflict)
+        assert (valid, count) == (not expected, len(expected))
+        assert [(v.edge_a, v.edge_b, v.color) for v in report.violations] == expected
+        assert all(v.relation is rel for v in report.violations)
+
+
+@pytest.mark.parametrize("degrees, m", [((2,), 3), ((2, 2), 3), ((3, 1, 2), 2)])
+def test_an_order_on_the_products_own_vertices_ranks_them_by_id(degrees, m):
+    # canonical_order shares the product's vertex tuple and skips the
+    # rank lookup; an order on a copy of it looks every vertex up.  Both
+    # must give the same ranks, reports and fixed-order counts.
+    g = boxslash_product(degrees, m)
+    own, copy = canonical_order(g), LinearOrder(list(g.vertices))
+    assert own.vertices is g.vertices and copy.vertices is not g.vertices
+    assert own.ranks_of(g.vertices) == copy.ranks_of(g.vertices) == list(range(len(g)))
+    coloring = three_queue_layout(g)[1]
+    for check in (validate_stack_layout, validate_queue_layout):
+        a, b = check(g, own, coloring), check(g, copy, coloring)
+        assert (a.valid, list(a.violations)) == (b.valid, list(b.violations))
+    for count in (queues_for_order, stack_pages_for_order):
+        a, b = count(g, own), count(g, copy)
+        assert (a.count, a.exact, a.colors.colors_of(g.edges)) == (b.count, b.exact, b.colors.colors_of(g.edges))
+
+
 def test_canonical_order_is_position_major_then_depth():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
@@ -328,6 +389,28 @@ def test_three_queue_layout_of_a_large_product():
     pages = stack_pages_for_order(g, order)
     assert pages.colors.k == pages.count
     assert validate_stack_layout(g, order, pages.colors).valid
+
+
+@pytest.mark.parametrize("degrees, m", [((5, 5), 8), ((3, 3, 3), 6), ((2, 9), 4), ((6,), 10), ((3, 1, 2), 4)])
+def test_valid_layouts_are_decided_without_listing(degrees, m, monkeypatch):
+    # The three-queue layout and the stack witness, under the canonical
+    # order and its reverse, are valid, and the one-pass deciders must
+    # see it: the sweep that lists pairs is not reached.
+    g = boxslash_product(degrees, m)
+    order, coloring = three_queue_layout(g)
+    pages = stack_pages_for_order(g, order)  # sweeps its crossings, so before the patch
+    reverse = LinearOrder(reversed(order.vertices))
+
+    def listing(*args):
+        raise AssertionError("a valid layout fell back on the sweep")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(layout, "_sweep", listing)
+        for way in (order, reverse):
+            assert validate_queue_layout(g, way, coloring).valid
+            assert validate_stack_layout(g, way, pages.colors).valid
+    report = validate_stack_layout(g, order, coloring)
+    assert not report.valid and len(report.violations) == len(list(report.violations)) > 0
 
 
 def test_three_queue_layout_colors_follow_edge_kind():
