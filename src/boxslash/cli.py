@@ -31,6 +31,7 @@ from .hexgrid import (
     TopCellsWitness,
 )
 from .layout import (
+    LinearOrder,
     layout_from_json,
     layout_to_json,
     three_queue_layout,
@@ -102,20 +103,21 @@ def cmd_layout(args) -> int:
 
 def _product_layout(graph: ProductGraph, doc: dict):
     """The order and colouring of a layout document on a product, which
-    must order exactly its vertices and colour only its edges."""
+    must order exactly its vertices and colour only its edges.  Each
+    vertex is parsed once and checked by its vertex id; the order is
+    returned on the product's vertex view, ranked by id."""
     order, coloring = layout_from_json(doc, parse_vertex=PVertex.parse)
-    vertices = set(graph.vertices)
-    stray = next((v for v in order if v not in vertices), None)
-    if stray is not None:
-        raise ValueError(f"order has vertex {stray}, which is not in the graph")
-    if len(order) < len(graph):
-        missing = next(v for v in graph.vertices if v not in order)
-        raise ValueError(f"order misses vertex {missing} of the graph")
-    pairs = set(graph.edge_pairs())
+    id_of = graph.vertices.id_of
+    ids = list(map(id_of, order))
+    if None in ids:
+        raise ValueError(f"order has vertex {order.vertices[ids.index(None)]}, which is not in the graph")
+    if len(ids) < len(graph):
+        missing = min(set(range(len(graph))).difference(ids))
+        raise ValueError(f"order misses vertex {graph.vertices[missing]} of the graph")
     for (u, v), _ in coloring.edges():  # each key once, as first spelt, in document order
-        if (u, v) not in pairs and (v, u) not in pairs:
+        if graph.edge_id(id_of(u), id_of(v)) is None:
             raise ValueError(f"colour key '{u}--{v}' is not an edge of the graph")
-    return order, coloring
+    return LinearOrder(graph.vertices.reordered(ids)), coloring
 
 
 def cmd_validate(args) -> int:

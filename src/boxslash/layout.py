@@ -8,11 +8,14 @@ document (``graph_vertices_edges``); a vertex is in it only as the end
 of an edge.
 
 Each entry point reads its inputs once into integer lists (``_spans``):
-each edge's lower and upper endpoint rank, by vertex id for a
-ProductGraph (``product.edge_ends``), and its colour, which a colouring
-built on the same edge sequence hands over as it is: no object per edge.
-An order built on the product's own vertex tuple (``canonical_order``)
-ranks each vertex by its id, with no lookup.  The kernels then run in
+each edge's lower and upper endpoint rank and its colour, which a
+colouring built on the same edge sequence hands over as it is: no object
+per edge.  An order on a product's own vertex view (``canonical_order``)
+ranks each vertex by its id, so its spans are the product's span table
+(``ProductGraph.spans``), handed over as it is; an order made by
+``from_ranks`` on that view ranks by id too.  The kernels read their
+lists and never change them, since the span table is shared by every
+call on its product.  They run in
 O(E log E) plus their output: the validators decide a valid layout in
 one pass over the sorted spans, and only a failed one, like the stack
 page count, finds each edge's partners with one sweep over rank spans
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import integer
-from .product import EdgeKind, ProductGraph, PVertex, edge_ends
+from .product import EdgeKind, ProductEdges, ProductGraph, ProductVertices, PVertex
 
 Vertex = Hashable
 EdgePair = tuple[Vertex, Vertex]
@@ -49,9 +52,16 @@ class PairRelation(Enum):
 
 
 class LinearOrder:
-    """A total order on a finite vertex set, held as one rank map."""
+    """A total order on a finite vertex set.  An order on a product's
+    vertex view (``canonical_order``, ``from_ranks``) keeps the view, whose
+    vertices are distinct by construction, and builds its rank map only
+    when a vertex outside that view is looked up; any other order keeps a
+    tuple and its rank map."""
 
     def __init__(self, vertices: Iterable[Vertex]):
+        if isinstance(vertices, ProductVertices):
+            self._seq, self._rank = vertices, None
+            return
         self._seq = tuple(vertices)
         self._rank = {v: i for i, v in enumerate(self._seq)}
         if len(self._rank) != len(self._seq):
@@ -59,11 +69,13 @@ class LinearOrder:
 
     @classmethod
     def from_ranks(cls, vertices: Sequence[Vertex], ranks: list) -> "LinearOrder":
-        """vertices sorted by ranks, one distinct number per vertex."""
-        return cls(map(vertices.__getitem__, sorted(range(len(vertices)), key=ranks.__getitem__)))
+        """vertices sorted by ranks, one distinct number per vertex; a
+        product's vertex view is reordered, not read."""
+        ids = sorted(range(len(vertices)), key=ranks.__getitem__)
+        return cls(vertices.reordered(ids) if isinstance(vertices, ProductVertices) else map(vertices.__getitem__, ids))
 
     @property
-    def vertices(self) -> tuple[Vertex, ...]:
+    def vertices(self) -> Sequence[Vertex]:
         return self._seq
 
     def __len__(self) -> int:
@@ -73,14 +85,26 @@ class LinearOrder:
         return iter(self._seq)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._rank
+        return v in (self._seq if self._rank is None else self._rank)
+
+    def _lookup(self) -> dict:
+        if self._rank is None:
+            self._rank = {v: i for i, v in enumerate(self._seq)}
+        return self._rank
 
     def ranks_of(self, vertices: Sequence[Vertex]) -> list[int]:
         """The rank of each vertex; the first one outside the order raises.
-        The order's own vertex tuple is ranked without a lookup."""
-        if vertices is self._seq:
-            return list(range(len(self._seq)))
-        ranks = list(map(self._rank.get, vertices))
+        The order's own sequence is ranked without a lookup, and so is the
+        product's vertex view under an order on that view: by id.  Other
+        vertices are looked up in the rank map, a product view's by their
+        plain (node, pos) tuples, so no vertex object is made."""
+        seq = self._seq
+        if vertices is seq:
+            return list(range(len(seq)))
+        if isinstance(seq, ProductVertices) and vertices is seq.base:
+            return seq.positions()
+        keys = vertices.tuples() if isinstance(vertices, ProductVertices) else vertices
+        ranks = list(map(self._lookup().get, keys))
         if None in ranks:
             raise ValueError(f"vertex {_text(vertices[ranks.index(None)])} not in order")
         return ranks
@@ -128,14 +152,16 @@ class EdgeColoring:
     def colors_of(self, edges: Sequence) -> list:
         """Each edge's colour; the first edge without one raises.  A colouring
         built on this very sequence gives its own list (not to be changed); any
-        other is read by one lookup per edge, misses retried reversed."""
+        other is read by one lookup per edge, misses retried reversed, a
+        product's edge view by plain tuple pairs, so no edge object is made."""
         if self._edges is edges:
             colors = self._colors
         else:
             get = self._lookup().get
-            colors = list(map(get, map(_PAIR, edges)))
+            pairs = edges.pairs if isinstance(edges, ProductEdges) else lambda: map(_PAIR, edges)
+            colors = list(map(get, pairs()))
             if None in colors:
-                colors = [get((e[1], e[0])) if c is None else c for e, c in zip(edges, colors)]
+                colors = [get((v, u)) if c is None else c for (u, v), c in zip(pairs(), colors)]
         if None in colors:
             u, v = _PAIR(edges[colors.index(None)])
             raise ValueError(f"edge {_text(u)} -- {_text(v)} has no colour")
@@ -236,16 +262,18 @@ def _text(v: Vertex) -> str:
 
 def _spans(graph, order: LinearOrder, coloring: EdgeColoring | None = None):
     """(edges, colours or None, lo, hi): the lower and upper rank of each
-    edge's ends, a ProductGraph's found by vertex id (``edge_ends``)."""
+    edge's ends.  Under an order on a ProductGraph's own vertex view the
+    ranks are the ids, so lo and hi are the product's span table, handed
+    over as it is: no list is made.  Any other order on a product ranks
+    the table's ids."""
     edges = graph.edges if isinstance(graph, ProductGraph) else graph_vertices_edges(graph)[1]
     colors = None if coloring is None else coloring.colors_of(edges)
     if isinstance(graph, ProductGraph):
-        ends = edge_ends(graph.tree.spec.degrees, graph.path_len)
+        lo, hi = graph.spans()
         if order.vertices is graph.vertices:  # ids are ranks
-            a, b = map(list, ends)
-        else:
-            ranks = order.ranks_of(graph.vertices)
-            a, b = (list(map(ranks.__getitem__, ids)) for ids in ends)
+            return edges, colors, lo, hi
+        ranks = order.ranks_of(graph.vertices)
+        a, b = (list(map(ranks.__getitem__, ids)) for ids in (lo, hi))
     else:
         flat = order.ranks_of([w for e in edges for w in e])
         a, b = flat[0::2], flat[1::2]
@@ -339,7 +367,9 @@ def validate_queue_layout(edges, order: LinearOrder, coloring: EdgeColoring) -> 
 # The canonical product order and its three-queue layout.
 
 def canonical_order(graph: ProductGraph) -> LinearOrder:
-    """Vertices by position, depth, then address: their id order."""
+    """Vertices by position, depth, then address: their id order.  The
+    order holds the product's vertex view, so every product check under
+    it ranks by id and reads the product's span table as it is."""
     return LinearOrder(graph.vertices)
 
 
@@ -588,17 +618,25 @@ def layout_to_json(order: LinearOrder, coloring: EdgeColoring, edges) -> dict:
 
 
 def layout_from_json(doc: Mapping, parse_vertex=PVertex.parse) -> tuple[LinearOrder, EdgeColoring]:
+    """The order and colouring of a layout document.  Each vertex of the
+    order is parsed once, and a colour key's end that the order holds is
+    taken from it, not parsed again."""
     if not isinstance(doc.get("order"), list):
         raise ValueError("layout 'order' must be a list of vertices")
     if not isinstance(doc.get("colors"), dict):
         raise ValueError("layout 'colors' must be an object of edge colours")
     _check_key_ids(map(str, doc["order"]))
     order = LinearOrder(parse_vertex(s) for s in doc["order"])
+    known = dict(zip(map(str, doc["order"]), order))  # a key's end in the order is not parsed again
+
+    def parse(text: str) -> Vertex:
+        return known[text] if text in known else parse_vertex(text)
+
     colors = {}
     for key, c in doc["colors"].items():
         u_text, sep, v_text = key.partition("--")
         if not sep:
             raise ValueError(f"bad edge key {key!r}")
-        colors[(parse_vertex(u_text), parse_vertex(v_text))] = integer(c, f"colour of edge {key!r}", 0)
+        colors[(parse(u_text), parse(v_text))] = integer(c, f"colour of edge {key!r}", 0)
     k = doc.get("k")
     return order, EdgeColoring(colors, k=None if k is None else integer(k, "layout 'k'"))

@@ -13,21 +13,33 @@ The product of a tree T and a path on m vertices has vertex set
 * horizontal: (A, i)   -- (A, i+1)    same node, consecutive positions
 * diagonal:   (A+v, i) -- (A, i+1)    child to parent, next position
 
-Stored edges always put the endpoint with the larger tree depth first,
-or the smaller path position when depths agree.
+An edge is read as (u, v, kind) with the endpoint of larger tree depth
+first, or the smaller path position when depths agree.
 
 Integer ids: tree nodes are numbered breadth first, so each node's
 children are consecutive, `level_starts` gives each depth's first id,
 and parent and child ids follow by mixed-radix arithmetic on the
 degrees.  Vertex (node, pos) is (pos - 1) * |T| + node, its index in
 ProductGraph.vertices; an edge's id is its index in ProductGraph.edges,
-as laid out by `edge_runs`, and `edge_ends` lists its endpoints' ids.
+as laid out by `edge_runs`.
+
+A ProductGraph stores no vertex or edge objects.  `vertices` and `edges`
+are read-only sequence views over the tree's nodes and the span table:
+a PVertex or a (u, v, kind) tuple is made only when an item is read (for
+JSON, DOT, error texts and violations).  The span table
+(`ProductGraph.spans`) lists each edge's lower and upper vertex id, once
+per product, on first use: the lower end is the second one of a vertical
+edge (the parent) and the first one of a horizontal or diagonal edge.
+Its lists share the int objects of one id list, so they cost a pointer
+per entry.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import mul
 from enum import Enum
@@ -112,6 +124,17 @@ class Tree:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def ids(self) -> dict:
+        """Each node's id, keyed by node."""
+        return {node: x for x, node in enumerate(self.nodes)}
+
+    @cached_property
+    def parents(self) -> list[int]:
+        """Each node's parent id, by node id; the root's is -1."""
+        degrees, starts = self.spec.degrees, level_starts(self.spec.degrees)
+        return [-1, *(x for k, d in enumerate(degrees) for x in range(starts[k], starts[k + 1]) for _ in range(d))]
+
 
 def build_tree(degrees) -> Tree:
     """Build a balanced tree from its degree sequence."""
@@ -155,26 +178,184 @@ DOT_COLORS = {
 Edge = tuple[PVertex, PVertex, EdgeKind]
 
 
+class ProductVertices(Sequence):
+    """A product's vertices by id, or in the order of a list of ids.
+
+    Read-only: a PVertex is made only when an item is read.  ``base`` is
+    the product's own view that a reordered one was made from.
+    """
+
+    __slots__ = ("tree", "path_len", "ids", "base")
+
+    def __init__(self, tree: Tree, path_len: int, ids: list[int] | None = None, base=None):
+        self.tree, self.path_len, self.ids, self.base = tree, path_len, ids, base
+
+    def __len__(self) -> int:
+        return len(self.tree) * self.path_len
+
+    def _vertex(self, x: int) -> PVertex:
+        pos, node = divmod(x, len(self.tree))
+        return PVertex(self.tree.nodes[node], pos + 1)
+
+    def __getitem__(self, at):
+        at = range(len(self))[at]  # checked and resolved as a tuple's index or slice
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        return self._vertex(at if self.ids is None else self.ids[at])
+
+    def __iter__(self) -> Iterator[PVertex]:
+        return map(PVertex, *self._columns()) if self.ids is None else map(self._vertex, self.ids)
+
+    def __contains__(self, v) -> bool:
+        return self.id_of(v) is not None
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProductVertices) and self.ids is None and other.ids is None:
+            return (self.tree.spec, self.path_len) == (other.tree.spec, other.path_len)
+        if isinstance(other, (tuple, ProductVertices)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def id_of(self, v) -> int | None:
+        """The vertex id of v, found from its node's id and its position;
+        None when v is no vertex of the product."""
+        if not (isinstance(v, tuple) and len(v) == 2):
+            return None
+        try:
+            x, p = self.tree.ids[v[0]], range(1, self.path_len + 1).index(v[1])
+        except (KeyError, TypeError, ValueError):
+            return None
+        return p * len(self.tree) + x
+
+    def _columns(self) -> tuple[Iterator[NodeIndex], Iterator[int]]:
+        """The node and the position of each vertex, by vertex id."""
+        nodes, m = self.tree.nodes, self.path_len
+        return chain.from_iterable(repeat(nodes, m)), chain.from_iterable(map(repeat, range(1, m + 1), repeat(len(nodes))))
+
+    def tuples(self) -> Iterator[tuple]:
+        """Each vertex as the plain tuple (node, pos), which equals and
+        hashes as its PVertex: dict lookups by vertex, without making one."""
+        every = zip(*self._columns())
+        return every if self.ids is None else map(list(every).__getitem__, self.ids)
+
+    def reordered(self, ids: list[int]) -> "ProductVertices":
+        """The view whose i-th vertex is this view's ids[i]-th."""
+        if self.ids is not None:
+            ids = list(map(self.ids.__getitem__, ids))
+        return ProductVertices(self.tree, self.path_len, ids, self if self.base is None else self.base)
+
+    def positions(self) -> list[int]:
+        """The position of each vertex id in this view."""
+        n = len(self)
+        return list(range(n)) if self.ids is None else sorted(range(n), key=self.ids.__getitem__)
+
+
+class ProductEdges(Sequence):
+    """A product's edges by edge id, read-only: a (u, v, kind) tuple is
+    made only when an item is read, from the span table."""
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: "ProductGraph"):
+        self.graph = graph
+
+    def __len__(self) -> int:
+        return sum(self.graph.edge_counts().values())
+
+    def __getitem__(self, at):
+        at = range(len(self))[at]
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        lo, hi = self.graph.spans()
+        counts = self.graph.edge_counts()
+        vertical, horizontal = counts[EdgeKind.VERTICAL], counts[EdgeKind.HORIZONTAL]
+        kind = (EdgeKind.VERTICAL if at < vertical else
+                EdgeKind.HORIZONTAL if at < vertical + horizontal else EdgeKind.DIAGONAL)
+        u, v = self.graph.vertices._vertex(lo[at]), self.graph.vertices._vertex(hi[at])
+        return (v, u, kind) if kind is EdgeKind.VERTICAL else (u, v, kind)
+
+    def __iter__(self) -> Iterator[Edge]:
+        kinds = chain.from_iterable(map(repeat, EdgeKind, self.graph.edge_counts().values()))
+        return self._pairs(tuple(self.graph.vertices), kinds)
+
+    def __contains__(self, edge) -> bool:
+        if not (isinstance(edge, tuple) and len(edge) == 3):
+            return False
+        vertices = self.graph.vertices
+        e = self.graph.edge_id(vertices.id_of(edge[0]), vertices.id_of(edge[1]))
+        return e is not None and self[e] == edge
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProductEdges):
+            return self.graph.descriptor() == other.graph.descriptor()
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def _pairs(self, per_vertex: Sequence, *more: Iterable) -> Iterator[tuple]:
+        """(per_vertex[u], per_vertex[v], *more) for each edge, u its first end and v its second."""
+        lo, hi = self.graph.spans()
+        v = self.graph.edge_counts()[EdgeKind.VERTICAL]  # the vertical run comes first, child end first
+        return zip(map(per_vertex.__getitem__, hi[:v] + lo[v:]), map(per_vertex.__getitem__, lo[:v] + hi[v:]), *more)
+
+    def pairs(self) -> Iterator[tuple]:
+        """Each edge's (u, v) as plain tuples of (node, pos) tuples, which
+        equal and hash as the (PVertex, PVertex) pair, without making one."""
+        return self._pairs(list(self.graph.vertices.tuples()))
+
+
 class ProductGraph:
-    """Product of a balanced tree and a path, with kind-labelled edges."""
+    """Product of a balanced tree and a path, with kind-labelled edges.
+
+    It holds its tree, its path length and, once read, its span table;
+    ``vertices`` and ``edges`` are views that make objects when read.
+    """
 
     def __init__(self, tree: Tree, path_len: int):
         m = self.path_len = integer(path_len, "path_len", 1)
         _product_size(len(tree), m)
         self.tree = tree
-        self.vertices: tuple[PVertex, ...] = tuple(
-            PVertex(node, i) for i in range(1, m + 1) for node in tree.nodes
-        )
-        # Edges share the vertex objects, picked by their endpoint ids.
-        ends = (map(self.vertices.__getitem__, ids) for ids in edge_ends(tree.spec.degrees, m))
-        kinds = chain.from_iterable(map(repeat, EdgeKind, self.edge_counts().values()))
-        self.edges: tuple[Edge, ...] = tuple(zip(*ends, kinds))
+        self.vertices = ProductVertices(tree, m)
+        self.edges = ProductEdges(self)
+        self._spans: tuple[list[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def edge_pairs(self) -> Iterator[tuple[PVertex, PVertex]]:
-        return ((u, v) for u, v, _ in self.edges)
+        return self.edges._pairs(tuple(self.vertices))
+
+    def spans(self) -> tuple[list[int], list[int]]:
+        """Each edge's lower and upper vertex id, by edge id: the span
+        table, listed on the first call and handed to every later one, so
+        callers must not change its lists.  The vertical run's lower end is
+        the parent, the others' the first end, at the lower position."""
+        if self._spans is None:
+            n, m = len(self.tree), self.path_len
+            ids, parents, below = list(range(n * m)), self.tree.parents[1:], (m - 1) * n
+            lo = chain((ids[p::n] for p in parents),  # vertical: the parent
+                       (ids[x:below:n] for x in range(n)),  # horizontal: the lower position
+                       (ids[x:below:n] for x in range(1, n)))  # diagonal: the child, at the lower position
+            hi = chain((ids[x::n] for x in range(1, n)),
+                       (ids[x::n] for x in range(n, 2 * n)),
+                       (ids[p + n::n] for p in parents))
+            self._spans = list(chain.from_iterable(lo)), list(chain.from_iterable(hi))
+        return self._spans
+
+    def edge_id(self, a: int | None, b: int | None) -> int | None:
+        """The id of the edge joining vertex ids a and b, either way round;
+        None when either is None or they are not adjacent."""
+        if a is None or b is None:
+            return None
+        n, m, parent = len(self.tree), self.path_len, self.tree.parents
+        (p, x), (q, y) = sorted((divmod(a, n), divmod(b, n)))
+        if p == q and parent[y] == x:
+            return (y - 1) * m + p
+        if q == p + 1 and x == y:
+            return (n - 1) * m + x * (m - 1) + p
+        if q == p + 1 and parent[x] == y:
+            return (n - 1) * (2 * m - 1) + x * (m - 1) + p
+        return None
 
     def edge_counts(self) -> dict[EdgeKind, int]:
         n, m = len(self.tree), self.path_len
@@ -237,18 +418,6 @@ def edge_runs(n: int, m: int) -> tuple[tuple[int, int], ...]:
     product of n nodes and m positions: the edge of that kind at node x
     and position p has id first + x * width + p - 1."""
     return ((-m, m), ((n - 1) * m, m - 1), ((n - 1) * (2 * m - 1), m - 1))
-
-
-def edge_ends(degrees, m: int) -> tuple[Iterator[int], Iterator[int]]:
-    """The vertex ids of each edge's first and of its second endpoint, by
-    edge id: per run of edge_runs, node pair and the positions it spans."""
-    starts = level_starts(degrees)
-    n = starts[-1]
-    parents = [x for k, d in enumerate(degrees) for x in range(starts[k], starts[k + 1]) for _ in range(d)]
-    runs = ((range(1, n), parents, m), (range(n), range(n, 2 * n), m - 1),
-            (range(1, n), [x + n for x in parents], m - 1))
-    return (chain.from_iterable(range(x, x + w * n, n) for xs, _, w in runs for x in xs),
-            chain.from_iterable(range(y, y + w * n, n) for _, ys, w in runs for y in ys))
 
 
 def _name(degrees, x: int) -> str:

@@ -24,7 +24,7 @@ from boxslash import (
     validate_queue_layout,
     validate_stack_layout,
 )
-from boxslash import layout
+from boxslash import layout, product
 from boxslash.layout import _crossing_lists, _nesting_depths, _spans, graph_vertices_edges
 from helpers_naive import (
     chromatic_number,
@@ -330,13 +330,20 @@ def test_validators_on_a_damaged_product_layout_match_the_reference(data):
 
 @pytest.mark.parametrize("degrees, m", [((2,), 3), ((2, 2), 3), ((3, 1, 2), 2)])
 def test_an_order_on_the_products_own_vertices_ranks_them_by_id(degrees, m):
-    # canonical_order shares the product's vertex tuple and skips the
+    # canonical_order holds the product's vertex view and skips the
     # rank lookup; an order on a copy of it looks every vertex up.  Both
     # must give the same ranks, reports and fixed-order counts.
     g = boxslash_product(degrees, m)
     own, copy = canonical_order(g), LinearOrder(list(g.vertices))
     assert own.vertices is g.vertices and copy.vertices is not g.vertices
     assert own.ranks_of(g.vertices) == copy.ranks_of(g.vertices) == list(range(len(g)))
+    # Vertices given any other way are looked up, the view's in a rank map
+    # made on that first need; another product's equal view by its tuples.
+    assert own.ranks_of(copy.vertices[::-1]) == list(range(len(g)))[::-1]
+    assert copy.ranks_of(boxslash_product(degrees, m).vertices) == list(range(len(g)))
+    assert copy.vertices[-1] in own and PVertex(g.vertices[0].node, m + 1) not in own
+    with pytest.raises(ValueError, match=rf"^vertex r@{m + 1} not in order$"):
+        own.ranks_of([PVertex(g.vertices[0].node, m + 1)])
     coloring = three_queue_layout(g)[1]
     for check in (validate_stack_layout, validate_queue_layout):
         a, b = check(g, own, coloring), check(g, copy, coloring)
@@ -344,6 +351,41 @@ def test_an_order_on_the_products_own_vertices_ranks_them_by_id(degrees, m):
     for count in (queues_for_order, stack_pages_for_order):
         a, b = count(g, own), count(g, copy)
         assert (a.count, a.exact, a.colors.colors_of(g.edges)) == (b.count, b.exact, b.colors.colors_of(g.edges))
+
+
+def test_the_layout_sequence_makes_no_vertex_or_edge_object(monkeypatch):
+    # The layout benchmark's seven calls on a product read its span table
+    # and colour lists only.  Every vertex and edge a view hands out is
+    # made through product.PVertex, so counting its calls counts both.
+    made = []
+    real = product.PVertex
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(product, "PVertex", counted)
+    g = boxslash_product((3, 2), 4)
+    order, coloring = three_queue_layout(g)
+    queue_report = validate_queue_layout(g, order, coloring)
+    queues = queues_for_order(g, order)
+    pages = stack_pages_for_order(g, order)
+    pages_report = validate_stack_layout(g, order, pages.colors)
+    stack_report = validate_stack_layout(g, order, coloring)
+    assert (queue_report.valid, queues.count, pages_report.valid, stack_report.valid) == (True, 3, True, False)
+    assert len(stack_report.violations) > 0 and made == []
+    first, again = _spans(g, order, coloring), _spans(g, order)
+    assert first[2] is again[2] is g.spans()[0] and first[3] is again[3] is g.spans()[1]
+    assert first[1] is coloring.colors_of(g.edges) and made == []
+    stack_report.violations[0]  # a violation read is made, from two edges
+    assert len(made) == 4
+    # An order and a colouring given as objects, as run_passes gets them,
+    # are read for the product through plain tuples, not through new vertices.
+    foreign_order = LinearOrder(reversed(g.vertices))
+    foreign_colors = EdgeColoring({(v, u): c for (u, v, _), c in zip(g.edges, coloring.colors_of(g.edges))})
+    made.clear()
+    assert foreign_order.ranks_of(g.vertices) == list(range(len(g)))[::-1]
+    assert foreign_colors.colors_of(g.edges) == coloring.colors_of(g.edges) and made == []
 
 
 def test_canonical_order_is_position_major_then_depth():

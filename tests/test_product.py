@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxslash import (
     EdgeKind,
@@ -116,13 +116,6 @@ def test_vertex_enumeration_is_position_major_bfs():
     g = boxslash_product((2,), 2)
     names = [str(v) for v in g.vertices]
     assert names == ["r@1", "1@1", "2@1", "r@2", "1@2", "2@2"]
-
-
-def test_edge_endpoints_are_the_graph_vertices():
-    # One object per vertex: an edge holds the vertex, not an equal copy.
-    g = boxslash_product((1, 2, 3), 3)
-    members = {id(v) for v in g.vertices}
-    assert all(id(u) in members and id(v) in members for u, v, _ in g.edges)
 
 
 def test_node_index_algebra():
@@ -285,3 +278,90 @@ def test_integer_ids_index_the_vertices_and_edges(degrees, m):
                 assert (u, got) == (PVertex(nodes[x], p), kind)
                 seen.append(first + x * width + p - 1)
     assert seen == list(range(len(g.edges)))
+
+
+def defined_product(degrees, m):
+    """Vertices and edges by the product's definition, in id order:
+    vertices by position, then breadth-first node; edges vertical,
+    horizontal then diagonal, each by node, then by position."""
+    nodes = [NodeIndex(path) for depth in range(len(degrees) + 1)
+             for path in itertools.product(*(range(1, d + 1) for d in degrees[:depth]))]
+    vertices = [PVertex(node, p) for p in range(1, m + 1) for node in nodes]
+    up = {node: NodeIndex(node.path[:-1]) for node in nodes[1:]}
+    edges = ([(PVertex(x, p), PVertex(up[x], p), EdgeKind.VERTICAL) for x in nodes[1:] for p in range(1, m + 1)]
+             + [(PVertex(x, p), PVertex(x, p + 1), EdgeKind.HORIZONTAL) for x in nodes for p in range(1, m)]
+             + [(PVertex(x, p), PVertex(up[x], p + 1), EdgeKind.DIAGONAL) for x in nodes[1:] for p in range(1, m)])
+    return vertices, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3), m=st.integers(1, 6))
+def test_vertex_and_edge_views_read_as_the_definition(degrees, m):
+    # The views store no item: each one is made when read, and must equal
+    # the definition read every way a tuple is read.
+    g = boxslash_product(tuple(degrees), m)
+    vertices, edges = defined_product(degrees, m)
+    for view, items in ((g.vertices, vertices), (g.edges, edges)):
+        n = len(items)
+        assert len(view) == n
+        assert list(view) == items and list(reversed(view)) == items[::-1]
+        assert [view[i] for i in range(n)] == items == [view[i] for i in range(-n, 0)]
+        for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, None), slice(n, n + 5)):
+            assert view[cut] == tuple(items[cut])
+        for beyond in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[beyond]
+        with pytest.raises(TypeError):
+            view["0"]
+        assert all(item in view for item in items)
+        assert view == tuple(items) and tuple(items) == view and view != tuple(items[:-1]) and view != items
+    same, longer = boxslash_product(tuple(degrees), m), boxslash_product(tuple(degrees), m + 1)
+    assert same.vertices == g.vertices and same.edges == g.edges
+    assert longer.vertices != g.vertices and longer.edges != g.edges
+    # Equal spellings are members, as in a tuple; anything else is not.
+    node = vertices[-1].node
+    assert (node, m) in g.vertices and (node, 1.0) in g.vertices and (node, True) in g.vertices
+    strangers = [PVertex(node, m + 1), PVertex(node, 0), PVertex(NodeIndex((9,)), 1), (node, 1.5),
+                 ([1], 1), (node,), "r@1", [node, 1]]
+    assert not any(v in g.vertices for v in strangers)
+    for u, v, kind in edges[:: max(1, len(edges) // 7)]:
+        assert (u, v, kind) in g.edges
+        assert (v, u, kind) not in g.edges and [u, v, kind] not in g.edges and (u, v) not in g.edges
+        assert (u, v, next(k for k in EdgeKind if k is not kind)) not in g.edges
+    assert (PVertex(node, m + 1), vertices[0], EdgeKind.VERTICAL) not in g.edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3), m=st.integers(1, 6))
+def test_span_table_and_edge_ids_follow_the_definition(degrees, m):
+    # The lower end is fixed by the kind: the second end of a vertical
+    # edge, the first of the others.  Either way it is min and max of
+    # the ends' ids, for every kind and for m = 1.
+    g = boxslash_product(tuple(degrees), m)
+    vertices, edges = defined_product(degrees, m)
+    ids = {v: x for x, v in enumerate(vertices)}
+    ends = [(ids[u], ids[v]) for u, v, _ in edges]
+    lo, hi = g.spans()
+    assert lo == [min(a, b) for a, b in ends] and hi == [max(a, b) for a, b in ends]
+    assert all((a > b) == (kind is EdgeKind.VERTICAL) for (a, b), (_, _, kind) in zip(ends, edges))
+    again = g.spans()
+    assert again[0] is lo and again[1] is hi
+    assert [g.vertices.id_of(v) for v in vertices] == list(range(len(vertices)))
+    joined = {frozenset(pair): e for e, pair in enumerate(ends)}
+    for a, b in itertools.product(range(min(len(vertices), 30)), repeat=2):
+        assert g.edge_id(a, b) == joined.get(frozenset((a, b)))
+    assert g.edge_id(None, 0) is None and g.edge_id(0, None) is None
+
+
+def test_a_reordered_view_reads_its_ids_and_ranks_them():
+    g = boxslash_product((2,), 3)
+    vertices = list(g.vertices)
+    ids = [4, 0, 8, 2, 6, 1, 3, 5, 7]
+    view = g.vertices.reordered(ids)
+    assert list(view) == [vertices[x] for x in ids] and view[1:3] == (vertices[0], vertices[8])
+    assert view.base is g.vertices and view.positions() == [1, 5, 3, 6, 0, 7, 4, 8, 2]
+    assert g.vertices.positions() == list(range(9))
+    assert list(view.tuples()) == [tuple(vertices[x]) for x in ids]
+    assert view == tuple(vertices[x] for x in ids) and view != g.vertices
+    twice = view.reordered([1, 0] + list(range(2, 9)))
+    assert twice.base is g.vertices and list(twice) == [vertices[x] for x in [0, 4, 8, 2, 6, 1, 3, 5, 7]]
