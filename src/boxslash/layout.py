@@ -229,7 +229,8 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
         else:
             raise ValueError("graph document needs 'graph', 'tree_degrees', or 'edges'")
     if isinstance(graph, ProductGraph):
-        return list(graph.vertices), list(graph.edge_pairs())
+        vertices = list(graph.vertices)
+        return vertices, list(graph.edges._pairs(vertices))
     edges = [_vertex_pair(e, "graph item {!r} is not a vertex pair") for e in graph]
     return list(dict.fromkeys(w for e in edges for w in e)), edges
 

@@ -19,27 +19,23 @@ Lists are the pipeline's only form between its input and its result:
 PassState.initial reads the caller's order and colouring into lists
 once, checking coverage there (a vertex the order lacks, or an edge
 without a colour, raises before any work), and run_passes builds its
-result's objects from the final lists once.  The checks read lists too,
-and build a tree only to name what fails.
+result's objects from the final lists once.
 Costs, on n nodes, m positions, height h, E edges: restrict O(nm + E),
 O(1) when every child is kept; pass_colour O(E), as each node's profile
 is numbered once from its own colours and its kept children's numbers;
-pass_order O(h nm log nm), a cone argsort per child and level;
-pass_lex O(C) per candidate subarray of C cells, walked in lex-key order
-and left at the first descent, over every axis order, sign vector and
-index set in turn.  The checks run on the lists too, and decide their
-verdicts in whole-list passes; what fails is listed only when a check
-does.  The colour table reads one slice of the colour list per (kind,
+pass_order O(h nm log nm), a cone argsort per child and level; pass_lex
+O(C) per candidate subarray of C cells, walked in lex-key order and left
+at the first descent, over every axis order, sign vector and index set
+in turn.  Each check is one kernel over slices of the lists; it builds a
+tree only to name what fails, from the indices of the comparisons that
+fail.  The colour table reads one slice of the colour list per (kind,
 depth, position), O(E), and so do the related families' pairing edges.
 Child symmetry sorts the spots of each depth's first cone by rank and
 compares, per pair of consecutive spots, the two rank-list slices that
 hold every node's copy, O(nm log nm) per depth.  The related families
 and the direction entries compare whole depth blocks of the rank list,
-each block at one position, O(h) passes per block, O(h nm) in all.
-Listing reads every child-choice sequence as one slice of the rank list
-and its directions once per position, O(h nm) sequence entries, a level
-at a time; each pair is tested from those, and the direction table
-reads the bits the listing read.
+each block at one position, O(h) passes per block, O(h nm) in all;
+naming what fails takes O(h nm) more.
 
 The colour and order passes bucket the children of every node by a
 positional profile of the child's whole cone, keep the largest bucket
@@ -56,7 +52,6 @@ property once, on the final state it returns.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -67,7 +62,7 @@ from .errors import InconsistencyError, PassStarvation, integer
 from .layout import EdgeColoring, LinearOrder
 from .product import (EdgeKind, ProductGraph, _name, boxslash_product, build_tree, edge_runs,
                       level_starts, restrict_ids)
-from .sequences import Direction, direction_bits, single_direction, step_bits
+from .sequences import Direction, single_direction, step_bits
 
 
 @dataclass
@@ -354,13 +349,6 @@ def pass_colour(state: PassState, targets=None) -> PassState:
 # ---------------------------------------------------------------------------
 # The order pass.
 
-def _cone_pattern(cone: list[int], ranks: list, n: int) -> tuple[int, ...]:
-    """Rank pattern of a cone's vertices, nodes in cone order, positions 1..m."""
-    values = [r for x in cone for r in ranks[x::n]]
-    by_rank = {r: i for i, r in enumerate(sorted(values))}
-    return tuple(by_rank[r] for r in values)
-
-
 def check_child_symmetry(degrees, path_len: int, ranks: list) -> CheckReport:
     """Exhaustively verify that comparisons transfer between same-depth nodes,
     on a rank per vertex id of the product of ``degrees`` and ``path_len``.
@@ -374,67 +362,46 @@ def check_child_symmetry(degrees, path_len: int, ranks: list) -> CheckReport:
     equality being transitive, each node's pattern is compared with the
     first node's of its depth.
 
-    ``checked`` counts the pairwise conditions this decides: per depth,
-    C(nodes, 2) * C(spots, 2).  The verdict is decided whole, over
-    slices of the rank list (`_symmetry_decided`); only when it fails
-    are the nodes listed (`_symmetry_listed`).  Each node b whose
-    pattern differs from the first node a's is reported once, as
-    (a, b, x, i, y, j) for the spots (x, i) before (y, j) of a pair the
-    two order differently; the tree that names them is built on the
-    first one.
-    """
-    return _symmetry_decided(degrees, path_len, ranks) or _symmetry_listed(degrees, path_len, ranks)
-
-
-def _symmetry_decided(degrees, m: int, ranks: list) -> Optional[CheckReport]:
-    """check_child_symmetry's report when every node of every depth has
-    the first node's pattern, else None.  The copy of the first node's
-    cone member c of depth k under the t-th node of its depth is
+    The t-th node's copy of the first node's cone member c of depth k is
     c + t * step, step being the product of the degrees between, so one
-    spot of every node of the depth is one slice of the rank list.  The
-    patterns agree exactly when, taking the first node's spots in rank
-    order, every slice lies wholly below the next."""
-    starts, height = level_starts(degrees), len(degrees)
-    n, checked = starts[-1], 0
-    for depth in range(1, height + 1):
+    spot of every node of the depth is one slice of the rank list.  Taking
+    the first node's spots in rank order, node t fails exactly where its
+    entry of a slice is not below its entry of the next.
+
+    ``checked`` counts the pairwise conditions this decides: per depth,
+    C(nodes, 2) * C(spots, 2).  Each failing node b is reported once, as
+    (a, b, x, i, y, j), a the first node of its depth: of the spots in
+    cone order (nodes breadth first, positions 1..m), the first whose
+    place in the two patterns differs and the first that the two order
+    differently against it, the earlier first.  The tree that names them
+    is built on the first one.
+    """
+    starts, m = level_starts(degrees), path_len
+    n, checked, violations, nodes = starts[-1], 0, [], None
+    for depth in range(1, len(degrees) + 1):
         count, step_of = starts[depth + 1] - starts[depth], {}
-        for k in range(depth, height + 1):  # the first node's cone, member id -> its step
+        for k in range(depth, len(degrees) + 1):  # the first node's cone, member id -> its step
             step = math.prod(degrees[depth:k])
             step_of.update(dict.fromkeys(range(starts[k], starts[k] + step), step))
         checked += math.comb(count, 2) * math.comb(len(step_of) * m, 2)
         if count < 2:
             continue
-        below = None
+        failing, below = set(), None
         for v in sorted((o + x for o in range(0, m * n, n) for x in step_of), key=ranks.__getitem__):
             step = step_of[v % n]
             spot = ranks[v : v + count * step : step]
             if below is not None and not all(map(operator.lt, below, spot)):
-                return None
+                failing.update(itertools.compress(itertools.count(), map(operator.ge, below, spot)))
             below = spot
-    return CheckReport([], checked)
-
-
-def _symmetry_listed(degrees, m: int, ranks: list) -> CheckReport:
-    """check_child_symmetry's report, node by node against the first of its depth."""
-    starts = level_starts(degrees)
-    violations, checked, nodes = [], 0, None
-    for depth in range(1, len(degrees) + 1):
-        first, end = starts[depth], starts[depth + 1]
-        cone = _cone(first, depth, {}, degrees, starts)
-        checked += math.comb(end - first, 2) * math.comb(len(cone) * m, 2)
-        want = _cone_pattern(cone, ranks, starts[-1])
-        for node in range(first + 1, end):
-            got = _cone_pattern(_cone(node, depth, {}, degrees, starts), ranks, starts[-1])
-            if got == want:
-                continue
+        for t in sorted(failing):
+            a, b = ([ranks[o + x + u * step] for x, step in step_of.items() for o in range(0, m * n, n)]
+                    for u in (0, t))
+            place_a, place_b = (dict(zip(sorted(values), itertools.count())) for values in (a, b))
+            k = next(s for s, (x, y) in enumerate(zip(a, b)) if place_a[x] != place_b[y])
+            other = next(s for s, (x, y) in enumerate(zip(a, b)) if (x < a[k]) != (y < b[k]))
             nodes = nodes or build_tree(degrees).nodes
-            spots = range(len(want))
-            k = next(s for s in spots if want[s] != got[s])
-            other = next(s for s in spots if (want[s] < want[k]) != (got[s] < got[k]))
-            (x, i), (y, j) = (
-                (nodes[cone[s // m]].path[depth:], s % m + 1) for s in sorted((k, other))
-            )
-            violations.append((str(nodes[first]), str(nodes[node]), x, i, y, j))
+            (x, i), (y, j) = ((nodes[[*step_of][s // m]].path[depth:], s % m + 1) for s in sorted((k, other)))
+            violations.append((str(nodes[starts[depth]]), str(nodes[starts[depth] + t]), x, i, y, j))
     return CheckReport(violations, checked)
 
 
@@ -501,48 +468,59 @@ def pass_lex(state: PassState, targets=None) -> tuple[PassState, dict]:
 # ---------------------------------------------------------------------------
 # Direction extraction and its consistency checks.
 
-def _sequence_families(degrees, m: int, ranks: list):
-    """Every child-choice sequence, listed once for all the checks.  Per
-    level i it yields a dict from each length j to the rank lists
-    seqs[p - 1][q] and their direction bits bits[p - 1][q], 0 for one
-    not monotone; one level's rank lists are held at a time.  Varying
-    the level-i choice of a depth-j node steps its id by ``stride``, the
-    number of choice combinations below level i, so sequence
-    q = b * stride + s starts at the s-th node under the b-th node of
-    depth i - 1."""
-    starts = level_starts(degrees)
-    n = starts[-1]
-    for i in range(1, len(degrees) + 1):
-        family = {}
-        for j in range(i, len(degrees) + 1):
+def _mixed(values: list, d: int, stride: int) -> set[int]:
+    """The sequences q = b * stride + s, of entries (b * d + c) * stride + s
+    for c < d, whose entries of ``values`` are not all equal."""
+    within = ([True] * (stride * (d - 1)) + [False] * stride) * (len(values) // (d * stride))
+    differ = map(operator.and_, within, map(operator.ne, values, values[stride:]))
+    return {x // (d * stride) * stride + x % stride for x in itertools.compress(itertools.count(), differ)}
+
+
+def _directions(degrees, m: int, ranks: list) -> tuple[dict, list]:
+    """Per (level i, length j), the directions of the child-choice
+    sequences at each position, (bits, bent), and the depth blocks read,
+    blocks[j][p - 1].  A sequence varies the level-i choice of a depth-j
+    address, stepping its node id by ``stride``, the number of choice
+    combinations below level i: sequence q = b * stride + s starts at the
+    s-th node under the b-th node of depth i - 1, as `_mixed` lays out.
+    ``bits``, `step_bits` of all their steps, is nonzero exactly when they
+    all run one way; ``bent`` holds the sequences not monotone.
+    """
+    height, starts = len(degrees), level_starts(degrees)
+    n, observed = starts[-1], {}
+    blocks = [[ranks[o + starts[j] : o + starts[j + 1]] for o in range(0, m * n, n)] for j in range(height + 1)]
+    for i in range(1, height + 1):
+        d = degrees[i - 1]
+        for j in range(i, height + 1):
             stride = math.prod(degrees[i:j])
-            step = degrees[i - 1] * stride
-            firsts = [x for block in range(starts[j], starts[j + 1], step)
-                      for x in range(block, block + stride)]
-            seqs = [[ranks[o + x : o + x + step : stride] for x in firsts] for o in range(0, m * n, n)]
-            family[j] = seqs, [list(map(direction_bits, at_p)) for at_p in seqs]
-        yield family
+            within = ([True] * (stride * (d - 1)) + [False] * stride) * ((starts[j + 1] - starts[j]) // (d * stride))
+            observed[i, j] = []
+            for block in blocks[j]:
+                bits = step_bits(set(itertools.compress(map(operator.lt, block, block[stride:]), within)))
+                bent = () if bits else _mixed(
+                    list(itertools.compress(map(operator.lt, block, block[stride:]), within)), d - 1, stride)
+                observed[i, j].append((bits, bent))
+    return observed, blocks
 
 
 def _direction_table(degrees, m: int, observed: dict) -> DirectionTable:
-    """The per-(level, length, position) direction, from direction bits
-    by (level, length): per position, those of every child-choice
-    sequence, or one bit set for all of them.
+    """The per-(level, length, position) direction, from `_directions`.
 
     Every sequence of an entry must run the one way; a sequence that is
-    not monotone, or two that disagree, raise InconsistencyError, which
-    signals that the lex pass did not actually succeed on this order.
+    not monotone (the first is named), or two that disagree, raise
+    InconsistencyError, which signals that the lex pass did not actually
+    succeed on this order.
     """
     starts, entries = level_starts(degrees), {}
-    for (i, j), bits_by_p in observed.items():
-        for p, bits in enumerate(bits_by_p, start=1):
-            if 0 in bits:
-                under = bits.index(0) // math.prod(degrees[i:j])
+    for (i, j), at_p in observed.items():
+        for p, (bits, bent) in enumerate(at_p, start=1):
+            if bent:
+                under = min(bent) // math.prod(degrees[i:j])
                 raise InconsistencyError(
                     f"child sequence at level {i}, length {j}, position {p} "
                     f"under {_name(degrees, starts[i - 1] + under)} is not monotone"
                 )
-            direction = single_direction(functools.reduce(operator.or_, set(bits)))
+            direction = single_direction(bits)
             if direction is None:
                 raise InconsistencyError(f"witnesses disagree at level {i}, length {j}, position {p}")
             entries[(i, j, p)] = direction
@@ -583,12 +561,11 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
     """After the passes, child-choice sequences must pair up as related.
 
     Two sequences of equal length, paired position by position, are
-    related when both are monotone (`sequences.direction_bits` is
-    nonzero), every pairing edge has the one colour, and every pair lies
-    on the same side: the first sequence's vertex is below the second's
-    throughout, or above it throughout.  The paper calls a related pair
-    bundled when the two run the same way and rainbow when they run
-    opposite ways; no check here needs that distinction.
+    related when both are monotone, every pairing edge has the one
+    colour, and every pair lies on the same side: the first sequence's
+    vertex is below the second's throughout, or above it throughout.
+    The paper calls a related pair bundled when the two run the same way
+    and rainbow when they run opposite ways; no check here needs that.
 
     Three shapes are checked exhaustively: a sequence against its
     extension by one child (vertical pairing edges), against that
@@ -596,131 +573,68 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
     the next position (horizontal).  Each pair must be related with
     exactly the colour the table prescribes for its pairing edges.
 
-    The verdict is decided whole, in passes over the rank list's depth
-    blocks (`_related_decided`), which also demand that the sequences
-    of every (level, length, position) run one way, as the direction
-    table does.  Only when that fails are the sequences listed one by
-    one (`_related_listed`).  Returns the report and the direction bits
-    read, by (level, length): per position, one bit set for the whole
-    entry when decided, or those of every sequence when listed.
+    The pairing edges of a (kind, row, position) are one slice of the
+    colour list, and `_directions` finds the sequences not monotone.  The
+    sides compare depth blocks, the ranks of depth j's nodes at one
+    position: for the horizontal shape, the block at p against the block
+    at p + 1; for the others with child v, the v-th child of every node,
+    at p, against the block at p and at p + 1.  The levels' sequences
+    link every two nodes of depth j, so on passing lists the answer is
+    one for the whole block.  A failing pair is read off the failing
+    edges, the bent sequences and the sequences whose answers differ
+    (`_mixed`), and named by its prefix (the node of depth i - 1), its
+    tail of child choices, its child v and its position, in the naive
+    check's order; the tree that names them is built on the first one.
+    Returns the report and the `_directions`, which the direction table reads.
     """
-    # The table colour of each (kind, row) per position, in the order the checks first read them.
-    height, wants = len(degrees), {}
-    for depth in range(1, height + 1):
+    height, starts = len(degrees), level_starts(degrees)
+    runs = dict(zip(EdgeKind, edge_runs(starts[-1], m)))
+    shapes = (EdgeKind.VERTICAL, EdgeKind.DIAGONAL, EdgeKind.HORIZONTAL)  # in the order a sequence's pairs are named
+    wrong = {}  # (kind, row, position) -> per node of the row, whether its pairing edge has another colour
+    for depth in range(1, height + 1):  # the table's colours, read in the naive check's order
         for kind, row, end in ((EdgeKind.VERTICAL, depth + 1, m + 1), (EdgeKind.DIAGONAL, depth + 1, m),
                                (EdgeKind.HORIZONTAL, depth, m)):
             if row <= height:
-                wants[kind, row] = [table.color_of(row, p, kind) for p in range(1, end)]
-    return (_related_decided(degrees, m, ranks, colors, wants)
-            or _related_listed(degrees, m, colors, wants, _sequence_families(degrees, m, ranks)))
-
-
-def _related_decided(degrees, m: int, ranks: list, colors: list,
-                     wants: dict) -> Optional[tuple[CheckReport, dict]]:
-    """_related_families's result when no pair fails and the sequences
-    of every (level, length, position) entry run one way, else None.
-
-    The pairing edges of a (kind, row, position) are one slice of the
-    colour list, which must hold the table's colour only.  Every rank
-    test is one pass over whole depth blocks, the ranks of the nodes of
-    depth j at one position.  Level i's sequences there step by
-    ``stride`` through runs of degrees[i - 1] * stride ids, so they all
-    rise exactly when each rank within a run is below the one a stride
-    on; likewise they all fall.  The pairs of a shape lie on one side
-    exactly when comparing its two lists gives one answer along every
-    sequence.  Every level's sequences are checked, and between them
-    they link every two nodes of a depth, so that answer must be one
-    for the whole block: for the horizontal shape, the block at p
-    against the block at p + 1; for the vertical and diagonal shapes
-    with child v, the v-th child of every node, at p, against the block
-    at p and at p + 1.
-    """
-    height, starts = len(degrees), level_starts(degrees)
-    n = starts[-1]
-    runs = dict(zip(EdgeKind, edge_runs(n, m)))
-    for (kind, row), want in wants.items():
-        first, width = runs[kind]
-        lo, hi = first + starts[row] * width, first + starts[row + 1] * width
-        for p, colour in enumerate(want):
-            edges = colors[lo + p : hi + p : width]
-            if edges.count(colour) != len(edges):
-                return None
-    blocks = [[ranks[o + starts[j] : o + starts[j + 1]] for o in range(0, m * n, n)]
-              for j in range(height + 1)]
-    observed = {}
-    for i in range(1, height + 1):
-        d = degrees[i - 1]
-        for j in range(i, height + 1):
-            stride = math.prod(degrees[i:j])
-            within = ([True] * (stride * (d - 1)) + [False] * stride) * (len(blocks[j][0]) // (d * stride))
-            observed[i, j] = []
-            for block in blocks[j]:
-                bits = step_bits(set(itertools.compress(map(operator.lt, block, block[stride:]), within)))
-                if not bits:
-                    return None
-                observed[i, j].append([bits])
+                first, width = runs[kind]
+                lo, hi = first + starts[row] * width, first + starts[row + 1] * width
+                for p, colour in enumerate([table.color_of(row, p, kind) for p in range(1, end)]):
+                    edges = colors[lo + p : hi + p : width]
+                    if edges.count(colour) != len(edges):
+                        wrong[kind, row, p] = list(map(operator.ne, edges, itertools.repeat(colour)))
+    observed, blocks = _directions(degrees, m, ranks)
+    bent = any(map(operator.itemgetter(1), itertools.chain.from_iterable(observed.values())))
+    failing = set()  # (level, prefix, depth, tail, horizontal, child, shape, position) of each failing pair
     for j in range(1, height + 1):
         for p, block in enumerate(blocks[j]):
-            pairs = [(block, blocks[j][p + 1])] if p + 1 < m else []
+            # (the first sequence's ranks, the base's, shape, child, the first's depth and its degree)
+            pairs = [(block, blocks[j][p + 1], 2, 1, j, 1)] if p + 1 < m else []
             if j < height:
                 g = degrees[j]
-                pairs += [(blocks[j + 1][p][v::g], base) for base in blocks[j][p:p + 2] for v in range(g)]
-            if any(len(set(map(operator.lt, a, b))) != 1 for a, b in pairs):
-                return None
+                pairs += [(blocks[j + 1][p][v::g], blocks[j][p + up], shape, v + 1, j + 1, g)
+                          for shape, up in ((0, 0), (1, 1)) if p + up < m for v in range(g)]
+            if not (bent or wrong or any(len(set(map(operator.lt, a, b))) != 1 for a, b, _, _, _, _ in pairs)):
+                continue
+            for a, b, shape, v, row, g in pairs:
+                answers = list(map(operator.lt, a, b))
+                mixed = len(set(answers)) != 1
+                for i in range(1, j + 1):
+                    d, stride = degrees[i - 1], math.prod(degrees[i:j])
+                    seqs = _mixed(answers, d, stride) if mixed else set()
+                    seqs.update(observed[i, j][p + (shape > 0)][1])  # the base, at p only when vertical
+                    seqs.update(q // g for q in observed[i, row][p][1] if q % g == v - 1)
+                    flags = wrong.get((shapes[shape], row, p), ())[v - 1::g]  # those of the base's nodes
+                    seqs.update(x // (d * stride) * stride + x % stride for x, bad in enumerate(flags) if bad)
+                    failing.update((i, q // stride, j, q % stride, shape == 2, v, shape, p + 1) for q in seqs)
+    nodes = build_tree(degrees).nodes if failing else None
+    violations = []
+    for i, b, j, s, horizontal, v, shape, p in sorted(failing):
+        tail = nodes[starts[j] + (b * degrees[i - 1] * math.prod(degrees[i:j])) + s].path[i:]
+        violations.append((shapes[shape].value, str(nodes[starts[i - 1] + b]), tail, *(() if horizontal else (v,)), p))
     # Level i has (nodes of depth j) / degrees[i - 1] sequences of length j, each in
     # degrees[j] * (2m - 1) vertical and diagonal pairs (below the last depth) and m - 1 horizontal.
     checked = sum((starts[j + 1] - starts[j]) // degrees[i - 1]
                   * ((degrees[j] * (2 * m - 1) if j < height else 0) + m - 1)
                   for i in range(1, height + 1) for j in range(i, height + 1))
-    return CheckReport([], checked), observed
-
-
-def _related_listed(degrees, m: int, colors: list, wants: dict, families) -> tuple[CheckReport, dict]:
-    """_related_families's result, sequence by sequence.
-
-    The sequences are the `_sequence_families` of the rank list, so each
-    one read is a slice of it, and its pairing edges are a slice of
-    ``colors``, the colour list; the tree that names a violation's prefix
-    is built on the first one.
-    The extension by child v of sequence q at depth j is sequence
-    q * degrees[j] + v - 1 at depth j + 1, so each sequence's directions
-    are computed once per position.
-    """
-    height, starts, nodes = len(degrees), level_starts(degrees), None
-    vertical, horizontal, diagonal = ((k, *run) for k, run in zip(EdgeKind, edge_runs(starts[-1], m)))
-    violations, checked, observed = [], 0, {}
-    for star, family in enumerate(families, start=1):
-        observed.update(((star, j), bits) for j, (_, bits) in family.items())
-        d = degrees[star - 1]
-        for b, prefix in enumerate(range(starts[star - 1], starts[star])):
-            for depth in range(star, height + 1):
-                seqs, bits = family[depth]
-                stride = math.prod(degrees[star:depth])
-                tails = itertools.product(*[range(1, g + 1) for g in degrees[star:depth]])
-                for s, tail in enumerate(tails):
-                    q, first = b * stride + s, starts[depth] + b * d * stride + s
-                    base = (seqs, bits, q, first, stride)
-                    # (label, sequence, shape, position shift of base, positions)
-                    shapes = []
-                    if depth < height:
-                        g = degrees[depth]
-                        for v in range(1, g + 1):
-                            extended = (*family[depth + 1], q * g + v - 1,
-                                        starts[depth + 1] + (first - starts[depth]) * g + v - 1, stride * g)
-                            shapes.append(((tail, v), extended, vertical, 0, m + 1))
-                            shapes.append(((tail, v), extended, diagonal, 1, m))
-                    shapes.append(((tail,), base, horizontal, 1, m))
-                    for label, (seq_a, bits_a, qa, x, step), (kind, edge0, width), up, end in shapes:
-                        want = wants[kind, depth if kind is EdgeKind.HORIZONTAL else depth + 1]
-                        step *= width
-                        checked += end - 1
-                        for p in range(1, end):
-                            e = edge0 + x * width + p - 1
-                            if not (bits_a[p - 1][qa] and bits[p - 1 + up][q]
-                                    and colors[e : e + d * step : step].count(want[p - 1]) == d
-                                    and len(set(map(operator.lt, seq_a[p - 1][qa], seqs[p - 1 + up][q]))) == 1):
-                                nodes = nodes or build_tree(degrees).nodes
-                                violations.append((kind.value, str(nodes[prefix]), *label, p))
     return CheckReport(violations, checked), observed
 
 
@@ -755,15 +669,13 @@ def run_passes(
     property is verified once, on the final state's lists: the colour
     table is built (raising on any clash), child symmetry is checked
     exhaustively, and the related-sequence check (`_related_families`)
-    ties both to the table.  Each check decides its verdict in
-    whole-list passes and lists failures only when there are some.  The
-    direction table is read from the direction bits the related check
-    read, one set per entry when it decided whole (`_direction_table`,
-    which raises InconsistencyError on a sequence that is not monotone
-    or an entry whose sequences disagree) when every surviving level
-    keeps at least two children, else left None.  The checks compare
-    ranks only within a cone or a sequence, so the state's sparse ranks
-    serve as they are.  The result's graph is the input graph when nothing was
+    ties both to the table.  When every surviving level keeps at least
+    two children, the direction table is read from the one bit set per
+    entry that the related check read (`_direction_table`, which raises
+    InconsistencyError on a sequence that is not monotone or an entry
+    whose sequences disagree), else left None.  The checks compare ranks
+    only within a cone or a sequence, so the state's sparse ranks serve
+    as they are.  The result's graph is the input graph when nothing was
     pruned; its order, colouring and node map are built from the lists,
     the colouring with the input colouring's k.
     """

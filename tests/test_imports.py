@@ -78,5 +78,6 @@ def test_the_scan_finds_an_unread_member():
 def test_every_class_member_is_read_by_a_package_module():
     sources = [(PACKAGE / module).read_text(encoding="utf-8") for module in MODULES]
     assert unread_members(sources) == [
+        "ProductGraph.edge_pairs",  # bench/workloads.py reads a product's edges as vertex pairs with it
         "Direction.opposite",  # bench/checks.py flips a direction table entry with it
     ]

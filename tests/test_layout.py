@@ -386,6 +386,11 @@ def test_the_layout_sequence_makes_no_vertex_or_edge_object(monkeypatch):
     made.clear()
     assert foreign_order.ranks_of(g.vertices) == list(range(len(g)))[::-1]
     assert foreign_colors.colors_of(g.edges) == coloring.colors_of(g.edges) and made == []
+    # A graph read as plain vertices and edges, as the solvers read it,
+    # makes each vertex once, and its edges share those vertices.
+    vertices, edges = graph_vertices_edges(g)
+    assert len(made) == len(g.vertices) and vertices == list(g.vertices) and edges == list(g.edge_pairs())
+    assert all(u is vertices[g.vertices.id_of(u)] and v is vertices[g.vertices.id_of(v)] for u, v in edges)
 
 
 def test_canonical_order_is_position_major_then_depth():

@@ -490,21 +490,19 @@ def test_pass_lex_finds_the_oracle_witnesses_on_scrambled_products():
 
 # ---------------------------------------------------------------------------
 # Direction extraction and checks.  run_passes's related check
-# (passes._related_families) decides in passes over whole depth blocks, or
-# lists the child-choice sequences (passes._sequence_families); the
-# direction bits it read then make the direction table
-# (passes._direction_table).  These helpers run the same kernels on any
-# layout, the table on every sequence's bits.
+# (passes._related_families) compares whole depth blocks, and reads the
+# directions of the child-choice sequences from passes._directions: per
+# (level, length, position), one bit set and the sequences that are not
+# monotone.  The direction table (passes._direction_table) is made from
+# those.  These helpers run the same kernels on any layout.
 
-def sequence_families(graph, order):
-    return passes._sequence_families(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices))
+def sequence_directions(graph, order):
+    return passes._directions(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices))[0]
 
 
 def direction_table(graph, order):
-    """passes._direction_table on the direction bits of the order's sequences."""
-    bits = {(i, j): bits for i, family in enumerate(sequence_families(graph, order), start=1)
-            for j, (_, bits) in family.items()}
-    return passes._direction_table(graph.tree.spec.degrees, graph.path_len, bits)
+    """passes._direction_table on the directions of the order's sequences."""
+    return passes._direction_table(graph.tree.spec.degrees, graph.path_len, sequence_directions(graph, order))
 
 
 def related_report(graph, order, coloring, table):
@@ -1006,9 +1004,9 @@ def damaged_final_states(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=damaged_final_states())
 def test_checks_match_the_oracles_on_damaged_final_states(case):
-    # Either a check is decided whole or its failures are listed; both
-    # must give the oracle's report, and the direction table its table
-    # or the error naming its first problem.
+    # Each check must give the oracle's report, the failures it names
+    # included, and the direction table its table or the error naming
+    # its first problem.
     state, table = case
     degrees, m, ranks = state.degrees, state.path_len, state.ranks
     assert_child_symmetry_matches_oracle(degrees, m, ranks)
@@ -1038,14 +1036,15 @@ def test_related_check_holds_where_the_direction_table_finds_opposite_sequences(
 
 @pytest.mark.parametrize("degrees, m", [((5, 5), 8), ((3, 3, 3), 6), ((2, 9), 4), ((6,), 10), ((3, 1, 2), 4)])
 def test_run_passes_decides_passing_checks_without_listing(degrees, m, monkeypatch):
-    # Every check holds on these final states, and the whole-list
-    # deciders must see it: the per-node and per-sequence listing loops
-    # are not reached.
-    def listing(*args):
-        raise AssertionError("a check fell back on its listing loop")
+    # Every check holds on these final states, so no per-node or
+    # per-sequence code may run: naming a failing node or pair builds the
+    # tree, and finding the sequences that fail within a failing block
+    # is passes._mixed.
+    def naming(*args):
+        raise AssertionError("a check named failures on a passing final state")
 
-    monkeypatch.setattr(passes, "_symmetry_listed", listing)
-    monkeypatch.setattr(passes, "_related_listed", listing)
+    monkeypatch.setattr(passes, "build_tree", naming)
+    monkeypatch.setattr(passes, "_mixed", naming)
     g = boxslash_product(degrees, m)
     order, coloring = three_queue_layout(g)
     reverse = LinearOrder(reversed(order.vertices))
