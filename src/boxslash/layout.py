@@ -16,12 +16,13 @@ ranks each vertex by its id, so its spans are the product's span table
 ``from_ranks`` on that view ranks by id too.  The kernels read their
 lists and never change them, since the span table is shared by every
 call on its product.  They run in
-O(E log E) plus their output: the validators decide a valid layout in
-one pass over the sorted spans, and only a failed one, like the stack
-page count, finds each edge's partners with one sweep over rank spans
-(``_sweep``); its pairs are ordered when the first is read.  The
-nesting depths, whose maximum is the queue count (the largest rainbow,
-Heath & Rosenberg 1992), come from patience sorting.
+O(E log E) plus their output: the validators, like the stack page
+count, sort the spans once and find each edge's partners in one sweep
+(``_sweep``), which decides a valid queue layout before it lists
+anything and appends each span of a valid stack layout; a failed
+layout's pairs are ordered when the first is read.  The nesting
+depths, whose maximum is the queue count (the largest rainbow, Heath &
+Rosenberg 1992), come from patience sorting.
 ``stack_pages_for_order`` costs O(E log E + crossings) plus an exact
 search on each crossing-conflict component of at most
 ``EXACT_PAGE_LIMIT`` edges.
@@ -38,6 +39,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .errors import integer
 from .product import EdgeKind, ProductEdges, ProductGraph, ProductVertices, PVertex
@@ -177,9 +179,11 @@ class Violation:
 
 
 class _Violations(Sequence):
-    """Violating pairs, kept as the sweep's (i, partners) rows and counted
-    when made.  The first item read orders them by key (colour * E + i) * E + j,
-    i < j, and each becomes a Violation when read."""
+    """Violating pairs, kept as the sweep's (i, partners) rows, none for a
+    valid layout, and counted when made.  A row lists its partners in the
+    sweep's order, by right rank; the first item read orders all pairs by
+    key (colour * E + i) * E + j, i < j, and each becomes a Violation when
+    read."""
 
     def __init__(self, rows: list, edges: Sequence, colors: list, relation: PairRelation):
         self._rows, self._keys, self._edges, self._colors, self._relation = rows, None, edges, colors, relation
@@ -292,45 +296,34 @@ def _sweep(lo: list[int], hi: list[int], crossing: bool) -> Iterator[tuple[int, 
     """Each edge id with the ids of earlier-swept edges that cross it
     (``crossing``) or nest with it; every such pair occurs once.
 
-    Spans are taken by left rank, the open ones kept sorted by right
-    rank, so a span's crossing partners (right end strictly inside it)
-    and nesting partners (right end beyond it) are one slice each:
-    O(E log E) plus the pairs listed.  Equal left ranks come widest first
-    for crossings, narrowest first for nestings, so that spans sharing
-    an endpoint, which share a rank, are never listed.
+    Spans are taken by left rank, widest first among equal left ranks
+    for crossings and narrowest first for nestings, so that spans sharing
+    an endpoint, which share a rank, are never listed.  Nestings are
+    decided first: none when the right ranks never fall in that order.
+    Otherwise the spans are kept sorted by right rank, ascending for
+    nestings and descending for crossings, whose closed spans are popped
+    off the end.  A span's partners (right end beyond it, or strictly
+    inside it) are then the slice after its own place, so it is inserted
+    past every span but its partners: O(E log E) plus the pairs listed,
+    and a span with none is appended.
     """
-    rights, ids, start = [], [], 0  # rights[:start] are closed; deleting them would shift the rest
-    for i in _by_span(lo, hi, -1 if crossing else 1):
-        a, b = lo[i], hi[i]
-        start = bisect_right(rights, a, start)
-        end = bisect_right(rights, b, start)
-        hits = ids[start:bisect_left(rights, b, start)] if crossing else ids[end:]
-        if hits:
-            yield i, hits
-        rights.insert(end, b)
-        ids.insert(end, i)
-
-
-def _nest_free(lo: list[int], hi: list[int]) -> bool:
-    """Whether no two spans nest.  Taken by left rank, narrowest first,
-    a nesting pair puts a right rank below the one before it."""
-    right = list(map(hi.__getitem__, _by_span(lo, hi, 1)))
-    return all(map(operator.le, right, right[1:]))
-
-
-def _cross_free(lo: list[int], hi: list[int]) -> bool:
-    """Whether no two spans cross.  Taken by left rank, widest first,
-    with a stack of the right ranks still open: a crossing pair puts the
-    top one strictly inside a later span."""
-    opened = [max(hi, default=0) + 1]  # beyond every span: never closed
-    for i in _by_span(lo, hi, -1):
-        a, b = lo[i], hi[i]
-        while opened[-1] <= a:
-            opened.pop()
-        if opened[-1] < b:
-            return False
-        opened.append(b)
-    return True
+    sign = -1 if crossing else 1
+    swept = _by_span(lo, hi, sign)
+    if not crossing:
+        right = list(map(hi.__getitem__, swept))
+        if all(map(operator.le, right, islice(right, 1, None))):
+            return
+    keys, ids = [], []  # sign times the right rank of the spans kept, ascending
+    for i in swept:
+        a, b = lo[i], sign * hi[i]
+        while crossing and keys and keys[-1] >= -a:  # closed: right rank a or below
+            keys.pop()
+            ids.pop()
+        at = bisect_right(keys, b)
+        if at < len(ids):
+            yield i, ids[at:]
+        keys.insert(at, b)
+        ids.insert(at, i)
 
 
 def _validate(graph, order, coloring, forbidden: PairRelation) -> LayoutReport:
@@ -339,17 +332,14 @@ def _validate(graph, order, coloring, forbidden: PairRelation) -> LayoutReport:
 
     Every edge is ranked, so an edge with an endpoint outside the order
     raises ValueError.  Colour c's spans are shifted by c times the rank
-    range, so one pass keeps colours apart.  The layout is decided in one
-    pass over the sorted spans, O(E log E); only a failed one is swept to
-    list its pairs, O(E log E) plus the pairs, and they are ordered when
-    the first one is read.
+    range, so one pass keeps colours apart.  One sweep over the spans,
+    sorted once, decides the layout and lists its pairs: O(E log E) plus
+    the pairs, which are ordered when the first one is read.
     """
     edges, colors, lo, hi = _spans(graph, order, coloring)
     r = max(hi, default=0) + 1
     lo, hi = ([c * r + x for c, x in zip(colors, xs)] for xs in (lo, hi))
-    crossing = forbidden is PairRelation.CROSS
-    free = _cross_free(lo, hi) if crossing else _nest_free(lo, hi)
-    rows = [] if free else list(_sweep(lo, hi, crossing))
+    rows = list(_sweep(lo, hi, forbidden is PairRelation.CROSS))
     violations = _Violations(rows, edges, colors, forbidden)
     return LayoutReport(valid=not violations, violations=violations)
 

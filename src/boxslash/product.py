@@ -347,15 +347,18 @@ class ProductGraph:
         None when either is None or they are not adjacent."""
         if a is None or b is None:
             return None
-        n, m, parent = len(self.tree), self.path_len, self.tree.parents
+        n, parent = len(self.tree), self.tree.parents
+        vertical, horizontal, diagonal = edge_runs(n, self.path_len)
         (p, x), (q, y) = sorted((divmod(a, n), divmod(b, n)))
         if p == q and parent[y] == x:
-            return (y - 1) * m + p
-        if q == p + 1 and x == y:
-            return (n - 1) * m + x * (m - 1) + p
-        if q == p + 1 and parent[x] == y:
-            return (n - 1) * (2 * m - 1) + x * (m - 1) + p
-        return None
+            (first, width), x = vertical, y  # at the child
+        elif q == p + 1 and x == y:
+            first, width = horizontal
+        elif q == p + 1 and parent[x] == y:
+            first, width = diagonal
+        else:
+            return None
+        return first + x * width + p  # position p + 1
 
     def edge_counts(self) -> dict[EdgeKind, int]:
         n, m = len(self.tree), self.path_len

@@ -1,5 +1,6 @@
 """Linear orders, pair relations, validators, and fixed-order optima."""
 
+import bisect
 import itertools
 import random
 import re
@@ -441,23 +442,32 @@ def test_three_queue_layout_of_a_large_product():
 @pytest.mark.parametrize("degrees, m", [((5, 5), 8), ((3, 3, 3), 6), ((2, 9), 4), ((6,), 10), ((3, 1, 2), 4)])
 def test_valid_layouts_are_decided_without_listing(degrees, m, monkeypatch):
     # The three-queue layout and the stack witness, under the canonical
-    # order and its reverse, are valid, and the one-pass deciders must
-    # see it: the sweep that lists pairs is not reached.
+    # order and its reverse, are valid.  The sweep must see it without
+    # listing: a valid queue layout is decided before the listing loop
+    # places any span, and a valid stack layout places every span at the
+    # end of the open ones, past every partner, so it only appends.
     g = boxslash_product(degrees, m)
     order, coloring = three_queue_layout(g)
     pages = stack_pages_for_order(g, order)  # sweeps its crossings, so before the patch
     reverse = LinearOrder(reversed(order.vertices))
+    after = []  # for each place the sweep finds, how many kept spans lie past it
 
-    def listing(*args):
-        raise AssertionError("a valid layout fell back on the sweep")
+    def place(keys, key, *bounds):
+        assert keys == sorted(keys), "a span was inserted out of place"
+        at = bisect.bisect_right(keys, key, *bounds)
+        after.append(len(keys) - at)
+        return at
 
-    with monkeypatch.context() as patch:
-        patch.setattr(layout, "_sweep", listing)
-        for way in (order, reverse):
-            assert validate_queue_layout(g, way, coloring).valid
-            assert validate_stack_layout(g, way, pages.colors).valid
+    monkeypatch.setattr(layout, "bisect_right", place)
+    for way in (order, reverse):
+        assert validate_queue_layout(g, way, coloring).valid
+        assert after == []
+        assert validate_stack_layout(g, way, pages.colors).valid
+        assert len(after) == len(g.edges) and not any(after)
+        after.clear()
     report = validate_stack_layout(g, order, coloring)
     assert not report.valid and len(report.violations) == len(list(report.violations)) > 0
+    assert any(after)
 
 
 def test_three_queue_layout_colors_follow_edge_kind():

@@ -1038,13 +1038,24 @@ def test_related_check_holds_where_the_direction_table_finds_opposite_sequences(
 def test_run_passes_decides_passing_checks_without_listing(degrees, m, monkeypatch):
     # Every check holds on these final states, so no per-node or
     # per-sequence code may run: naming a failing node or pair builds the
-    # tree, and finding the sequences that fail within a failing block
-    # is passes._mixed.
+    # tree, finding the sequences that fail within a failing block is
+    # passes._mixed, and only the related check's per-pair naming loop
+    # reads the sequence directions by key.
     def naming(*args):
         raise AssertionError("a check named failures on a passing final state")
 
+    class Unread(dict):
+        __getitem__ = naming
+
+    directions = passes._directions
+
+    def unread(*args):
+        observed, blocks = directions(*args)
+        return Unread(observed), blocks
+
     monkeypatch.setattr(passes, "build_tree", naming)
     monkeypatch.setattr(passes, "_mixed", naming)
+    monkeypatch.setattr(passes, "_directions", unread)
     g = boxslash_product(degrees, m)
     order, coloring = three_queue_layout(g)
     reverse = LinearOrder(reversed(order.vertices))
