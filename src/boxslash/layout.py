@@ -23,8 +23,13 @@ anything and appends each span of a valid stack layout; a failed
 layout's pairs are ordered when the first is read.  The nesting
 depths, whose maximum is the queue count (the largest rainbow, Heath &
 Rosenberg 1992), come from patience sorting.
-``stack_pages_for_order`` costs O(E log E + crossings) plus an exact
-search on each crossing-conflict component of at most
+``stack_pages_for_order`` holds the crossing conflicts of at most
+``CROSSING_ROW_LIMIT`` edges as one bit row per edge
+(``_crossing_rows``): O(E²/64) word operations and E²/8 bytes, with no
+Python work per crossing.  Past that limit rows would outgrow memory on
+large sparse inputs, so it holds adjacency lists from the crossing
+sweep (``_crossing_lists``): O(E log E + crossings).  Either way an
+exact search runs on each crossing-conflict component of at most
 ``EXACT_PAGE_LIMIT`` edges.
 
 The solver's stack search colours its conflict graphs (adjacency
@@ -39,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
 
 from .errors import integer
 from .product import EdgeKind, ProductEdges, ProductGraph, ProductVertices, PVertex
@@ -219,7 +224,8 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
     A graph is a ProductGraph, an iterable of vertex pairs, whose
     vertices are listed in order of first mention, or a graph document
     (a dict): a product descriptor, one under "graph", or "edges", a
-    list of vertex pairs whose ids are read as strings.
+    list of vertex pairs whose ids are read as strings.  A loop, an edge
+    from a vertex to itself, raises ValueError.
     """
     if isinstance(graph, dict):
         if "graph" in graph or "tree_degrees" in graph:
@@ -236,6 +242,9 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
         vertices = list(graph.vertices)
         return vertices, list(graph.edges._pairs(vertices))
     edges = [_vertex_pair(e, "graph item {!r} is not a vertex pair") for e in graph]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
     return list(dict.fromkeys(w for e in edges for w in e)), edges
 
 
@@ -506,6 +515,34 @@ def _crossing_lists(lo: list[int], hi: list[int]) -> list[list[int]]:
     return adj
 
 
+def _crossing_rows(lo: list[int], hi: list[int]) -> list[int]:
+    """Crossing-conflict rows: bit j of rows[i] is set when edges i and j
+    cross.
+
+    Over the distinct endpoint ranks, ``inc[k]`` holds the edges with an
+    end at the k-th and ``xor[k]`` the XOR of ``inc[0..k]``.  If edge i
+    has its ends at the a-th and b-th, ``xor[b] ^ xor[a]`` holds the
+    edges with exactly one end among the (a+1)-th to b-th; those with no
+    end at either of i's cross it.  O(E²/64) word operations, and no work
+    per pair."""
+    ranks = {r: k for k, r in enumerate(sorted(set(lo).union(hi)))}
+    a, b = list(map(ranks.__getitem__, lo)), list(map(ranks.__getitem__, hi))
+    inc = [0] * len(ranks)
+    for i, (x, y) in enumerate(zip(a, b)):
+        inc[x] |= 1 << i
+        inc[y] |= 1 << i
+    xor = list(accumulate(inc, operator.xor))
+    return [(xor[y] ^ xor[x]) & ~(inc[x] | inc[y]) for x, y in zip(a, b)]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _components(adj: list[list[int]]) -> list[list[int]]:
     """Connected components of an adjacency-list graph, each sorted,
     listed by smallest member."""
@@ -527,6 +564,25 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _row_components(rows: list[int]) -> Iterator[list[int]]:
+    """Connected components of a graph given as bit rows, each sorted,
+    listed by smallest member: breadth first from the lowest edge left."""
+    left = (1 << len(rows)) - 1
+    while left:
+        comp = frontier = left & -left
+        members = []
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                members.append(v)
+                reach |= rows[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        left ^= comp
+        members.sort()
+        yield members
+
+
 def _greedy_color(adj: list[list[int]], comp: list[int], colors: list[int]) -> None:
     """Colour the sorted component ``comp`` into ``colors`` (-1 where
     uncoloured), most conflicts first, ties by index, each edge taking
@@ -539,28 +595,63 @@ def _greedy_color(adj: list[list[int]], comp: list[int], colors: list[int]) -> N
         colors[v] = c
 
 
+def _greedy_rows(rows: list[int], comp: list[int], colors: list[int]) -> None:
+    """``_greedy_color`` on bit rows: each page is the mask of its edges,
+    and an edge takes the first page its row does not meet."""
+    pages: list[int] = []
+    for _, v in sorted(zip([-rows[v].bit_count() for v in comp], comp)):
+        row = rows[v]
+        for c, page in enumerate(pages):
+            if not row & page:
+                pages[c] = page | 1 << v
+                break
+        else:
+            c = len(pages)
+            pages.append(1 << v)
+        colors[v] = c
+
+
+#: Most edges whose crossings ``stack_pages_for_order`` holds as bit rows.
+#: Rows and their prefix XORs take about E²/8 bytes or more whatever the
+#: crossings, so larger inputs keep adjacency lists, which grow with them.
+CROSSING_ROW_LIMIT = 4096
+
+
 def stack_pages_for_order(edges, order: LinearOrder) -> ColoringResult:
     """Fewest stack pages for a fixed order.
 
     Exact when every connected component of the crossing-conflict graph
     has at most EXACT_PAGE_LIMIT edges; beyond that a greedy bound is
-    returned with ``exact`` set to False.  The conflict graph is held as
-    adjacency lists from one rank sweep, so everything but the exact
-    search costs O(E log E + crossings); only the components searched
-    exactly become bitmasks, of at most EXACT_PAGE_LIMIT bits.
+    returned with ``exact`` set to False.  Up to CROSSING_ROW_LIMIT edges
+    the conflict graph is one bit row per edge (``_crossing_rows``), so
+    the components, the masks of the exact search and the greedy's pages
+    are word operations, O(E²/64), with no Python work per crossing.
+    Rows cost about E²/8 bytes or more however few the crossings: 149 GB
+    for the 1,090,779 edges of (60,60)×100.  So a larger input is held as
+    adjacency lists from one rank sweep (``_crossing_lists``), and all
+    but the exact search costs O(E log E + crossings).  Both give the
+    same components, counts and colours: components by smallest member,
+    each small one searched on its own masks of at most EXACT_PAGE_LIMIT
+    bits, and each larger one coloured greedily, most conflicts first,
+    ties by index.
     """
     pairs, _, lo, hi = _spans(edges, order)
-    adj = _crossing_lists(lo, hi)
+    if len(pairs) <= CROSSING_ROW_LIMIT:
+        conflicts = _crossing_rows(lo, hi)
+        comps, neighbours, greedy = _row_components(conflicts), lambda v: _bits(conflicts[v]), _greedy_rows
+    else:
+        conflicts = _crossing_lists(lo, hi)
+        comps, neighbours, greedy = _components(conflicts), conflicts.__getitem__, _greedy_color
     assignment = [-1] * len(pairs)
     exact = True
-    for comp in _components(adj):
+    for comp in comps:
         if len(comp) <= EXACT_PAGE_LIMIT:
             local_index = {v: i for i, v in enumerate(comp)}
-            masks = [sum(1 << local_index[w] for w in adj[v]) for v in comp]
+            masks = [sum(1 << local_index[w] for w in neighbours(v)) for v in comp]
             for v, c in zip(comp, fewest_colours(masks, len(comp) + 1)):
                 assignment[v] = c
         else:
-            _greedy_color(adj, comp, assignment)
+            greedy(conflicts, comp, assignment)
             exact = False
     best = max(assignment, default=-1) + 1
     return ColoringResult(best, EdgeColoring.from_lists(pairs, assignment, best), exact)

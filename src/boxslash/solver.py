@@ -54,7 +54,7 @@ from .errors import SizeLimitError, integer, real
 from .layout import (
     EdgeColoring,
     LinearOrder,
-    _sweep,
+    _crossing_rows,
     colours_lower_bound,
     fewest_colours,
     graph_vertices_edges,
@@ -110,9 +110,6 @@ def _solve(graph, upper_limit, budget_ms, kind: str) -> SolveResult:
     start = LinearOrder(vertices)
     if not edges:
         return SolveResult(0, start, EdgeColoring({}), True, 0, ())
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at {u!r}")
 
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     # The incumbent: page counts at or above it are not worth finding.
@@ -392,10 +389,9 @@ def _nonplanar(n: int, pairs: list) -> bool:
     if size > 3 * k - 6:
         return True
     edges = [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
-    # Pair {i, j} of edges, i < j, is bit i * size + j.  On the circle,
-    # vertex v has rank v, and the pairs crossing once interleave.
-    drawn = sum(1 << (i * size + j if i < j else j * size + i)
-                for i, hits in _sweep(*zip(*edges), True) for j in hits)
+    # On the circle vertex v has rank v, and the pairs crossing once
+    # interleave: bit f of drawn[i] is set when edges f and i do.
+    drawn = _crossing_rows(*zip(*edges))
     # The row of independent pair {f, i}: the moves that flip it, edge e
     # across v as bit e * n + v + 1, and its parity as bit 0.  Rows are
     # reduced by those kept before, and kept under their leading bit.
@@ -403,7 +399,7 @@ def _nonplanar(n: int, pairs: list) -> bool:
     for i, (a, b) in enumerate(edges):
         for f, (u, w) in enumerate(edges[:i]):
             if a != u and a != w and b != u and b != w:
-                x = (drawn >> (f * size + i) & 1 | 2 << i * n + u | 2 << i * n + w
+                x = (drawn[i] >> f & 1 | 2 << i * n + u | 2 << i * n + w
                      | 2 << f * n + a | 2 << f * n + b)
                 while row := rows.get(x.bit_length() - 1):
                     x ^= row

@@ -26,7 +26,7 @@ from boxslash import (
     validate_stack_layout,
 )
 from boxslash import layout, product
-from boxslash.layout import _crossing_lists, _nesting_depths, _spans, graph_vertices_edges
+from boxslash.layout import _crossing_lists, _crossing_rows, _nesting_depths, _spans, graph_vertices_edges
 from helpers_naive import (
     chromatic_number,
     conflict_adjacency,
@@ -42,6 +42,22 @@ from helpers_naive import (
 
 def int_order(n):
     return LinearOrder(range(n))
+
+
+def conflict_paths(monkeypatch):
+    """Yield "lists", then "rows": stack_pages_for_order's crossing
+    conflicts held as adjacency lists, then as bit rows, by setting
+    CROSSING_ROW_LIMIT below and above every input here.  After each,
+    every call since is checked to have taken that representation."""
+    used = []
+    for path in ("lists", "rows"):
+        kernel = getattr(layout, f"_crossing_{path}")
+        monkeypatch.setattr(layout, f"_crossing_{path}", lambda *a, k=kernel, p=path: used.append(p) or k(*a))
+    for path, limit in (("lists", 0), ("rows", 10**9)):
+        monkeypatch.setattr(layout, "CROSSING_ROW_LIMIT", limit)
+        used.clear()
+        yield path
+        assert used and set(used) == {path}
 
 
 def test_linear_order_basics():
@@ -139,6 +155,21 @@ def test_set_edges_are_refused():
     assert coloring.get("a", "c") is None
     with pytest.raises(ValueError, match="^self-loop at 'a'$"):
         EdgeColoring({("a", "a"): 0})
+
+
+def test_a_loop_is_refused_wherever_a_graph_is_read():
+    # An edge from a vertex to itself has no span, and a witness that
+    # coloured one could not be read back: its colouring refuses the loop.
+    # So every reader of a graph refuses it first, by one rule.
+    edges, order = [(0, 0), (0, 1)], int_order(2)
+    coloring = EdgeColoring({(0, 1): 0})
+    for call in (lambda: graph_vertices_edges(edges), lambda: stack_pages_for_order(edges, order),
+                 lambda: queues_for_order(edges, order), lambda: validate_stack_layout(edges, order, coloring),
+                 lambda: validate_queue_layout(edges, order, coloring), lambda: layout_to_json(order, coloring, edges)):
+        with pytest.raises(ValueError, match="^self-loop at 0$"):
+            call()
+    with pytest.raises(ValueError, match="^self-loop at 'a'$"):
+        graph_vertices_edges({"edges": [["a", "b"], ["a", "a"]]})
 
 
 @pytest.mark.parametrize("build", ["mapping", "three_queue", "queues", "pages"])
@@ -249,6 +280,7 @@ def test_kernels_match_reference(case):
     assert _nesting_depths(*spans) == (max(depths, default=0), depths)
     adjacency = conflict_adjacency(edges, position, edges_cross)
     assert [sorted(adj) for adj in _crossing_lists(*spans)] == [sorted(adj) for adj in adjacency]
+    assert _crossing_rows(*spans) == [sum(1 << j for j in adj) for adj in adjacency]
 
 
 @pytest.mark.parametrize("degrees, m", [((2,), 3), ((3,), 2), ((2, 2), 2), ((1, 2), 3)])
@@ -427,10 +459,11 @@ def test_three_queue_layout_is_a_valid_3_queue_layout(degrees, m):
 def test_three_queue_layout_of_a_large_product():
     # A guard against a quadratic kernel: a pairwise check of these
     # 19,639 edges takes minutes, the rank sweep well under a second.
-    # The stack page count, over one large conflict component, takes
-    # about a second.
+    # The stack page count, over one large conflict component, holds
+    # adjacency lists, as the product is past the bit-row limit, and takes
+    # about half a second.
     g = boxslash_product((10, 10), 60)
-    assert len(g.edges) == 19639
+    assert len(g.edges) == 19639 > layout.CROSSING_ROW_LIMIT
     order, coloring = three_queue_layout(g)
     assert validate_queue_layout(g, order, coloring).valid
     assert queues_for_order(g, order).count == 3
@@ -480,18 +513,19 @@ def test_three_queue_layout_colors_follow_edge_kind():
     assert kind_colors[EdgeKind.VERTICAL] != kind_colors[EdgeKind.HORIZONTAL]
 
 
-def test_stack_pages_for_order_matches_reference():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randrange(4, 8)
-        pool = list(itertools.combinations(range(n), 2))
-        edges = rng.sample(pool, min(len(pool), rng.randrange(2, 9)))
-        order = int_order(n)
-        position = {v: v for v in range(n)}
-        result = stack_pages_for_order(edges, order)
-        assert result.exact
-        assert result.count == min_pages_for_position(edges, position)
-        assert validate_stack_layout(edges, order, result.colors).valid
+def test_stack_pages_for_order_matches_reference(monkeypatch):
+    for _ in conflict_paths(monkeypatch):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(4, 8)
+            pool = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pool, min(len(pool), rng.randrange(2, 9)))
+            order = int_order(n)
+            position = {v: v for v in range(n)}
+            result = stack_pages_for_order(edges, order)
+            assert result.exact
+            assert result.count == min_pages_for_position(edges, position)
+            assert validate_stack_layout(edges, order, result.colors).valid
 
 
 def _reference_stack_pages(edges, position, exact_limit):
@@ -524,37 +558,73 @@ def test_stack_pages_for_order_matches_reference_per_component(monkeypatch):
     # Blocks of vertices in disjoint stretches of the order: edges of
     # different blocks never cross, so each block adds its own conflict
     # components, some at most the exact-search limit and some beyond;
-    # the limit is lowered so that both kinds stay small.
-    rng = random.Random(17)
-    seen_exact = seen_greedy = 0
-    for _ in range(60):
-        edges, start = [], 0
-        for _ in range(rng.randrange(1, 5)):
-            width = rng.randrange(4, 11)
-            pool = list(itertools.combinations(range(start, start + width), 2))
-            picked = rng.sample(pool, rng.randrange(1, min(len(pool), 2 * width) + 1))
-            edges += [e if rng.random() < 0.5 else e[::-1] for e in picked]
-            start += width
-        rng.shuffle(edges)
-        order = int_order(start)
-        limit = rng.choice([0, 2, 4, 6])
-        monkeypatch.setattr(layout, "EXACT_PAGE_LIMIT", limit)
-        result = stack_pages_for_order(edges, order)
-        colours = [result.colors.get(*e) for e in edges]
-        count, exact = 0, True
-        for comp, expected in _reference_stack_pages(edges, {v: v for v in range(start)}, limit):
-            got = [colours[v] for v in comp]
-            if isinstance(expected, list):
-                seen_greedy += len(comp) > 1
-                exact = False
-                assert got == expected
-            else:
-                seen_exact += len(comp) > 1
-                assert set(got) == set(range(expected))
-            count = max(count, max(got) + 1)
-        assert (result.count, result.exact, result.colors.k) == (count, exact, count)
-        assert validate_stack_layout(edges, order, result.colors).valid
-    assert seen_exact > 20 and seen_greedy > 20
+    # the limit is lowered so that both kinds stay small.  Both conflict
+    # representations run the same draws, and must give the same colours.
+    colourings = {}
+    for path in conflict_paths(monkeypatch):
+        colourings[path] = []
+        rng = random.Random(17)
+        seen_exact = seen_greedy = 0
+        for _ in range(60):
+            edges, start = [], 0
+            for _ in range(rng.randrange(1, 5)):
+                width = rng.randrange(4, 11)
+                pool = list(itertools.combinations(range(start, start + width), 2))
+                picked = rng.sample(pool, rng.randrange(1, min(len(pool), 2 * width) + 1))
+                edges += [e if rng.random() < 0.5 else e[::-1] for e in picked]
+                start += width
+            rng.shuffle(edges)
+            order = int_order(start)
+            limit = rng.choice([0, 2, 4, 6])
+            monkeypatch.setattr(layout, "EXACT_PAGE_LIMIT", limit)
+            result = stack_pages_for_order(edges, order)
+            colours = [result.colors.get(*e) for e in edges]
+            colourings[path].append(colours)
+            count, exact = 0, True
+            for comp, expected in _reference_stack_pages(edges, {v: v for v in range(start)}, limit):
+                got = [colours[v] for v in comp]
+                if isinstance(expected, list):
+                    seen_greedy += len(comp) > 1
+                    exact = False
+                    assert got == expected
+                else:
+                    seen_exact += len(comp) > 1
+                    assert set(got) == set(range(expected))
+                count = max(count, max(got) + 1)
+            assert (result.count, result.exact, result.colors.k) == (count, exact, count)
+            assert validate_stack_layout(edges, order, result.colors).valid
+        assert seen_exact > 20 and seen_greedy > 20
+    assert colourings["lists"] == colourings["rows"]
+
+
+@pytest.mark.parametrize("m", [45, 46])
+def test_both_conflict_representations_give_the_same_pages(m, monkeypatch):
+    # (2,2,2,2) x 45 and x 46 have 4,034 and 4,125 edges, on either side
+    # of the bit-row limit.  Under the canonical, reversed, node-major and
+    # shuffled orders, adjacency lists and bit rows must give the same
+    # count, exactness and colour on every edge.  The limit is inclusive:
+    # at the edge count rows are used, one below it lists.
+    g = boxslash_product((2, 2, 2, 2), m)
+    assert abs(len(g.edges) - layout.CROSSING_ROW_LIMIT) < 100
+    shuffled = list(g.vertices)
+    random.Random(m).shuffle(shuffled)
+    orders = (canonical_order(g), LinearOrder(reversed(g.vertices)),
+              LinearOrder(sorted(g.vertices, key=lambda v: (v.node, v.pos))), LinearOrder(shuffled))
+    seen = {}
+    for path in conflict_paths(monkeypatch):
+        seen[path] = []
+        for order in orders:
+            pages = stack_pages_for_order(g, order)
+            seen[path].append((pages.count, pages.exact, pages.colors.k, pages.colors.colors_of(g.edges)))
+    assert seen["lists"] == seen["rows"]
+    assert len({count for count, *_ in seen["rows"]}) > 1
+    calls = []
+    for limit in (len(g.edges), len(g.edges) - 1):
+        monkeypatch.setattr(layout, "CROSSING_ROW_LIMIT", limit)
+        monkeypatch.setattr(layout, "_crossing_rows", lambda *a: calls.append("rows") or [0] * len(a[0]))
+        monkeypatch.setattr(layout, "_crossing_lists", lambda *a: calls.append("lists") or [[] for _ in a[0]])
+        assert stack_pages_for_order(g, orders[0]).count == 1
+    assert calls == ["rows", "lists"]
 
 
 def random_conflict_graph(rng, n):
@@ -644,16 +714,17 @@ def test_max_rainbow_frozen():
         assert max(naive_nesting_depths(edges, position)) == rainbow
 
 
-def test_greedy_fallback_kicks_in_past_the_component_limit():
+def test_greedy_fallback_kicks_in_past_the_component_limit(monkeypatch):
     # A long chain of pairwise-crossing edges in one conflict component.
     n = 60
     edges = [(i, i + 30) for i in range(30)]
     assert len(edges) > layout.EXACT_PAGE_LIMIT
     order = int_order(n)
-    result = stack_pages_for_order(edges, order)
-    assert not result.exact
-    assert result.count >= 30  # they all mutually cross
-    assert validate_stack_layout(edges, order, result.colors).valid
+    for _ in conflict_paths(monkeypatch):
+        result = stack_pages_for_order(edges, order)
+        assert not result.exact
+        assert result.count >= 30  # they all mutually cross
+        assert validate_stack_layout(edges, order, result.colors).valid
 
 
 def test_layout_json_roundtrip():

@@ -132,6 +132,19 @@ def test_a_descriptor_is_refused_before_its_product_is_built(monkeypatch, doc):
 K45 = [(a, b) for a in range(4) for b in range(4, 9)]
 
 
+def test_a_loop_is_refused_before_the_vertex_count():
+    # The solvers read a graph by layout.graph_vertices_edges, whose loop
+    # rule runs before their count of vertices: eleven vertices, one over
+    # the exhaustive limit, with a loop at 5 are refused for the loop.
+    for solve in (stack_number, queue_number):
+        with pytest.raises(ValueError, match="^self-loop at 0$"):
+            solve([(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="^self-loop at 5$"):
+            solve([(i, i + 1) for i in range(10)] + [(5, 5)])
+        with pytest.raises(SizeLimitError):
+            solve([(i, i + 1) for i in range(10)])
+
+
 def test_expired_budget_degrades_to_a_bound():
     result = stack_number(K45, budget_ms=0.0)
     assert not result.exact
