@@ -128,8 +128,6 @@ class EdgeColoring:
         self._edges, self._colors, self._index = [], [], None
         for e, c in colors.items():
             u, v = _vertex_pair(e, "edge key {!r} is a vertex, not a vertex pair")
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
             self._edges.append((u, v))
             self._colors.append(integer(c, lambda: f"colour of edge {e!r}", 0))
         used = max(self._lookup().values(), default=-1) + 1
@@ -242,9 +240,6 @@ def graph_vertices_edges(graph) -> tuple[list[Vertex], list[EdgePair]]:
         vertices = list(graph.vertices)
         return vertices, list(graph.edges._pairs(vertices))
     edges = [_vertex_pair(e, "graph item {!r} is not a vertex pair") for e in graph]
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at {u!r}")
     return list(dict.fromkeys(w for e in edges for w in e)), edges
 
 
@@ -252,13 +247,16 @@ def _vertex_pair(item, message: str) -> EdgePair:
     """The two ends of an edge given as a pair.  A string, a product
     vertex (a tuple, but one vertex), a set (whose order follows the
     string hash seed) or anything that does not unpack to exactly two
-    values raises ValueError(message.format(item))."""
+    values raises ValueError(message.format(item)); a loop, an edge from
+    a vertex to itself, raises ValueError too."""
     try:
         if isinstance(item, (str, bytes, PVertex, set, frozenset)):
             raise TypeError
         u, v = item
     except (TypeError, ValueError):
         raise ValueError(message.format(item)) from None
+    if u == v:
+        raise ValueError(f"self-loop at {u!r}")
     return u, v
 
 

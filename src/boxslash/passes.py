@@ -29,7 +29,8 @@ at the first descent, over every axis order, sign vector and index set
 in turn.  Each check is one kernel over slices of the lists; it builds a
 tree only to name what fails, from the indices of the comparisons that
 fail.  The colour table reads one slice of the colour list per (kind,
-depth, position), O(E), and so do the related families' pairing edges.
+depth, position), O(E); the related families read no colour, as the
+table's uniformity is their colour clause.
 Child symmetry sorts the spots of each depth's first cone by rank and
 compares, per pair of consecutive spots, the two rank-list slices that
 hold every node's copy, O(nm log nm) per depth.  The related families
@@ -94,7 +95,8 @@ class ColorTable:
         position, its kind), and the edges of one signature are one slice
         of the colour list: one kind, the nodes of one depth, one
         position.  A clash names the first edge, by id, whose colour
-        differs from its signature's first.
+        differs from its signature's first, the signature keyed as in
+        `to_json`.
         """
         m, starts = path_len, level_starts(degrees)
         entries: dict[tuple[int, int, EdgeKind], int] = {}
@@ -108,17 +110,11 @@ class ColorTable:
                     entries[(depth, p, kind)] = run[0]
                     if run.count(run[0]) != len(run):
                         at = next(t for t, c in enumerate(run) if c != run[0])
-                        clashes.append((lo + p - 1 + at * width, (depth, p, kind), run[0]))
+                        clashes.append((lo + p - 1 + at * width, f"{depth},{p},{kind.value}", run[0]))
         if clashes:
             e, sig, c = min(clashes)  # edge ids differ, so the first edge wins
             raise InconsistencyError(f"edges with signature {sig} use colours {c} and {colors[e]}")
         return cls(entries)
-
-    def color_of(self, depth: int, pos: int, kind: EdgeKind) -> int:
-        try:
-            return self.entries[(depth, pos, kind)]
-        except KeyError:
-            raise ValueError(f"no table entry for {(depth, pos, kind)}") from None
 
     def to_json(self) -> dict:
         return {
@@ -556,8 +552,7 @@ def check_direction_consistency(table: DirectionTable) -> CheckReport:
     return CheckReport(violations, checked)
 
 
-def _related_families(degrees, m: int, ranks: list, colors: list,
-                      table: ColorTable) -> tuple[CheckReport, dict]:
+def _related_families(degrees, m: int, observed: dict, blocks: list) -> CheckReport:
     """After the passes, child-choice sequences must pair up as related.
 
     Two sequences of equal length, paired position by position, are
@@ -570,38 +565,23 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
     Three shapes are checked exhaustively: a sequence against its
     extension by one child (vertical pairing edges), against that
     extension at the next position (diagonal), and against itself at
-    the next position (horizontal).  Each pair must be related with
-    exactly the colour the table prescribes for its pairing edges.
+    the next position (horizontal).  A shape's pairing edges at one
+    position share a signature, so the colour clause is the colour
+    table's, decided before this check runs: it reads no colour.
 
-    The pairing edges of a (kind, row, position) are one slice of the
-    colour list, and `_directions` finds the sequences not monotone.  The
-    sides compare depth blocks, the ranks of depth j's nodes at one
-    position: for the horizontal shape, the block at p against the block
-    at p + 1; for the others with child v, the v-th child of every node,
-    at p, against the block at p and at p + 1.  The levels' sequences
-    link every two nodes of depth j, so on passing lists the answer is
-    one for the whole block.  A failing pair is read off the failing
-    edges, the bent sequences and the sequences whose answers differ
-    (`_mixed`), and named by its prefix (the node of depth i - 1), its
-    tail of child choices, its child v and its position, in the naive
+    The sides compare depth blocks of `_directions`, the ranks of depth
+    j's nodes at one position: for the horizontal shape, the block at p
+    against the block at p + 1; for the others with child v, the v-th
+    child of every node, at p, against the block at p and at p + 1.  The
+    levels' sequences link every two nodes of depth j, so on passing
+    lists the answer is one for the whole block.  A failing pair is read
+    off the sequences not monotone (``observed``) and those whose answers
+    differ (`_mixed`), and named by its prefix (the node of depth i - 1),
+    its tail of child choices, its child v and its position, in the naive
     check's order; the tree that names them is built on the first one.
-    Returns the report and the `_directions`, which the direction table reads.
     """
     height, starts = len(degrees), level_starts(degrees)
-    runs = dict(zip(EdgeKind, edge_runs(starts[-1], m)))
     shapes = (EdgeKind.VERTICAL, EdgeKind.DIAGONAL, EdgeKind.HORIZONTAL)  # in the order a sequence's pairs are named
-    wrong = {}  # (kind, row, position) -> per node of the row, whether its pairing edge has another colour
-    for depth in range(1, height + 1):  # the table's colours, read in the naive check's order
-        for kind, row, end in ((EdgeKind.VERTICAL, depth + 1, m + 1), (EdgeKind.DIAGONAL, depth + 1, m),
-                               (EdgeKind.HORIZONTAL, depth, m)):
-            if row <= height:
-                first, width = runs[kind]
-                lo, hi = first + starts[row] * width, first + starts[row + 1] * width
-                for p, colour in enumerate([table.color_of(row, p, kind) for p in range(1, end)]):
-                    edges = colors[lo + p : hi + p : width]
-                    if edges.count(colour) != len(edges):
-                        wrong[kind, row, p] = list(map(operator.ne, edges, itertools.repeat(colour)))
-    observed, blocks = _directions(degrees, m, ranks)
     bent = any(map(operator.itemgetter(1), itertools.chain.from_iterable(observed.values())))
     failing = set()  # (level, prefix, depth, tail, horizontal, child, shape, position) of each failing pair
     for j in range(1, height + 1):
@@ -612,7 +592,7 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
                 g = degrees[j]
                 pairs += [(blocks[j + 1][p][v::g], blocks[j][p + up], shape, v + 1, j + 1, g)
                           for shape, up in ((0, 0), (1, 1)) if p + up < m for v in range(g)]
-            if not (bent or wrong or any(len(set(map(operator.lt, a, b))) != 1 for a, b, _, _, _, _ in pairs)):
+            if not (bent or any(len(set(map(operator.lt, a, b))) != 1 for a, b, _, _, _, _ in pairs)):
                 continue
             for a, b, shape, v, row, g in pairs:
                 answers = list(map(operator.lt, a, b))
@@ -622,8 +602,6 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
                     seqs = _mixed(answers, d, stride) if mixed else set()
                     seqs.update(observed[i, j][p + (shape > 0)][1])  # the base, at p only when vertical
                     seqs.update(q // g for q in observed[i, row][p][1] if q % g == v - 1)
-                    flags = wrong.get((shapes[shape], row, p), ())[v - 1::g]  # those of the base's nodes
-                    seqs.update(x // (d * stride) * stride + x % stride for x, bad in enumerate(flags) if bad)
                     failing.update((i, q // stride, j, q % stride, shape == 2, v, shape, p + 1) for q in seqs)
     nodes = build_tree(degrees).nodes if failing else None
     violations = []
@@ -635,7 +613,7 @@ def _related_families(degrees, m: int, ranks: list, colors: list,
     checked = sum((starts[j + 1] - starts[j]) // degrees[i - 1]
                   * ((degrees[j] * (2 * m - 1) if j < height else 0) + m - 1)
                   for i in range(1, height + 1) for j in range(i, height + 1))
-    return CheckReport(violations, checked), observed
+    return CheckReport(violations, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +645,12 @@ def run_passes(
     All three target sets are checked before any work.  The passes
     thread a single PassState and do not check their own work.  Every
     property is verified once, on the final state's lists: the colour
-    table is built (raising on any clash), child symmetry is checked
-    exhaustively, and the related-sequence check (`_related_families`)
-    ties both to the table.  When every surviving level keeps at least
-    two children, the direction table is read from the one bit set per
-    entry that the related check read (`_direction_table`, which raises
+    table is built (raising on any clash, which also decides the related
+    pairs' colour clause), child symmetry is checked exhaustively, and
+    `_directions` reads the bits of every child-choice sequence once.
+    The related-sequence check (`_related_families`) reads them, and,
+    when every surviving level keeps at least two children, so does the
+    direction table (`_direction_table`, which raises
     InconsistencyError on a sequence that is not monotone or an entry
     whose sequences disagree), else left None.  The checks compare ranks
     only within a cone or a sequence, so the state's sparse ranks serve
@@ -690,7 +669,8 @@ def run_passes(
     degrees, m, ranks, colors = state.degrees, state.path_len, state.ranks, state.colors
     color_table = ColorTable.from_colors(degrees, m, colors)
     order_report = check_child_symmetry(degrees, m, ranks)
-    related_report, observed = _related_families(degrees, m, ranks, colors, color_table)
+    observed, blocks = _directions(degrees, m, ranks)
+    related_report = _related_families(degrees, m, observed, blocks)
     direction_table = _direction_table(degrees, m, observed) if all(d >= 2 for d in degrees) else None
     final = graph if degrees == graph.tree.spec.degrees else boxslash_product(degrees, m)
     nodes = final.tree.nodes

@@ -7,9 +7,11 @@ read off the set of its neighbour comparisons, once, as bits:
 `step_bits` is the one definition of "monotone" that the passes'
 direction tables and related pairs use.  The related pairs themselves
 are decided in `passes._related_families`, which states their
-definition.  The chains of related pairs that the paper builds on
-top of them need inputs far beyond the package's size limit; the size
-table in the `hexgrid` docstring gives the figures.
+definition; their colour clause is the colour table's, one colour per
+signature, decided in `passes.ColorTable.from_colors`.  The chains of
+related pairs that the paper builds on top of them need inputs far
+beyond the package's size limit; the size table in the `hexgrid`
+docstring gives the figures.
 
 A single-element sequence is monotone in both directions at once;
 step_bits reports that as INC_BIT | DEC_BIT.

@@ -356,10 +356,12 @@ def naive_child_symmetry(degrees, m, rank):
 
 # ---------------------------------------------------------------------------
 # Restriction and related sequence families (used against passes.restrict
-# and passes._related_families, the related check of run_passes).  As
-# above, a vertex is (path tuple, position); colour maps frozenset({u, v})
-# of an edge to its colour, and a table maps (depth, position, kind) to a
-# colour, where a kind is "vertical", "horizontal" or "diagonal".
+# and passes._related_families, the related check of run_passes, on
+# colourings whose colour table holds: the table decides the colour
+# clause, and the package's check reads no colour).  As above, a vertex
+# is (path tuple, position); colour maps frozenset({u, v}) of an edge to
+# its colour, and a table maps (depth, position, kind) to a colour, where
+# a kind is "vertical", "horizontal" or "diagonal".
 
 def naive_restrict(degrees, m, rank, colour, node_map, keep):
     """Keep the given children of every node and carry the layout over.
@@ -493,7 +495,7 @@ def naive_related_families(degrees, m, rank, colour, table):
 
 
 # ---------------------------------------------------------------------------
-# Colour and direction tables (used against passes.ColorTable.from_layout,
+# Colour and direction tables (used against passes.ColorTable.from_colors,
 # passes._direction_table and run_passes: where every final level
 # branches, naive_identity_permutation finds nothing exactly when the lex
 # witnesses keep every axis order).  Vertices, colours and rank are as

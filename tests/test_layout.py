@@ -170,6 +170,10 @@ def test_a_loop_is_refused_wherever_a_graph_is_read():
             call()
     with pytest.raises(ValueError, match="^self-loop at 'a'$"):
         graph_vertices_edges({"edges": [["a", "b"], ["a", "a"]]})
+    # The rule is read with each item's pair, so a loop is named before a
+    # later item that is not a pair at all.
+    with pytest.raises(ValueError, match="^self-loop at 0$"):
+        graph_vertices_edges([(0, 1), (0, 0), "x"])
 
 
 @pytest.mark.parametrize("build", ["mapping", "three_queue", "queues", "pages"])

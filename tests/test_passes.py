@@ -183,10 +183,9 @@ def test_color_table_signature_and_layout():
     # An edge's key: the deeper end's depth, the smaller position, the kind.
     for u, v, kind in g.edges:
         key = (max(len(u.node.path), len(v.node.path)), min(u.pos, v.pos), kind)
-        assert table.color_of(*key) == coloring.get(u, v)
-    assert table.color_of(2, 1, EdgeKind.VERTICAL) == coloring.get(pv("1.2@1"), pv("1@1"))
-    with pytest.raises(ValueError):
-        table.color_of(9, 9, EdgeKind.VERTICAL)
+        assert table.entries[key] == coloring.get(u, v)
+    assert table.entries[(2, 1, EdgeKind.VERTICAL)] == coloring.get(pv("1.2@1"), pv("1@1"))
+    assert (9, 9, EdgeKind.VERTICAL) not in table.entries
     doc = table.to_json()
     assert all(isinstance(c, int) for c in doc["entries"].values())
 
@@ -258,7 +257,7 @@ def test_pass_colour_keeps_the_larger_matching_bucket():
     assert result.node_ids == [0, 1, -1, 2, -1]  # children 1 and 3 are now 1 and 2
     assert result.colors == [0, 0]
     table = ColorTable.from_colors(result.degrees, result.path_len, result.colors)
-    assert table.color_of(1, 1, EdgeKind.VERTICAL) == 0
+    assert table.entries == {(1, 1, EdgeKind.VERTICAL): 0}
 
 
 def test_pass_colour_starvation():
@@ -317,21 +316,28 @@ def test_checks_report_exact_violations_on_a_damaged_layout():
     # reports are written out, so a change in how a check names a node fails.
     g = boxslash_product((2, 2), 2)
     queues = three_queue_layout(g)[1]
-    order = order_of(["r@1", "1@1", "1.1@1", "2@1", "1.2@1", "2.2@1", "2.1@1",
-                      "r@2", "1@2", "2@2", "1.1@2", "1.2@2", "2.1@2", "2.2@2"])
+    names = ["r@1", "1@1", "1.1@1", "2@1", "1.2@1", "2.2@1", "2.1@1",
+             "r@2", "1@2", "2@2", "1.1@2", "1.2@2", "2.1@2", "2.2@2"]
     colors = [(c + 1) % 3 if e in (6, 17) else c for e, c in enumerate(queues.colors_of(g.edges))]
-    state = PassState.initial(g, order, EdgeColoring.from_lists(g.edges, colors, 3))
+    state = PassState.initial(g, order_of(names), EdgeColoring.from_lists(g.edges, colors, 3))
     symmetry = check_child_symmetry(state.degrees, state.path_len, state.ranks)
     assert (symmetry.violations, symmetry.checked) == ([("1", "2", (1,), 1, (2,), 1)], 21)
-    table = color_table(g, queues)
-    related = passes._related_families(state.degrees, state.path_len, state.ranks, state.colors, table)[0]
-    assert (related.violations, related.checked) == (
-        [("vertical", "r", (), 2, 1), ("horizontal", "r", (1,), 1), ("horizontal", "2", (), 1)], 11)
-    # The oracles agree.
-    rank, colour = state_data(state)
-    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
-    assert naive_related_families((2, 2), 2, rank, colour, entries) == (related.violations, related.checked)
     assert_child_symmetry_matches_oracle((2, 2), 2, state.ranks)
+    # The recoloured edges break the colour clause of every related pair
+    # they join, which the colour table decides: it names edge 6's signature.
+    with pytest.raises(InconsistencyError, match=r"^edges with signature 2,1,vertical use colours 0 and 1$"):
+        ColorTable.from_colors(state.degrees, state.path_len, state.colors)
+    assert naive_color_table((2, 2), 2, state_data(state)[1]) == ("clash", (2, 1, "vertical"), 0, 1)
+    # Swapping 2.1@1 with 2.1@2 as well breaks relatedness, and the oracle agrees.
+    a, b = names.index("2.1@1"), names.index("2.1@2")
+    names[a], names[b] = names[b], names[a]
+    unrelated = order_of(names)
+    related = related_report(g, unrelated)
+    assert (related.violations, related.checked) == ([("vertical", "r", (), 1, 2), ("diagonal", "r", (), 1, 1),
+                                                      ("horizontal", "r", (1,), 1), ("horizontal", "2", (), 1)], 11)
+    rank, colour = layout_data(g, unrelated, queues)
+    entries = {(d, p, kind.value): c for (d, p, kind), c in color_table(g, queues).entries.items()}
+    assert naive_related_families((2, 2), 2, rank, colour, entries) == (related.violations, related.checked)
 
 
 def small_shapes(limit, max_height):
@@ -489,12 +495,13 @@ def test_pass_lex_finds_the_oracle_witnesses_on_scrambled_products():
 
 
 # ---------------------------------------------------------------------------
-# Direction extraction and checks.  run_passes's related check
-# (passes._related_families) compares whole depth blocks, and reads the
-# directions of the child-choice sequences from passes._directions: per
-# (level, length, position), one bit set and the sequences that are not
-# monotone.  The direction table (passes._direction_table) is made from
-# those.  These helpers run the same kernels on any layout.
+# Direction extraction and checks.  run_passes reads the directions of
+# the child-choice sequences once, with passes._directions: per (level,
+# length, position), one bit set and the sequences that are not
+# monotone, and the depth blocks.  Its related check
+# (passes._related_families) compares whole depth blocks, and the
+# direction table (passes._direction_table) is made from the bits.
+# These helpers run the same kernels on any layout.
 
 def sequence_directions(graph, order):
     return passes._directions(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices))[0]
@@ -505,11 +512,11 @@ def direction_table(graph, order):
     return passes._direction_table(graph.tree.spec.degrees, graph.path_len, sequence_directions(graph, order))
 
 
-def related_report(graph, order, coloring, table):
-    """passes._related_families's report on the order's sequences."""
-    colors = [coloring.get(u, v) for u, v, _ in graph.edges]  # None, which no colour matches, for a miss
-    return passes._related_families(graph.tree.spec.degrees, graph.path_len, order.ranks_of(graph.vertices),
-                                    colors, table)[0]
+def related_report(graph, order):
+    """passes._related_families's report on the order's sequences.  It
+    reads no colour: a colouring the colour table refuses never reaches it."""
+    degrees, m = graph.tree.spec.degrees, graph.path_len
+    return passes._related_families(degrees, m, *passes._directions(degrees, m, order.ranks_of(graph.vertices)))
 
 
 def identity_sigma(witnesses):
@@ -585,14 +592,13 @@ def test_check_identity_permutation_names_no_node_on_a_shuffled_order(monkeypatc
     g = boxslash_product((3, 3, 3), 6)
     order, coloring = three_queue_layout(g)
     shuffled = LinearOrder(random.Random(6).sample(list(g.vertices), len(g.vertices)))
-    table = color_table(g, coloring)
     calls = []
     tree = product.Tree
     monkeypatch.setattr(product, "Tree", lambda spec: calls.append(spec) or tree(spec))
     result = run_passes(g, order, coloring)
     assert result.order_report.ok and result.related_report.ok and result.graph is g
     assert calls == []
-    assert len(related_report(g, shuffled, coloring, table).violations) > 1
+    assert len(related_report(g, shuffled).violations) > 1
     assert len(calls) == 1
     assert len(check_child_symmetry((3, 3, 3), 6, shuffled.ranks_of(g.vertices)).violations) > 1
     assert len(calls) == 2
@@ -615,17 +621,19 @@ def test_check_direction_consistency():
 def test_check_related_sequence_families():
     g = boxslash_product((2, 2), 2)
     order = canonical_order(g)
-    _, coloring = three_queue_layout(g)
-    table = color_table(g, coloring)
-    report = related_report(g, order, coloring, table)
+    report = related_report(g, order)
     assert report.ok and report.checked > 0
-
-    tampered_entries = {
-        sig: (c + 1) % 3 for sig, c in table.entries.items()
-    }
-    tampered = ColorTable(tampered_entries)
-    report = related_report(g, order, coloring, tampered)
-    assert not report.ok
+    # An edge off its signature's colour breaks the colour clause of the
+    # pairs it joins, which the colour table refuses ...
+    colors = three_queue_layout(g)[1].colors_of(g.edges)
+    colors[0] = (colors[0] + 1) % 3
+    with pytest.raises(InconsistencyError, match=r"^edges with signature 1,1,vertical use colours 1 and 0$"):
+        ColorTable.from_colors((2, 2), 2, colors)
+    # ... and 1@1 after 1@2 puts pairs on both sides.
+    names = [str(v) for v in order]
+    a, b = names.index("1@1"), names.index("1@2")
+    names[a], names[b] = names[b], names[a]
+    assert not related_report(g, order_of(names)).ok
 
 
 def test_check_related_sequence_families_finds_a_diagonal_pair_alone():
@@ -633,11 +641,10 @@ def test_check_related_sequence_families_finds_a_diagonal_pair_alone():
     g = boxslash_product((2, 1), 2)
     order = order_of(["r@1", "r@2", "1@1", "1.1@1", "1@2", "1.1@2", "2@1", "2@2", "2.1@1", "2.1@2"])
     _, coloring = three_queue_layout(g)
-    table = color_table(g, coloring)
-    report = related_report(g, order, coloring, table)
+    report = related_report(g, order)
     assert report.violations == [("diagonal", "r", (), 1, 1)]
     rank, colour = layout_data(g, order, coloring)
-    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
+    entries = {(d, p, kind.value): c for (d, p, kind), c in color_table(g, coloring).entries.items()}
     assert naive_related_families((2, 1), 2, rank, colour, entries) == (report.violations, report.checked)
 
 
@@ -673,18 +680,22 @@ def test_restrict_follows_the_node_map():
 
 
 def test_run_passes_checks_child_symmetry_once(monkeypatch):
+    # The related check and the direction table read the sequence
+    # directions of one _directions call, too.
     calls = []
-    real = passes.check_child_symmetry
 
-    def counting(degrees, m, ranks):
-        calls.append(len(ranks))
-        return real(degrees, m, ranks)
+    def counting(real):
+        def count(degrees, m, ranks):
+            calls.append((real.__name__, len(ranks)))
+            return real(degrees, m, ranks)
+        return count
 
-    monkeypatch.setattr(passes, "check_child_symmetry", counting)
+    for name in ("check_child_symmetry", "_directions"):
+        monkeypatch.setattr(passes, name, counting(getattr(passes, name)))
     g = boxslash_product((2, 2), 2)
     order, coloring = three_queue_layout(g)
     result = run_passes(g, order, coloring)
-    assert calls == [len(result.graph)]
+    assert calls == [("check_child_symmetry", len(result.graph)), ("_directions", len(result.graph))]
 
 
 def test_run_passes_canonical_identity():
@@ -827,20 +838,45 @@ def test_restrict_matches_the_naive_restriction(degrees, m):
             state = restricted(state, random_keep(state.degrees, rng), g.tree)
 
 
+def assert_color_table_matches_oracle(degrees, m, colour, build):
+    """build() makes the package's colour table, which must hold
+    naive_color_table's entries, or raise the error naming the edge
+    without a colour or the clash that the oracle finds first.  Returns
+    the oracle's outcome."""
+    want = naive_color_table(degrees, m, colour)
+    if want[0] == "entries":
+        assert {(d, p, kind.value): c for (d, p, kind), c in build().entries.items()} == want[1]
+    elif want[0] == "missing":
+        u, v = (f"{'.'.join(map(str, node)) or 'r'}@{i}" for node, i in want[1])
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(u)} -- {re.escape(v)} has no colour$"):
+            build()
+    else:
+        _, (d, p, kind), first, other = want
+        with pytest.raises(InconsistencyError) as err:
+            build()
+        assert str(err.value) == f"edges with signature {d},{p},{kind} use colours {first} and {other}"
+    return want
+
+
 @pytest.mark.parametrize("degrees, m", ORACLE_SHAPES)
 def test_check_related_sequence_families_matches_the_oracle(degrees, m):
+    # The related check reads no colour: on a colouring whose table
+    # holds, it must give the oracle's report under that table; the
+    # others the table refuses.  The swapped order of the last layout,
+    # whose colouring lacks colours, is checked in full colour too.
     rng = random.Random(f"related {degrees} {m}")
     g = boxslash_product(degrees, m)
-    table = color_table(g, three_queue_layout(g)[1])
-    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
+    layouts = oracle_layouts(g, rng)
     found = 0
-    for order, coloring in oracle_layouts(g, rng):
-        report = related_report(g, order, coloring, table)
+    for order, coloring in layouts + [(layouts[-1][0], layouts[0][1])]:
         rank, colour = layout_data(g, order, coloring)
-        violations, checked = naive_related_families(degrees, m, rank, colour, entries)
-        assert report.violations == violations
-        assert report.checked == checked
-        found += len(violations)
+        want = assert_color_table_matches_oracle(degrees, m, colour, lambda: color_table(g, coloring))
+        if want[0] == "entries":
+            report = related_report(g, order)
+            violations, checked = naive_related_families(degrees, m, rank, colour, want[1])
+            assert report.violations == violations
+            assert report.checked == checked
+            found += len(violations)
     assert found > 0
 
 
@@ -866,22 +902,10 @@ def test_color_table_matches_the_oracle(degrees, m):
         k=3)) for rate in (0.03, 0.1, 0.3)]
     outcomes = set()
     for graph, order, coloring in table_layouts(g, rng) + recoloured:
-        shape = graph.tree.spec.degrees
-        want = naive_color_table(shape, m, layout_data(graph, order, coloring)[1])
+        colour = layout_data(graph, order, coloring)[1]
+        want = assert_color_table_matches_oracle(graph.tree.spec.degrees, m, colour,
+                                                 lambda: color_table(graph, coloring))
         outcomes.add(want[0])
-        if want[0] == "entries":
-            table = color_table(graph, coloring)
-            assert {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()} == want[1]
-        elif want[0] == "missing":
-            u, v = (f"{'.'.join(map(str, node)) or 'r'}@{i}" for node, i in want[1])
-            with pytest.raises(ValueError, match=rf"^edge {re.escape(u)} -- {re.escape(v)} has no colour$"):
-                color_table(graph, coloring)
-        else:
-            _, (d, p, kind), first, other = want
-            with pytest.raises(InconsistencyError) as err:
-                color_table(graph, coloring)
-            assert str(err.value) == (
-                f"edges with signature {(d, p, EdgeKind(kind))} use colours {first} and {other}")
     assert {"entries", "clash"} <= outcomes
 
 
@@ -982,7 +1006,7 @@ def test_run_passes_final_state_matches_the_oracles(degrees, m):
 def damaged_final_states(draw):
     """The final state of run_passes on a canonical, reversed or scrambled
     layout of a product of height at most 3 and at most 60 vertices, with
-    two ranks swapped or one edge recoloured, and its colour table."""
+    two ranks swapped or one edge recoloured."""
     degrees, m = draw(st.sampled_from(small_shapes(60, 3)))
     rng = draw(st.randoms(use_true_random=False))
     g = boxslash_product(degrees, m)
@@ -997,23 +1021,25 @@ def damaged_final_states(draw):
     elif colors:
         e = rng.randrange(len(colors))
         colors[e] = (colors[e] + rng.randint(1, 3)) % 4
-    state = PassState(result.graph.tree.spec.degrees, m, ranks, colors, [])
-    return state, result.color_table
+    return PassState(result.graph.tree.spec.degrees, m, ranks, colors, [])
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=damaged_final_states())
 def test_checks_match_the_oracles_on_damaged_final_states(case):
     # Each check must give the oracle's report, the failures it names
-    # included, and the direction table its table or the error naming
-    # its first problem.
-    state, table = case
-    degrees, m, ranks = state.degrees, state.path_len, state.ranks
+    # included, the colour and direction tables their tables or the error
+    # naming their first problem; the related check is compared where the
+    # state's own colour table holds, as run_passes runs it only there.
+    degrees, m, ranks = case.degrees, case.path_len, case.ranks
     assert_child_symmetry_matches_oracle(degrees, m, ranks)
-    report, observed = passes._related_families(degrees, m, ranks, state.colors, table)
-    rank, colour = state_data(state)
-    entries = {(d, p, kind.value): c for (d, p, kind), c in table.entries.items()}
-    assert (report.violations, report.checked) == naive_related_families(degrees, m, rank, colour, entries)
+    rank, colour = state_data(case)
+    want = assert_color_table_matches_oracle(degrees, m, colour,
+                                             lambda: ColorTable.from_colors(degrees, m, case.colors))
+    observed, blocks = passes._directions(degrees, m, ranks)
+    if want[0] == "entries":
+        report = passes._related_families(degrees, m, observed, blocks)
+        assert (report.violations, report.checked) == naive_related_families(degrees, m, rank, colour, want[1])
     if min(degrees) >= 2:
         assert_direction_table_matches_oracle(degrees, m, rank, lambda: passes._direction_table(degrees, m, observed))
 
@@ -1026,10 +1052,8 @@ def test_related_check_holds_where_the_direction_table_finds_opposite_sequences(
     names = [str(v) for v in canonical_order(g)]
     a, b = names.index("1.1@1"), names.index("1.2@1")
     names[a], names[b] = names[b], names[a]
-    colors = three_queue_layout(g)[1].colors_of(g.edges)
-    table = ColorTable.from_colors((2, 2), 1, colors)
-    report, observed = passes._related_families((2, 2), 1, order_of(names).ranks_of(g.vertices), colors, table)
-    assert report.ok
+    observed, blocks = passes._directions((2, 2), 1, order_of(names).ranks_of(g.vertices))
+    assert passes._related_families((2, 2), 1, observed, blocks).ok
     with pytest.raises(InconsistencyError, match=r"^witnesses disagree at level 2, length 2, position 1$"):
         passes._direction_table((2, 2), 1, observed)
 
