@@ -75,11 +75,10 @@ class LinearOrder:
             raise ValueError("duplicate vertices in order")
 
     @classmethod
-    def from_ranks(cls, vertices: Sequence[Vertex], ranks: list) -> "LinearOrder":
-        """vertices sorted by ranks, one distinct number per vertex; a
-        product's vertex view is reordered, not read."""
-        ids = sorted(range(len(vertices)), key=ranks.__getitem__)
-        return cls(vertices.reordered(ids) if isinstance(vertices, ProductVertices) else map(vertices.__getitem__, ids))
+    def from_ranks(cls, vertices: ProductVertices, ranks: list) -> "LinearOrder":
+        """A product's vertex view sorted by ranks, one distinct number per
+        vertex: the view is reordered, not read."""
+        return cls(vertices.reordered(sorted(range(len(vertices)), key=ranks.__getitem__)))
 
     @property
     def vertices(self) -> Sequence[Vertex]:
@@ -90,9 +89,6 @@ class LinearOrder:
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self._seq)
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in (self._seq if self._rank is None else self._rank)
 
     def _lookup(self) -> dict:
         if self._rank is None:
@@ -195,18 +191,16 @@ class _Violations(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
     def __getitem__(self, at):
         if isinstance(at, slice):
             return [self[i] for i in range(*at.indices(len(self)))]
+        n = len(self._edges)
         if self._keys is None:
-            n, colors = len(self._edges), self._colors
+            colors = self._colors
             self._keys = sorted((colors[i] * n + i) * n + j if i < j else (colors[i] * n + j) * n + i
                                 for i, hits in self._rows for j in hits)
             self._rows = None
-        i, j = divmod(self._keys[at] % len(self._edges) ** 2, len(self._edges))
+        i, j = divmod(self._keys[at] % n ** 2, n)
         return Violation(_PAIR(self._edges[i]), _PAIR(self._edges[j]), self._relation, self._colors[i])
 
 

@@ -26,12 +26,13 @@ as laid out by `edge_runs`.
 A ProductGraph stores no vertex or edge objects.  `vertices` and `edges`
 are read-only sequence views over the tree's nodes and the span table:
 a PVertex or a (u, v, kind) tuple is made only when an item is read (for
-JSON, DOT, error texts and violations).  The span table
-(`ProductGraph.spans`) lists each edge's lower and upper vertex id, once
-per product, on first use: the lower end is the second one of a vertical
-edge (the parent) and the first one of a horizontal or diagonal edge.
-Its lists share the int objects of one id list, so they cost a pointer
-per entry.
+JSON, DOT, error texts and violations).  Unlike a tuple, a view equals
+only itself: its items compare as ``tuple(view)``, and ``in`` scans
+them.  The span table (`ProductGraph.spans`) lists each edge's lower and
+upper vertex id, once per product, on first use: the lower end is the
+second one of a vertical edge (the parent) and the first one of a
+horizontal or diagonal edge.  Its lists share the int objects of one id
+list, so they cost a pointer per entry.
 """
 
 from __future__ import annotations
@@ -206,24 +207,12 @@ class ProductVertices(Sequence):
     def __iter__(self) -> Iterator[PVertex]:
         return map(PVertex, *self._columns()) if self.ids is None else map(self._vertex, self.ids)
 
-    def __contains__(self, v) -> bool:
-        return self.id_of(v) is not None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ProductVertices) and self.ids is None and other.ids is None:
-            return (self.tree.spec, self.path_len) == (other.tree.spec, other.path_len)
-        if isinstance(other, (tuple, ProductVertices)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def id_of(self, v) -> int | None:
+    def id_of(self, v: PVertex) -> int | None:
         """The vertex id of v, found from its node's id and its position;
         None when v is no vertex of the product."""
-        if not (isinstance(v, tuple) and len(v) == 2):
-            return None
         try:
-            x, p = self.tree.ids[v[0]], range(1, self.path_len + 1).index(v[1])
-        except (KeyError, TypeError, ValueError):
+            x, p = self.tree.ids[v.node], range(1, self.path_len + 1).index(v.pos)
+        except (KeyError, ValueError):
             return None
         return p * len(self.tree) + x
 
@@ -252,25 +241,25 @@ class ProductVertices(Sequence):
 
 class ProductEdges(Sequence):
     """A product's edges by edge id, read-only: a (u, v, kind) tuple is
-    made only when an item is read, from the span table."""
+    made only when an item is read, from the span table.  ``ends`` holds
+    where the vertical, horizontal and diagonal runs end."""
 
-    __slots__ = ("graph",)
+    __slots__ = ("graph", "ends")
 
     def __init__(self, graph: "ProductGraph"):
         self.graph = graph
+        self.ends = tuple(accumulate(graph.edge_counts().values()))
 
     def __len__(self) -> int:
-        return sum(self.graph.edge_counts().values())
+        return self.ends[-1]
 
     def __getitem__(self, at):
         at = range(len(self))[at]
         if isinstance(at, range):
             return tuple(map(self.__getitem__, at))
         lo, hi = self.graph.spans()
-        counts = self.graph.edge_counts()
-        vertical, horizontal = counts[EdgeKind.VERTICAL], counts[EdgeKind.HORIZONTAL]
-        kind = (EdgeKind.VERTICAL if at < vertical else
-                EdgeKind.HORIZONTAL if at < vertical + horizontal else EdgeKind.DIAGONAL)
+        vertical, horizontal, _ = self.ends
+        kind = EdgeKind.VERTICAL if at < vertical else EdgeKind.HORIZONTAL if at < horizontal else EdgeKind.DIAGONAL
         u, v = self.graph.vertices._vertex(lo[at]), self.graph.vertices._vertex(hi[at])
         return (v, u, kind) if kind is EdgeKind.VERTICAL else (u, v, kind)
 
@@ -278,24 +267,10 @@ class ProductEdges(Sequence):
         kinds = chain.from_iterable(map(repeat, EdgeKind, self.graph.edge_counts().values()))
         return self._pairs(tuple(self.graph.vertices), kinds)
 
-    def __contains__(self, edge) -> bool:
-        if not (isinstance(edge, tuple) and len(edge) == 3):
-            return False
-        vertices = self.graph.vertices
-        e = self.graph.edge_id(vertices.id_of(edge[0]), vertices.id_of(edge[1]))
-        return e is not None and self[e] == edge
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ProductEdges):
-            return self.graph.descriptor() == other.graph.descriptor()
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
     def _pairs(self, per_vertex: Sequence, *more: Iterable) -> Iterator[tuple]:
         """(per_vertex[u], per_vertex[v], *more) for each edge, u its first end and v its second."""
         lo, hi = self.graph.spans()
-        v = self.graph.edge_counts()[EdgeKind.VERTICAL]  # the vertical run comes first, child end first
+        v = self.ends[0]  # the vertical run comes first, child end first
         return zip(map(per_vertex.__getitem__, hi[:v] + lo[v:]), map(per_vertex.__getitem__, lo[:v] + hi[v:]), *more)
 
     def pairs(self) -> Iterator[tuple]:

@@ -1,11 +1,17 @@
 """Every name a package module imports is read somewhere in that module,
 and every name the package exports, and every member its classes define,
-is read by one of its modules."""
+is read by one of its modules.  statement_coverage.py checks the calls
+these scans cannot see; its caller rule is tested here too."""
 
+import argparse
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+import statement_coverage
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boxslash"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -55,13 +61,18 @@ def unread_members(sources: list[str]) -> list[str]:
     """Methods and properties, dunders aside, that a class in ``sources``
     defines and that no source reads as an attribute, as Class.member.
 
-    Members match by name alone, so the scan cannot tell two classes'
+    The scan has two blind spots.  It skips dunders, which ``in``, ``==``
+    and the like reach without an attribute read, so the product views'
+    ``__contains__`` and ``__eq__``, which only tests reached, passed it.
+    And members match by name alone, so it cannot tell two classes'
     members of one name apart: a read of ``x.color`` counts for
-    ``HexColoring.color`` and for any other class's ``color``, and the
-    same holds for ``to_json``.  So it let ``DirectionTable.from_json``
-    and ``HexColoring.to_json`` through while only tests read them,
-    because ``HexColoring.from_json`` and ``ColorTable.to_json`` are
-    read; both are deleted now."""
+    ``HexColoring.color`` and for any other class's ``color``.  So it let
+    ``DirectionTable.from_json`` and ``HexColoring.to_json`` through while
+    only tests read them (both deleted), and lets ``EdgeColoring.get``
+    through, which only bench/ reads, as ``dict.get`` is read.
+    statement_coverage.py covers both: it fails on any package function,
+    dunders included, that no package frame calls while the suite runs,
+    apart from the functions it lists."""
     trees = [ast.parse(source) for source in sources]
     read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return [f"{cls.name}.{f.name}" for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -81,3 +92,73 @@ def test_every_class_member_is_read_by_a_package_module():
         "ProductGraph.edge_pairs",  # bench/workloads.py reads a product's edges as vertex pairs with it
         "Direction.opposite",  # bench/checks.py flips a direction table entry with it
     ]
+
+
+SYNTHETIC = """\
+import argparse
+from dataclasses import dataclass
+from functools import cached_property
+
+
+class Box:
+    @cached_property
+    def size(self):
+        return 3
+
+
+@dataclass
+class Spec:
+    n: int
+
+    def __post_init__(self):
+        self.n = int(self.n)
+
+
+def count(text):
+    return int(text)
+
+
+def entry():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--count", type=count)
+    return Box().size, Spec(1), parser.parse_args(["--count", "2"])
+
+
+def tested(text):
+    return int(text)
+
+
+def countdown(n):
+    return n and countdown(n - 1)
+"""
+
+
+def test_the_caller_rule_looks_past_the_standard_library_to_a_package_frame(tmp_path):
+    # The synthetic module stands for the package.  Its own frame reaches a
+    # cached_property getter, a dataclass __post_init__ (through generated
+    # code) and an argparse type= callback through the standard library;
+    # the test's frame calls the module body, entry, tested (through
+    # argparse too) and countdown, which then calls itself.
+    path = tmp_path / "synthetic_callers.py"
+    path.write_text(SYNTHETIC, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("synthetic_callers", path)
+    module = importlib.util.module_from_spec(spec)
+    hits, called = {}, set()
+    previous = sys.gettrace()  # the tracer of statement_coverage.py, when it runs the suite
+    sys.modules[spec.name] = module
+    sys.settrace(statement_coverage.tracer(tmp_path, hits, called))
+    try:
+        spec.loader.exec_module(module)
+        module.entry()
+        parser = argparse.ArgumentParser()
+        parser.add_argument("--n", type=module.tested)
+        parser.parse_args(["--n", "1"])
+        module.countdown(2)
+    finally:
+        sys.settrace(previous)
+        del sys.modules[spec.name]
+    assert [name for _, name in statement_coverage.uncalled(path, called)] == [
+        "synthetic_callers.<module>", "synthetic_callers.entry",
+        "synthetic_callers.tested", "synthetic_callers.countdown",
+    ]
+    assert {9, 17, 21, 27, 31, 35} <= hits[str(path)]  # each function's body ran

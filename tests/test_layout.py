@@ -72,12 +72,15 @@ def test_linear_order_basics():
 
 
 def test_linear_order_from_ranks_sorts_by_rank():
-    vertices = tuple("abcd")
-    order = LinearOrder.from_ranks(vertices, [30, 5, 12, 7])
-    assert list(order) == ["b", "d", "c", "a"]
-    assert order.ranks_of(vertices) == [3, 0, 2, 1] == order.ranks_of(list(vertices))
+    g = boxslash_product((3,), 1)
+    vertices = tuple(g.vertices)
+    order = LinearOrder.from_ranks(g.vertices, [30, 5, 12, 7])
+    assert list(order) == [vertices[1], vertices[3], vertices[2], vertices[0]]
+    assert order.ranks_of(g.vertices) == [3, 0, 2, 1] == order.ranks_of(vertices) == order.ranks_of(list(vertices))
     with pytest.raises(ValueError, match="^vertex 'q' not in order$"):
-        order.ranks_of(("a", "q"))
+        order.ranks_of((vertices[0], "q"))
+    with pytest.raises(ValueError, match="^vertex r@2 not in order$"):
+        order.ranks_of((vertices[0], PVertex(vertices[0].node, 2)))
 
 
 def test_edge_coloring_basics():
@@ -208,8 +211,8 @@ def test_validators_on_hand_built_layouts():
     crossing = EdgeColoring({(0, 2): 0, (1, 3): 0})
     report = validate_stack_layout(edges, order, crossing)
     assert not report.valid
-    assert report.violations == [layout.Violation((0, 2), (1, 3), PairRelation.CROSS, 0)]
-    assert report.violations != [layout.Violation((0, 2), (1, 3), PairRelation.NEST, 0)]
+    assert list(report.violations) == [layout.Violation((0, 2), (1, 3), PairRelation.CROSS, 0)]
+    assert list(report.violations) != [layout.Violation((0, 2), (1, 3), PairRelation.NEST, 0)]
     assert validate_queue_layout(edges, order, crossing).valid
 
     nesting = EdgeColoring({(0, 3): 0, (1, 2): 0})

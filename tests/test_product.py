@@ -187,8 +187,8 @@ def test_descriptor_roundtrip():
     doc = g.descriptor()
     assert doc == {"tree_degrees": [3, 2], "path_len": 2}
     again = ProductGraph.from_descriptor(doc)
-    assert again.vertices == g.vertices
-    assert again.edges == g.edges
+    assert tuple(again.vertices) == tuple(g.vertices)
+    assert tuple(again.edges) == tuple(g.edges)
     with pytest.raises(ValueError):
         ProductGraph.from_descriptor({"path_len": 2})
 
@@ -314,10 +314,11 @@ def test_vertex_and_edge_views_read_as_the_definition(degrees, m):
         with pytest.raises(TypeError):
             view["0"]
         assert all(item in view for item in items)
-        assert view == tuple(items) and tuple(items) == view and view != tuple(items[:-1]) and view != items
+        assert tuple(view) == tuple(items) and tuple(view) != tuple(items[:-1])
+        assert view == view and view != tuple(items) and view != items  # a view equals only itself
     same, longer = boxslash_product(tuple(degrees), m), boxslash_product(tuple(degrees), m + 1)
-    assert same.vertices == g.vertices and same.edges == g.edges
-    assert longer.vertices != g.vertices and longer.edges != g.edges
+    assert tuple(same.vertices) == tuple(g.vertices) and tuple(same.edges) == tuple(g.edges)
+    assert tuple(longer.vertices) != tuple(g.vertices) and tuple(longer.edges) != tuple(g.edges)
     # Equal spellings are members, as in a tuple; anything else is not.
     node = vertices[-1].node
     assert (node, m) in g.vertices and (node, 1.0) in g.vertices and (node, True) in g.vertices
@@ -362,6 +363,6 @@ def test_a_reordered_view_reads_its_ids_and_ranks_them():
     assert view.base is g.vertices and view.positions() == [1, 5, 3, 6, 0, 7, 4, 8, 2]
     assert g.vertices.positions() == list(range(9))
     assert list(view.tuples()) == [tuple(vertices[x]) for x in ids]
-    assert view == tuple(vertices[x] for x in ids) and view != g.vertices
+    assert tuple(view) == tuple(vertices[x] for x in ids) and tuple(view) != tuple(g.vertices)
     twice = view.reordered([1, 0] + list(range(2, 9)))
     assert twice.base is g.vertices and list(twice) == [vertices[x] for x in [0, 4, 8, 2, 6, 1, 3, 5, 7]]
