@@ -15,9 +15,10 @@ two sides as padded indices and its two end corners, and builds cell
 pairs only when `pairs` is read.  For N cells and P boundary pairs:
 `trace_boundary` finds the boundary edges in three XORs of N-byte
 integers and takes O(1) steps per pair, one color comparison each;
-`BoundaryLine.verify` decides a line of its coloring's shape in a few
-C-level passes over its sides, and lists a failing line pair by pair,
-linear in its length either way; `monochromatic_spanning_path` and
+`BoundaryLine.verify` takes only a coloring of the line's own shape,
+decides the line in a few whole-list passes over its padded sides, and
+lists a failing line pair by pair from the same indices, linear in its
+length either way; `monochromatic_spanning_path` and
 `top_or_long` flood O(N) cells of the padded table;
 `maximal_boundaries` reads two corners per line, then compares the T
 top boundaries pairwise, O(T^2).  The analyses that need the lines take
@@ -97,7 +98,8 @@ class HexColoring:
     """Two-coloring of a HexGrid as one row-major table of cell codes.
 
     `table[(i - 1) * cols + (j - 1)]` is 0 when cell (i, j) is INC and 1
-    when it is DEC.
+    when it is DEC.  The package reads cells by index, in `table` or in
+    the padded table.
     """
 
     def __init__(self, grid: HexGrid, table: bytes):
@@ -121,12 +123,6 @@ class HexColoring:
         border = b"\x02" * (cols + 2)
         inner = b"\x02\x02".join(table[k : k + cols] for k in range(0, len(table), cols))
         return border + b"\x02" + inner + b"\x02" + border
-
-    def color(self, cell: Cell) -> Direction:
-        i, j = cell
-        if not (1 <= i <= self.grid.rows and 1 <= j <= self.grid.cols):
-            raise KeyError(f"cell {(i, j)} is outside the {self.grid.rows}x{self.grid.cols} grid")
-        return _COLORS[self.table[(i - 1) * self.grid.cols + j - 1]]
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence]) -> "HexColoring":
@@ -229,73 +225,53 @@ class BoundaryLine:
     def verify(self, coloring: HexColoring) -> list[str]:
         """All violations of the four line invariants, empty when sound.
 
-        A line checked against a coloring of its own shape is first
-        decided whole; only a line that fails, or one checked against
-        another shape, is listed pair by pair.  A cell outside the grid is a pair-shape
-        violation and, having no color, a sides one.
-        """
-        if coloring.grid == self.grid and self._sound(coloring._padded):
-            return []
-        return self._violations(coloring)
-
-    def _sound(self, padded: bytes) -> bool:
-        """Whether the padded sides hold all four invariants, in passes over whole lists.
-
-        Every a cell is at least a row inside the table and every pair
-        differs by a neighbour step, so every b cell is in the table too.
-        Colors are counted, so every cell is inside the grid; then two
-        cells are neighbours exactly when their indices differ by a
-        neighbour step, as a row is two cells wider than the grid.  Once
+        `coloring` must have the line's own grid; another shape raises
+        ValueError.  The line is first decided whole, in passes over its
+        padded sides.  Every a cell is at least a row inside the table and
+        every pair differs by a neighbour step, so every b cell is in the
+        table too.  Colors are counted, so every cell is inside the grid;
+        then two cells are neighbours exactly when their indices differ by
+        a neighbour step, as a row is two cells wider than the grid.  Once
         every a cell holds color_a and every b cell color_b, a pair can
         only repeat in its own orientation, so the set of pairs finds
-        every repeat.
+        every repeat.  Only a line that fails is listed, pair by pair from
+        the same indices: one off the table or on its border of 2s is
+        outside the grid, a pair-shape violation and, having no color, a
+        sides one.
         """
-        a, b = self._side_a, self._side_b
-        n, width = len(a), self.grid.cols + 2
-        # One pair is left to the pair loop: itemgetter of one index returns no tuple.
-        if self.color_a == self.color_b or n < 2:
-            return False
-        if not set(map(operator.sub, a, b)) <= set(_steps(width)):
-            return False
-        if min(a) < width or max(a) >= len(padded) - width:
-            return False
+        if coloring.grid != self.grid:
+            raise ValueError(
+                f"a line of a {self.grid.rows}x{self.grid.cols} grid checked against a "
+                f"{coloring.grid.rows}x{coloring.grid.cols} coloring"
+            )
+        padded, a, b = coloring._padded, self._side_a, self._side_b
+        n, width, size = len(a), self.grid.cols + 2, len(padded)
+        steps = _steps(width)
         code_a, code_b = self.color_a is Direction.DEC, self.color_b is Direction.DEC
-        if (operator.itemgetter(*a)(padded).count(code_a) != n
-                or operator.itemgetter(*b)(padded).count(code_b) != n):
-            return False
-        a_next, b_next = (a[1:] + a[:1], b[1:] + b[:1]) if self.closed else (a[1:], b[1:])
-        if any(map(operator.eq, map(operator.eq, a, a_next), map(operator.eq, b, b_next))):
-            return False
-        return len(set(zip(a, b))) == n
-
-    def _violations(self, coloring: HexColoring) -> list[str]:
-        """`verify`'s list, made pair by pair."""
-        out = []
-        if self.color_a == self.color_b:
-            out.append("sides: the two side colors are equal")
-        rows, cols = coloring.grid.rows, coloring.grid.cols
-        table = coloring.table
-        code_a, code_b = self.color_a is Direction.DEC, self.color_b is Direction.DEC
-        pairs = self.pairs
-        for t, ((i1, j1), (i2, j2)) in enumerate(pairs):
-            inside = 0 < i1 <= rows and 0 < j1 <= cols and 0 < i2 <= rows and 0 < j2 <= cols
-            if not (
-                inside
-                and table[(i1 - 1) * cols + j1 - 1] == code_a
-                and table[(i2 - 1) * cols + j2 - 1] == code_b
-            ):
+        # A closed line of two or more pairs also steps from its last pair to its first.
+        a_next, b_next = (a[1:] + a[:1], b[1:] + b[:1]) if self.closed and n > 1 else (a[1:], b[1:])
+        # One pair is left to the listing: itemgetter of one index returns no tuple.
+        if (self.color_a != self.color_b and n > 1
+                and set(map(operator.sub, a, b)) <= set(steps)
+                and width <= min(a) and max(a) < size - width
+                and operator.itemgetter(*a)(padded).count(code_a) == n
+                and operator.itemgetter(*b)(padded).count(code_b) == n
+                and not any(map(operator.eq, map(operator.eq, a, a_next), map(operator.eq, b, b_next)))
+                and len(set(zip(a, b))) == n):
+            return []
+        out = ["sides: the two side colors are equal"] if self.color_a == self.color_b else []
+        for t, (x, y, (cell_a, cell_b)) in enumerate(zip(a, b, self.pairs)):
+            inside = 0 <= x < size and 0 <= y < size and padded[x] != 2 and padded[y] != 2
+            if not (inside and padded[x] == code_a and padded[y] == code_b):
                 out.append(f"sides: pair {t} colors are not (a={self.color_a.value}, b={self.color_b.value})")
-            if not (inside and (i1 - i2, j1 - j2) in NEIGHBOR_OFFSETS):
-                out.append(f"pair-shape: pair {t} cells {(i1, j1)} and {(i2, j2)} are not grid-adjacent")
-        steps = list(zip(range(len(pairs) - 1), pairs, pairs[1:]))
-        if self.closed and len(pairs) > 1:
-            steps.append((len(pairs) - 1, pairs[-1], pairs[0]))
-        for t, (a1, b1), (a2, b2) in steps:
-            if (a1 == a2) == (b1 == b2):
+            if not (inside and x - y in steps):
+                out.append(f"pair-shape: pair {t} cells {cell_a} and {cell_b} are not grid-adjacent")
+        for t, (x1, y1, x2, y2) in enumerate(zip(a, b, a_next, b_next)):
+            if (x1 == x2) == (y1 == y2):
                 out.append(f"step: pairs {t} and {t + 1} must share exactly one side")
         seen = set()
-        for t, (a, b) in enumerate(pairs):
-            key = (a, b) if a < b else (b, a)
+        for t, (x, y) in enumerate(zip(a, b)):
+            key = (x, y) if x < y else (y, x)
             if key in seen:
                 out.append(f"duplicate: pair {t} repeats an earlier pair")
             seen.add(key)
@@ -474,9 +450,8 @@ def maximal_boundaries(coloring: HexColoring, lines: Sequence[BoundaryLine]) -> 
         tb for tb in tops if not any(out.left < tb.left and tb.right < out.right for out in tops)
     ]
     for tb in tops:
-        outside_left = coloring.color((1, tb.left))
-        outside_right = coloring.color((1, tb.right + 1))
-        if outside_left != outside_right:
+        # Top cells (1, left) and (1, right + 1); cuts lie in 1..cols - 1.
+        if coloring.table[tb.left - 1] != coloring.table[tb.right]:
             raise InconsistencyError(
                 f"boundary ({tb.left},{tb.right}) has unequal outside top colors"
             )

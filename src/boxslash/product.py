@@ -288,7 +288,7 @@ class ProductGraph:
 
     def __init__(self, tree: Tree, path_len: int):
         m = self.path_len = integer(path_len, "path_len", 1)
-        _product_size(len(tree), m)
+        _product_size(tree.spec.degrees, m)
         self.tree = tree
         self.vertices = ProductVertices(tree, m)
         self.edges = ProductEdges(self)
@@ -362,8 +362,12 @@ class ProductGraph:
         return "\n".join(lines)
 
 
-def _product_size(nodes: int, m: int) -> int:
-    """Vertices of the product of a ``nodes``-node tree and an m-vertex path, capped."""
+def _product_size(degrees, path_len) -> int:
+    """Vertices of the product of a degree sequence's tree and a path,
+    counted without building either.  A bad degree sequence, or a tree
+    over VERTEX_LIMIT, is refused first, then a bad path length, then a
+    product over the limit."""
+    nodes, m = TreeSpec(degrees).vertex_count(), integer(path_len, "path_len", 1)
     if nodes * m > VERTEX_LIMIT:
         raise SizeLimitError(f"product would have {nodes * m} vertices, limit is {VERTEX_LIMIT}")
     return nodes * m
@@ -378,11 +382,13 @@ def descriptor_size(doc: Mapping) -> int:
     degrees = doc.get("tree_degrees")
     if not isinstance(degrees, (list, tuple)):
         raise ValueError(f"tree_degrees must be a list of integers, got {degrees!r}")
-    return _product_size(TreeSpec(degrees).vertex_count(), integer(doc.get("path_len"), "path_len", 1))
+    return _product_size(degrees, doc.get("path_len"))
 
 
 def boxslash_product(degrees, path_len: int) -> ProductGraph:
-    """Product of the balanced tree of a degree sequence and a path."""
+    """Product of the balanced tree of a degree sequence and a path; one
+    over VERTEX_LIMIT is refused by its count, before its tree is built."""
+    _product_size(degrees, path_len)
     return ProductGraph(build_tree(degrees), path_len)
 
 

@@ -3,7 +3,6 @@ boundaries and direction-table layers against the naive oracles, frozen
 tracer output, and the checks on bad lines, cells and dichotomy
 parameters."""
 
-import itertools
 import random
 import re
 from collections import Counter
@@ -215,9 +214,7 @@ def test_from_matrix_accepts_only_zero_one_or_directions(matrix):
 
 def test_from_matrix_reads_zero_one_and_directions():
     coloring = HexColoring.from_matrix([[0, 1], [Direction.DEC, Direction.INC]])
-    assert [coloring.color(c) for c in itertools.product((1, 2), (1, 2))] == [
-        Direction.INC, Direction.DEC, Direction.DEC, Direction.INC,
-    ]
+    assert coloring.table == bytes([0, 1, 1, 0])
 
 
 def test_verify_reports_a_cell_outside_the_grid():
@@ -242,7 +239,8 @@ DAMAGES = ("flip", "repeat", "drop", "far cell", "outside cell", "shifted", "equ
 @given(data=st.data())
 def test_verify_of_a_damaged_traced_line_matches_the_oracle(data):
     # One traced line, damaged one way in its padded sides, so verify
-    # decides it on the whole-list checks before it lists anything.
+    # decides it in its whole-list passes before it lists anything; a
+    # coloring of another shape is refused.
     rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     flips = data.draw(st.randoms(use_true_random=False))
     chi = [[flips.randrange(2) for _ in range(cols)] for _ in range(rows)]
@@ -276,16 +274,19 @@ def test_verify_of_a_damaged_traced_line_matches_the_oracle(data):
         pairs = [((i1 + shift, j1), (i2 + shift, j2)) for (i1, j1), (i2, j2) in pairs]
     elif damage == "equal colours":
         colours[1] = colours[0]
-    against = chi
-    if damage == "other shape":
-        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda s: s != (rows, cols)))
-        against = [[flips.randrange(2) for _ in range(shape[1])] for _ in range(shape[0])]
     width = cols + 2
     side_a, side_b = ([i * width + j for i, j in side] for side in zip(*pairs))
     damaged = BoundaryLine(coloring.grid, side_a, side_b, line.first_corner, line.last_corner, *colours)
     assert damaged.pairs == tuple(pairs)
-    want = naive_line_violations(against, pairs, line.closed, colours[0].value, colours[1].value)
-    assert damaged.verify(HexColoring.from_matrix(against)) == want
+    if damage == "other shape":
+        shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda s: s != (rows, cols)))
+        other = HexColoring.from_matrix([[flips.randrange(2) for _ in range(shape[1])] for _ in range(shape[0])])
+        message = f"^a line of a {rows}x{cols} grid checked against a {shape[0]}x{shape[1]} coloring$"
+        with pytest.raises(ValueError, match=message):
+            damaged.verify(other)
+        return
+    want = naive_line_violations(chi, pairs, line.closed, colours[0].value, colours[1].value)
+    assert damaged.verify(coloring) == want
 
 
 def test_verify_steps_from_the_last_pair_of_a_closed_line_to_its_first():
@@ -315,19 +316,25 @@ def test_verify_reports_equal_side_colours_on_a_one_colour_line():
 
 def test_verify_decides_whole_lines_on_their_own_shape_only():
     # The 2x5 table holds, at this 2x4 line's padded indices, the colors
-    # its a and b sides need; its cells there do not.
+    # its a and b sides need; its cells there do not.  Only the line's
+    # own shape is read, so the 2x5 coloring is refused.
     chi, other = [[0, 0, 1, 0], [1, 0, 0, 1]], [[0, 0, 0, 1, 1], [0, 1, 1, 0, 0]]
     lines = trace_boundary(HexColoring.from_matrix(chi))
     line = next(line for line in lines if line.pairs == (((2, 4), (1, 4)), ((2, 4), (2, 3))))
-    want = naive_line_violations(other, line.pairs, line.closed, line.color_a.value, line.color_b.value)
-    assert want and line.verify(HexColoring.from_matrix(other)) == want
+    assert naive_line_violations(other, line.pairs, line.closed, line.color_a.value, line.color_b.value)
+    with pytest.raises(ValueError, match="^a line of a 2x4 grid checked against a 2x5 coloring$"):
+        line.verify(HexColoring.from_matrix(other))
 
 
-@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 4), (-1, 2), (2, -1)])
-def test_color_rejects_cells_outside_the_grid(cell):
-    coloring = HexColoring.from_matrix([[0, 1, 1], [1, 0, 0]])
-    with pytest.raises(KeyError, match="outside the 2x3 grid"):
-        coloring.color(cell)
+def test_verify_decides_a_sound_line_without_its_cell_pairs():
+    # A sound line of two or more pairs is decided on its padded sides
+    # alone, so its cached `pairs` are never built.
+    flips = random.Random(38)
+    coloring = HexColoring.from_matrix([[flips.randrange(2) for _ in range(40)] for _ in range(30)])
+    lines = trace_boundary(coloring)
+    assert len(lines) > 50 and {line.closed for line in lines} == {False, True}
+    assert all(line.verify(coloring) == [] for line in lines)
+    assert not any("pairs" in vars(line) for line in lines)
 
 
 def layer_edge(kind, k, i, p):

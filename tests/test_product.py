@@ -236,6 +236,25 @@ def test_size_limits():
         boxslash_product((2,), 0)
 
 
+def test_an_oversize_product_is_refused_before_its_tree_is_built(monkeypatch):
+    # Building these trees took seconds before the count refused them.
+    # The degrees and a tree over the limit are refused first, then the
+    # path length, then the product's count.
+    def no_tree(spec):
+        raise AssertionError(f"built the tree of {spec.degrees}")
+
+    monkeypatch.setattr("boxslash.product.Tree", no_tree)
+    for degrees, path_len, count in (((2,) * 18, 2, 1_048_574), ((2,) * 17, 7, 1_835_001)):
+        with pytest.raises(SizeLimitError, match=f"^product would have {count} vertices, limit is 1000000$"):
+            boxslash_product(degrees, path_len)
+    with pytest.raises(ValueError, match="^degree must be at least 1, got 0$"):
+        boxslash_product((2,) * 18 + (0,), 0)
+    with pytest.raises(SizeLimitError, match=r"^tree \(2(, 2)*\) exceeds the 1000000 vertex limit$"):
+        boxslash_product((2,) * 20, 0)
+    with pytest.raises(ValueError, match="^path_len must be at least 1, got 0$"):
+        boxslash_product((2,) * 18, 0)
+
+
 def test_restrict_subtree_errors_name_the_node():
     with pytest.raises(ShapeError, match=r"^level 1 keeps 2 children at 2, other nodes keep 1$"):
         restrict_ids((2, 2), {1: (1,), 2: (1, 2)})
